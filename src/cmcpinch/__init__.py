@@ -13,7 +13,7 @@ from .curvature import (PointAnalysis, analyze_point, assemble_analysis,
                         hessian_eigenvalues, principal_curvatures,
                         support_function)
 from .delaunay import (CYLINDER, NODOID, UNDULOID, DelaunayParams,
-                       GeneratrixState, eval_state, z_many, z_of)
+                       GeneratrixState, eval_state, profile, z_many, z_of)
 from .freeboundary import (VERDICT_CYLINDER, VERDICT_INVALID,
                            VERDICT_NO_ORTHOGONAL, VERDICT_PINCHED,
                            AnalysisReport, EnclosureError,
@@ -42,7 +42,7 @@ __all__ = [
     "check_profile_conditions", "classify", "eval_state", "export_obj",
     "export_obj_scene", "find_n0", "find_root", "find_sbar", "g_function",
     "hessian_eigenvalues", "integrate", "nodoid_find_rbar", "nodoid_r0",
-    "principal_curvatures", "revolve", "run_checks", "s0",
+    "principal_curvatures", "profile", "revolve", "run_checks", "s0",
     "scale_to_unit_ball", "sphere", "support_function", "violation_points",
     "z0", "z_many", "z_of",
 ]

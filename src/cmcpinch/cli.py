@@ -29,10 +29,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .curvature import analyze_point
-from .delaunay import NODOID, UNDULOID, DelaunayParams, eval_state, z_many
+from .delaunay import DelaunayParams, profile, z_many
 from .freeboundary import (VERDICT_INVALID, AnalysisReport, EnclosureError,
-                           NoRootError, classify, find_sbar, g_function,
-                           nodoid_find_rbar)
+                           NoRootError, classify, _find_crossing,
+                           _g_off_zero_set)
 from .mesh import export_obj_scene, revolve, sphere
 from .numerics import (IterationLimitError, NoSignChangeError,
                        QuadratureConfig, RootConfig, SubdivisionLimitError)
@@ -165,23 +165,19 @@ def cmd_profile(args: argparse.Namespace) -> int:
     if not args.s_max > args.s_min:
         raise ValueError("need --s-max > --s-min")
     ss = np.linspace(args.s_min, args.s_max, args.n)
-    zs = z_many(params, ss, cfg.quad)
+    st = profile(params, ss, z_many(params, ss, cfg.quad))
+    pa = analyze_point(params, st)
+    g, has_g = _g_off_zero_set(st)
+    columns = [st.s, st.x, st.z, st.dx, st.dz, st.ddx, st.ddz, pa.k1, pa.k2,
+               pa.support, pa.lambda1, pa.lambda2, pa.phi_sq, pa.gap]
     out, close = _open_output(args.output)
     try:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(PROFILE_COLUMNS)
-        for i in range(args.n):
-            st = eval_state(params, float(ss[i]), cfg.quad, z=float(zs[i]))
-            pa = analyze_point(params, st)
-            if abs(st.dz) < 1e-12:
-                g_cell = ""
-            else:
-                g_cell = _fmt(g_function(st))
-            writer.writerow([
-                _fmt(st.s), _fmt(st.x), _fmt(st.z), _fmt(st.dx),
-                _fmt(st.dz), _fmt(st.ddx), _fmt(st.ddz), _fmt(pa.k1),
-                _fmt(pa.k2), _fmt(pa.support), _fmt(pa.lambda1),
-                _fmt(pa.lambda2), _fmt(pa.phi_sq), _fmt(pa.gap), g_cell])
+        for row, g_i, g_ok in zip(np.column_stack(columns).tolist(),
+                                  g.tolist(), has_g.tolist()):
+            writer.writerow([_fmt(v) for v in row]
+                            + [_fmt(g_i) if g_ok else ""])
     finally:
         if close:
             out.close()
@@ -232,22 +228,8 @@ def cmd_mesh(args: argparse.Namespace) -> int:
     params = DelaunayParams(args.H, args.B)
     if args.resolution < 8:
         raise ValueError("mesh resolution must be at least 8")
-    family = params.family
-    try:
-        if family == UNDULOID:
-            sb = find_sbar(params, cfg.root, cfg.quad)
-        elif family == NODOID:
-            sb = nodoid_find_rbar(params, cfg.root, cfg.quad)
-        else:
-            print("error: a cylinder never meets a centred sphere "
-                  "orthogonally", file=sys.stderr)
-            return EXIT_NO_PORTION
-    except NoRootError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_PORTION
-    boundary = eval_state(params, sb, cfg.quad)
-    r0 = math.hypot(boundary.x, boundary.z)
-    portion_mesh = revolve(params, -sb, sb, args.resolution,
+    boundary, r0 = _find_crossing(params, cfg.root, cfg.quad)
+    portion_mesh = revolve(params, -boundary.s, boundary.s, args.resolution,
                            args.resolution, cfg.quad)
     objects = [("portion", portion_mesh)]
     if args.include_sphere:
@@ -370,13 +352,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except NoRootError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_PORTION
-    except (ValueError, NoSignChangeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
     except (SubdivisionLimitError, IterationLimitError, EnclosureError,
-            OverflowError, ZeroDivisionError) as exc:
+            NoSignChangeError, OverflowError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL_FAILURE
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID_INPUT
 
 
 def entry() -> None:

@@ -25,11 +25,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .delaunay import DelaunayParams, GeneratrixState
 
 
 @dataclass(frozen=True)
 class PointAnalysis:
+    """Curvature and gap data, floats or arrays like the state analysed."""
+
     s: float
     k1: float
     k2: float
@@ -69,8 +73,11 @@ def assemble_analysis(s: float, k1: float, k2: float, u: float) -> PointAnalysis
     mean_curv = k1 + k2
     lambda1 = 1.0 + k1 * u
     lambda2 = 1.0 + k2 * u
-    phi_sq = 0.5 * (k1 - k2) ** 2
-    gap = 0.5 * (2.0 + mean_curv * u) ** 2 - phi_sq * u * u
+    # float_power calls C pow as float ** does; ** on arrays multiplies,
+    # which differs in the last bit for ~1 argument in 1000 and, through
+    # the cancellation in gap, would split array and scalar gaps
+    phi_sq = 0.5 * np.float_power(k1 - k2, 2.0)
+    gap = 0.5 * np.float_power(2.0 + mean_curv * u, 2.0) - phi_sq * u * u
     return PointAnalysis(s=s, k1=k1, k2=k2, mean_curv=mean_curv, support=u,
                          lambda1=lambda1, lambda2=lambda2,
                          trace_sum=lambda1 + lambda2, phi_sq=phi_sq, gap=gap)

@@ -41,17 +41,15 @@ import numpy as np
 
 from .curvature import analyze_point, support_function
 from .delaunay import (CYLINDER, NODOID, UNDULOID, DelaunayParams,
-                       GeneratrixState, eval_state, z_many, z_of,
+                       GeneratrixState, eval_state, profile, z_many, z_of,
                        _dz_integrand)
-from .numerics import (DEFAULT_QUADRATURE, DEFAULT_ROOT, IterationLimitError,
-                       QuadratureConfig, RootConfig, find_root, integrate)
+from .numerics import (DEFAULT_QUADRATURE, DEFAULT_ROOT, QuadratureConfig,
+                       RootConfig, find_root, integrate)
 
 VERDICT_PINCHED = "PinchedFreeBoundaryPortion"
 VERDICT_NO_ORTHOGONAL = "NoOrthogonalIntersection"
 VERDICT_CYLINDER = "Cylinder"
 VERDICT_INVALID = "Invalid"
-
-VIOLATION_SCAN_CAP = 10 ** 6
 
 
 class NoRootError(ValueError):
@@ -95,7 +93,7 @@ class AnalysisReport:
 
 def g_function(st: GeneratrixState) -> float:
     """g = x - (x'/z') z; zero iff the support function is zero there."""
-    if st.dz == 0.0:
+    if np.any(st.dz == 0.0):
         raise ValueError("g is undefined where z' = 0")
     return st.x - (st.dx / st.dz) * st.z
 
@@ -122,16 +120,20 @@ def _g_of_s(params: DelaunayParams, quad_cfg: QuadratureConfig):
 
 def find_sbar(params: DelaunayParams,
               root_cfg: RootConfig = DEFAULT_ROOT,
-              quad_cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+              quad_cfg: QuadratureConfig = DEFAULT_QUADRATURE,
+              *, z_at_s0: Optional[float] = None) -> float:
     """Orthogonal-crossing arc length sb in (0, s0] for an unduloid.
 
     Raises NoRootError when z(s0) < z0, which is exactly the case g > 0
     throughout (0, s0].  The root search runs to bracket collapse
     (f_tol is not used for early exit) so sb carries x_tol accuracy;
-    downstream radii inherit it.
+    downstream radii inherit it.  A caller that already integrated
+    z(s0) passes it as z_at_s0.
     """
     s_top = s0(params)
-    if z_of(params, s_top, quad_cfg) < z0(params):
+    if z_at_s0 is None:
+        z_at_s0 = z_of(params, s_top, quad_cfg)
+    if z_at_s0 < z0(params):
         raise NoRootError(
             "no orthogonal sphere crossing: z(s0) < (1 - B^2)/(H B)")
     collapse = replace(root_cfg, f_tol=0.0)
@@ -174,17 +176,20 @@ def check_profile_conditions(st: GeneratrixState) -> tuple[bool, bool, bool]:
     c2: z' == 0 (within 1e-12) and z z'' >= -1
     c3: -x x'^2 <= z' x' z
 
-    (c1 or c2) together with c3 imply gap >= 0 at the point.
+    (c1 or c2) together with c3 imply gap >= 0 at the point.  For an
+    array state the three are boolean arrays.
     """
-    on_zero_set = abs(st.dz) < 1e-12
-    if on_zero_set:
-        c1 = False
-        c2 = st.z * st.ddz >= -1.0
-    else:
-        c1 = st.ddx * g_function(st) >= -1.0
-        c2 = False
+    g, off_zero_set = _g_off_zero_set(st)
+    c1 = off_zero_set & (st.ddx * g >= -1.0)
+    c2 = ~off_zero_set & (st.z * st.ddz >= -1.0)
     c3 = -st.x * st.dx * st.dx <= st.dz * st.dx * st.z
     return c1, c2, c3
+
+
+def _g_off_zero_set(st: GeneratrixState):
+    """g, and where |z'| >= 1e-12; g is meaningless elsewhere."""
+    off = np.abs(st.dz) >= 1e-12
+    return g_function(replace(st, dz=np.where(off, st.dz, 1.0))), off
 
 
 def _golden_min(fun, lo: float, hi: float, iterations: int = 80) -> float:
@@ -211,40 +216,50 @@ def _golden_min(fun, lo: float, hi: float, iterations: int = 80) -> float:
     return best
 
 
+def _find_crossing(params: DelaunayParams, root_cfg: RootConfig,
+                   quad_cfg: QuadratureConfig, z_at_s0: Optional[float] = None
+                   ) -> tuple[GeneratrixState, float]:
+    """Boundary state at the orthogonal crossing (its s is sb), and R0.
+
+    Raises NoRootError where there is none; z_at_s0 goes to find_sbar.
+    """
+    family = params.family
+    if family == UNDULOID:
+        sb = find_sbar(params, root_cfg, quad_cfg, z_at_s0=z_at_s0)
+    elif family == NODOID:
+        sb = nodoid_find_rbar(params, root_cfg, quad_cfg)
+    else:
+        raise NoRootError(
+            "a cylinder never meets a centred sphere orthogonally")
+    boundary = eval_state(params, sb, quad_cfg)
+    return boundary, math.hypot(boundary.x, boundary.z)
+
+
 def build_portion(params: DelaunayParams,
                   root_cfg: RootConfig = DEFAULT_ROOT,
                   quad_cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-                  n_samples: int = 2048) -> FreeBoundaryPortion:
+                  n_samples: int = 2048,
+                  *, z_at_s0: Optional[float] = None) -> FreeBoundaryPortion:
     """Locate the crossing, measure R0, and scan the gap over the portion.
 
     The gap is sampled on a uniform grid of n_samples points over
     [-sb, sb], then refined around the grid minimum by golden section.
     Every sample is checked to lie inside the ball of radius R0 (1e-9
     relative tolerance); a point outside raises EnclosureError since the
-    construction guarantees containment.
+    construction guarantees containment.  z_at_s0 goes to find_sbar.
     """
-    family = params.family
-    if family == UNDULOID:
-        sb = find_sbar(params, root_cfg, quad_cfg)
-    elif family == NODOID:
-        sb = nodoid_find_rbar(params, root_cfg, quad_cfg)
-    else:
-        raise ValueError("a cylinder has no orthogonal sphere crossing")
-
-    boundary = eval_state(params, sb, quad_cfg)
-    r0 = math.hypot(boundary.x, boundary.z)
+    boundary, r0 = _find_crossing(params, root_cfg, quad_cfg, z_at_s0)
+    sb = boundary.s
     residual = abs(support_function(boundary))
 
     ss = np.linspace(-sb, sb, n_samples)
-    zs = z_many(params, ss, quad_cfg)
-    limit = r0 * r0 * (1.0 + 1e-9)
-    gaps = np.empty(n_samples)
-    for i in range(n_samples):
-        st = eval_state(params, float(ss[i]), quad_cfg, z=float(zs[i]))
-        if st.x * st.x + st.z * st.z > limit:
-            raise EnclosureError(
-                f"portion sample at s={st.s!r} lies outside radius {r0!r}")
-        gaps[i] = analyze_point(params, st).gap
+    st = profile(params, ss, z_many(params, ss, quad_cfg))
+    outside = st.x * st.x + st.z * st.z > r0 * r0 * (1.0 + 1e-9)
+    if outside.any():
+        s_out = float(ss[outside.argmax()])
+        raise EnclosureError(
+            f"portion sample at s={s_out!r} lies outside radius {r0!r}")
+    gaps = analyze_point(params, st).gap
 
     min_gap = float(gaps.min())
     i_min = int(gaps.argmin())
@@ -273,9 +288,17 @@ def scale_to_unit_ball(portion: FreeBoundaryPortion,
             portion.s_bar / portion.R0)
 
 
-def _violation_prereqs(params: DelaunayParams) -> None:
+def _violation_heights(params: DelaunayParams, quad_cfg: QuadratureConfig
+                       ) -> tuple[float, float, float]:
+    """arccos B, z(t_1) and the exact per-period increment of z."""
     if params.family != UNDULOID or params.B == 0.0:
         raise ValueError("the violation sequence needs an unduloid with B > 0")
+    acb = math.acos(params.B)
+    period = 2.0 * math.pi / params.H
+    t1 = (2.0 * math.pi - acb) / params.H
+    z1 = z_of(params, t1, quad_cfg)
+    z_per_period = integrate(_dz_integrand(params), t1, t1 + period, quad_cfg)
+    return acb, z1, z_per_period
 
 
 def violation_points(params: DelaunayParams, count: int,
@@ -287,39 +310,30 @@ def violation_points(params: DelaunayParams, count: int,
     per-period increment of z, so one long quadrature (to t_1) plus one
     period quadrature serve every n.
     """
-    _violation_prereqs(params)
+    acb, z1, z_per_period = _violation_heights(params, quad_cfg)
     if count < 1:
         raise ValueError("count must be at least 1")
-    acb = math.acos(params.B)
-    period = 2.0 * math.pi / params.H
-    t1 = (2.0 * math.pi - acb) / params.H
-    z1 = z_of(params, t1, quad_cfg)
-    z_per_period = integrate(_dz_integrand(params), t1, t1 + period, quad_cfg)
-    out = []
-    for n in range(1, count + 1):
-        t_n = (2.0 * math.pi * n - acb) / params.H
-        z_n = z1 + (n - 1) * z_per_period
-        st = eval_state(params, t_n, quad_cfg, z=z_n)
-        pa = analyze_point(params, st)
-        out.append(ViolationPoint(n=n, t=t_n, lambda2=pa.lambda2, gap=pa.gap))
-    return out
+    n = np.arange(1, count + 1)
+    t = (2.0 * math.pi * n - acb) / params.H
+    pa = analyze_point(params, profile(params, t, z1 + (n - 1) * z_per_period))
+    return [ViolationPoint(n=k, t=tk, lambda2=l2, gap=gap)
+            for k, tk, l2, gap in zip(n.tolist(), t.tolist(),
+                                      pa.lambda2.tolist(), pa.gap.tolist())]
 
 
 def find_n0(params: DelaunayParams,
             quad_cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> int:
-    """Smallest n with z(t_n) > B/H, i.e. the first negative-gap index."""
-    _violation_prereqs(params)
-    acb = math.acos(params.B)
-    period = 2.0 * math.pi / params.H
-    t1 = (2.0 * math.pi - acb) / params.H
-    z1 = z_of(params, t1, quad_cfg)
-    z_per_period = integrate(_dz_integrand(params), t1, t1 + period, quad_cfg)
+    """Smallest n with z(t_n) > B/H, i.e. the first negative-gap index.
+
+    z(t_n) = z(t_1) + (n - 1) zp with zp > 0, so n0 is one division.
+    For 0 < B < 1, z' >= 1/sqrt(2) on [pi/2, 3pi/2] / H gives
+    H z(t_1) >= pi/sqrt(2) > B, hence n0 = 1.
+    """
+    _, z1, z_per_period = _violation_heights(params, quad_cfg)
     threshold = params.B / params.H
-    for n in range(1, VIOLATION_SCAN_CAP + 1):
-        if z1 + (n - 1) * z_per_period > threshold:
-            return n
-    raise IterationLimitError(
-        f"no violation index found with n <= {VIOLATION_SCAN_CAP}")
+    if z1 > threshold:
+        return 1
+    return math.floor((threshold - z1) / z_per_period) + 2
 
 
 def classify(params: DelaunayParams,
@@ -345,7 +359,8 @@ def classify(params: DelaunayParams,
             return AnalysisReport(params=params,
                                   verdict=VERDICT_NO_ORTHOGONAL,
                                   s0=s_top, z0=z_thresh, z_at_s0=z_at_top)
-        portion = build_portion(params, root_cfg, quad_cfg, n_samples)
+        portion = build_portion(params, root_cfg, quad_cfg, n_samples,
+                                z_at_s0=z_at_top)
         n0 = find_n0(params, quad_cfg)
         violations = violation_points(params, n0 + 2, quad_cfg)
         return AnalysisReport(params=params, verdict=VERDICT_PINCHED,

@@ -21,7 +21,7 @@ from typing import BinaryIO, Optional, Sequence
 
 import numpy as np
 
-from .delaunay import DelaunayParams, z_many
+from .delaunay import DelaunayParams, profile, z_many
 from .numerics import DEFAULT_QUADRATURE, QuadratureConfig
 
 
@@ -53,43 +53,38 @@ def revolve(params: DelaunayParams, s_min: float, s_max: float,
         raise ValueError("need s_max > s_min")
 
     ss = np.linspace(s_min, s_max, n_meridian)
-    zs = z_many(params, ss, quad_cfg)
-    hs = params.H * ss
-    q = 1.0 + params.B ** 2 - 2.0 * params.B * np.cos(hs)
-    rq = np.sqrt(q)
-    xs = rq / params.H
-    dxs = params.B * np.sin(hs) / rq
-    dzs = (1.0 - params.B * np.cos(hs)) / rq
+    prof = profile(params, ss, z_many(params, ss, quad_cfg))
 
     theta = 2.0 * math.pi * np.arange(n_parallel) / n_parallel
     ct = np.cos(theta)
     st = np.sin(theta)
 
     # vertex (i, j) -> row i * n_parallel + j
-    vx = np.outer(xs, ct)
-    vy = np.outer(xs, st)
-    vz = np.repeat(zs, n_parallel).reshape(n_meridian, n_parallel)
-    vertices = np.stack((vx, vy, vz), axis=-1).reshape(-1, 3)
+    vertices = np.column_stack((np.outer(prof.x, ct).ravel(),
+                                np.outer(prof.x, st).ravel(),
+                                np.repeat(prof.z, n_parallel)))
+    normals = np.column_stack((np.outer(-prof.dz, ct).ravel(),
+                               np.outer(-prof.dz, st).ravel(),
+                               np.repeat(prof.dx, n_parallel)))
 
-    nx = np.outer(-dzs, ct)
-    ny = np.outer(-dzs, st)
-    nz = np.repeat(dxs, n_parallel).reshape(n_meridian, n_parallel)
-    normals = np.stack((nx, ny, nz), axis=-1).reshape(-1, 3)
-
-    tris = []
-    for i in range(n_meridian - 1):
-        base = i * n_parallel
-        for j in range(n_parallel):
-            j1 = (j + 1) % n_parallel
-            a = base + j
-            b = base + n_parallel + j
-            c = base + n_parallel + j1
-            d = base + j1
-            tris.append((a, b, c))
-            tris.append((a, c, d))
-    triangles = np.array(tris, dtype=np.int64)
     return TriangleMesh(vertices=vertices, normals=normals,
-                        triangles=triangles)
+                        triangles=_ring_strips(n_meridian, n_parallel))
+
+
+def _ring_strips(n_rings: int, n_per_ring: int, first: int = 0) -> np.ndarray:
+    """Two triangles per quad between consecutive rings of vertices.
+
+    Ring i holds vertices first + i * n_per_ring + j, j wrapping around;
+    the quad a = (i, j), b = (i+1, j), c = (i+1, j+1), d = (i, j+1)
+    becomes (a, b, c) and (a, c, d).
+    """
+    j = np.arange(n_per_ring, dtype=np.int64)
+    ring = first + n_per_ring * np.arange(n_rings - 1, dtype=np.int64)[:, None]
+    a = ring + j
+    d = ring + (j + 1) % n_per_ring
+    b = a + n_per_ring
+    c = d + n_per_ring
+    return np.stack((a, b, c, a, c, d), axis=-1).reshape(-1, 3)
 
 
 def sphere(radius: float, n_lat: int = 32, n_lon: int = 64) -> TriangleMesh:
@@ -99,34 +94,25 @@ def sphere(radius: float, n_lat: int = 32, n_lon: int = 64) -> TriangleMesh:
     if n_lat < 2 or n_lon < 3:
         raise ValueError("need n_lat >= 2 and n_lon >= 3")
 
-    verts = [(0.0, 0.0, radius)]
-    for i in range(1, n_lat):
-        phi = math.pi * i / n_lat
-        ring_z = radius * math.cos(phi)
-        ring_r = radius * math.sin(phi)
-        for j in range(n_lon):
-            th = 2.0 * math.pi * j / n_lon
-            verts.append((ring_r * math.cos(th), ring_r * math.sin(th),
-                          ring_z))
-    verts.append((0.0, 0.0, -radius))
-    vertices = np.array(verts)
+    phi = math.pi * np.arange(1, n_lat) / n_lat
+    th = 2.0 * math.pi * np.arange(n_lon) / n_lon
+    ring_r = radius * np.sin(phi)
+    rings = np.column_stack((np.outer(ring_r, np.cos(th)).ravel(),
+                             np.outer(ring_r, np.sin(th)).ravel(),
+                             np.repeat(radius * np.cos(phi), n_lon)))
+    vertices = np.vstack(([0.0, 0.0, radius], rings, [0.0, 0.0, -radius]))
     normals = vertices / radius
 
-    tris = []
-    top = 0
-    bottom = len(verts) - 1
-    ring = lambda i, j: 1 + (i - 1) * n_lon + (j % n_lon)
-    for j in range(n_lon):
-        tris.append((top, ring(1, j), ring(1, j + 1)))
-    for i in range(1, n_lat - 1):
-        for j in range(n_lon):
-            a, b = ring(i, j), ring(i + 1, j)
-            c, d = ring(i + 1, j + 1), ring(i, j + 1)
-            tris.append((a, b, c))
-            tris.append((a, c, d))
-    for j in range(n_lon):
-        tris.append((bottom, ring(n_lat - 1, j + 1), ring(n_lat - 1, j)))
-    triangles = np.array(tris, dtype=np.int64)
+    # rings 1 .. n_lat - 1 start at vertex 1; the poles close them
+    j = np.arange(n_lon, dtype=np.int64)
+    j1 = (j + 1) % n_lon
+    last = 1 + (n_lat - 2) * n_lon
+    bottom = len(vertices) - 1
+    top_cap = np.stack((np.zeros_like(j), 1 + j, 1 + j1), axis=-1)
+    bottom_cap = np.stack((np.full_like(j, bottom), last + j1, last + j),
+                          axis=-1)
+    triangles = np.concatenate(
+        (top_cap, _ring_strips(n_lat - 1, n_lon, first=1), bottom_cap))
     return TriangleMesh(vertices=vertices, normals=normals,
                         triangles=triangles)
 

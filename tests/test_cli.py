@@ -6,7 +6,9 @@ import pathlib
 
 import pytest
 
+from cmcpinch import cli
 from cmcpinch.cli import main
+from cmcpinch.numerics import NoSignChangeError
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -95,6 +97,18 @@ def test_analyze_invalid_inputs(capsys):
     assert run_cli(["analyze", "--H", "1"], capsys)[0] == 2
     assert run_cli(["analyze", "--H", "1", "--B", "0.5",
                     "--no-such-flag"], capsys)[0] == 2
+
+
+def test_root_bracket_failure_is_numerical(monkeypatch, capsys):
+    # NoSignChangeError is a ValueError, but it reports a numerical
+    # failure of the root search, not bad input
+    def fail(*args, **kwargs):
+        raise NoSignChangeError("f(0)=1 and f(1)=2 have the same sign")
+
+    monkeypatch.setattr(cli, "classify", fail)
+    code, _, err = run_cli(["analyze", "--H", "1", "--B", "0.9"], capsys)
+    assert code == 3
+    assert "same sign" in err
 
 
 def test_analyze_output_file_deterministic(tmp_path, capsys):

@@ -6,7 +6,7 @@ import pytest
 from cmcpinch.curvature import (analyze_point, assemble_analysis,
                                 hessian_eigenvalues, principal_curvatures,
                                 support_function)
-from cmcpinch.delaunay import DelaunayParams, eval_state, z_many
+from cmcpinch.delaunay import DelaunayParams, eval_state, profile, z_many
 
 
 def random_params(rng):
@@ -115,6 +115,21 @@ def test_distance_hessian_matches_lambda1():
         fd = (phi[0] - 2.0 * phi[1] + phi[2]) / (h * h)
         pa = analyze_point(params, sts[1])
         assert fd == pytest.approx(pa.lambda1, abs=5e-6)
+
+
+def test_array_gaps_equal_scalar_gaps_bitwise():
+    # build_portion compares grid gaps (array) with refined gaps (scalar)
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        params = random_params(rng)
+        ss = rng.uniform(-8.0, 8.0, 400)
+        zs = rng.uniform(-3.0, 3.0, 400)
+        arr = analyze_point(params, profile(params, ss, zs))
+        for i in range(len(ss)):
+            pa = analyze_point(
+                params, eval_state(params, float(ss[i]), z=float(zs[i])))
+            for field in ("k1", "k2", "support", "phi_sq", "gap"):
+                assert getattr(pa, field) == getattr(arr, field)[i]
 
 
 def test_mean_curv_reproduces_params():

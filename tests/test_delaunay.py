@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from cmcpinch.delaunay import (CYLINDER, NODOID, UNDULOID, DelaunayParams,
-                               eval_state, z_many, z_of)
+                               GeneratrixState, _dz_integrand, eval_state,
+                               profile, z_many, z_of)
 
 
 def random_params(rng):
@@ -159,6 +160,23 @@ def test_z_many_duplicates_and_zero():
     zs = z_many(params, np.array([0.3, -0.2, 0.0, 0.3]))
     assert zs[0] == zs[3]
     assert zs[2] == 0.0
+
+
+def test_profile_arrays_match_eval_state_and_integrand():
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        params = random_params(rng)
+        ss = rng.uniform(-20.0, 20.0, 200)
+        zs = rng.uniform(-5.0, 5.0, 200)
+        st = profile(params, ss, zs)
+        f = _dz_integrand(params)
+        for i in range(len(ss)):
+            one = eval_state(params, float(ss[i]), z=float(zs[i]))
+            assert one == GeneratrixState(
+                *(float(getattr(st, k)[i])
+                  for k in ("s", "x", "z", "dx", "dz", "ddx", "ddz")))
+            # the quadrature integrand is the same z', bit for bit
+            assert f(float(ss[i])) == st.dz[i]
 
 
 def test_eval_state_accepts_precomputed_z():

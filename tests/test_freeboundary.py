@@ -6,8 +6,10 @@ import pytest
 from cmcpinch.curvature import analyze_point, support_function
 from cmcpinch.delaunay import (DelaunayParams, GeneratrixState, eval_state,
                                z_many, z_of)
+from cmcpinch import freeboundary
 from cmcpinch.freeboundary import (VERDICT_CYLINDER, VERDICT_NO_ORTHOGONAL,
-                                   VERDICT_PINCHED, NoRootError,
+                                   VERDICT_PINCHED, EnclosureError,
+                                   NoRootError,
                                    build_portion, check_profile_conditions,
                                    classify, find_n0, find_sbar, g_function,
                                    nodoid_find_rbar, nodoid_r0, s0,
@@ -242,6 +244,22 @@ def test_build_portion_cylinder_raises():
         build_portion(DelaunayParams(1.0, 0.0))
 
 
+def test_enclosure_error_names_first_sample_outside(monkeypatch,
+                                                   example_portion):
+    true_z_many = freeboundary.z_many
+
+    def lifted(params, ss, cfg):
+        # push every sample past s = 0.5 far above the ball
+        return true_z_many(params, ss, cfg) + np.where(ss > 0.5, 100.0, 0.0)
+
+    monkeypatch.setattr(freeboundary, "z_many", lifted)
+    sb = example_portion.s_bar
+    ss = np.linspace(-sb, sb, 2048)
+    first = float(ss[ss > 0.5][0])
+    with pytest.raises(EnclosureError, match=f"at s={first!r} lies outside"):
+        build_portion(EXAMPLE)
+
+
 def test_portion_stays_inside_ball(example_portion):
     p = example_portion
     ss = np.linspace(-p.s_bar, p.s_bar, 500)
@@ -341,6 +359,19 @@ def test_find_n0_marks_first_negative_gap():
         assert pts[n0 - 1].gap < 0.0
         if n0 > 1:
             assert pts[n0 - 2].gap >= 0.0
+
+
+@pytest.mark.parametrize("z1,zp", [(10.0, 0.5), (9.0, 0.5), (1.0, 2.0),
+                                   (1.0, 0.3), (-4.0, 0.7)])
+def test_find_n0_division_matches_scan(monkeypatch, z1, zp):
+    # z(t_1) > B/H always holds for real unduloids, so the division
+    # branch is reached only with substituted heights
+    monkeypatch.setattr(freeboundary, "_violation_heights",
+                        lambda params, cfg: (0.0, z1, zp))
+    threshold = EXAMPLE.B / EXAMPLE.H
+    scanned = next(n for n in range(1, 1000)
+                   if z1 + (n - 1) * zp > threshold)
+    assert find_n0(EXAMPLE) == scanned
 
 
 def test_violation_wrong_family():

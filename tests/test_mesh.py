@@ -119,6 +119,42 @@ def test_sphere_is_topologically_closed():
     assert v - e + f == 2
 
 
+def _loop_revolve_triangles(n_meridian, n_parallel):
+    tris = []
+    for i in range(n_meridian - 1):
+        base = i * n_parallel
+        for j in range(n_parallel):
+            j1 = (j + 1) % n_parallel
+            a, b = base + j, base + n_parallel + j
+            c, d = base + n_parallel + j1, base + j1
+            tris += [(a, b, c), (a, c, d)]
+    return np.array(tris, dtype=np.int64)
+
+
+def _loop_sphere_triangles(n_lat, n_lon):
+    ring = lambda i, j: 1 + (i - 1) * n_lon + (j % n_lon)
+    bottom = 1 + (n_lat - 1) * n_lon
+    tris = [(0, ring(1, j), ring(1, j + 1)) for j in range(n_lon)]
+    for i in range(1, n_lat - 1):
+        for j in range(n_lon):
+            a, b = ring(i, j), ring(i + 1, j)
+            c, d = ring(i + 1, j + 1), ring(i, j + 1)
+            tris += [(a, b, c), (a, c, d)]
+    tris += [(bottom, ring(n_lat - 1, j + 1), ring(n_lat - 1, j))
+             for j in range(n_lon)]
+    return np.array(tris, dtype=np.int64)
+
+
+@pytest.mark.parametrize("rows,cols", [(2, 3), (3, 4), (17, 23), (64, 64)])
+def test_triangle_indices_match_loop_reference(rows, cols):
+    got = revolve(EXAMPLE, -1.0, 1.0, rows, cols).triangles
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, _loop_revolve_triangles(rows, cols))
+    got = sphere(1.0, n_lat=rows, n_lon=cols).triangles
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, _loop_sphere_triangles(rows, cols))
+
+
 def test_sphere_validation():
     with pytest.raises(ValueError):
         sphere(0.0)
