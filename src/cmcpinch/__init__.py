@@ -10,8 +10,7 @@ over those portions, together with the sequence of points where it
 fails outside them.
 """
 from .curvature import (PointAnalysis, analyze_point, assemble_analysis,
-                        hessian_eigenvalues, principal_curvatures,
-                        support_function)
+                        principal_curvatures, support_function)
 from .delaunay import (CYLINDER, NODOID, UNDULOID, DelaunayParams,
                        GeneratrixState, eval_state, profile, z_many, z_of)
 from .freeboundary import (VERDICT_CYLINDER, VERDICT_INVALID,
@@ -20,8 +19,7 @@ from .freeboundary import (VERDICT_CYLINDER, VERDICT_INVALID,
                            FreeBoundaryPortion, NoRootError, ViolationPoint,
                            build_portion, check_profile_conditions, classify,
                            find_n0, find_sbar, g_function, nodoid_find_rbar,
-                           nodoid_r0, s0, scale_to_unit_ball,
-                           violation_points, z0)
+                           nodoid_r0, s0, violation_points, z0)
 from .mesh import TriangleMesh, export_obj, export_obj_scene, revolve, sphere
 from .numerics import (DEFAULT_QUADRATURE, DEFAULT_ROOT, IterationLimitError,
                        NoSignChangeError, QuadratureConfig, RootConfig,
@@ -41,8 +39,7 @@ __all__ = [
     "analyze_point", "assemble_analysis", "build_portion",
     "check_profile_conditions", "classify", "eval_state", "export_obj",
     "export_obj_scene", "find_n0", "find_root", "find_sbar", "g_function",
-    "hessian_eigenvalues", "integrate", "nodoid_find_rbar", "nodoid_r0",
-    "principal_curvatures", "profile", "revolve", "run_checks", "s0",
-    "scale_to_unit_ball", "sphere", "support_function", "violation_points",
-    "z0", "z_many", "z_of",
+    "integrate", "nodoid_find_rbar", "nodoid_r0", "principal_curvatures",
+    "profile", "revolve", "run_checks", "s0", "sphere", "support_function",
+    "violation_points", "z0", "z_many", "z_of",
 ]

@@ -23,7 +23,8 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -46,11 +47,9 @@ EXIT_NO_PORTION = 4
 
 ENV_PREFIX = "CMCPINCH_"
 
-
-@dataclass(frozen=True)
-class CliConfig:
-    quad: QuadratureConfig
-    root: RootConfig
+# each field of each config is the flag --<prefix>-<field> and the
+# variable CMCPINCH_<PREFIX>_<FIELD>, parsed like the field's default
+TOLERANCE_CONFIGS = (("quad", QuadratureConfig), ("root", RootConfig))
 
 
 def _fmt(v: float) -> str:
@@ -61,33 +60,30 @@ def _round12(v: Optional[float]) -> Optional[float]:
     return None if v is None else float(f"{v:.12g}")
 
 
-def _env_or(args_value, env_name: str, default, cast):
-    if args_value is not None:
-        return args_value
-    raw = os.environ.get(ENV_PREFIX + env_name)
-    if raw is not None:
-        return cast(raw)
-    return default
+def _resolve_config(args: argparse.Namespace
+                    ) -> tuple[QuadratureConfig, RootConfig]:
+    """Each tolerance from its flag, else its variable, else the default."""
+    configs = []
+    for prefix, config in TOLERANCE_CONFIGS:
+        values = {}
+        for f in fields(config):
+            name = f"{prefix}_{f.name}"
+            value = getattr(args, name)
+            if value is None:
+                raw = os.environ.get(ENV_PREFIX + name.upper())
+                value = f.default if raw is None else type(f.default)(raw)
+            values[f.name] = value
+        configs.append(config(**values))
+    return tuple(configs)
 
 
-def _resolve_config(args: argparse.Namespace) -> CliConfig:
-    quad = QuadratureConfig(
-        abs_tol=_env_or(args.quad_abs_tol, "QUAD_ABS_TOL", 1e-10, float),
-        rel_tol=_env_or(args.quad_rel_tol, "QUAD_REL_TOL", 1e-10, float),
-        max_subdivisions=_env_or(args.quad_max_subdivisions,
-                                 "QUAD_MAX_SUBDIVISIONS", 100_000, int))
-    root = RootConfig(
-        x_tol=_env_or(args.root_x_tol, "ROOT_X_TOL", 1e-12, float),
-        f_tol=_env_or(args.root_f_tol, "ROOT_F_TOL", 1e-10, float),
-        max_iterations=_env_or(args.root_max_iterations,
-                               "ROOT_MAX_ITERATIONS", 200, int))
-    return CliConfig(quad=quad, root=root)
-
-
+@contextmanager
 def _open_output(path: Optional[str]):
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", newline=""), True
+        yield sys.stdout
+    else:
+        with open(path, "w", newline="") as out:
+            yield out
 
 
 def _report_payload(rep: AnalysisReport) -> dict:
@@ -119,11 +115,8 @@ def _report_payload(rep: AnalysisReport) -> dict:
 
 
 def _print_report_text(payload: dict, out) -> None:
-    for key in ("H", "B", "family", "verdict", "s0", "r0", "z0", "zAtS0",
-                "sBar", "R0", "scaledH", "sBarScaled", "minGap",
-                "orthogonalityResidual", "n0"):
-        value = payload[key]
-        if value is None:
+    for key, value in payload.items():
+        if key == "violations" or value is None:
             continue
         if isinstance(value, float):
             out.write(f"{key}: {_fmt(value)}\n")
@@ -137,19 +130,14 @@ def _print_report_text(payload: dict, out) -> None:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
+    quad, root = _resolve_config(args)
     params = DelaunayParams(args.H, args.B)
-    rep = classify(params, cfg.root, cfg.quad)
-    payload = _report_payload(rep)
-    out, close = _open_output(args.output)
-    try:
+    payload = _report_payload(classify(params, root, quad))
+    with _open_output(args.output) as out:
         if args.format == "json":
             out.write(json.dumps(payload, indent=2) + "\n")
         else:
             _print_report_text(payload, out)
-    finally:
-        if close:
-            out.close()
     return EXIT_OK
 
 
@@ -158,29 +146,25 @@ PROFILE_COLUMNS = ["s", "x", "z", "dx", "dz", "ddx", "ddz", "k1", "k2", "u",
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
+    quad, _ = _resolve_config(args)
     params = DelaunayParams(args.H, args.B)
     if args.n < 16:
         raise ValueError("profile needs at least 16 samples")
     if not args.s_max > args.s_min:
         raise ValueError("need --s-max > --s-min")
     ss = np.linspace(args.s_min, args.s_max, args.n)
-    st = profile(params, ss, z_many(params, ss, cfg.quad))
+    st = profile(params, ss, z_many(params, ss, quad))
     pa = analyze_point(params, st)
     g, has_g = _g_off_zero_set(st)
     columns = [st.s, st.x, st.z, st.dx, st.dz, st.ddx, st.ddz, pa.k1, pa.k2,
                pa.support, pa.lambda1, pa.lambda2, pa.phi_sq, pa.gap]
-    out, close = _open_output(args.output)
-    try:
+    with _open_output(args.output) as out:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(PROFILE_COLUMNS)
         for row, g_i, g_ok in zip(np.column_stack(columns).tolist(),
                                   g.tolist(), has_g.tolist()):
             writer.writerow([_fmt(v) for v in row]
                             + [_fmt(g_i) if g_ok else ""])
-    finally:
-        if close:
-            out.close()
     return EXIT_OK
 
 
@@ -189,13 +173,12 @@ SCAN_COLUMNS = ["H", "B", "family", "verdict", "zAtS0MinusZ0", "sBar", "R0",
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
+    quad, root = _resolve_config(args)
     if args.H_steps < 1 or args.B_steps < 1:
         raise ValueError("need at least one step in each direction")
     hs = np.linspace(args.H_min, args.H_max, args.H_steps)
     bs = np.linspace(args.B_min, args.B_max, args.B_steps)
-    out, close = _open_output(args.output)
-    try:
+    with _open_output(args.output) as out:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(SCAN_COLUMNS)
         for h in hs:
@@ -207,7 +190,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
                     writer.writerow(row + ["", VERDICT_INVALID,
                                            "", "", "", ""])
                     continue
-                rep = classify(params, cfg.root, cfg.quad)
+                rep = classify(params, root, quad)
                 dichotomy = ""
                 if rep.z_at_s0 is not None and rep.z0 is not None:
                     dichotomy = _fmt(rep.z_at_s0 - rep.z0)
@@ -217,20 +200,17 @@ def cmd_scan(args: argparse.Namespace) -> int:
                     _fmt(p.s_bar) if p else "",
                     _fmt(p.R0) if p else "",
                     _fmt(p.min_gap) if p else ""])
-    finally:
-        if close:
-            out.close()
     return EXIT_OK
 
 
 def cmd_mesh(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
+    quad, root = _resolve_config(args)
     params = DelaunayParams(args.H, args.B)
     if args.resolution < 8:
         raise ValueError("mesh resolution must be at least 8")
-    boundary, r0 = _find_crossing(params, cfg.root, cfg.quad)
+    boundary, r0 = _find_crossing(params, root, quad)
     portion_mesh = revolve(params, -boundary.s, boundary.s, args.resolution,
-                           args.resolution, cfg.quad)
+                           args.resolution, quad)
     objects = [("portion", portion_mesh)]
     if args.include_sphere:
         objects.append(("sphere", sphere(r0, max(args.resolution // 2, 2),
@@ -241,8 +221,8 @@ def cmd_mesh(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
-    results = run_checks(cfg.quad, cfg.root)
+    quad, root = _resolve_config(args)
+    results = run_checks(quad, root)
     out = sys.stdout
     all_passed = all(r.passed for r in results)
     if args.format == "json":
@@ -270,12 +250,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _add_tolerance_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--quad-abs-tol", type=float, default=None)
-    p.add_argument("--quad-rel-tol", type=float, default=None)
-    p.add_argument("--quad-max-subdivisions", type=int, default=None)
-    p.add_argument("--root-x-tol", type=float, default=None)
-    p.add_argument("--root-f-tol", type=float, default=None)
-    p.add_argument("--root-max-iterations", type=int, default=None)
+    for prefix, config in TOLERANCE_CONFIGS:
+        for f in fields(config):
+            p.add_argument(f"--{prefix}-{f.name.replace('_', '-')}",
+                           type=type(f.default), default=None)
 
 
 def _add_params_flags(p: argparse.ArgumentParser) -> None:

@@ -57,12 +57,6 @@ def support_function(st: GeneratrixState) -> float:
     return st.dx * st.z - st.x * st.dz
 
 
-def hessian_eigenvalues(st: GeneratrixState) -> tuple[float, float]:
-    k1, k2 = principal_curvatures(st)
-    u = support_function(st)
-    return 1.0 + k1 * u, 1.0 + k2 * u
-
-
 def assemble_analysis(s: float, k1: float, k2: float, u: float) -> PointAnalysis:
     """Build a PointAnalysis from raw curvatures and support value.
 

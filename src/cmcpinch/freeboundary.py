@@ -26,10 +26,17 @@ root rb always exists and the portion is [-rb, rb].
 
 Violation sequence (unduloid, B > 0).  At t_n = (2 n pi - arccos B) / H
 the meridian curvature contribution gives lambda1 = 1 exactly, while
-lambda2 = B H (B/H - z(t_n)).  Since z(t_n) increases without bound,
-lambda2 and hence the gap = 2 lambda1 lambda2 eventually go negative:
-the pinching inequality cannot hold on arbitrarily tall portions.  n0 is
-the first index where z(t_n) > B/H.
+lambda2 = B H (B/H - z(t_n)), so the gap = 2 lambda1 lambda2 is negative
+exactly where z(t_n) > B/H.  That holds from n = 1 on: n0, the first such
+index, is 1, and the pinching inequality fails at every t_n outside the
+portion.  Proof: with c = cos(H s), z' = (1 - B c) / sqrt(1 + B^2 - 2 B c)
+is positive, and where c <= 0
+
+    2 (1 - B c)^2 - (1 + B^2 - 2 B c) = (1 - B^2) - 2 B c + 2 B^2 c^2 > 0,
+
+so z' > 1/sqrt(2) on [pi/2, 3pi/2] / H.  That interval lies in [0, t_1]
+because arccos B < pi/2, hence H z(t_1) > pi/sqrt(2) > 1 > B, and z(t_n)
+only grows with n.
 """
 from __future__ import annotations
 
@@ -50,6 +57,9 @@ VERDICT_PINCHED = "PinchedFreeBoundaryPortion"
 VERDICT_NO_ORTHOGONAL = "NoOrthogonalIntersection"
 VERDICT_CYLINDER = "Cylinder"
 VERDICT_INVALID = "Invalid"
+
+# uniform gap samples over [-sb, sb] before the golden-section refinement
+GAP_SAMPLES = 2048
 
 
 class NoRootError(ValueError):
@@ -238,11 +248,10 @@ def _find_crossing(params: DelaunayParams, root_cfg: RootConfig,
 def build_portion(params: DelaunayParams,
                   root_cfg: RootConfig = DEFAULT_ROOT,
                   quad_cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-                  n_samples: int = 2048,
                   *, z_at_s0: Optional[float] = None) -> FreeBoundaryPortion:
     """Locate the crossing, measure R0, and scan the gap over the portion.
 
-    The gap is sampled on a uniform grid of n_samples points over
+    The gap is sampled on a uniform grid of GAP_SAMPLES points over
     [-sb, sb], then refined around the grid minimum by golden section.
     Every sample is checked to lie inside the ball of radius R0 (1e-9
     relative tolerance); a point outside raises EnclosureError since the
@@ -252,7 +261,7 @@ def build_portion(params: DelaunayParams,
     sb = boundary.s
     residual = abs(support_function(boundary))
 
-    ss = np.linspace(-sb, sb, n_samples)
+    ss = np.linspace(-sb, sb, GAP_SAMPLES)
     st = profile(params, ss, z_many(params, ss, quad_cfg))
     outside = st.x * st.x + st.z * st.z > r0 * r0 * (1.0 + 1e-9)
     if outside.any():
@@ -264,7 +273,7 @@ def build_portion(params: DelaunayParams,
     min_gap = float(gaps.min())
     i_min = int(gaps.argmin())
     lo = float(ss[max(i_min - 1, 0)])
-    hi = float(ss[min(i_min + 1, n_samples - 1)])
+    hi = float(ss[min(i_min + 1, GAP_SAMPLES - 1)])
 
     def gap_at(s: float) -> float:
         return analyze_point(params, eval_state(params, s, quad_cfg)).gap
@@ -277,30 +286,6 @@ def build_portion(params: DelaunayParams,
                                orthogonality_residual=residual)
 
 
-def scale_to_unit_ball(portion: FreeBoundaryPortion,
-                       params: DelaunayParams) -> tuple[DelaunayParams, float]:
-    """Parameters and boundary arc length after dilation by 1/R0.
-
-    The dilated surface has mean curvature H R0, the same B, and meets
-    the unit sphere at arc length sb / R0.
-    """
-    return (DelaunayParams(params.H * portion.R0, params.B),
-            portion.s_bar / portion.R0)
-
-
-def _violation_heights(params: DelaunayParams, quad_cfg: QuadratureConfig
-                       ) -> tuple[float, float, float]:
-    """arccos B, z(t_1) and the exact per-period increment of z."""
-    if params.family != UNDULOID or params.B == 0.0:
-        raise ValueError("the violation sequence needs an unduloid with B > 0")
-    acb = math.acos(params.B)
-    period = 2.0 * math.pi / params.H
-    t1 = (2.0 * math.pi - acb) / params.H
-    z1 = z_of(params, t1, quad_cfg)
-    z_per_period = integrate(_dz_integrand(params), t1, t1 + period, quad_cfg)
-    return acb, z1, z_per_period
-
-
 def violation_points(params: DelaunayParams, count: int,
                      quad_cfg: QuadratureConfig = DEFAULT_QUADRATURE
                      ) -> list[ViolationPoint]:
@@ -310,9 +295,15 @@ def violation_points(params: DelaunayParams, count: int,
     per-period increment of z, so one long quadrature (to t_1) plus one
     period quadrature serve every n.
     """
-    acb, z1, z_per_period = _violation_heights(params, quad_cfg)
+    if params.family != UNDULOID:
+        raise ValueError("the violation sequence needs an unduloid with B > 0")
     if count < 1:
         raise ValueError("count must be at least 1")
+    acb = math.acos(params.B)
+    t1 = (2.0 * math.pi - acb) / params.H
+    z1 = z_of(params, t1, quad_cfg)
+    z_per_period = integrate(_dz_integrand(params), t1,
+                             t1 + 2.0 * math.pi / params.H, quad_cfg)
     n = np.arange(1, count + 1)
     t = (2.0 * math.pi * n - acb) / params.H
     pa = analyze_point(params, profile(params, t, z1 + (n - 1) * z_per_period))
@@ -321,25 +312,21 @@ def violation_points(params: DelaunayParams, count: int,
                                       pa.lambda2.tolist(), pa.gap.tolist())]
 
 
-def find_n0(params: DelaunayParams,
-            quad_cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> int:
+def find_n0(params: DelaunayParams) -> int:
     """Smallest n with z(t_n) > B/H, i.e. the first negative-gap index.
 
-    z(t_n) = z(t_1) + (n - 1) zp with zp > 0, so n0 is one division.
-    For 0 < B < 1, z' >= 1/sqrt(2) on [pi/2, 3pi/2] / H gives
-    H z(t_1) >= pi/sqrt(2) > B, hence n0 = 1.
+    It is 1 for every unduloid: z' > 1/sqrt(2) on [pi/2, 3pi/2] / H,
+    which lies inside [0, t_1], so H z(t_1) > pi/sqrt(2) > B (module
+    docstring).  No quadrature is needed.
     """
-    _, z1, z_per_period = _violation_heights(params, quad_cfg)
-    threshold = params.B / params.H
-    if z1 > threshold:
-        return 1
-    return math.floor((threshold - z1) / z_per_period) + 2
+    if params.family != UNDULOID:
+        raise ValueError("the violation sequence needs an unduloid with B > 0")
+    return 1
 
 
 def classify(params: DelaunayParams,
              root_cfg: RootConfig = DEFAULT_ROOT,
-             quad_cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-             n_samples: int = 2048) -> AnalysisReport:
+             quad_cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> AnalysisReport:
     """Full analysis of one parameter pair.
 
     Cylinders never cross a centred sphere orthogonally (u = -1/H is
@@ -359,14 +346,13 @@ def classify(params: DelaunayParams,
             return AnalysisReport(params=params,
                                   verdict=VERDICT_NO_ORTHOGONAL,
                                   s0=s_top, z0=z_thresh, z_at_s0=z_at_top)
-        portion = build_portion(params, root_cfg, quad_cfg, n_samples,
-                                z_at_s0=z_at_top)
-        n0 = find_n0(params, quad_cfg)
+        portion = build_portion(params, root_cfg, quad_cfg, z_at_s0=z_at_top)
+        n0 = find_n0(params)
         violations = violation_points(params, n0 + 2, quad_cfg)
         return AnalysisReport(params=params, verdict=VERDICT_PINCHED,
                               s0=s_top, z0=z_thresh, z_at_s0=z_at_top,
                               portion=portion, violations=violations, n0=n0)
 
-    portion = build_portion(params, root_cfg, quad_cfg, n_samples)
+    portion = build_portion(params, root_cfg, quad_cfg)
     return AnalysisReport(params=params, verdict=VERDICT_PINCHED,
                           r0=nodoid_r0(params), portion=portion)

@@ -239,7 +239,7 @@ def _check_cylinder(ctx: _Context) -> CheckResult:
 
 def _check_violation_sequence(ctx: _Context) -> CheckResult:
     r = _Ratios()
-    n0 = find_n0(EXAMPLE, ctx.quad)
+    n0 = find_n0(EXAMPLE)
     threshold = EXAMPLE.B / EXAMPLE.H
     points = violation_points(EXAMPLE, n0 + 3, ctx.quad)
     acb = math.acos(EXAMPLE.B)

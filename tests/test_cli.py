@@ -3,6 +3,7 @@ import io
 import json
 import math
 import pathlib
+import sys
 
 import pytest
 
@@ -320,3 +321,29 @@ def test_verify_flag_beats_env(monkeypatch, capsys):
     code, out, _ = run_cli(["verify", "--quad-abs-tol", "1e-10"], capsys)
     assert code == 0
     assert "16/16 checks passed" in out
+
+
+@pytest.mark.parametrize("name,value,message", [
+    ("QUAD_ABS_TOL", "0", "abs_tol must be positive"),
+    ("QUAD_REL_TOL", "-1e-3", "rel_tol must be nonnegative"),
+    ("QUAD_MAX_SUBDIVISIONS", "0", "max_subdivisions must be at least 1"),
+    ("ROOT_X_TOL", "-1", "x_tol must be positive"),
+    ("ROOT_F_TOL", "-0.5", "f_tol must be nonnegative"),
+    ("ROOT_MAX_ITERATIONS", "0", "max_iterations must be at least 1"),
+])
+def test_invalid_env_tolerance_is_invalid_input(monkeypatch, capsys, name,
+                                                value, message):
+    monkeypatch.setenv("CMCPINCH_" + name, value)
+    code, out, err = run_cli(["analyze", "--H", "1", "--B", "0"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_console_entry_point_exits_zero(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv",
+                        ["cmcpinch", "analyze", "--H", "2", "--B", "0"])
+    with pytest.raises(SystemExit) as exc:
+        cli.entry()
+    assert exc.value.code == 0
+    assert "verdict: Cylinder" in capsys.readouterr().out

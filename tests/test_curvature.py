@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from cmcpinch.curvature import (analyze_point, assemble_analysis,
-                                hessian_eigenvalues, principal_curvatures,
-                                support_function)
+                                principal_curvatures, support_function)
 from cmcpinch.delaunay import DelaunayParams, eval_state, profile, z_many
 
 
@@ -27,9 +26,9 @@ def test_cylinder_point():
     assert k1 == pytest.approx(0.0, abs=1e-15)
     assert k2 == pytest.approx(1.0, rel=1e-14)
     assert support_function(st) == pytest.approx(-1.0, rel=1e-14)
-    l1, l2 = hessian_eigenvalues(st)
-    assert l1 == pytest.approx(1.0, rel=1e-14)
-    assert l2 == pytest.approx(0.0, abs=1e-12)
+    pa = analyze_point(params, st)
+    assert pa.lambda1 == pytest.approx(1.0, rel=1e-14)
+    assert pa.lambda2 == pytest.approx(0.0, abs=1e-12)
 
 
 def test_unduloid_neck_point():

@@ -6,6 +6,7 @@ import pytest
 from cmcpinch.curvature import analyze_point, support_function
 from cmcpinch.delaunay import (DelaunayParams, GeneratrixState, eval_state,
                                z_many, z_of)
+from cmcpinch.numerics import DEFAULT_QUADRATURE, QuadratureConfig
 from cmcpinch import freeboundary
 from cmcpinch.freeboundary import (VERDICT_CYLINDER, VERDICT_NO_ORTHOGONAL,
                                    VERDICT_PINCHED, EnclosureError,
@@ -13,7 +14,7 @@ from cmcpinch.freeboundary import (VERDICT_CYLINDER, VERDICT_NO_ORTHOGONAL,
                                    build_portion, check_profile_conditions,
                                    classify, find_n0, find_sbar, g_function,
                                    nodoid_find_rbar, nodoid_r0, s0,
-                                   scale_to_unit_ball, violation_points, z0)
+                                   violation_points, z0)
 
 EXAMPLE = DelaunayParams(0.1, 0.9)
 NODOID_EX = DelaunayParams(1.0, 1.5)
@@ -270,21 +271,24 @@ def test_portion_stays_inside_ball(example_portion):
 
 
 def test_scale_to_unit_ball(example_portion):
-    scaled, sb_scaled = scale_to_unit_ball(example_portion, EXAMPLE)
-    assert scaled.H == pytest.approx(SCALED_H_GOLDEN, abs=1e-9)
-    assert scaled.B == 0.9
-    assert sb_scaled == pytest.approx(SBAR_SCALED_GOLDEN, abs=1e-9)
+    # dilation by 1/R0: mean curvature H R0, same B, boundary at sb / R0
+    p = example_portion
+    assert p.scaled_params.H == pytest.approx(SCALED_H_GOLDEN, abs=1e-9)
+    assert p.scaled_params.H == EXAMPLE.H * p.R0
+    assert p.scaled_params.B == 0.9
+    assert p.s_bar / p.R0 == pytest.approx(SBAR_SCALED_GOLDEN, abs=1e-9)
 
 
 def test_rescaled_portion_has_unit_radius(example_portion):
-    scaled, _ = scale_to_unit_ball(example_portion, EXAMPLE)
-    rescaled = build_portion(scaled)
+    p = example_portion
+    rescaled = build_portion(p.scaled_params)
     assert rescaled.R0 == pytest.approx(1.0, abs=1e-10)
+    assert rescaled.s_bar == pytest.approx(p.s_bar / p.R0, abs=1e-10)
 
 
 def test_gap_is_dilation_invariant(example_portion):
     p = example_portion
-    scaled, _ = scale_to_unit_ball(p, EXAMPLE)
+    scaled = p.scaled_params
     ss = np.linspace(-p.s_bar, p.s_bar, 25)
     z_orig = z_many(EXAMPLE, ss)
     z_scal = z_many(scaled, ss / p.R0)
@@ -361,17 +365,37 @@ def test_find_n0_marks_first_negative_gap():
             assert pts[n0 - 2].gap >= 0.0
 
 
-@pytest.mark.parametrize("z1,zp", [(10.0, 0.5), (9.0, 0.5), (1.0, 2.0),
-                                   (1.0, 0.3), (-4.0, 0.7)])
-def test_find_n0_division_matches_scan(monkeypatch, z1, zp):
-    # z(t_1) > B/H always holds for real unduloids, so the division
-    # branch is reached only with substituted heights
-    monkeypatch.setattr(freeboundary, "_violation_heights",
-                        lambda params, cfg: (0.0, z1, zp))
-    threshold = EXAMPLE.B / EXAMPLE.H
-    scanned = next(n for n in range(1, 1000)
-                   if z1 + (n - 1) * zp > threshold)
-    assert find_n0(EXAMPLE) == scanned
+@pytest.mark.parametrize("quad_cfg", [
+    DEFAULT_QUADRATURE, QuadratureConfig(abs_tol=1.0),
+    QuadratureConfig(abs_tol=1.0, rel_tol=1e-2, max_subdivisions=1)])
+def test_first_violation_height_clears_threshold(quad_cfg):
+    # find_n0 returns 1 because H z(t_1) >= pi/sqrt(2) > 1 > B; check
+    # the bound on computed heights over many decades of H, B up to
+    # 1 - 1e-7, and at loose quadrature
+    rng = np.random.default_rng(3)
+    cases = [(1.0, 1e-12), (1.0, 1.0 - 1e-7), (1e-6, 0.5), (1e6, 0.5)]
+    cases += [(10.0 ** rng.uniform(-6.0, 6.0),
+               1.0 - 10.0 ** rng.uniform(-7.0, 0.0)) for _ in range(400)]
+    for h, b in cases:
+        params = DelaunayParams(h, b)
+        t1 = (2.0 * math.pi - math.acos(b)) / h
+        z1 = z_of(params, t1, quad_cfg)
+        assert h * z1 >= math.pi / math.sqrt(2.0), (h, b)
+        assert z1 > b / h
+
+
+def test_pinched_reports_violate_from_n_equals_one():
+    rng = np.random.default_rng(5)
+    pinched = 0
+    for _ in range(400):
+        params = DelaunayParams(10.0 ** rng.uniform(-1.0, 1.0),
+                                0.99 * (1.0 - rng.random()))
+        rep = classify(params)
+        if rep.verdict == VERDICT_PINCHED:
+            pinched += 1
+            assert rep.n0 == 1
+            assert rep.violations[0].gap < 0.0, params
+    assert pinched >= 50
 
 
 def test_violation_wrong_family():
