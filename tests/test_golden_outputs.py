@@ -20,6 +20,10 @@ FILE_OUTPUTS = [
     ("profile_H1_B1.5.csv",
      ["profile", "--H", "1", "--B", "1.5", "--s-min", "-3", "--s-max", "3",
       "--n", "64", "--output"]),
+    # s = -+arccos(1/B) at the ends, where z' = 0 and the g cell is blank
+    ("profile_H1_B1.5_n17_blank_g.csv",
+     ["profile", "--H", "1", "--B", "1.5", "--s-min", "-0.8410686705679303",
+      "--s-max", "0.8410686705679303", "--n", "17", "--output"]),
     # cylinder, unduloids on both sides of the dichotomy, B = 1, nodoids
     ("scan_H0.5-2_B0-2.csv",
      ["scan", "--H-min", "0.5", "--H-max", "2", "--H-steps", "2",
@@ -37,6 +41,21 @@ def test_file_output_matches_golden(name, argv, tmp_path, capsys):
     assert main(argv + [str(dest)]) == 0
     assert capsys.readouterr().err == ""
     assert dest.read_bytes() == (GOLDEN_DIR / name).read_bytes()
+
+
+PROFILE_OUTPUTS = [(name, argv) for name, argv in FILE_OUTPUTS
+                   if argv[0] == "profile"]
+
+
+@pytest.mark.parametrize("tail", [[], ["-"]], ids=["no-output", "dash"])
+@pytest.mark.parametrize("name,argv", PROFILE_OUTPUTS,
+                         ids=[name for name, _ in PROFILE_OUTPUTS])
+def test_profile_stdout_matches_golden(name, argv, tail, capsys):
+    argv = argv[:-1] + (["--output"] + tail if tail else [])
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.encode("ascii") == (GOLDEN_DIR / name).read_bytes()
 
 
 def test_verify_json_matches_golden(capsys):
