@@ -143,6 +143,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 PROFILE_COLUMNS = ["s", "x", "z", "dx", "dz", "ddx", "ddz", "k1", "k2", "u",
                    "lambda1", "lambda2", "phiSq", "gap", "g"]
+# every cell but g; g is preformatted, blank where z' vanishes
+PROFILE_ROW = "%.12g," * (len(PROFILE_COLUMNS) - 1) + "%s\n"
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
@@ -156,15 +158,15 @@ def cmd_profile(args: argparse.Namespace) -> int:
     st = profile(params, ss, z_many(params, ss, quad))
     pa = analyze_point(params, st)
     g, has_g = _g_off_zero_set(st)
-    columns = [st.s, st.x, st.z, st.dx, st.dz, st.ddx, st.ddz, pa.k1, pa.k2,
-               pa.support, pa.lambda1, pa.lambda2, pa.phi_sq, pa.gap]
+    table = np.empty((args.n, len(PROFILE_COLUMNS)), dtype=object)
+    table[:, :-1] = np.column_stack(
+        [st.s, st.x, st.z, st.dx, st.dz, st.ddx, st.ddz, pa.k1, pa.k2,
+         pa.support, pa.lambda1, pa.lambda2, pa.phi_sq, pa.gap])
+    table[:, -1] = [_fmt(g_i) if g_ok else ""
+                    for g_i, g_ok in zip(g.tolist(), has_g.tolist())]
     with _open_output(args.output) as out:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(PROFILE_COLUMNS)
-        for row, g_i, g_ok in zip(np.column_stack(columns).tolist(),
-                                  g.tolist(), has_g.tolist()):
-            writer.writerow([_fmt(v) for v in row]
-                            + [_fmt(g_i) if g_ok else ""])
+        out.write(",".join(PROFILE_COLUMNS) + "\n")
+        out.write((PROFILE_ROW * args.n) % tuple(table.ravel().tolist()))
     return EXIT_OK
 
 

@@ -12,6 +12,9 @@ with the exact unit normal
 which is unit length because the profile is arc-length parametrized.
 Meshes are plain numpy arrays; export writes deterministic ASCII OBJ
 (9 significant digits, one object per mesh, faces as v//vn triples).
+Each object's v, vn and f records are formatted as one block each and
+written to the sink block by block; the bytes are the same as formatting
+one line at a time.
 """
 from __future__ import annotations
 
@@ -34,8 +37,17 @@ class TriangleMesh:
     def __post_init__(self) -> None:
         if self.vertices.shape != self.normals.shape:
             raise ValueError("vertices and normals must match in shape")
+        if self.vertices.ndim != 2 or self.vertices.shape[1] != 3:
+            raise ValueError("vertices must be an (n, 3) array")
         if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
             raise ValueError("triangles must be an (m, 3) index array")
+        if not np.issubdtype(self.triangles.dtype, np.integer):
+            raise ValueError("triangle indices must be integers")
+        if self.triangles.size and not (
+                0 <= self.triangles.min()
+                and self.triangles.max() < len(self.vertices)):
+            raise ValueError("triangle indices must lie in "
+                             "[0, len(vertices))")
 
 
 def revolve(params: DelaunayParams, s_min: float, s_max: float,
@@ -117,29 +129,42 @@ def sphere(radius: float, n_lat: int = 32, n_lon: int = 64) -> TriangleMesh:
                         triangles=triangles)
 
 
-def _format_scene(named: Sequence[tuple[Optional[str], TriangleMesh]]) -> str:
-    lines = []
+def _xyz_block(tag: str, rows: np.ndarray) -> bytes:
+    """One "<tag> x y z" line per row, all formatted by one % operation."""
+    return ((f"{tag} %.9g %.9g %.9g\n" * len(rows))
+            % tuple(rows.ravel().tolist())).encode("ascii")
+
+
+def _write_scene(named: Sequence[tuple[Optional[str], TriangleMesh]],
+                 destination: BinaryIO) -> None:
+    """Write each object as its o line, v, vn and f blocks, in order.
+
+    Each block goes to the sink as soon as it is formatted, so no
+    whole-file string is built.  Face records index a table of
+    "i//i" tokens, one per vertex with the scene offset applied.
+    """
     offset = 0
     for name, mesh in named:
         if name is not None:
-            lines.append(f"o {name}")
-        for vx, vy, vz in mesh.vertices:
-            lines.append(f"v {vx:.9g} {vy:.9g} {vz:.9g}")
-        for nx, ny, nz in mesh.normals:
-            lines.append(f"vn {nx:.9g} {ny:.9g} {nz:.9g}")
-        for a, b, c in mesh.triangles:
-            ia, ib, ic = a + 1 + offset, b + 1 + offset, c + 1 + offset
-            lines.append(f"f {ia}//{ia} {ib}//{ib} {ic}//{ic}")
-        offset += len(mesh.vertices)
-    return "\n".join(lines) + "\n"
+            destination.write(f"o {name}\n".encode("ascii"))
+        destination.write(_xyz_block("v", mesh.vertices))
+        destination.write(_xyz_block("vn", mesh.normals))
+        n = len(mesh.vertices)
+        tokens = np.array([f"{i}//{i}" for i in range(offset + 1,
+                                                      offset + n + 1)],
+                          dtype=object)
+        faces = tokens[mesh.triangles.ravel()].tolist()
+        destination.write((("f %s %s %s\n" * len(mesh.triangles))
+                           % tuple(faces)).encode("ascii"))
+        offset += n
 
 
 def export_obj(mesh: TriangleMesh, destination: BinaryIO) -> None:
     """Write one mesh to a binary sink as ASCII OBJ."""
-    destination.write(_format_scene([(None, mesh)]).encode("ascii"))
+    _write_scene([(None, mesh)], destination)
 
 
 def export_obj_scene(named: Sequence[tuple[Optional[str], TriangleMesh]],
                      destination: BinaryIO) -> None:
     """Write several named meshes to one OBJ, with shared index space."""
-    destination.write(_format_scene(named).encode("ascii"))
+    _write_scene(named, destination)

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from cmcpinch import delaunay
 from cmcpinch.delaunay import (CYLINDER, NODOID, UNDULOID, DelaunayParams,
                                GeneratrixState, _dz_integrand, eval_state,
                                profile, z_many, z_of)
+from cmcpinch.numerics import integrate
 
 
 def random_params(rng):
@@ -160,6 +162,47 @@ def test_z_many_duplicates_and_zero():
     zs = z_many(params, np.array([0.3, -0.2, 0.0, 0.3]))
     assert zs[0] == zs[3]
     assert zs[2] == 0.0
+
+
+def _unique_knots_z_many(params, s_values):
+    """z_many as it was with np.unique knots: the bit-level reference."""
+    s_arr = np.asarray(s_values, dtype=float)
+    knots = np.unique(np.concatenate((s_arr.ravel(), [0.0])))
+    f = _dz_integrand(params)
+    segments = np.array([integrate(f, knots[i], knots[i + 1])
+                         for i in range(len(knots) - 1)])
+    cumulative = np.concatenate(([0.0], np.cumsum(segments)))
+    z_at_knots = cumulative - cumulative[np.searchsorted(knots, 0.0)]
+    return z_at_knots[np.searchsorted(knots, s_arr)]
+
+
+@pytest.mark.parametrize("ss", [
+    [0.3, -0.2, 0.0, 0.3],
+    [-0.0, 0.7, 0.0, -0.0, -1.1, 0.7],
+    [0.0, -0.0, 2.5, -2.5, 2.5],
+    [-0.0],
+    [0.0],
+    [1.25, 1.25, 1.25],
+    [[0.4, -0.0], [0.4, 3.0]],
+    np.round(np.random.default_rng(3).uniform(-9.0, 9.0, 300), 1),
+    np.concatenate((np.linspace(-4.0, 4.0, 9), -np.linspace(-4.0, 4.0, 9))),
+], ids=["dup", "signed-zeros", "zero-first", "minus-zero", "zero", "triple",
+        "2d", "rounded-300", "mirrored"])
+@pytest.mark.parametrize("params", [DelaunayParams(1.0, 1.5),
+                                    DelaunayParams(0.4, 0.7),
+                                    DelaunayParams(2.0, 0.0)],
+                         ids=["nodoid", "unduloid", "cylinder"])
+def test_z_many_knots_bit_equal_to_unique(params, ss, monkeypatch):
+    want = _unique_knots_z_many(params, ss)
+    calls = []
+    monkeypatch.setattr(delaunay, "integrate",
+                        lambda *a: calls.append(a) or integrate(*a))
+    got = z_many(params, ss)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    # one segment integral per gap between distinct knots
+    n_knots = len(np.unique(np.concatenate((np.ravel(ss), [0.0]))))
+    assert len(calls) == n_knots - 1
 
 
 def test_profile_arrays_match_eval_state_and_integrand():

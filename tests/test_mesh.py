@@ -58,6 +58,10 @@ def test_mesh_shape_validation():
     with pytest.raises(ValueError):
         TriangleMesh(vertices=good, normals=good,
                      triangles=np.zeros((3,), dtype=int))
+    flat = np.zeros((3, 2))
+    with pytest.raises(ValueError, match=r"\(n, 3\)"):
+        TriangleMesh(vertices=flat, normals=flat,
+                     triangles=np.zeros((1, 3), dtype=int))
 
 
 def test_normals_are_unit():
@@ -162,6 +166,106 @@ def test_sphere_validation():
         sphere(1.0, n_lat=1)
     with pytest.raises(ValueError):
         sphere(1.0, n_lon=2)
+
+
+def _loop_format_scene(named):
+    """The one-f-string-per-line OBJ formatter the block writer replaced."""
+    lines = []
+    offset = 0
+    for name, mesh in named:
+        if name is not None:
+            lines.append(f"o {name}")
+        for vx, vy, vz in mesh.vertices:
+            lines.append(f"v {vx:.9g} {vy:.9g} {vz:.9g}")
+        for nx, ny, nz in mesh.normals:
+            lines.append(f"vn {nx:.9g} {ny:.9g} {nz:.9g}")
+        for a, b, c in mesh.triangles:
+            ia, ib, ic = a + 1 + offset, b + 1 + offset, c + 1 + offset
+            lines.append(f"f {ia}//{ia} {ib}//{ib} {ic}//{ic}")
+        offset += len(mesh.vertices)
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+def _scene_bytes(named):
+    sink = io.BytesIO()
+    export_obj_scene(named, sink)
+    return sink.getvalue()
+
+
+NODOID = DelaunayParams(0.7, 2.3)
+
+
+@pytest.mark.parametrize("params", [EXAMPLE, NODOID],
+                         ids=["unduloid", "nodoid"])
+@pytest.mark.parametrize("rows,cols", [(2, 3), (5, 3), (9, 11), (64, 64),
+                                       (16, 128)])
+def test_export_matches_line_formatter_on_revolve(params, rows, cols):
+    mesh = revolve(params, -1.2, 1.7, rows, cols)
+    sink = io.BytesIO()
+    export_obj(mesh, sink)
+    assert sink.getvalue() == _loop_format_scene([(None, mesh)])
+    named = [("portion", mesh)]
+    assert _scene_bytes(named) == _loop_format_scene(named)
+
+
+@pytest.mark.parametrize("n_lat,n_lon", [(2, 3), (8, 12), (32, 64)])
+def test_export_matches_line_formatter_on_sphere(n_lat, n_lon):
+    named = [("sphere", sphere(0.83, n_lat=n_lat, n_lon=n_lon))]
+    assert _scene_bytes(named) == _loop_format_scene(named)
+
+
+def test_export_scene_matches_line_formatter_across_digit_widths():
+    # 8, 9 and 101 vertices: indices 9..17 cross 9 -> 10 and the third
+    # object's 18..118 cross 99 -> 100
+    named = [("portion", revolve(EXAMPLE, -1.0, 1.0, 2, 4)),
+             (None, revolve(NODOID, -0.5, 0.5, 3, 3)),
+             ("sphere", sphere(1.0, n_lat=12, n_lon=9))]
+    assert [len(m.vertices) for _, m in named] == [8, 9, 101]
+    got = _scene_bytes(named)
+    assert got == _loop_format_scene(named)
+    assert b"f 9//9 " in got and b" 100//100" in got
+
+
+def test_export_matches_line_formatter_on_edge_values():
+    # where %g switches between fixed and exponent notation, signed
+    # zero, the smallest subnormal and values that round up a digit
+    edge = [-0.0, 0.0, 5e-324, -5e-324, 1e16, -1e16, 9.9999999995e-05,
+            1e-5, 1e-4, 9.99999999e-05, 999999999.5, 99999999.95, 1e9,
+            123456789.0, 1.0000000005, 2.2250738585072014e-308,
+            1.7976931348623157e308, math.pi, float("inf"), float("-inf"),
+            float("nan")]
+    rng = np.random.default_rng(7)
+    bits = rng.integers(0, 2 ** 63, size=300, dtype=np.uint64)
+    wild = bits.view(np.float64)
+    wild = wild[np.isfinite(wild)]
+    scaled = rng.standard_normal(300) * 10.0 ** rng.integers(-20, 20, 300)
+    values = np.concatenate((edge, wild, scaled))
+    values = np.concatenate((values, np.zeros(-len(values) % 3)))
+    rows = values.reshape(-1, 3)
+    mesh = TriangleMesh(vertices=rows, normals=rows[::-1].copy(),
+                        triangles=np.array([[0, 1, len(rows) - 1]]))
+    named = [(None, mesh)]
+    assert _scene_bytes(named) == _loop_format_scene(named)
+    assert b"v -0 0 4.94065646e-324\n" in _scene_bytes(named)
+
+
+def test_empty_scene_writes_nothing():
+    empty = TriangleMesh(vertices=np.zeros((0, 3)), normals=np.zeros((0, 3)),
+                         triangles=np.zeros((0, 3), dtype=np.int64))
+    assert _scene_bytes([]) == b""
+    assert _scene_bytes([(None, empty)]) == b""
+    assert _scene_bytes([("e", empty)]) == b"o e\n"
+
+
+@pytest.mark.parametrize("bad,message", [
+    (np.array([[0, 1, -1]]), "must lie in"),
+    (np.array([[0, 1, 3]]), "must lie in"),
+    (np.array([[0.0, 1.0, 2.0]]), "must be integers"),
+])
+def test_triangle_indices_are_validated(bad, message):
+    good = np.eye(3)
+    with pytest.raises(ValueError, match=message):
+        TriangleMesh(vertices=good, normals=good, triangles=bad)
 
 
 def test_export_single_triangle_exact():
