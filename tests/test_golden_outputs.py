@@ -14,6 +14,11 @@ from cmcpinch.cli import main
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
 FILE_OUTPUTS = [
+    ("analyze_H0.1_B0.9.json",
+     ["analyze", "--H", "0.1", "--B", "0.9", "--format", "json",
+      "--output"]),
+    # nodoid, text format
+    ("analyze_H1_B1.5.txt", ["analyze", "--H", "1", "--B", "1.5", "--output"]),
     ("profile_H0.1_B0.9.csv",
      ["profile", "--H", "0.1", "--B", "0.9", "--s-min", "-1.8",
       "--s-max", "1.8", "--n", "64", "--output"]),
