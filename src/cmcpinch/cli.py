@@ -47,9 +47,10 @@ EXIT_NO_PORTION = 4
 
 ENV_PREFIX = "CMCPINCH_"
 
-# each field of each config is the flag --<prefix>-<field> and the
-# variable CMCPINCH_<PREFIX>_<FIELD>, parsed like the field's default
-TOLERANCE_CONFIGS = (("quad", QuadratureConfig), ("root", RootConfig))
+# each field of each config a command uses is the flag --<prefix>-<field>
+# and the variable CMCPINCH_<PREFIX>_<FIELD>, parsed like the field's default
+QUAD_CONFIG = ("quad", QuadratureConfig)
+ROOT_CONFIG = ("root", RootConfig)
 
 
 def _fmt(v: float) -> str:
@@ -60,11 +61,10 @@ def _round12(v: Optional[float]) -> Optional[float]:
     return None if v is None else float(f"{v:.12g}")
 
 
-def _resolve_config(args: argparse.Namespace
-                    ) -> tuple[QuadratureConfig, RootConfig]:
+def _resolve_config(args: argparse.Namespace) -> tuple:
     """Each tolerance from its flag, else its variable, else the default."""
     configs = []
-    for prefix, config in TOLERANCE_CONFIGS:
+    for prefix, config in args.tolerance_configs:
         values = {}
         for f in fields(config):
             name = f"{prefix}_{f.name}"
@@ -148,7 +148,7 @@ PROFILE_ROW = "%.12g," * (len(PROFILE_COLUMNS) - 1) + "%s\n"
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
-    quad, _ = _resolve_config(args)
+    (quad,) = _resolve_config(args)
     params = DelaunayParams(args.H, args.B)
     if args.n < 16:
         raise ValueError("profile needs at least 16 samples")
@@ -251,11 +251,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if all_passed else EXIT_VERIFY_FAILED
 
 
-def _add_tolerance_flags(p: argparse.ArgumentParser) -> None:
-    for prefix, config in TOLERANCE_CONFIGS:
+def _add_tolerance_flags(p: argparse.ArgumentParser, *configs) -> None:
+    for prefix, config in configs:
         for f in fields(config):
             p.add_argument(f"--{prefix}-{f.name.replace('_', '-')}",
                            type=type(f.default), default=None)
+    p.set_defaults(tolerance_configs=configs)
 
 
 def _add_params_flags(p: argparse.ArgumentParser) -> None:
@@ -278,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
                            default="text")
     p_analyze.add_argument("--output", default=None,
                            help="file path or - for stdout")
-    _add_tolerance_flags(p_analyze)
+    _add_tolerance_flags(p_analyze, QUAD_CONFIG, ROOT_CONFIG)
     p_analyze.set_defaults(fn=cmd_analyze)
 
     p_profile = sub.add_parser("profile",
@@ -289,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_profile.add_argument("--n", type=int, default=256,
                            help="sample count, at least 16")
     p_profile.add_argument("--output", default=None)
-    _add_tolerance_flags(p_profile)
+    _add_tolerance_flags(p_profile, QUAD_CONFIG)
     p_profile.set_defaults(fn=cmd_profile)
 
     p_scan = sub.add_parser("scan", help="CSV verdict grid over (H, B)")
@@ -300,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--B-max", type=float, required=True)
     p_scan.add_argument("--B-steps", type=int, required=True)
     p_scan.add_argument("--output", default=None)
-    _add_tolerance_flags(p_scan)
+    _add_tolerance_flags(p_scan, QUAD_CONFIG, ROOT_CONFIG)
     p_scan.set_defaults(fn=cmd_scan)
 
     p_mesh = sub.add_parser("mesh", help="OBJ export of the portion")
@@ -309,13 +310,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_mesh.add_argument("--resolution", type=int, default=64)
     p_mesh.add_argument("--include-sphere", action="store_true",
                         help="also emit the bounding sphere as an object")
-    _add_tolerance_flags(p_mesh)
+    _add_tolerance_flags(p_mesh, QUAD_CONFIG, ROOT_CONFIG)
     p_mesh.set_defaults(fn=cmd_mesh)
 
     p_verify = sub.add_parser("verify", help="run the acceptance checks")
     p_verify.add_argument("--format", choices=("text", "json"),
                           default="text")
-    _add_tolerance_flags(p_verify)
+    _add_tolerance_flags(p_verify, QUAD_CONFIG, ROOT_CONFIG)
     p_verify.set_defaults(fn=cmd_verify)
 
     return parser

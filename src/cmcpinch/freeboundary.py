@@ -135,10 +135,9 @@ def find_sbar(params: DelaunayParams,
     """Orthogonal-crossing arc length sb in (0, s0] for an unduloid.
 
     Raises NoRootError when z(s0) < z0, which is exactly the case g > 0
-    throughout (0, s0].  The root search runs to bracket collapse
-    (f_tol is not used for early exit) so sb carries x_tol accuracy;
-    downstream radii inherit it.  A caller that already integrated
-    z(s0) passes it as z_at_s0.
+    throughout (0, s0].  The root search runs to bracket collapse, so
+    sb carries x_tol accuracy; downstream radii inherit it.  A caller
+    that already integrated z(s0) passes it as z_at_s0.
     """
     s_top = s0(params)
     if z_at_s0 is None:
@@ -146,8 +145,7 @@ def find_sbar(params: DelaunayParams,
     if z_at_s0 < z0(params):
         raise NoRootError(
             "no orthogonal sphere crossing: z(s0) < (1 - B^2)/(H B)")
-    collapse = replace(root_cfg, f_tol=0.0)
-    return find_root(_g_of_s(params, quad_cfg), 0.0, s_top, collapse)
+    return find_root(_g_of_s(params, quad_cfg), 0.0, s_top, root_cfg)
 
 
 def nodoid_r0(params: DelaunayParams) -> float:
@@ -175,8 +173,7 @@ def nodoid_find_rbar(params: DelaunayParams,
         hi = r_top - 0.5 * (r_top - hi)
     else:
         raise NoRootError("could not bracket the nodoid crossing below r0")
-    collapse = replace(root_cfg, f_tol=0.0)
-    return find_root(g, 0.0, hi, collapse)
+    return find_root(g, 0.0, hi, root_cfg)
 
 
 def check_profile_conditions(st: GeneratrixState) -> tuple[bool, bool, bool]:
@@ -202,7 +199,7 @@ def _g_off_zero_set(st: GeneratrixState):
     return g_function(replace(st, dz=np.where(off, st.dz, 1.0))), off
 
 
-def _golden_min(fun, lo: float, hi: float, iterations: int = 80) -> float:
+def _golden_min(fun, lo: float, hi: float) -> float:
     # golden-section refinement; returns the smallest sampled value
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
@@ -211,7 +208,7 @@ def _golden_min(fun, lo: float, hi: float, iterations: int = 80) -> float:
     fc = fun(c)
     fd = fun(d)
     best = min(fc, fd)
-    for _ in range(iterations):
+    for _ in range(80):
         if b - a < 1e-13:
             break
         if fc < fd:

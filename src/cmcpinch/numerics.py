@@ -9,7 +9,8 @@ Two kernels used everywhere else in the package:
   stops once the summed estimate meets ``max(abs_tol, rel_tol * |I|)``.
 * ``find_root``: bracketed scalar root finding, bisection with a secant
   acceleration step whenever the secant point falls inside the current
-  bracket and keeps shrinking it.
+  bracket and keeps shrinking it.  It stops only on an exact zero of f or
+  once the bracket is at most ``x_tol`` wide; there is no residual test.
 
 Both are plain Python on purpose: the rest of the package needs exact
 control over the termination semantics (subdivision budget errors, the
@@ -52,7 +53,7 @@ class QuadratureConfig:
     def __post_init__(self) -> None:
         if not self.abs_tol > 0.0:
             raise ValueError("abs_tol must be positive")
-        if self.rel_tol < 0.0:
+        if not self.rel_tol >= 0.0:
             raise ValueError("rel_tol must be nonnegative")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be at least 1")
@@ -61,14 +62,11 @@ class QuadratureConfig:
 @dataclass(frozen=True)
 class RootConfig:
     x_tol: float = 1e-12
-    f_tol: float = 1e-10
     max_iterations: int = 200
 
     def __post_init__(self) -> None:
         if not self.x_tol > 0.0:
             raise ValueError("x_tol must be positive")
-        if self.f_tol < 0.0:
-            raise ValueError("f_tol must be nonnegative")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
 
@@ -156,19 +154,21 @@ def find_root(f: Callable[[float], float], a: float, b: float,
               cfg: RootConfig = DEFAULT_ROOT) -> float:
     """Locate a root of f inside the bracket [a, b].
 
-    Returns x with ``|f(x)| <= f_tol`` or with the final bracket width at
-    most ``x_tol``.  The endpoints are tried first, so an endpoint root
-    is returned directly.  Raises NoSignChangeError when f(a) and f(b)
-    have the same (nonzero) sign and IterationLimitError when the budget
-    runs out.
+    Stops only where f is exactly zero, returning that x, or once the
+    bracket is at most ``x_tol`` wide (or cannot shrink in floating
+    point), returning the bracket end with the smaller |f|; there is no
+    residual tolerance.  The endpoints are tried first, so an endpoint
+    root is returned directly.  Raises NoSignChangeError when f(a) and
+    f(b) have the same (nonzero) sign and IterationLimitError when the
+    budget runs out.
     """
     if b < a:
         a, b = b, a
     fa = f(a)
-    if fa == 0.0 or abs(fa) <= cfg.f_tol:
+    if fa == 0.0:
         return a
     fb = f(b)
-    if fb == 0.0 or abs(fb) <= cfg.f_tol:
+    if fb == 0.0:
         return b
     if (fa > 0.0) == (fb > 0.0):
         raise NoSignChangeError(
@@ -188,7 +188,7 @@ def find_root(f: Callable[[float], float], a: float, b: float,
             # bracket already at float resolution
             return a if abs(fa) <= abs(fb) else b
         fx = f(x)
-        if fx == 0.0 or abs(fx) <= cfg.f_tol:
+        if fx == 0.0:
             return x
         if (fx > 0.0) == (fa > 0.0):
             a, fa = x, fx

@@ -245,9 +245,6 @@ def _check_violation_sequence(ctx: _Context) -> CheckResult:
     acb = math.acos(EXAMPLE.B)
     t_n0 = (2.0 * math.pi * n0 - acb) / EXAMPLE.H
     r.require(z_of(EXAMPLE, t_n0, ctx.quad) > threshold)
-    if n0 > 1:
-        t_prev = (2.0 * math.pi * (n0 - 1) - acb) / EXAMPLE.H
-        r.require(z_of(EXAMPLE, t_prev, ctx.quad) <= threshold)
     r.require(points[n0 - 1].gap < 0.0)
     for pt in points:
         st = eval_state(EXAMPLE, pt.t, ctx.quad)

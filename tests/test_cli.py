@@ -3,6 +3,7 @@ import io
 import json
 import math
 import pathlib
+import re
 import sys
 
 import pytest
@@ -326,9 +327,9 @@ def test_verify_flag_beats_env(monkeypatch, capsys):
 @pytest.mark.parametrize("name,value,message", [
     ("QUAD_ABS_TOL", "0", "abs_tol must be positive"),
     ("QUAD_REL_TOL", "-1e-3", "rel_tol must be nonnegative"),
+    ("QUAD_REL_TOL", "nan", "rel_tol must be nonnegative"),
     ("QUAD_MAX_SUBDIVISIONS", "0", "max_subdivisions must be at least 1"),
     ("ROOT_X_TOL", "-1", "x_tol must be positive"),
-    ("ROOT_F_TOL", "-0.5", "f_tol must be nonnegative"),
     ("ROOT_MAX_ITERATIONS", "0", "max_iterations must be at least 1"),
 ])
 def test_invalid_env_tolerance_is_invalid_input(monkeypatch, capsys, name,
@@ -347,3 +348,96 @@ def test_console_entry_point_exits_zero(monkeypatch, capsys):
         cli.entry()
     assert exc.value.code == 0
     assert "verdict: Cylinder" in capsys.readouterr().out
+
+
+# cheap inputs per subcommand
+KNOB_INPUTS = {
+    "analyze": ["analyze", "--H", "0.1", "--B", "0.9", "--format", "json"],
+    "profile": ["profile", "--H", "0.1", "--B", "0.9", "--s-min", "-1.8",
+                "--s-max", "1.8", "--n", "16"],
+    "scan": ["scan", "--H-min", "1", "--H-max", "1", "--H-steps", "1",
+             "--B-min", "0.1", "--B-max", "1.5", "--B-steps", "2"],
+    "mesh": ["mesh", "--H", "0.1", "--B", "0.9", "--resolution", "8"],
+    "verify": ["verify", "--format", "json"],
+}
+QUAD_FLAGS = ["--quad-abs-tol", "--quad-rel-tol", "--quad-max-subdivisions"]
+ROOT_FLAGS = ["--root-x-tol", "--root-max-iterations"]
+TOLERANCE_FLAGS = {"analyze": QUAD_FLAGS + ROOT_FLAGS,
+                   "profile": QUAD_FLAGS,
+                   "scan": QUAD_FLAGS + ROOT_FLAGS,
+                   "mesh": QUAD_FLAGS + ROOT_FLAGS,
+                   "verify": QUAD_FLAGS + ROOT_FLAGS}
+# a value far enough from the default to change what each command prints
+KNOB_VALUES = {"--quad-abs-tol": "1", "--quad-rel-tol": "0.1",
+               "--quad-max-subdivisions": "1", "--root-x-tol": "1",
+               "--root-max-iterations": "1"}
+
+
+def _outcome(argv, tmp_path, capsys):
+    """Exit code, stdout, stderr and the bytes of mesh's OBJ file."""
+    dest = tmp_path / "out.obj"
+    dest.unlink(missing_ok=True)
+    if argv[0] == "mesh":
+        argv = argv + ["--out", str(dest)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    written = dest.read_bytes() if dest.exists() else None
+    return code, captured.out, captured.err, written
+
+
+def test_tolerance_flags_per_command(capsys):
+    for command, flags in TOLERANCE_FLAGS.items():
+        assert main([command, "--help"]) == 0
+        listed = re.findall(r"--(?:quad|root)-[a-z-]+",
+                            capsys.readouterr().out)
+        assert sorted(set(listed)) == sorted(flags)
+    assert sum(map(len, TOLERANCE_FLAGS.values())) == 23
+
+
+@pytest.mark.parametrize("command,flag",
+                         [(c, f) for c, fs in TOLERANCE_FLAGS.items()
+                          for f in fs])
+def test_every_tolerance_flag_changes_output(command, flag, tmp_path,
+                                             capsys):
+    argv = KNOB_INPUTS[command]
+    if command == "verify":
+        # the default run is pinned by tests/test_golden_outputs.py
+        default = (0, (GOLDEN_DIR / "verify.jsonl").read_text(), "", None)
+    else:
+        default = _outcome(argv, tmp_path, capsys)
+    assert default[0] == 0
+    code, *rest = _outcome(argv + [flag, KNOB_VALUES[flag]], tmp_path,
+                           capsys)
+    assert code != 2, rest[1]
+    assert (code, *rest) != default
+
+
+@pytest.mark.parametrize("command,flag",
+                         [(c, "--root-f-tol") for c in KNOB_INPUTS]
+                         + [("profile", f) for f in ROOT_FLAGS])
+def test_unused_root_flags_are_rejected(command, flag, tmp_path, capsys):
+    code, out, err, _ = _outcome(KNOB_INPUTS[command] + [flag, "1"],
+                                 tmp_path, capsys)
+    assert code == 2
+    assert out == ""
+    assert f"unrecognized arguments: {flag} 1" in err
+
+
+@pytest.mark.parametrize("name,value", [
+    ("ROOT_X_TOL", "-1"), ("ROOT_MAX_ITERATIONS", "0"),
+    ("ROOT_F_TOL", "-0.5")])
+def test_profile_reads_no_root_variable(monkeypatch, capsys, name, value):
+    monkeypatch.setenv("CMCPINCH_" + name, value)
+    code, out, err = run_cli(
+        ["profile", "--H", "0.1", "--B", "0.9", "--s-min", "-1.8",
+         "--s-max", "1.8", "--n", "64"], capsys)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN_DIR / "profile_H0.1_B0.9.csv").read_text()
+
+
+def test_root_f_tol_variable_is_not_read(monkeypatch, capsys):
+    monkeypatch.setenv("CMCPINCH_ROOT_F_TOL", "-0.5")
+    code, out, err = run_cli(
+        ["analyze", "--H", "0.1", "--B", "0.9", "--format", "json"], capsys)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN_DIR / "analyze_H0.1_B0.9.json").read_text()
