@@ -12,7 +12,10 @@ Exit codes: 0 success, 1 verification failure, 2 invalid input,
 3 numerical failure, 4 no portion exists for the requested surface.
 
 Numeric tolerances resolve in priority order: command line flag, then
-CMCPINCH_* environment variable, then library default.  Floating point
+CMCPINCH_* environment variable, then library default.  The root finder's
+--root-* flags apply to analyze, scan, mesh and verify; the quadrature's
+--quad-* flags only to verify, whose checks keep the adaptive integral as
+an oracle for the closed-form height.  Floating point
 values are serialized with 12 significant digits.
 """
 from __future__ import annotations
@@ -130,9 +133,9 @@ def _print_report_text(payload: dict, out) -> None:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    quad, root = _resolve_config(args)
+    (root,) = _resolve_config(args)
     params = DelaunayParams(args.H, args.B)
-    payload = _report_payload(classify(params, root, quad))
+    payload = _report_payload(classify(params, root))
     with _open_output(args.output) as out:
         if args.format == "json":
             out.write(json.dumps(payload, indent=2) + "\n")
@@ -148,14 +151,13 @@ PROFILE_ROW = "%.12g," * (len(PROFILE_COLUMNS) - 1) + "%s\n"
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
-    (quad,) = _resolve_config(args)
     params = DelaunayParams(args.H, args.B)
     if args.n < 16:
         raise ValueError("profile needs at least 16 samples")
     if not args.s_max > args.s_min:
         raise ValueError("need --s-max > --s-min")
     ss = np.linspace(args.s_min, args.s_max, args.n)
-    st = profile(params, ss, z_many(params, ss, quad))
+    st = profile(params, ss, z_many(params, ss))
     pa = analyze_point(params, st)
     g, has_g = _g_off_zero_set(st)
     table = np.empty((args.n, len(PROFILE_COLUMNS)), dtype=object)
@@ -175,7 +177,7 @@ SCAN_COLUMNS = ["H", "B", "family", "verdict", "zAtS0MinusZ0", "sBar", "R0",
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    quad, root = _resolve_config(args)
+    (root,) = _resolve_config(args)
     if args.H_steps < 1 or args.B_steps < 1:
         raise ValueError("need at least one step in each direction")
     hs = np.linspace(args.H_min, args.H_max, args.H_steps)
@@ -192,7 +194,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
                     writer.writerow(row + ["", VERDICT_INVALID,
                                            "", "", "", ""])
                     continue
-                rep = classify(params, root, quad)
+                rep = classify(params, root)
                 dichotomy = ""
                 if rep.z_at_s0 is not None and rep.z0 is not None:
                     dichotomy = _fmt(rep.z_at_s0 - rep.z0)
@@ -206,13 +208,13 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 
 def cmd_mesh(args: argparse.Namespace) -> int:
-    quad, root = _resolve_config(args)
+    (root,) = _resolve_config(args)
     params = DelaunayParams(args.H, args.B)
     if args.resolution < 8:
         raise ValueError("mesh resolution must be at least 8")
-    boundary, r0 = _find_crossing(params, root, quad)
+    boundary, r0 = _find_crossing(params, root)
     portion_mesh = revolve(params, -boundary.s, boundary.s, args.resolution,
-                           args.resolution, quad)
+                           args.resolution)
     objects = [("portion", portion_mesh)]
     if args.include_sphere:
         objects.append(("sphere", sphere(r0, max(args.resolution // 2, 2),
@@ -279,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
                            default="text")
     p_analyze.add_argument("--output", default=None,
                            help="file path or - for stdout")
-    _add_tolerance_flags(p_analyze, QUAD_CONFIG, ROOT_CONFIG)
+    _add_tolerance_flags(p_analyze, ROOT_CONFIG)
     p_analyze.set_defaults(fn=cmd_analyze)
 
     p_profile = sub.add_parser("profile",
@@ -290,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_profile.add_argument("--n", type=int, default=256,
                            help="sample count, at least 16")
     p_profile.add_argument("--output", default=None)
-    _add_tolerance_flags(p_profile, QUAD_CONFIG)
     p_profile.set_defaults(fn=cmd_profile)
 
     p_scan = sub.add_parser("scan", help="CSV verdict grid over (H, B)")
@@ -301,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--B-max", type=float, required=True)
     p_scan.add_argument("--B-steps", type=int, required=True)
     p_scan.add_argument("--output", default=None)
-    _add_tolerance_flags(p_scan, QUAD_CONFIG, ROOT_CONFIG)
+    _add_tolerance_flags(p_scan, ROOT_CONFIG)
     p_scan.set_defaults(fn=cmd_scan)
 
     p_mesh = sub.add_parser("mesh", help="OBJ export of the portion")
@@ -310,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mesh.add_argument("--resolution", type=int, default=64)
     p_mesh.add_argument("--include-sphere", action="store_true",
                         help="also emit the bounding sphere as an object")
-    _add_tolerance_flags(p_mesh, QUAD_CONFIG, ROOT_CONFIG)
+    _add_tolerance_flags(p_mesh, ROOT_CONFIG)
     p_mesh.set_defaults(fn=cmd_mesh)
 
     p_verify = sub.add_parser("verify", help="run the acceptance checks")

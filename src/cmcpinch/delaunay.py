@@ -14,6 +14,9 @@ the arc-length parameter s centred on a neck (minimal radius) at
     z''(s) = B^2 H sin(H s) (B - cos(H s)) / Q(s)^(3/2)
     z(s)   = integral of z' over [0, s]
 
+z is an elliptic integral (K. Kenmotsu, Tohoku Math. J. 32, 1980) and is
+evaluated in closed form through Carlson's R_F and R_D; see _height.
+
 The shape parameter B >= 0 selects the family: B = 0 is the right
 cylinder of radius 1/H, 0 < B < 1 an unduloid, B > 1 a nodoid.  B = 1
 degenerates to a string of spheres and is rejected.  x' and z' satisfy
@@ -27,7 +30,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .numerics import DEFAULT_QUADRATURE, QuadratureConfig, integrate
 
 CYLINDER = "cylinder"
 UNDULOID = "unduloid"
@@ -70,73 +72,168 @@ class GeneratrixState:
 
 
 def profile(params: DelaunayParams, s, z) -> GeneratrixState:
-    """The module docstring's closed forms at arc lengths s, heights z."""
+    """The module docstring's closed forms at arc lengths s, heights z.
+
+    They are evaluated through h = sin(H s / 2): Q = (1 - B)^2 + 4 B h^2,
+    1 - B cos(H s) = (1 - B) + 2 B h^2 and cos(H s) - B = (1 - B) - 2 h^2,
+    so nothing cancels at the neck, where Q is (1 - B)^2 however close B
+    is to 1.
+    """
     H = params.H
     B = params.B
     s = np.asarray(s, dtype=float)
-    c = np.cos(H * s)
-    sn = np.sin(H * s)
-    q = 1.0 + B * B - 2.0 * B * c
+    hs = H * s
+    sn = np.sin(hs)
+    h = np.sin(0.5 * hs)
+    hh = h * h
+    om = 1.0 - B
+    q = om * om + 4.0 * B * hh
     rq = np.sqrt(q)
+    one_minus_bc = om + 2.0 * B * hh
+    c_minus_b = om - 2.0 * hh
     return GeneratrixState(
         s=s, x=rq / H, z=np.asarray(z, dtype=float),
         dx=B * sn / rq,
-        dz=(1.0 - B * c) / rq,
-        ddx=B * H * (1.0 - B * c) * (c - B) / (q * rq),
-        ddz=B * B * H * sn * (B - c) / (q * rq))
+        dz=one_minus_bc / rq,
+        ddx=B * H * one_minus_bc * c_minus_b / (q * rq),
+        ddz=-B * B * H * sn * c_minus_b / (q * rq))
 
 
 def _dz_integrand(params: DelaunayParams):
-    # a float-only copy of profile's z' (a test holds them bit-equal):
-    # integrate calls it ~10^4 times per classification, one point at a
-    # time, at 0.3 us a call against 8 us for profile on one point
+    # profile's z' as a float function (a test holds them bit-equal), for
+    # the adaptive quadrature that the verify command keeps as an oracle
     H = params.H
     B = params.B
+    om = 1.0 - B
 
     def f(u: float) -> float:
-        c = math.cos(H * u)
-        return (1.0 - B * c) / math.sqrt(1.0 + B * B - 2.0 * B * c)
+        h = math.sin(0.5 * (H * u))
+        hh = h * h
+        return (om + 2.0 * B * hh) / math.sqrt(om * om + 4.0 * B * hh)
 
     return f
 
 
-def z_of(params: DelaunayParams, s: float,
-         cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
-    """Height z(s), the integral of z' from 0 to s."""
-    return integrate(_dz_integrand(params), 0.0, s, cfg)
+# relative truncation error r of Carlson's series (DLMF 19.36.1-2): the
+# duplication loop runs until 4^-n Q < A_n, with Q = (3r)^(-1/6) times the
+# spread of the arguments about A_0 for R_F and (r/4)^(-1/6) for R_D
+_R = 2.0 ** -53
+_QF = (3.0 * _R) ** (-1.0 / 6.0)
+_QD = (0.25 * _R) ** (-1.0 / 6.0)
+
+
+def _pick(cond, a, b):
+    return a if cond else b
+
+
+# (sqrt, sin, cos, any, where) for a float and for arrays
+_FLOAT_OPS = (math.sqrt, math.sin, math.cos, bool, _pick)
+_ARRAY_OPS = (np.sqrt, np.sin, np.cos, np.any, np.where)
+
+
+def _carlson_fd(x, y, z, ops):
+    """Carlson's R_F(x, y, z) and R_D(x, y, z) for x, y >= 0, z > 0.
+
+    One duplication loop serves both (B. C. Carlson, Numer. Algorithms
+    10, 1995; DLMF 19.36.1-2), on floats or elementwise on arrays.  It
+    stops once 4^-n Q < A_n holds for both means, where the spread in Q
+    is |A_0 - x| + |A_0 - y| + |A_0 - z|: that bounds DLMF's maximum from
+    above, so the loop stops no earlier than the stated rule (at most one
+    step later).  In an array each element stops at its own step, so it
+    gets the same bits as the float computation.
+    """
+    sqrt, _, _, any_, where = ops
+    af = (x + y + z) / 3.0
+    ad = (x + y + 3.0 * z) / 5.0
+    dxf, dyf = af - x, af - y
+    dxd, dyd = ad - x, ad - y
+    qf = _QF * (abs(dxf) + abs(dyf) + abs(af - z))
+    qd = _QD * (abs(dxd) + abs(dyd) + abs(ad - z))
+    fac = 1.0
+    tail = 0.0
+    going = (qf >= af) | (qd >= ad)
+    while any_(going):
+        sx, sy, sz = sqrt(x), sqrt(y), sqrt(z)
+        lam = sx * (sy + sz) + sy * sz
+        tail = where(going, tail + fac / (sz * (z + lam)), tail)
+        fac = where(going, 0.25 * fac, fac)
+        x = where(going, 0.25 * (x + lam), x)
+        y = where(going, 0.25 * (y + lam), y)
+        z = where(going, 0.25 * (z + lam), z)
+        af = where(going, 0.25 * (af + lam), af)
+        ad = where(going, 0.25 * (ad + lam), ad)
+        going = (fac * qf >= af) | (fac * qd >= ad)
+    X = dxf * fac / af
+    Y = dyf * fac / af
+    Z = -X - Y
+    e2 = X * Y - Z * Z
+    e3 = X * Y * Z
+    rf = (1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0
+          - 3.0 * e2 * e3 / 44.0) / sqrt(af)
+    X = dxd * fac / ad
+    Y = dyd * fac / ad
+    Z = -(X + Y) / 3.0
+    xy = X * Y
+    zz = Z * Z
+    e2 = xy - 6.0 * zz
+    e3 = (3.0 * xy - 8.0 * zz) * Z
+    e4 = 3.0 * (xy - zz) * zz
+    e5 = xy * Z * zz
+    rd = (fac / (ad * sqrt(ad)) * (
+        1.0 - 3.0 * e2 / 14.0 + e3 / 6.0 + 9.0 * e2 * e2 / 88.0
+        - 3.0 * e4 / 22.0 - 9.0 * e2 * e3 / 52.0 + 3.0 * e5 / 26.0)
+        + 3.0 * tail)
+    return rf, rd
+
+
+def _carlson_g(B: float, sr, cr, ops):
+    """G(r) = 2 (1-B) sin r R_F + (4 B a / 3) sin^3 r R_D, a = (1-B)^2.
+
+    The arguments are (a cos^2 r, a + 4 B sin^2 r, a), all nonnegative,
+    so nothing cancels at the neck; H z = G(r) for |H s / 2| = |r| <= pi/2.
+    """
+    om = 1.0 - B
+    a = om * om
+    rf, rd = _carlson_fd(a * cr * cr, a + 4.0 * B * sr * sr, a, ops)
+    return 2.0 * om * sr * rf + 4.0 * B * a / 3.0 * sr * sr * sr * rd
+
+
+def _height(params: DelaunayParams, s):
+    """z(s) in closed form (Kenmotsu), for a float or an array of floats.
+
+    With H s / 2 = k pi + r, |r| <= pi/2, the integrand is pi-periodic in
+    H s / 2, so z(s) = [G(r) + 2 k G(pi/2)] / H; 2 G(pi/2) / H is the
+    height gained over one period 2 pi / H.
+    """
+    ops = _FLOAT_OPS if isinstance(s, float) else _ARRAY_OPS
+    _, sin, cos, any_, _ = ops
+    B = params.B
+    theta = 0.5 * (params.H * s)
+    k = (theta / math.pi + 0.5) // 1.0
+    r = theta - k * math.pi
+    g = _carlson_g(B, sin(r), cos(r), ops)
+    if any_(k):
+        g = g + 2.0 * k * _carlson_g(B, 1.0, 0.0, _FLOAT_OPS)
+    return g / params.H
+
+
+def z_of(params: DelaunayParams, s: float) -> float:
+    """Height z(s), the integral of z' from 0 to s, in closed form."""
+    return _height(params, float(s))
 
 
 def eval_state(params: DelaunayParams, s: float,
-               cfg: QuadratureConfig = DEFAULT_QUADRATURE,
                *, z: Optional[float] = None) -> GeneratrixState:
     """Scalar view of profile at one s, with float fields.
 
-    z needs one quadrature from 0; callers that already know it (batch
-    evaluation, periodic offsets) can pass it to skip the integral.
+    z defaults to z_of(s); callers that already know it can pass it.
     """
     if z is None:
-        z = z_of(params, s, cfg)
+        z = z_of(params, s)
     st = profile(params, s, z)
     return GeneratrixState(**{k: float(v) for k, v in vars(st).items()})
 
 
-def z_many(params: DelaunayParams, s_values: Sequence[float],
-           cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> np.ndarray:
-    """z at many arc-length values via one pass of segment integrals.
-
-    The values are integrated between consecutive sorted knots (with 0
-    inserted) and accumulated, so n samples cost one quadrature per gap
-    instead of one quadrature from the origin each.
-    """
-    s_arr = np.asarray(s_values, dtype=float)
-    # np.unique would import numpy.ma (~16 ms) in every CLI process
-    knots = np.sort(np.concatenate((s_arr.ravel(), [0.0])))
-    knots = knots[np.concatenate(([True], knots[1:] != knots[:-1]))]
-    f = _dz_integrand(params)
-    segments = np.empty(len(knots) - 1)
-    for i in range(len(knots) - 1):
-        segments[i] = integrate(f, knots[i], knots[i + 1], cfg)
-    cumulative = np.concatenate(([0.0], np.cumsum(segments)))
-    origin = int(np.searchsorted(knots, 0.0))
-    z_at_knots = cumulative - cumulative[origin]
-    return z_at_knots[np.searchsorted(knots, s_arr)]
+def z_many(params: DelaunayParams, s_values: Sequence[float]) -> np.ndarray:
+    """z at many arc-length values, elementwise equal to z_of."""
+    return _height(params, np.asarray(s_values, dtype=float))

@@ -48,10 +48,8 @@ import numpy as np
 
 from .curvature import analyze_point, support_function
 from .delaunay import (CYLINDER, NODOID, UNDULOID, DelaunayParams,
-                       GeneratrixState, eval_state, profile, z_many, z_of,
-                       _dz_integrand)
-from .numerics import (DEFAULT_QUADRATURE, DEFAULT_ROOT, QuadratureConfig,
-                       RootConfig, find_root, integrate)
+                       GeneratrixState, eval_state, profile, z_many, z_of)
+from .numerics import DEFAULT_ROOT, RootConfig, find_root
 
 VERDICT_PINCHED = "PinchedFreeBoundaryPortion"
 VERDICT_NO_ORTHOGONAL = "NoOrthogonalIntersection"
@@ -122,30 +120,29 @@ def z0(params: DelaunayParams) -> float:
     return (1.0 - params.B * params.B) / (params.H * params.B)
 
 
-def _g_of_s(params: DelaunayParams, quad_cfg: QuadratureConfig):
+def _g_of_s(params: DelaunayParams):
     def g(s: float) -> float:
-        return g_function(eval_state(params, s, quad_cfg))
+        return g_function(eval_state(params, s))
     return g
 
 
 def find_sbar(params: DelaunayParams,
               root_cfg: RootConfig = DEFAULT_ROOT,
-              quad_cfg: QuadratureConfig = DEFAULT_QUADRATURE,
               *, z_at_s0: Optional[float] = None) -> float:
     """Orthogonal-crossing arc length sb in (0, s0] for an unduloid.
 
     Raises NoRootError when z(s0) < z0, which is exactly the case g > 0
     throughout (0, s0].  The root search runs to bracket collapse, so
     sb carries x_tol accuracy; downstream radii inherit it.  A caller
-    that already integrated z(s0) passes it as z_at_s0.
+    that already has z(s0) passes it as z_at_s0.
     """
     s_top = s0(params)
     if z_at_s0 is None:
-        z_at_s0 = z_of(params, s_top, quad_cfg)
+        z_at_s0 = z_of(params, s_top)
     if z_at_s0 < z0(params):
         raise NoRootError(
             "no orthogonal sphere crossing: z(s0) < (1 - B^2)/(H B)")
-    return find_root(_g_of_s(params, quad_cfg), 0.0, s_top, root_cfg)
+    return find_root(_g_of_s(params), 0.0, s_top, root_cfg)
 
 
 def nodoid_r0(params: DelaunayParams) -> float:
@@ -156,8 +153,7 @@ def nodoid_r0(params: DelaunayParams) -> float:
 
 
 def nodoid_find_rbar(params: DelaunayParams,
-                     root_cfg: RootConfig = DEFAULT_ROOT,
-                     quad_cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+                     root_cfg: RootConfig = DEFAULT_ROOT) -> float:
     """Orthogonal-crossing arc length rb in (0, r0) for a nodoid.
 
     g(0) = (B - 1)/H > 0 and g -> -infinity approaching r0, so a root
@@ -165,7 +161,7 @@ def nodoid_find_rbar(params: DelaunayParams,
     turns negative.
     """
     r_top = nodoid_r0(params)
-    g = _g_of_s(params, quad_cfg)
+    g = _g_of_s(params)
     hi = r_top * (1.0 - 1e-3)
     for _ in range(60):
         if g(hi) <= 0.0:
@@ -224,7 +220,7 @@ def _golden_min(fun, lo: float, hi: float) -> float:
 
 
 def _find_crossing(params: DelaunayParams, root_cfg: RootConfig,
-                   quad_cfg: QuadratureConfig, z_at_s0: Optional[float] = None
+                   z_at_s0: Optional[float] = None
                    ) -> tuple[GeneratrixState, float]:
     """Boundary state at the orthogonal crossing (its s is sb), and R0.
 
@@ -232,19 +228,18 @@ def _find_crossing(params: DelaunayParams, root_cfg: RootConfig,
     """
     family = params.family
     if family == UNDULOID:
-        sb = find_sbar(params, root_cfg, quad_cfg, z_at_s0=z_at_s0)
+        sb = find_sbar(params, root_cfg, z_at_s0=z_at_s0)
     elif family == NODOID:
-        sb = nodoid_find_rbar(params, root_cfg, quad_cfg)
+        sb = nodoid_find_rbar(params, root_cfg)
     else:
         raise NoRootError(
             "a cylinder never meets a centred sphere orthogonally")
-    boundary = eval_state(params, sb, quad_cfg)
+    boundary = eval_state(params, sb)
     return boundary, math.hypot(boundary.x, boundary.z)
 
 
 def build_portion(params: DelaunayParams,
                   root_cfg: RootConfig = DEFAULT_ROOT,
-                  quad_cfg: QuadratureConfig = DEFAULT_QUADRATURE,
                   *, z_at_s0: Optional[float] = None) -> FreeBoundaryPortion:
     """Locate the crossing, measure R0, and scan the gap over the portion.
 
@@ -254,12 +249,12 @@ def build_portion(params: DelaunayParams,
     relative tolerance); a point outside raises EnclosureError since the
     construction guarantees containment.  z_at_s0 goes to find_sbar.
     """
-    boundary, r0 = _find_crossing(params, root_cfg, quad_cfg, z_at_s0)
+    boundary, r0 = _find_crossing(params, root_cfg, z_at_s0)
     sb = boundary.s
     residual = abs(support_function(boundary))
 
     ss = np.linspace(-sb, sb, GAP_SAMPLES)
-    st = profile(params, ss, z_many(params, ss, quad_cfg))
+    st = profile(params, ss, z_many(params, ss))
     outside = st.x * st.x + st.z * st.z > r0 * r0 * (1.0 + 1e-9)
     if outside.any():
         s_out = float(ss[outside.argmax()])
@@ -273,7 +268,7 @@ def build_portion(params: DelaunayParams,
     hi = float(ss[min(i_min + 1, GAP_SAMPLES - 1)])
 
     def gap_at(s: float) -> float:
-        return analyze_point(params, eval_state(params, s, quad_cfg)).gap
+        return analyze_point(params, eval_state(params, s)).gap
 
     min_gap = min(min_gap, _golden_min(gap_at, lo, hi))
 
@@ -283,27 +278,22 @@ def build_portion(params: DelaunayParams,
                                orthogonality_residual=residual)
 
 
-def violation_points(params: DelaunayParams, count: int,
-                     quad_cfg: QuadratureConfig = DEFAULT_QUADRATURE
+def violation_points(params: DelaunayParams, count: int
                      ) -> list[ViolationPoint]:
     """First `count` members of the violation sequence t_n.
 
-    t_n = (2 n pi - arccos B) / H.  Heights are advanced by the exact
-    per-period increment of z, so one long quadrature (to t_1) plus one
-    period quadrature serve every n.
+    t_n = (2 n pi - arccos B) / H, so H t_n / 2 = n pi - arccos(B) / 2 and
+    z(t_n) is the closed form's G(-arccos(B) / 2) / H plus n periods of
+    2 G(pi/2) / H each.
     """
     if params.family != UNDULOID:
         raise ValueError("the violation sequence needs an unduloid with B > 0")
     if count < 1:
         raise ValueError("count must be at least 1")
     acb = math.acos(params.B)
-    t1 = (2.0 * math.pi - acb) / params.H
-    z1 = z_of(params, t1, quad_cfg)
-    z_per_period = integrate(_dz_integrand(params), t1,
-                             t1 + 2.0 * math.pi / params.H, quad_cfg)
     n = np.arange(1, count + 1)
     t = (2.0 * math.pi * n - acb) / params.H
-    pa = analyze_point(params, profile(params, t, z1 + (n - 1) * z_per_period))
+    pa = analyze_point(params, profile(params, t, z_many(params, t)))
     return [ViolationPoint(n=k, t=tk, lambda2=l2, gap=gap)
             for k, tk, l2, gap in zip(n.tolist(), t.tolist(),
                                       pa.lambda2.tolist(), pa.gap.tolist())]
@@ -314,7 +304,7 @@ def find_n0(params: DelaunayParams) -> int:
 
     It is 1 for every unduloid: z' > 1/sqrt(2) on [pi/2, 3pi/2] / H,
     which lies inside [0, t_1], so H z(t_1) > pi/sqrt(2) > B (module
-    docstring).  No quadrature is needed.
+    docstring).  No height is evaluated.
     """
     if params.family != UNDULOID:
         raise ValueError("the violation sequence needs an unduloid with B > 0")
@@ -322,8 +312,7 @@ def find_n0(params: DelaunayParams) -> int:
 
 
 def classify(params: DelaunayParams,
-             root_cfg: RootConfig = DEFAULT_ROOT,
-             quad_cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> AnalysisReport:
+             root_cfg: RootConfig = DEFAULT_ROOT) -> AnalysisReport:
     """Full analysis of one parameter pair.
 
     Cylinders never cross a centred sphere orthogonally (u = -1/H is
@@ -338,18 +327,18 @@ def classify(params: DelaunayParams,
     if family == UNDULOID:
         s_top = s0(params)
         z_thresh = z0(params)
-        z_at_top = z_of(params, s_top, quad_cfg)
+        z_at_top = z_of(params, s_top)
         if z_at_top < z_thresh:
             return AnalysisReport(params=params,
                                   verdict=VERDICT_NO_ORTHOGONAL,
                                   s0=s_top, z0=z_thresh, z_at_s0=z_at_top)
-        portion = build_portion(params, root_cfg, quad_cfg, z_at_s0=z_at_top)
+        portion = build_portion(params, root_cfg, z_at_s0=z_at_top)
         n0 = find_n0(params)
-        violations = violation_points(params, n0 + 2, quad_cfg)
+        violations = violation_points(params, n0 + 2)
         return AnalysisReport(params=params, verdict=VERDICT_PINCHED,
                               s0=s_top, z0=z_thresh, z_at_s0=z_at_top,
                               portion=portion, violations=violations, n0=n0)
 
-    portion = build_portion(params, root_cfg, quad_cfg)
+    portion = build_portion(params, root_cfg)
     return AnalysisReport(params=params, verdict=VERDICT_PINCHED,
                           r0=nodoid_r0(params), portion=portion)

@@ -25,7 +25,6 @@ from typing import BinaryIO, Optional, Sequence
 import numpy as np
 
 from .delaunay import DelaunayParams, profile, z_many
-from .numerics import DEFAULT_QUADRATURE, QuadratureConfig
 
 
 @dataclass(frozen=True)
@@ -51,8 +50,7 @@ class TriangleMesh:
 
 
 def revolve(params: DelaunayParams, s_min: float, s_max: float,
-            n_meridian: int, n_parallel: int,
-            quad_cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> TriangleMesh:
+            n_meridian: int, n_parallel: int) -> TriangleMesh:
     """Mesh the revolved profile over [s_min, s_max].
 
     n_meridian sample rows run along the profile (including both ends),
@@ -65,7 +63,7 @@ def revolve(params: DelaunayParams, s_min: float, s_max: float,
         raise ValueError("need s_max > s_min")
 
     ss = np.linspace(s_min, s_max, n_meridian)
-    prof = profile(params, ss, z_many(params, ss, quad_cfg))
+    prof = profile(params, ss, z_many(params, ss))
 
     theta = 2.0 * math.pi * np.arange(n_parallel) / n_parallel
     ct = np.cos(theta)

@@ -7,10 +7,12 @@ below 1 passes.  Structural requirements (verdict strings, mesh
 topology) contribute ratio 0 when satisfied and infinity when not.
 
 The checks deliberately follow independent routes where the point is
-redundancy: AC14 re-integrates with a fixed-grid composite Simpson rule
-that shares no code with the adaptive integrator, AC8 compares closed
-forms against finite differences, AC16 re-parses the exported OBJ text
-rather than trusting the arrays it came from.
+redundancy: AC3 and AC14 check the closed-form height and an adaptive
+quadrature of z' side by side, AC14 against a fixed-grid composite
+Simpson rule that shares no code with either, AC8 compares closed forms
+against finite differences, AC16 re-parses the exported OBJ text rather
+than trusting the arrays it came from.  The adaptive quadrature
+(numerics.integrate, tuned by --quad-*) is used only here.
 """
 from __future__ import annotations
 
@@ -96,13 +98,11 @@ class _Context:
         return self._cache[key]
 
     def example_report(self):
-        return self._memo("example",
-                          lambda: classify(EXAMPLE, self.root, self.quad))
+        return self._memo("example", lambda: classify(EXAMPLE, self.root))
 
     def nodoid_report(self):
         return self._memo("nodoid",
-                          lambda: classify(NODOID_EXAMPLE, self.root,
-                                           self.quad))
+                          lambda: classify(NODOID_EXAMPLE, self.root))
 
     def sample_rows(self):
         """1000 random (params, state, analysis) rows over all families."""
@@ -121,7 +121,7 @@ class _Context:
                 span = min(6.0, 2.0 * math.pi / h)
                 s = float(rng.uniform(-span, span))
                 params = DelaunayParams(h, b)
-                st = eval_state(params, s, self.quad)
+                st = eval_state(params, s)
                 rows.append((params, st, analyze_point(params, st)))
             return rows
         return self._memo("samples", build)
@@ -143,10 +143,15 @@ def _check_z0_reference(ctx: _Context) -> CheckResult:
                     f"z0={val:.17g}")
 
 
+def _adaptive_z(params: DelaunayParams, s: float, ctx: _Context) -> float:
+    return integrate(_dz_integrand(params), 0.0, s, ctx.quad)
+
+
 def _check_z_at_s0_reference(ctx: _Context) -> CheckResult:
-    val = z_of(EXAMPLE, s0(EXAMPLE), ctx.quad)
+    val = z_of(EXAMPLE, s0(EXAMPLE))
     r = _Ratios()
     r.bound(val - Z_AT_S0_REF, 1e-4)
+    r.bound(_adaptive_z(EXAMPLE, s0(EXAMPLE), ctx) - Z_AT_S0_REF, 1e-4)
     return r.result("AC3", "z(s0) for (0.1, 0.9) matches 2.71697 within 1e-4",
                     f"z(s0)={val:.12g}")
 
@@ -162,9 +167,9 @@ def _check_example_portion(ctx: _Context) -> CheckResult:
     r.bound(p.orthogonality_residual, 1e-8)
     r.bound(min(p.min_gap, 0.0), 1e-8)
     for sb in (p.s_bar, -p.s_bar):
-        st = eval_state(EXAMPLE, sb, ctx.quad)
+        st = eval_state(EXAMPLE, sb)
         r.bound(analyze_point(EXAMPLE, st).gap - 2.0, 1e-6)
-    neck = eval_state(EXAMPLE, 0.0, ctx.quad)
+    neck = eval_state(EXAMPLE, 0.0)
     r.bound(analyze_point(EXAMPLE, neck).gap, 1e-10)
     return r.result(
         "AC4",
@@ -199,8 +204,8 @@ def _check_derivatives(ctx: _Context) -> CheckResult:
     h = 1e-5
     r = _Ratios()
     for params, st, _ in ctx.sample_rows():
-        plus = eval_state(params, st.s + h, ctx.quad, z=0.0)
-        minus = eval_state(params, st.s - h, ctx.quad, z=0.0)
+        plus = eval_state(params, st.s + h, z=0.0)
+        minus = eval_state(params, st.s - h, z=0.0)
         fd_dz = integrate(_dz_integrand(params), st.s - h, st.s + h,
                           ctx.quad) / (2.0 * h)
         for fd, closed in (((plus.x - minus.x) / (2.0 * h), st.dx),
@@ -218,7 +223,7 @@ def _check_neck_gap(ctx: _Context) -> CheckResult:
     for h in (0.1, 1.0):
         for b in np.linspace(0.05, 0.95, 10):
             params = DelaunayParams(h, float(b))
-            st = eval_state(params, 0.0, ctx.quad)
+            st = eval_state(params, 0.0)
             r.bound(analyze_point(params, st).gap, 1e-12)
     return r.result("AC9", "neck gap vanishes within 1e-12 on 20 unduloids")
 
@@ -228,7 +233,7 @@ def _check_cylinder(ctx: _Context) -> CheckResult:
     ss = np.linspace(-5.0, 5.0, 50)
     for h in (1.0, 0.7):
         params = DelaunayParams(h, 0.0)
-        zs = z_many(params, ss, ctx.quad)
+        zs = z_many(params, ss)
         pa = analyze_point(params, profile(params, ss, zs))
         r.bound(np.abs(pa.gap).max(), 1e-12)
         r.bound(np.abs(pa.lambda2).max(), 1e-12)
@@ -241,13 +246,13 @@ def _check_violation_sequence(ctx: _Context) -> CheckResult:
     r = _Ratios()
     n0 = find_n0(EXAMPLE)
     threshold = EXAMPLE.B / EXAMPLE.H
-    points = violation_points(EXAMPLE, n0 + 3, ctx.quad)
+    points = violation_points(EXAMPLE, n0 + 3)
     acb = math.acos(EXAMPLE.B)
     t_n0 = (2.0 * math.pi * n0 - acb) / EXAMPLE.H
-    r.require(z_of(EXAMPLE, t_n0, ctx.quad) > threshold)
+    r.require(z_of(EXAMPLE, t_n0) > threshold)
     r.require(points[n0 - 1].gap < 0.0)
     for pt in points:
-        st = eval_state(EXAMPLE, pt.t, ctx.quad)
+        st = eval_state(EXAMPLE, pt.t)
         pa = analyze_point(EXAMPLE, st)
         r.bound(pa.lambda1 - 1.0, 1e-10)
     return r.result(
@@ -263,14 +268,14 @@ def _check_dilation(ctx: _Context) -> CheckResult:
     if rep.portion is None:
         return r.result("AC12", "dilation invariance")
     p = rep.portion
-    scaled_rep = classify(p.scaled_params, ctx.root, ctx.quad)
+    scaled_rep = classify(p.scaled_params, ctx.root)
     r.require(scaled_rep.verdict == VERDICT_PINCHED
               and scaled_rep.portion is not None)
     if scaled_rep.portion is not None:
         r.bound(scaled_rep.portion.R0 - 1.0, 1e-10)
     ss = np.linspace(-p.s_bar, p.s_bar, 100)
-    z_orig = z_many(EXAMPLE, ss, ctx.quad)
-    z_scaled = z_many(p.scaled_params, ss / p.R0, ctx.quad)
+    z_orig = z_many(EXAMPLE, ss)
+    z_scaled = z_many(p.scaled_params, ss / p.R0)
     gaps = analyze_point(EXAMPLE, profile(EXAMPLE, ss, z_orig)).gap
     scaled = analyze_point(p.scaled_params,
                            profile(p.scaled_params, ss / p.R0, z_scaled)).gap
@@ -290,10 +295,10 @@ def _check_nodoid(ctx: _Context) -> CheckResult:
     rb = rep.portion.s_bar
     r_top = nodoid_r0(NODOID_EXAMPLE)
     r.require(0.0 < rb < r_top)
-    boundary = eval_state(NODOID_EXAMPLE, rb, ctx.quad)
+    boundary = eval_state(NODOID_EXAMPLE, rb)
     r.bound(g_function(boundary), 1e-10)
     ss = np.linspace(-rb, rb, 1000)
-    st = profile(NODOID_EXAMPLE, ss, z_many(NODOID_EXAMPLE, ss, ctx.quad))
+    st = profile(NODOID_EXAMPLE, ss, z_many(NODOID_EXAMPLE, ss))
     c1, c2, c3 = check_profile_conditions(st)
     r.require(bool(np.all((st.ddx > 0.0) & (st.dx * st.z <= 0.0)
                           & (c1 | c2) & c3)))
@@ -307,7 +312,7 @@ def _check_nodoid(ctx: _Context) -> CheckResult:
 
 def _composite_simpson_z(params: DelaunayParams, s: float,
                          panels: int = 10 ** 6) -> float:
-    # fixed-grid oracle, independent of numerics.integrate
+    # fixed-grid oracle, independent of the closed form and of integrate
     u = np.linspace(0.0, s, 2 * panels + 1)
     c = np.cos(params.H * u)
     vals = (1.0 - params.B * c) / np.sqrt(
@@ -321,14 +326,14 @@ def _check_quadrature_oracle(ctx: _Context) -> CheckResult:
     r = _Ratios()
     for (h, b), frozen in Z2_ORACLE_PAIRS:
         params = DelaunayParams(h, b)
-        adaptive = z_of(params, 2.0, ctx.quad)
         simpson = _composite_simpson_z(params, 2.0)
-        r.bound(adaptive - simpson, 1e-9)
+        r.bound(z_of(params, 2.0) - simpson, 1e-9)
+        r.bound(_adaptive_z(params, 2.0, ctx) - simpson, 1e-9)
         # the frozen constant guards against both routes drifting together
         r.bound(simpson - frozen, 1e-9)
     return r.result(
-        "AC14", "adaptive z(2.0) matches 1e6-panel composite Simpson "
-                "within 1e-9 on six parameter pairs")
+        "AC14", "closed-form and adaptive z(2.0) match 1e6-panel composite "
+                "Simpson within 1e-9 on six parameter pairs")
 
 
 def _check_radial_boundary(ctx: _Context) -> CheckResult:
@@ -339,7 +344,7 @@ def _check_radial_boundary(ctx: _Context) -> CheckResult:
         r.require(p is not None)
         if p is None:
             continue
-        st = eval_state(params, p.s_bar, ctx.quad)
+        st = eval_state(params, p.s_bar)
         r.bound(p.R0 * abs(st.dx) / st.x - 1.0, 1e-6)
     return r.result(
         "AC15", "the boundary circle is radial: R0 |x'(sb)| / x(sb) = 1 "
@@ -373,7 +378,7 @@ def _check_mesh_export(ctx: _Context) -> CheckResult:
         return r.result("AC16", "mesh export")
     p = rep.portion
     n_mer, n_par = 64, 64
-    m = revolve(EXAMPLE, -p.s_bar, p.s_bar, n_mer, n_par, ctx.quad)
+    m = revolve(EXAMPLE, -p.s_bar, p.s_bar, n_mer, n_par)
     sink = io.BytesIO()
     export_obj(m, sink)
     vs, vns, faces = _parse_obj(sink.getvalue().decode("ascii"))

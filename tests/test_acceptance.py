@@ -1,18 +1,17 @@
 """Acceptance gate: every verification check must pass at defaults.
 
 Each criterion gets its own parametrized test so the report shows one
-pass/fail line per check id.  The whole battery runs once per session.
+pass/fail line per check id.  The whole battery runs once per session
+(conftest.default_checks).
 """
 import pytest
-
-from cmcpinch.verify import run_checks
 
 CHECK_IDS = [f"AC{i}" for i in range(1, 17)]
 
 
 @pytest.fixture(scope="module")
-def results():
-    out = {res.check_id: res for res in run_checks()}
+def results(default_checks):
+    out = {res.check_id: res for res in default_checks}
     assert sorted(out) == sorted(CHECK_IDS)
     return out
 

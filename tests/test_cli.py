@@ -282,7 +282,7 @@ def test_mesh_without_portion_fails(tmp_path, capsys):
                     str(out_path), "--resolution", "4"], capsys)[0] == 2
 
 
-def test_verify_passes_at_defaults(capsys):
+def test_verify_passes_at_defaults(shared_verify, capsys):
     code, out, _ = run_cli(["verify"], capsys)
     assert code == 0
     assert "16/16 checks passed" in out
@@ -290,7 +290,7 @@ def test_verify_passes_at_defaults(capsys):
     assert " FAIL " not in out
 
 
-def test_verify_json_lines(capsys):
+def test_verify_json_lines(shared_verify, capsys):
     code, out, _ = run_cli(["verify", "--format", "json"], capsys)
     assert code == 0
     lines = [line for line in out.splitlines() if line.strip()]
@@ -317,7 +317,7 @@ def test_verify_env_tolerance(monkeypatch, capsys):
     assert "FAIL" in out
 
 
-def test_verify_flag_beats_env(monkeypatch, capsys):
+def test_verify_flag_beats_env(shared_verify, monkeypatch, capsys):
     monkeypatch.setenv("CMCPINCH_QUAD_ABS_TOL", "1")
     code, out, _ = run_cli(["verify", "--quad-abs-tol", "1e-10"], capsys)
     assert code == 0
@@ -334,8 +334,11 @@ def test_verify_flag_beats_env(monkeypatch, capsys):
 ])
 def test_invalid_env_tolerance_is_invalid_input(monkeypatch, capsys, name,
                                                 value, message):
+    # verify is the only reader of the CMCPINCH_QUAD_* variables
     monkeypatch.setenv("CMCPINCH_" + name, value)
-    code, out, err = run_cli(["analyze", "--H", "1", "--B", "0"], capsys)
+    argv = (["verify"] if name.startswith("QUAD_")
+            else ["analyze", "--H", "1", "--B", "0"])
+    code, out, err = run_cli(argv, capsys)
     assert code == 2
     assert out == ""
     assert err == f"error: {message}\n"
@@ -362,10 +365,11 @@ KNOB_INPUTS = {
 }
 QUAD_FLAGS = ["--quad-abs-tol", "--quad-rel-tol", "--quad-max-subdivisions"]
 ROOT_FLAGS = ["--root-x-tol", "--root-max-iterations"]
-TOLERANCE_FLAGS = {"analyze": QUAD_FLAGS + ROOT_FLAGS,
-                   "profile": QUAD_FLAGS,
-                   "scan": QUAD_FLAGS + ROOT_FLAGS,
-                   "mesh": QUAD_FLAGS + ROOT_FLAGS,
+# the adaptive quadrature is only the verify command's oracle
+TOLERANCE_FLAGS = {"analyze": ROOT_FLAGS,
+                   "profile": [],
+                   "scan": ROOT_FLAGS,
+                   "mesh": ROOT_FLAGS,
                    "verify": QUAD_FLAGS + ROOT_FLAGS}
 # a value far enough from the default to change what each command prints
 KNOB_VALUES = {"--quad-abs-tol": "1", "--quad-rel-tol": "0.1",
@@ -391,7 +395,7 @@ def test_tolerance_flags_per_command(capsys):
         listed = re.findall(r"--(?:quad|root)-[a-z-]+",
                             capsys.readouterr().out)
         assert sorted(set(listed)) == sorted(flags)
-    assert sum(map(len, TOLERANCE_FLAGS.values())) == 23
+    assert sum(map(len, TOLERANCE_FLAGS.values())) == 11
 
 
 @pytest.mark.parametrize("command,flag",
@@ -421,6 +425,39 @@ def test_unused_root_flags_are_rejected(command, flag, tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert f"unrecognized arguments: {flag} 1" in err
+
+
+@pytest.mark.parametrize("command,flag",
+                         [(c, f) for c in ("analyze", "profile", "scan",
+                                           "mesh") for f in QUAD_FLAGS])
+def test_removed_quad_flags_are_rejected(command, flag, tmp_path, capsys):
+    # the height is a closed form; no quadrature is left to tune
+    code, out, err, written = _outcome(KNOB_INPUTS[command] + [flag, "1"],
+                                       tmp_path, capsys)
+    assert code == 2
+    assert (out, written) == ("", None)
+    assert f"unrecognized arguments: {flag} 1" in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "profile", "scan", "mesh"])
+def test_quad_variables_are_not_read(command, monkeypatch, tmp_path, capsys):
+    default = _outcome(KNOB_INPUTS[command], tmp_path, capsys)
+    for name in ("ABS_TOL", "REL_TOL", "MAX_SUBDIVISIONS"):
+        monkeypatch.setenv("CMCPINCH_QUAD_" + name, "-1")
+    assert default[0] == 0
+    assert _outcome(KNOB_INPUTS[command], tmp_path, capsys) == default
+
+
+@pytest.mark.parametrize("h", ["1", "1e-4"])
+def test_analyze_near_degenerate_shape(h, capsys):
+    # |1 - B| = 1e-6: the neck is resolved, where adaptive heights failed
+    # the enclosure check (exit 3)
+    code, out, err = run_cli(
+        ["analyze", "--H", h, "--B", "0.999999", "--format", "json"], capsys)
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["verdict"] == "PinchedFreeBoundaryPortion"
+    assert report["minGap"] >= -1e-8
 
 
 @pytest.mark.parametrize("name,value", [

@@ -1,13 +1,13 @@
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
-from cmcpinch import delaunay
 from cmcpinch.delaunay import (CYLINDER, NODOID, UNDULOID, DelaunayParams,
                                GeneratrixState, _dz_integrand, eval_state,
                                profile, z_many, z_of)
-from cmcpinch.numerics import integrate
 
 
 def random_params(rng):
@@ -164,18 +164,6 @@ def test_z_many_duplicates_and_zero():
     assert zs[2] == 0.0
 
 
-def _unique_knots_z_many(params, s_values):
-    """z_many as it was with np.unique knots: the bit-level reference."""
-    s_arr = np.asarray(s_values, dtype=float)
-    knots = np.unique(np.concatenate((s_arr.ravel(), [0.0])))
-    f = _dz_integrand(params)
-    segments = np.array([integrate(f, knots[i], knots[i + 1])
-                         for i in range(len(knots) - 1)])
-    cumulative = np.concatenate(([0.0], np.cumsum(segments)))
-    z_at_knots = cumulative - cumulative[np.searchsorted(knots, 0.0)]
-    return z_at_knots[np.searchsorted(knots, s_arr)]
-
-
 @pytest.mark.parametrize("ss", [
     [0.3, -0.2, 0.0, 0.3],
     [-0.0, 0.7, 0.0, -0.0, -1.1, 0.7],
@@ -192,17 +180,47 @@ def _unique_knots_z_many(params, s_values):
                                     DelaunayParams(0.4, 0.7),
                                     DelaunayParams(2.0, 0.0)],
                          ids=["nodoid", "unduloid", "cylinder"])
-def test_z_many_knots_bit_equal_to_unique(params, ss, monkeypatch):
-    want = _unique_knots_z_many(params, ss)
-    calls = []
-    monkeypatch.setattr(delaunay, "integrate",
-                        lambda *a: calls.append(a) or integrate(*a))
+def test_z_many_equals_z_of(params, ss):
+    # one closed form on arrays and on floats: equal bit for bit, in the
+    # input's shape, across periods (|H s| up to 18) and signed zeros
     got = z_many(params, ss)
-    assert got.shape == want.shape
-    assert got.tobytes() == want.tobytes()
-    # one segment integral per gap between distinct knots
-    n_knots = len(np.unique(np.concatenate((np.ravel(ss), [0.0]))))
-    assert len(calls) == n_knots - 1
+    flat = np.ravel(np.asarray(ss, dtype=float))
+    assert got.shape == np.shape(ss)
+    assert got.ravel().tolist() == [z_of(params, s) for s in flat.tolist()]
+
+
+KERNEL = json.loads((pathlib.Path(__file__).parent / "golden"
+                     / "reference.json").read_text())["kernel"]
+
+
+@pytest.mark.parametrize("case", KERNEL["cases"],
+                         ids=[c["B"] for c in KERNEL["cases"]])
+def test_closed_form_height_matches_mpmath(case):
+    # exact heights (tests/oracle/make_reference.py) at 10 arc lengths
+    # from -7.5 to 40, several periods, for B from 1e-9 to 1e12
+    params = DelaunayParams(float(KERNEL["H"]), float(case["B"]))
+    ss = np.array([float(s) for s in KERNEL["s"]])
+    exact = np.array([float(z) for z in case["z"]])
+    got = z_many(params, ss)
+    # z' is a unit-vector component, so |z| <= |s|: the relative error is
+    # taken against |s| where z itself passes through 0 (nodoids)
+    scale = np.maximum(np.abs(exact), np.abs(ss))
+    assert np.all(np.abs(got - exact) <= 1e-14 * scale), got - exact
+    assert got.tolist() == [z_of(params, s) for s in ss.tolist()]
+
+
+@pytest.mark.parametrize("b", [1.0 - 1e-9, 1.0 + 1e-9, 1.0 - 2.0 ** -52,
+                               1.0 + 2.0 ** -52])
+def test_near_degenerate_shape_has_finite_neck(b):
+    # 1 + B^2 - 2 B cos(Hs) used to round to 0 at s = 0 and divide by it
+    params = DelaunayParams(1.0, b)
+    st = eval_state(params, 0.0)
+    assert st.x == abs(1.0 - b)
+    assert st.dz == math.copysign(1.0, 1.0 - b)
+    ss = np.linspace(-1e-6, 1e-6, 101)
+    st = profile(params, ss, z_many(params, ss))
+    assert np.all(np.isfinite([st.x, st.z, st.dx, st.dz, st.ddx, st.ddz]))
+    assert np.all(st.x > 0.0)
 
 
 def test_profile_arrays_match_eval_state_and_integrand():
@@ -218,7 +236,7 @@ def test_profile_arrays_match_eval_state_and_integrand():
             assert one == GeneratrixState(
                 *(float(getattr(st, k)[i])
                   for k in ("s", "x", "z", "dx", "dz", "ddx", "ddz")))
-            # the quadrature integrand is the same z', bit for bit
+            # the oracle quadrature's integrand is the same z', bit for bit
             assert f(float(ss[i])) == st.dz[i]
 
 

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from cmcpinch.curvature import analyze_point, support_function
-from cmcpinch.delaunay import (DelaunayParams, GeneratrixState, eval_state,
-                               z_many, z_of)
-from cmcpinch.numerics import DEFAULT_QUADRATURE, QuadratureConfig
+from cmcpinch.delaunay import (DelaunayParams, GeneratrixState, _dz_integrand,
+                               eval_state, z_many, z_of)
+from cmcpinch.numerics import DEFAULT_QUADRATURE, QuadratureConfig, integrate
 from cmcpinch import freeboundary
 from cmcpinch.freeboundary import (VERDICT_CYLINDER, VERDICT_NO_ORTHOGONAL,
                                    VERDICT_PINCHED, EnclosureError,
@@ -249,9 +249,9 @@ def test_enclosure_error_names_first_sample_outside(monkeypatch,
                                                    example_portion):
     true_z_many = freeboundary.z_many
 
-    def lifted(params, ss, cfg):
+    def lifted(params, ss):
         # push every sample past s = 0.5 far above the ball
-        return true_z_many(params, ss, cfg) + np.where(ss > 0.5, 100.0, 0.0)
+        return true_z_many(params, ss) + np.where(ss > 0.5, 100.0, 0.0)
 
     monkeypatch.setattr(freeboundary, "z_many", lifted)
     sb = example_portion.s_bar
@@ -370,8 +370,9 @@ def test_find_n0_marks_first_negative_gap():
     QuadratureConfig(abs_tol=1.0, rel_tol=1e-2, max_subdivisions=1)])
 def test_first_violation_height_clears_threshold(quad_cfg):
     # find_n0 returns 1 because H z(t_1) >= pi/sqrt(2) > 1 > B; check
-    # the bound on computed heights over many decades of H, B up to
-    # 1 - 1e-7, and at loose quadrature
+    # the bound on the closed-form height over many decades of H, B up to
+    # 1 - 1e-7, and on the adaptive oracle integral, also at loose
+    # quadrature
     rng = np.random.default_rng(3)
     cases = [(1.0, 1e-12), (1.0, 1.0 - 1e-7), (1e-6, 0.5), (1e6, 0.5)]
     cases += [(10.0 ** rng.uniform(-6.0, 6.0),
@@ -379,9 +380,10 @@ def test_first_violation_height_clears_threshold(quad_cfg):
     for h, b in cases:
         params = DelaunayParams(h, b)
         t1 = (2.0 * math.pi - math.acos(b)) / h
-        z1 = z_of(params, t1, quad_cfg)
-        assert h * z1 >= math.pi / math.sqrt(2.0), (h, b)
-        assert z1 > b / h
+        adaptive = integrate(_dz_integrand(params), 0.0, t1, quad_cfg)
+        for z1 in (z_of(params, t1), adaptive):
+            assert h * z1 >= math.pi / math.sqrt(2.0), (h, b)
+            assert z1 > b / h
 
 
 def test_pinched_reports_violate_from_n_equals_one():
@@ -452,3 +454,15 @@ def test_verdict_depends_only_on_shape():
         assert classify(
             DelaunayParams(h, 0.7)).verdict == VERDICT_NO_ORTHOGONAL
         assert classify(DelaunayParams(h, 0.8)).verdict == VERDICT_PINCHED
+
+
+@pytest.mark.parametrize("h", [1.0, 1e-4])
+@pytest.mark.parametrize("b", [1.0 - 1e-6, 1.0 + 1e-6, 1.0 - 1e-9,
+                               1.0 + 1e-9])
+def test_near_degenerate_shapes_are_pinched(h, b):
+    # |1 - B| down to 1e-9: the neck is resolved, no ZeroDivisionError or
+    # EnclosureError, and the gap stays nonnegative up to rounding
+    rep = classify(DelaunayParams(h, b))
+    assert rep.verdict == VERDICT_PINCHED
+    assert rep.portion.min_gap >= -1e-8
+    assert 0.0 < rep.portion.s_bar

@@ -63,7 +63,7 @@ def test_profile_stdout_matches_golden(name, argv, tail, capsys):
     assert captured.out.encode("ascii") == (GOLDEN_DIR / name).read_bytes()
 
 
-def test_verify_json_matches_golden(capsys):
+def test_verify_json_matches_golden(shared_verify, capsys):
     assert main(["verify", "--format", "json"]) == 0
     got = capsys.readouterr().out.encode("ascii")
     assert got == (GOLDEN_DIR / "verify.jsonl").read_bytes()
