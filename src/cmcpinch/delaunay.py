@@ -114,20 +114,14 @@ def _dz_integrand(params: DelaunayParams):
     return f
 
 
-# relative truncation error r of Carlson's series (DLMF 19.36.1-2): the
-# duplication loop runs until 4^-n Q < A_n, with Q = (3r)^(-1/6) times the
+# Carlson's series is accurate to r = 2^-53 (DLMF 19.36.1-2) once the
+# duplication loop reaches 4^-n Q < A_n, with Q = (3r)^(-1/6) times the
 # spread of the arguments about A_0 for R_F and (r/4)^(-1/6) for R_D
-_R = 2.0 ** -53
-_QF = (3.0 * _R) ** (-1.0 / 6.0)
-_QD = (0.25 * _R) ** (-1.0 / 6.0)
-
-
-def _pick(cond, a, b):
-    return a if cond else b
-
-
-# (sqrt, sin, cos, any, where) for a float and for arrays
-_FLOAT_OPS = (math.sqrt, math.sin, math.cos, bool, _pick)
+_QF = (3.0 * 2.0 ** -53) ** (-1.0 / 6.0)
+_QD = (0.25 * 2.0 ** -53) ** (-1.0 / 6.0)
+# (sqrt, sin, cos, any, where) on one float and on arrays
+_FLOAT_OPS = (math.sqrt, math.sin, math.cos, bool,
+              lambda cond, a, b: a if cond else b)
 _ARRAY_OPS = (np.sqrt, np.sin, np.cos, np.any, np.where)
 
 

@@ -127,19 +127,15 @@ def _g_of_s(params: DelaunayParams):
 
 
 def find_sbar(params: DelaunayParams,
-              root_cfg: RootConfig = DEFAULT_ROOT,
-              *, z_at_s0: Optional[float] = None) -> float:
+              root_cfg: RootConfig = DEFAULT_ROOT) -> float:
     """Orthogonal-crossing arc length sb in (0, s0] for an unduloid.
 
     Raises NoRootError when z(s0) < z0, which is exactly the case g > 0
     throughout (0, s0].  The root search runs to bracket collapse, so
-    sb carries x_tol accuracy; downstream radii inherit it.  A caller
-    that already has z(s0) passes it as z_at_s0.
+    sb carries x_tol accuracy; downstream radii inherit it.
     """
     s_top = s0(params)
-    if z_at_s0 is None:
-        z_at_s0 = z_of(params, s_top)
-    if z_at_s0 < z0(params):
+    if z_of(params, s_top) < z0(params):
         raise NoRootError(
             "no orthogonal sphere crossing: z(s0) < (1 - B^2)/(H B)")
     return find_root(_g_of_s(params), 0.0, s_top, root_cfg)
@@ -219,16 +215,15 @@ def _golden_min(fun, lo: float, hi: float) -> float:
     return best
 
 
-def _find_crossing(params: DelaunayParams, root_cfg: RootConfig,
-                   z_at_s0: Optional[float] = None
+def _find_crossing(params: DelaunayParams, root_cfg: RootConfig
                    ) -> tuple[GeneratrixState, float]:
     """Boundary state at the orthogonal crossing (its s is sb), and R0.
 
-    Raises NoRootError where there is none; z_at_s0 goes to find_sbar.
+    Raises NoRootError where there is none.
     """
     family = params.family
     if family == UNDULOID:
-        sb = find_sbar(params, root_cfg, z_at_s0=z_at_s0)
+        sb = find_sbar(params, root_cfg)
     elif family == NODOID:
         sb = nodoid_find_rbar(params, root_cfg)
     else:
@@ -239,17 +234,16 @@ def _find_crossing(params: DelaunayParams, root_cfg: RootConfig,
 
 
 def build_portion(params: DelaunayParams,
-                  root_cfg: RootConfig = DEFAULT_ROOT,
-                  *, z_at_s0: Optional[float] = None) -> FreeBoundaryPortion:
+                  root_cfg: RootConfig = DEFAULT_ROOT) -> FreeBoundaryPortion:
     """Locate the crossing, measure R0, and scan the gap over the portion.
 
     The gap is sampled on a uniform grid of GAP_SAMPLES points over
     [-sb, sb], then refined around the grid minimum by golden section.
     Every sample is checked to lie inside the ball of radius R0 (1e-9
     relative tolerance); a point outside raises EnclosureError since the
-    construction guarantees containment.  z_at_s0 goes to find_sbar.
+    construction guarantees containment.
     """
-    boundary, r0 = _find_crossing(params, root_cfg, z_at_s0)
+    boundary, r0 = _find_crossing(params, root_cfg)
     sb = boundary.s
     residual = abs(support_function(boundary))
 
@@ -332,7 +326,7 @@ def classify(params: DelaunayParams,
             return AnalysisReport(params=params,
                                   verdict=VERDICT_NO_ORTHOGONAL,
                                   s0=s_top, z0=z_thresh, z_at_s0=z_at_top)
-        portion = build_portion(params, root_cfg, z_at_s0=z_at_top)
+        portion = build_portion(params, root_cfg)
         n0 = find_n0(params)
         violations = violation_points(params, n0 + 2)
         return AnalysisReport(params=params, verdict=VERDICT_PINCHED,

@@ -1,16 +1,19 @@
 """Scalar quadrature and root finding.
 
-Two kernels used everywhere else in the package:
+Two kernels:
 
-* ``integrate``: globally adaptive Simpson quadrature.  The interval is
-  covered by three-point Gauss-Lobatto (Simpson) panels; each panel
-  carries a Richardson error estimate from comparing one against two
-  Simpson applications, the worst panel is split first, and the loop
-  stops once the summed estimate meets ``max(abs_tol, rel_tol * |I|)``.
-* ``find_root``: bracketed scalar root finding, bisection with a secant
-  acceleration step whenever the secant point falls inside the current
-  bracket and keeps shrinking it.  It stops only on an exact zero of f or
-  once the bracket is at most ``x_tol`` wide; there is no residual test.
+* ``integrate``: globally adaptive Simpson quadrature, used only as the
+  verify battery's oracle for the closed-form height (AC3, AC8, AC14);
+  no other path integrates.  The interval is covered by three-point
+  Gauss-Lobatto (Simpson) panels; each panel carries a Richardson error
+  estimate from comparing one against two Simpson applications, the
+  worst panel is split first, and the loop stops once the summed
+  estimate meets ``max(abs_tol, rel_tol * |I|)``.
+* ``find_root``: bracketed scalar root finding (the orthogonal crossing
+  of every portion), bisection with a secant acceleration step whenever
+  the secant point falls inside the current bracket and keeps shrinking
+  it.  It stops only on an exact zero of f or once the bracket is at
+  most ``x_tol`` wide; there is no residual test.
 
 Both are plain Python on purpose: the rest of the package needs exact
 control over the termination semantics (subdivision budget errors, the
