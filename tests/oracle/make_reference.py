@@ -10,7 +10,9 @@ mpmath at 50 digits from the definitions, independently of the package:
   sharp there when B is near 1), and cross-checked against the Carlson
   form built from mpmath's own elliprf/elliprd;
 * sBar (and the nodoid's rb) is solved as the zero of the support
-  function u = x' z - x z' in mpmath, and R0 = |(x, z)| there;
+  function u = x' z - x z' in mpmath, starting from the printed value,
+  and R0 = |(x, z)| there; which scan rows have a portion is decided by
+  the dichotomy z(s0) >= z0 in mpmath and checked against the golden;
 * minGap and orthogonalityResidual are exactly 0: u(sBar) = 0 by
   definition, the gap is 0 at the neck s = 0, and the script asserts
   that it is nonnegative on a grid over the portion.
@@ -101,11 +103,11 @@ class Surface:
         k = mp.nint(theta / mp.pi)
         return (G(theta - k * mp.pi) + 2 * k * G(mp.pi / 2)) / self.H
 
-    def state(self, s, z=None) -> dict:
+    def state(self, s) -> dict:
         """x, x', z, z', x'', z'' and the curvature quantities at s."""
         H, B = self.H, self.B
         s = mp.mpf(s)
-        z = self.z(s) if z is None else z
+        z = self.z(s)
         c, q = self._parts(s)
         sn = mp.sin(H * s)
         rq = mp.sqrt(q)
@@ -214,8 +216,12 @@ def scan_reference(flags: dict, golden: str) -> list:
         surf = Surface(h, b)
         row = [_text(surf.H), _text(surf.B), None, None, None, None, None,
                None]
-        if 0.0 < b < 1.0:
-            row[4] = _text(surf.z(surf.s0()) - surf.z0())
+        margin = surf.z(surf.s0()) - surf.z0() if 0.0 < b < 1.0 else None
+        # the dichotomy, decided here: a portion exists for every nodoid
+        # and for the unduloids with z(s0) >= z0
+        assert bool(cells[5]) == (b > 1.0 or (margin is not None
+                                               and margin >= 0)), cells
+        row[4] = _text(margin)
         if cells[5]:
             p = surf.portion(float(cells[5]))
             row[5:] = [_text(p["sBar"]), _text(p["R0"]), _text(p["minGap"])]
