@@ -442,9 +442,9 @@ def test_removed_quad_flags_are_rejected(command, flag, tmp_path, capsys):
 @pytest.mark.parametrize("command", ["analyze", "profile", "scan", "mesh"])
 def test_quad_variables_are_not_read(command, monkeypatch, tmp_path, capsys):
     default = _outcome(KNOB_INPUTS[command], tmp_path, capsys)
+    assert default[0] == 0
     for name in ("ABS_TOL", "REL_TOL", "MAX_SUBDIVISIONS"):
         monkeypatch.setenv("CMCPINCH_QUAD_" + name, "-1")
-    assert default[0] == 0
     assert _outcome(KNOB_INPUTS[command], tmp_path, capsys) == default
 
 

@@ -1,9 +1,11 @@
 """Byte-exact CLI outputs against frozen reference files.
 
-The files under golden/ were written by the CLI itself.  Any change to
-the numbers it computes or to the way it formats them shows here as a
-byte difference, so a refactor that claims to keep outputs unchanged
-must pass these tests without touching the files.
+The output files under golden/ were written by the CLI itself.  Any
+change to the numbers it computes or to the way it formats them shows
+here as a byte difference, so a refactor that claims to keep outputs
+unchanged must pass these tests without touching the files; a change
+that moves digits is judged against golden/reference.json, the exact
+values (test_reference.py).
 """
 import pathlib
 
