@@ -208,7 +208,8 @@ def _height(params: DelaunayParams, s):
     g = _carlson_g(B, sin(r), cos(r), ops)
     if any_(k):
         g = g + 2.0 * k * _carlson_g(B, 1.0, 0.0, _FLOAT_OPS)
-    return g / params.H
+    # + 0.0 makes z(-0) = +0, the empty integral, on every family
+    return g / params.H + 0.0
 
 
 def z_of(params: DelaunayParams, s: float) -> float:

@@ -371,6 +371,9 @@ TOLERANCE_FLAGS = {"analyze": ROOT_FLAGS,
                    "scan": ROOT_FLAGS,
                    "mesh": ROOT_FLAGS,
                    "verify": QUAD_FLAGS + ROOT_FLAGS}
+# flags a command no longer takes: each must be refused, not ignored
+REMOVED_FLAGS = {c: QUAD_FLAGS for c in ("analyze", "profile", "scan",
+                                         "mesh")}
 # a value far enough from the default to change what each command prints
 KNOB_VALUES = {"--quad-abs-tol": "1", "--quad-rel-tol": "0.1",
                "--quad-max-subdivisions": "1", "--root-x-tol": "1",
@@ -399,11 +402,21 @@ def test_tolerance_flags_per_command(capsys):
 
 
 @pytest.mark.parametrize("command,flag",
-                         [(c, f) for c, fs in TOLERANCE_FLAGS.items()
-                          for f in fs])
+                         [(c, f) for table in (TOLERANCE_FLAGS, REMOVED_FLAGS)
+                          for c, fs in table.items() for f in fs])
 def test_every_tolerance_flag_changes_output(command, flag, tmp_path,
                                              capsys):
     argv = KNOB_INPUTS[command]
+    if flag in REMOVED_FLAGS.get(command, ()):
+        # the height is a closed form; no quadrature is left to tune, so
+        # the flag is a usage error that prints and writes nothing
+        value = KNOB_VALUES[flag]
+        code, out, err, written = _outcome(argv + [flag, value], tmp_path,
+                                           capsys)
+        assert code == 2
+        assert (out, written) == ("", None)
+        assert f"unrecognized arguments: {flag} {value}" in err
+        return
     if command == "verify":
         # the default run is pinned by tests/test_golden_outputs.py
         default = (0, (GOLDEN_DIR / "verify.jsonl").read_text(), "", None)
@@ -424,18 +437,6 @@ def test_unused_root_flags_are_rejected(command, flag, tmp_path, capsys):
                                  tmp_path, capsys)
     assert code == 2
     assert out == ""
-    assert f"unrecognized arguments: {flag} 1" in err
-
-
-@pytest.mark.parametrize("command,flag",
-                         [(c, f) for c in ("analyze", "profile", "scan",
-                                           "mesh") for f in QUAD_FLAGS])
-def test_removed_quad_flags_are_rejected(command, flag, tmp_path, capsys):
-    # the height is a closed form; no quadrature is left to tune
-    code, out, err, written = _outcome(KNOB_INPUTS[command] + [flag, "1"],
-                                       tmp_path, capsys)
-    assert code == 2
-    assert (out, written) == ("", None)
     assert f"unrecognized arguments: {flag} 1" in err
 
 

@@ -164,6 +164,13 @@ def test_z_many_duplicates_and_zero():
     assert zs[2] == 0.0
 
 
+def _unique_knots_z_many(params, s_values):
+    """z at the distinct knots (0 included), scattered back to s_values."""
+    s_arr = np.asarray(s_values, dtype=float)
+    knots = np.unique(np.concatenate((s_arr.ravel(), [0.0])))
+    return z_many(params, knots)[np.searchsorted(knots, s_arr)]
+
+
 @pytest.mark.parametrize("ss", [
     [0.3, -0.2, 0.0, 0.3],
     [-0.0, 0.7, 0.0, -0.0, -1.1, 0.7],
@@ -180,12 +187,15 @@ def test_z_many_duplicates_and_zero():
                                     DelaunayParams(0.4, 0.7),
                                     DelaunayParams(2.0, 0.0)],
                          ids=["nodoid", "unduloid", "cylinder"])
-def test_z_many_equals_z_of(params, ss):
+def test_z_many_knots_bit_equal_to_unique(params, ss):
     # one closed form on arrays and on floats: equal bit for bit, in the
-    # input's shape, across periods (|H s| up to 18) and signed zeros
+    # input's shape, across periods (|H s| up to 18); a duplicate or a
+    # signed zero gets the bits of its distinct knot, and z(-0) is +0
+    want = _unique_knots_z_many(params, ss)
     got = z_many(params, ss)
+    assert got.shape == want.shape == np.shape(ss)
+    assert got.tobytes() == want.tobytes()
     flat = np.ravel(np.asarray(ss, dtype=float))
-    assert got.shape == np.shape(ss)
     assert got.ravel().tolist() == [z_of(params, s) for s in flat.tolist()]
 
 
