@@ -15,7 +15,8 @@ import sys
 TESTS = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(TESTS))
 
-from test_reference import GOLDENS, allowed, golden_cells  # noqa: E402
+from test_reference import (GOLDENS, allowed, golden_cells,  # noqa: E402
+                            printed_digits)
 
 
 def main(argv: list[str]) -> int:
@@ -30,7 +31,7 @@ def main(argv: list[str]) -> int:
             ref = float(exact)
             err_old = abs(float(before) - ref)
             err_new = abs(float(after) - ref)
-            bound = allowed(ref)
+            bound = allowed(ref, printed_digits(name))
             outside += err_new > bound
             if before == after and err_new <= bound:
                 continue

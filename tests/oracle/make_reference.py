@@ -15,10 +15,17 @@ mpmath at 50 digits from the definitions, independently of the package:
   the dichotomy z(s0) >= z0 in mpmath and checked against the golden;
 * minGap and orthogonalityResidual are exactly 0: u(sBar) = 0 by
   definition, the gap is 0 at the neck s = 0, and the script asserts
-  that it is nonnegative on a grid over the portion.
+  that it is nonnegative on a grid over the portion;
+* the mesh golden's v and vn records are the exact mesh: the profile at
+  n equally spaced arc lengths over [-sBar, sBar] (sBar bracketed below
+  s0 by bisection, then solved as above) revolved at the angles
+  2 pi j / n, and the sphere of the exact radius R0 at the latitudes
+  pi k / (n / 2); its normals are the unit position vectors.
 
 The inputs are those the CLI used: the float values of H, B and of the
-np.linspace sample grids, read from tests/test_golden_outputs.py.  Each
+np.linspace sample grids, read from tests/test_golden_outputs.py.  The
+mesh's arc lengths and angles are not inputs but derived values, so
+they are taken exactly.  Each
 value is written with 25 significant digits; the test that reads the
 file (tests/test_reference.py) needs neither mpmath nor this script.
 The "kernel" section holds z at 10 arc lengths for each of 11 shape
@@ -146,6 +153,24 @@ class Surface:
                 "sBarScaled": sb / R0, "minGap": mp.mpf(0),
                 "orthogonalityResidual": mp.mpf(0)}
 
+    def first_crossing(self) -> mp.mpf:
+        """The unduloid's crossing in (0, s0], which needs no guess.
+
+        u = -x < 0 at the neck and u = -z' g >= 0 at s0 when a portion
+        exists; bisection brackets the zero to about 1e-15 and crossing()
+        solves it to full precision.
+        """
+        assert 0 < self.B < 1
+        lo, hi = mp.mpf(0), self.s0()
+        assert self.state(hi)["u"] >= 0
+        for _ in range(50):
+            mid = (lo + hi) / 2
+            if self.state(mid)["u"] < 0:
+                lo = mid
+            else:
+                hi = mid
+        return self.crossing(float((lo + hi) / 2))
+
     # unduloid dichotomy
     def s0(self):
         return mp.acos(self.B) / self.H
@@ -229,6 +254,38 @@ def scan_reference(flags: dict, golden: str) -> list:
     return rows
 
 
+def mesh_reference(flags: dict) -> dict:
+    """Exact v and vn rows of the portion and sphere objects, by object."""
+    surf = Surface(float(flags["--H"]), float(flags["--B"]))
+    n = int(flags["--resolution"])
+    assert "--include-sphere" in flags
+    sb = surf.first_crossing()
+    # cos and sin of 2 pi j / n, exact zeros included
+    ring = [(mp.cospi(mp.mpf(2 * j) / n), mp.sinpi(mp.mpf(2 * j) / n))
+            for j in range(n)]
+    verts, normals = [], []
+    for i in range(n):
+        st = surf.state(-sb + 2 * sb * i / (n - 1))
+        for c, s in ring:
+            verts.append([st["x"] * c, st["x"] * s, st["z"]])
+            normals.append([-st["dz"] * c, -st["dz"] * s, st["dx"]])
+    st = surf.state(sb)
+    R0 = mp.sqrt(st["x"] ** 2 + st["z"] ** 2)
+    n_lat = max(n // 2, 2)
+    units = [[0, 0, mp.mpf(1)]]
+    for k in range(1, n_lat):
+        sp, cp = mp.sinpi(mp.mpf(k) / n_lat), mp.cospi(mp.mpf(k) / n_lat)
+        units.extend([sp * c, sp * s, cp] for c, s in ring)
+    units.append([0, 0, mp.mpf(-1)])
+
+    def rows(table):
+        return [[_text(mp.mpf(v)) for v in row] for row in table]
+
+    return {"portion": {"v": rows(verts), "vn": rows(normals)},
+            "sphere": {"v": rows([[R0 * v for v in row] for row in units]),
+                       "vn": rows(units)}}
+
+
 def kernel_reference() -> dict:
     cases = []
     for b in KERNEL_B:
@@ -266,6 +323,8 @@ def main() -> int:
             files[name] = profile_reference(flags)
         elif argv[0] == "scan":
             files[name] = scan_reference(flags, golden)
+        elif argv[0] == "mesh":
+            files[name] = mesh_reference(flags)
     data = {"digits": mp.mp.dps, "files": files, "kernel": kernel_reference()}
     OUTPUT.write_text(json.dumps(data, indent=1) + "\n")
     return 0

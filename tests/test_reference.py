@@ -1,17 +1,19 @@
 """Golden numbers against their exact values.
 
 tests/golden/reference.json holds the exact value of every numeric cell
-of the analyze, profile and scan goldens, at the inputs the CLI used
-(mpmath at 50 digits; tests/oracle/make_reference.py writes it).  The
+of the analyze, profile and scan goldens, at the inputs the CLI used,
+and of every v and vn component of the mesh golden (mpmath at 50
+digits; tests/oracle/make_reference.py writes it).  The
 byte tests in test_golden_outputs.py say that the output did not change;
 these say how far each printed number is from the truth, so a change
 that moves a last digit can be told from a regression.
 
-A cell passes within 4 units in the 12th significant digit of its
-reference (the output has 12 digits, so this allows 3.5 units of error
-beyond the rounding of the print), or within ABS_FLOOR: exact zeros (the
-minimum gap, the neck gap, the orthogonality residual) and near-zero
-cells where O(1) terms cancel are judged by the floor instead.
+A cell passes within 4 units in the last printed significant digit of
+its reference, the 12th (the OBJ's 9th), which allows 3.5 units of error
+beyond the rounding of the print, or within ABS_FLOOR: exact zeros (the
+minimum gap, the neck gap, the orthogonality residual, a mesh coordinate
+at a right angle) and near-zero cells where O(1) terms cancel are judged
+by the floor instead.
 """
 import json
 import math
@@ -26,11 +28,16 @@ ABS_FLOOR = 1e-12
 UNITS = 4
 
 
-def allowed(ref: float) -> float:
-    """4 units in the 12th significant digit of ref, at least ABS_FLOOR."""
+def printed_digits(name: str) -> int:
+    """Significant digits of the golden's numbers (mesh.py prints 9)."""
+    return 9 if name.endswith(".obj") else 12
+
+
+def allowed(ref: float, digits: int = 12) -> float:
+    """4 units in the last printed digit of ref, at least ABS_FLOOR."""
     if ref == 0.0:
         return ABS_FLOOR
-    unit = 10.0 ** (math.floor(math.log10(abs(ref))) - 11)
+    unit = 10.0 ** (math.floor(math.log10(abs(ref))) - (digits - 1))
     return max(UNITS * unit, ABS_FLOOR)
 
 
@@ -64,6 +71,21 @@ def golden_cells(name: str, text: str):
                                                ref.get("violations", []))):
             for key in ("t", "lambda2", "gap"):
                 yield f"violations[{i}].{key}", repr(row[key]), ref_row[key]
+    elif name.endswith(".obj"):
+        obj, rows = None, {}
+        for line in text.splitlines():
+            tag, _, rest = line.partition(" ")
+            if tag == "o":
+                obj = rest
+                rows.update({(obj, "v"): 0, (obj, "vn"): 0})
+            elif tag in ("v", "vn"):
+                i = rows[obj, tag]
+                rows[obj, tag] += 1
+                for axis, cell, exact in zip("xyz", rest.split(" "),
+                                             ref[obj][tag][i]):
+                    yield f"{obj} {tag}[{i}].{axis}", cell, exact
+        assert rows == {(o, tag): len(table) for o, tables in ref.items()
+                        for tag, table in tables.items()}
     elif name.endswith(".txt"):
         pairs = [line.split(": ", 1) for line in text.splitlines()
                  if ": " in line and not line.startswith(" ")]
@@ -86,7 +108,7 @@ GOLDENS = sorted(REFERENCE["files"])
 
 def test_reference_covers_the_numeric_goldens():
     numeric = {p.name for p in GOLDEN_DIR.iterdir()
-               if p.suffix in (".json", ".txt", ".csv")
+               if p.suffix in (".json", ".txt", ".csv", ".obj")
                and p.name != "reference.json"}
     assert set(GOLDENS) == numeric
 
@@ -94,10 +116,11 @@ def test_reference_covers_the_numeric_goldens():
 @pytest.mark.parametrize("name", GOLDENS)
 def test_golden_cells_within_reference_bound(name):
     text = (GOLDEN_DIR / name).read_text()
+    digits = printed_digits(name)
     checked = 0
     for where, printed, exact in golden_cells(name, text):
         ref = float(exact)
-        assert abs(float(printed) - ref) <= allowed(ref), (
+        assert abs(float(printed) - ref) <= allowed(ref, digits), (
             f"{name} {where}: {printed} vs exact {exact}")
         checked += 1
     assert checked > 0
