@@ -182,6 +182,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
         raise ValueError("need at least one step in each direction")
     hs = np.linspace(args.H_min, args.H_max, args.H_steps)
     bs = np.linspace(args.B_min, args.B_max, args.B_steps)
+    # the H = 1 report of each B, classified once for this scan
+    shapes: dict[float, AnalysisReport] = {}
     with _open_output(args.output) as out:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(SCAN_COLUMNS)
@@ -194,7 +196,11 @@ def cmd_scan(args: argparse.Namespace) -> int:
                     writer.writerow(row + ["", VERDICT_INVALID,
                                            "", "", "", ""])
                     continue
-                rep = classify(params, root)
+                unit = shapes.get(params.B)
+                if unit is None:
+                    unit = shapes[params.B] = classify(
+                        DelaunayParams(1.0, params.B), root)
+                rep = unit.at(params.H)
                 dichotomy = ""
                 if rep.z_at_s0 is not None and rep.z0 is not None:
                     dichotomy = _fmt(rep.z_at_s0 - rep.z0)
@@ -212,9 +218,8 @@ def cmd_mesh(args: argparse.Namespace) -> int:
     params = DelaunayParams(args.H, args.B)
     if args.resolution < 8:
         raise ValueError("mesh resolution must be at least 8")
-    boundary, r0 = _find_crossing(params, root)
-    portion_mesh = revolve(params, -boundary.s, boundary.s, args.resolution,
-                           args.resolution)
+    sb, r0, _ = _find_crossing(params, root)
+    portion_mesh = revolve(params, -sb, sb, args.resolution, args.resolution)
     objects = [("portion", portion_mesh)]
     if args.include_sphere:
         objects.append(("sphere", sphere(r0, max(args.resolution // 2, 2),

@@ -18,12 +18,22 @@ derived from these:
     gap = (2 + (k1 + k2) u)^2 / 2 - phi_sq u^2 = 2 lambda1 lambda2
         the pinching quantity; gap >= 0 is the pinching inequality
 
+The gap is computed as the product 2 lambda1 lambda2, with lambda2 in
+the factored form x' (x x' + z z') / x, which is 1 + k2 u once
+x'^2 + z'^2 = 1 is used.  x x' + z z' = (|position|^2 / 2)', and on a
+portion both of its terms and x' have the sign of s, so lambda2 >= 0
+there with no cancellation.  The difference form loses every digit
+when its O(B^2) terms cancel (B = 1e12 gave a gap of -2e8 where the
+true minimum is about 2.85); the verify battery's AC5 keeps it as the
+identity it checks.
+
 A sphere of radius rho tangent from inside has k1 = k2 = 1/rho and
 u = -rho, which gives gap = 0: spheres sit exactly on the equality case.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -57,24 +67,27 @@ def support_function(st: GeneratrixState) -> float:
     return st.dx * st.z - st.x * st.dz
 
 
-def assemble_analysis(s: float, k1: float, k2: float, u: float) -> PointAnalysis:
+def assemble_analysis(s: float, k1: float, k2: float, u: float,
+                      lambda2: Optional[float] = None) -> PointAnalysis:
     """Build a PointAnalysis from raw curvatures and support value.
 
     Split out from analyze_point so non-Delaunay configurations (for
     example a sphere with k1 = k2 = 1/rho, u = -rho) can be fed through
-    the same gap arithmetic.
+    the same gap arithmetic.  lambda2 defaults to 1 + k2 u; analyze_point
+    passes the factored form.
     """
     mean_curv = k1 + k2
     lambda1 = 1.0 + k1 * u
-    lambda2 = 1.0 + k2 * u
+    if lambda2 is None:
+        lambda2 = 1.0 + k2 * u
     # float_power calls C pow as float ** does; ** on arrays multiplies,
-    # which differs in the last bit for ~1 argument in 1000 and, through
-    # the cancellation in gap, would split array and scalar gaps
+    # which differs in the last bit for ~1 argument in 1000 and would
+    # split array and scalar phi_sq
     phi_sq = 0.5 * np.float_power(k1 - k2, 2.0)
-    gap = 0.5 * np.float_power(2.0 + mean_curv * u, 2.0) - phi_sq * u * u
     return PointAnalysis(s=s, k1=k1, k2=k2, mean_curv=mean_curv, support=u,
                          lambda1=lambda1, lambda2=lambda2,
-                         trace_sum=lambda1 + lambda2, phi_sq=phi_sq, gap=gap)
+                         trace_sum=lambda1 + lambda2, phi_sq=phi_sq,
+                         gap=2.0 * lambda1 * lambda2)
 
 
 def analyze_point(params: DelaunayParams, st: GeneratrixState) -> PointAnalysis:
@@ -84,4 +97,5 @@ def analyze_point(params: DelaunayParams, st: GeneratrixState) -> PointAnalysis:
     reproduces params.H up to rounding.
     """
     k1, k2 = principal_curvatures(st)
-    return assemble_analysis(st.s, k1, k2, support_function(st))
+    lambda2 = st.dx * (st.x * st.dx + st.z * st.dz) / st.x
+    return assemble_analysis(st.s, k1, k2, support_function(st), lambda2)

@@ -37,6 +37,12 @@ is positive, and where c <= 0
 so z' > 1/sqrt(2) on [pi/2, 3pi/2] / H.  That interval lies in [0, t_1]
 because arccos B < pi/2, hence H z(t_1) > pi/sqrt(2) > 1 > B, and z(t_n)
 only grows with n.
+
+Canonical units.  The surface (H, B) is the surface (1, B) scaled by
+1/H, and the verdict, lambda1, lambda2 and the gap do not change under
+dilation.  classify and the crossing finder therefore solve at H = 1 and
+divide every length (s0, z0, z(s0), sb, R0, the residual u(sb), t_n) by
+H, so a verdict depends on B alone and the root tolerance bounds H s.
 """
 from __future__ import annotations
 
@@ -98,6 +104,30 @@ class AnalysisReport:
     violations: list[ViolationPoint] = field(default_factory=list)
     n0: Optional[int] = None
 
+    def at(self, H: float) -> AnalysisReport:
+        """The report of the same shape B at mean curvature H.
+
+        Every length is divided by k = H / params.H; the verdict, n0, the
+        gaps and lambda2 are dilation-invariant.  From an H = 1 report,
+        k is H itself, which is how classify builds every report.
+        """
+        k = H / self.params.H
+
+        def length(v: Optional[float]) -> Optional[float]:
+            return None if v is None else v / k
+
+        p = self.portion
+        if p is not None:
+            r0 = p.R0 / k
+            p = replace(p, s_bar=p.s_bar / k, R0=r0,
+                        scaled_params=DelaunayParams(H * r0, self.params.B),
+                        orthogonality_residual=p.orthogonality_residual / k)
+        return replace(
+            self, params=DelaunayParams(H, self.params.B),
+            s0=length(self.s0), r0=length(self.r0), z0=length(self.z0),
+            z_at_s0=length(self.z_at_s0), portion=p,
+            violations=[v._replace(t=v.t / k) for v in self.violations])
+
 
 def g_function(st: GeneratrixState) -> float:
     """g = x - (x'/z') z; zero iff the support function is zero there."""
@@ -132,7 +162,8 @@ def find_sbar(params: DelaunayParams,
 
     Raises NoRootError when z(s0) < z0, which is exactly the case g > 0
     throughout (0, s0].  The root search runs to bracket collapse, so
-    sb carries x_tol accuracy; downstream radii inherit it.
+    sb carries x_tol accuracy in the units of params; classify and the
+    CLI call it at H = 1 only, where x_tol bounds H sb.
     """
     s_top = s0(params)
     if z_of(params, s_top) < z0(params):
@@ -216,36 +247,39 @@ def _golden_min(fun, lo: float, hi: float) -> float:
 
 
 def _find_crossing(params: DelaunayParams, root_cfg: RootConfig
-                   ) -> tuple[GeneratrixState, float]:
-    """Boundary state at the orthogonal crossing (its s is sb), and R0.
+                   ) -> tuple[float, float, float]:
+    """sb, R0 and the residual |u(sb)| of the orthogonal crossing.
 
-    Raises NoRootError where there is none.
+    They are solved on the H = 1 surface of params.B, where x_tol bounds
+    H sb, and divided by H.  Raises NoRootError where there is none.
     """
+    unit = DelaunayParams(1.0, params.B)
     family = params.family
     if family == UNDULOID:
-        sb = find_sbar(params, root_cfg)
+        sb = find_sbar(unit, root_cfg)
     elif family == NODOID:
-        sb = nodoid_find_rbar(params, root_cfg)
+        sb = nodoid_find_rbar(unit, root_cfg)
     else:
         raise NoRootError(
             "a cylinder never meets a centred sphere orthogonally")
-    boundary = eval_state(params, sb)
-    return boundary, math.hypot(boundary.x, boundary.z)
+    boundary = eval_state(unit, sb)
+    H = params.H
+    return (sb / H, math.hypot(boundary.x, boundary.z) / H,
+            abs(support_function(boundary)) / H)
 
 
 def build_portion(params: DelaunayParams,
                   root_cfg: RootConfig = DEFAULT_ROOT) -> FreeBoundaryPortion:
     """Locate the crossing, measure R0, and scan the gap over the portion.
 
-    The gap is sampled on a uniform grid of GAP_SAMPLES points over
-    [-sb, sb], then refined around the grid minimum by golden section.
-    Every sample is checked to lie inside the ball of radius R0 (1e-9
-    relative tolerance); a point outside raises EnclosureError since the
-    construction guarantees containment.
+    The crossing comes from _find_crossing (solved at H = 1).  The gap
+    is sampled on a uniform grid of GAP_SAMPLES points over [-sb, sb],
+    then refined around the grid minimum by golden section; classify
+    calls this at H = 1 only.  Every sample is checked to lie inside the
+    ball of radius R0 (1e-9 relative tolerance); a point outside raises
+    EnclosureError since the construction guarantees containment.
     """
-    boundary, r0 = _find_crossing(params, root_cfg)
-    sb = boundary.s
-    residual = abs(support_function(boundary))
+    sb, r0, residual = _find_crossing(params, root_cfg)
 
     ss = np.linspace(-sb, sb, GAP_SAMPLES)
     st = profile(params, ss, z_many(params, ss))
@@ -307,32 +341,36 @@ def find_n0(params: DelaunayParams) -> int:
 
 def classify(params: DelaunayParams,
              root_cfg: RootConfig = DEFAULT_ROOT) -> AnalysisReport:
-    """Full analysis of one parameter pair.
+    """Full analysis of one parameter pair, in canonical units.
 
+    The report is built once for the H = 1 surface of params.B and
+    returned as report.at(params.H), every length divided by H, so the
+    verdict depends on B alone and root_cfg.x_tol bounds H sb.
     Cylinders never cross a centred sphere orthogonally (u = -1/H is
     constant), unduloids go through the z(s0) vs z0 dichotomy, nodoids
     always produce a portion.  For a pinched unduloid the report also
     carries the violation sequence through n0 + 2.
     """
+    unit = DelaunayParams(1.0, params.B)
     family = params.family
     if family == CYLINDER:
-        return AnalysisReport(params=params, verdict=VERDICT_CYLINDER)
-
-    if family == UNDULOID:
-        s_top = s0(params)
-        z_thresh = z0(params)
-        z_at_top = z_of(params, s_top)
+        report = AnalysisReport(params=unit, verdict=VERDICT_CYLINDER)
+    elif family == UNDULOID:
+        s_top = s0(unit)
+        z_thresh = z0(unit)
+        z_at_top = z_of(unit, s_top)
         if z_at_top < z_thresh:
-            return AnalysisReport(params=params,
-                                  verdict=VERDICT_NO_ORTHOGONAL,
-                                  s0=s_top, z0=z_thresh, z_at_s0=z_at_top)
-        portion = build_portion(params, root_cfg)
-        n0 = find_n0(params)
-        violations = violation_points(params, n0 + 2)
-        return AnalysisReport(params=params, verdict=VERDICT_PINCHED,
-                              s0=s_top, z0=z_thresh, z_at_s0=z_at_top,
-                              portion=portion, violations=violations, n0=n0)
-
-    portion = build_portion(params, root_cfg)
-    return AnalysisReport(params=params, verdict=VERDICT_PINCHED,
-                          r0=nodoid_r0(params), portion=portion)
+            report = AnalysisReport(params=unit,
+                                    verdict=VERDICT_NO_ORTHOGONAL,
+                                    s0=s_top, z0=z_thresh, z_at_s0=z_at_top)
+        else:
+            n0 = find_n0(unit)
+            report = AnalysisReport(
+                params=unit, verdict=VERDICT_PINCHED, s0=s_top, z0=z_thresh,
+                z_at_s0=z_at_top, portion=build_portion(unit, root_cfg),
+                violations=violation_points(unit, n0 + 2), n0=n0)
+    else:
+        report = AnalysisReport(params=unit, verdict=VERDICT_PINCHED,
+                                r0=nodoid_r0(unit),
+                                portion=build_portion(unit, root_cfg))
+    return report.at(params.H)

@@ -225,6 +225,39 @@ def test_scan_nodoid_rows_have_portions(capsys):
         assert float(row[7]) >= -1e-8
 
 
+def test_scan_classifies_each_shape_once_per_invocation(monkeypatch,
+                                                         capsys):
+    # 3 H values x B in {0, 0.5, 1, 1.5, 2}: B = 1 is invalid, so each
+    # scan makes 4 classifications, all at H = 1, and a second scan
+    # makes them again (the memo lives inside one call)
+    calls = []
+    real = cli.classify
+
+    def counting(params, root_cfg):
+        calls.append(params)
+        return real(params, root_cfg)
+
+    monkeypatch.setattr(cli, "classify", counting)
+    argv = ["scan", "--H-min", "0.5", "--H-max", "2", "--H-steps", "3",
+            "--B-min", "0", "--B-max", "2", "--B-steps", "5"]
+    code, first, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert [(p.H, p.B) for p in calls] == [(1.0, b) for b in
+                                           (0.0, 0.5, 1.5, 2.0)]
+    code, second, _ = run_cli(argv, capsys)
+    assert (code, second) == (0, first)
+    assert len(calls) == 8
+    # each row is what classify reports at that (H, B)
+    for row in list(csv.reader(io.StringIO(first)))[1:]:
+        if row[3] == "Invalid":
+            continue
+        rep = real(cli.DelaunayParams(float(row[0]), float(row[1])),
+                   cli.RootConfig())
+        p = rep.portion
+        assert row[5:] == ([cli._fmt(p.s_bar), cli._fmt(p.R0),
+                            cli._fmt(p.min_gap)] if p else ["", "", ""])
+
+
 def test_scan_deterministic(tmp_path, capsys):
     argv = ["scan", "--H-min", "0.1", "--H-max", "1", "--H-steps", "2",
             "--B-min", "0.3", "--B-max", "1.6", "--B-steps", "4"]
@@ -374,9 +407,10 @@ TOLERANCE_FLAGS = {"analyze": ROOT_FLAGS,
 # flags a command no longer takes: each must be refused, not ignored
 REMOVED_FLAGS = {c: QUAD_FLAGS for c in ("analyze", "profile", "scan",
                                          "mesh")}
-# a value far enough from the default to change what each command prints
+# a value far enough from the default to change what each command prints;
+# --root-x-tol bounds H s, so 0.1 is a bracket of 1 in s at H = 0.1
 KNOB_VALUES = {"--quad-abs-tol": "1", "--quad-rel-tol": "0.1",
-               "--quad-max-subdivisions": "1", "--root-x-tol": "1",
+               "--quad-max-subdivisions": "1", "--root-x-tol": "0.1",
                "--root-max-iterations": "1"}
 
 

@@ -62,15 +62,19 @@ def test_cmc_identity():
 
 
 def test_gap_identity():
-    # gap == 2 lambda1 lambda2 algebraically
+    # the product gap == the difference form, and the factored lambda2
+    # == 1 + k2 u, algebraically
     rng = np.random.default_rng(22)
     for _ in range(1000):
         params = random_params(rng)
         span = min(6.0, 2.0 * math.pi / params.H)
         st = eval_state(params, float(rng.uniform(-span, span)))
         pa = analyze_point(params, st)
-        assert pa.gap == pytest.approx(2.0 * pa.lambda1 * pa.lambda2,
-                                       abs=1e-10)
+        u = pa.support
+        assert pa.gap == pytest.approx(
+            0.5 * (2.0 + pa.mean_curv * u) ** 2 - pa.phi_sq * u * u,
+            abs=1e-10)
+        assert pa.lambda2 == pytest.approx(1.0 + pa.k2 * u, abs=1e-12)
         assert pa.trace_sum == pytest.approx(
             2.0 + pa.mean_curv * pa.support, abs=1e-10)
 

@@ -6,7 +6,8 @@ import pytest
 from cmcpinch.curvature import analyze_point, support_function
 from cmcpinch.delaunay import (DelaunayParams, GeneratrixState, _dz_integrand,
                                eval_state, z_many, z_of)
-from cmcpinch.numerics import DEFAULT_QUADRATURE, QuadratureConfig, integrate
+from cmcpinch.numerics import (DEFAULT_QUADRATURE, DEFAULT_ROOT,
+                               QuadratureConfig, integrate)
 from cmcpinch import freeboundary
 from cmcpinch.freeboundary import (VERDICT_CYLINDER, VERDICT_NO_ORTHOGONAL,
                                    VERDICT_PINCHED, EnclosureError,
@@ -454,6 +455,45 @@ def test_verdict_depends_only_on_shape():
         assert classify(
             DelaunayParams(h, 0.7)).verdict == VERDICT_NO_ORTHOGONAL
         assert classify(DelaunayParams(h, 0.8)).verdict == VERDICT_PINCHED
+
+
+CANONICAL_SHAPES = [0.0, 0.3, 0.7, 0.9, 1.0 - 1e-9, 1.0 + 1e-9, 1.5, 1e3]
+
+
+@pytest.mark.parametrize("b", CANONICAL_SHAPES)
+def test_classify_is_the_scaled_unit_report(b):
+    # every report is the H = 1 report with each length divided by H,
+    # bit for bit; verdicts, gaps, lambda2 and n0 are copied unchanged
+    unit = classify(DelaunayParams(1.0, b))
+    rng = np.random.default_rng(31)
+    for h in [1.0, 1e-6, 1e6] + (10.0 ** rng.uniform(-6, 6, 6)).tolist():
+        rep = classify(DelaunayParams(h, b))
+        assert rep.params == DelaunayParams(h, b)
+        assert (rep.verdict, rep.n0) == (unit.verdict, unit.n0)
+        for name in ("s0", "r0", "z0", "z_at_s0"):
+            u = getattr(unit, name)
+            assert getattr(rep, name) == (None if u is None else u / h)
+        assert (rep.portion is None) == (unit.portion is None)
+        if rep.portion is not None:
+            p, q = rep.portion, unit.portion
+            assert p.s_bar == q.s_bar / h
+            assert p.R0 == q.R0 / h
+            assert p.orthogonality_residual == q.orthogonality_residual / h
+            assert p.min_gap == q.min_gap
+            assert p.scaled_params == DelaunayParams(h * (q.R0 / h), b)
+        assert len(rep.violations) == len(unit.violations)
+        for v, w in zip(rep.violations, unit.violations):
+            assert (v.n, v.t, v.lambda2, v.gap) == (w.n, w.t / h, w.lambda2,
+                                                    w.gap)
+
+
+def test_crossing_is_solved_at_unit_scale():
+    # mesh and analyze share the crossing, solved once at H = 1
+    for params in (EXAMPLE, NODOID_EX, DelaunayParams(1e5, 0.95)):
+        sb, r0, residual = freeboundary._find_crossing(params, DEFAULT_ROOT)
+        p = classify(params).portion
+        assert (sb, r0, residual) == (p.s_bar, p.R0,
+                                      p.orthogonality_residual)
 
 
 @pytest.mark.parametrize("h", [1.0, 1e-4])
