@@ -13,10 +13,13 @@ Exit codes: 0 success, 1 verification failure, 2 invalid input,
 
 Numeric tolerances resolve in priority order: command line flag, then
 CMCPINCH_* environment variable, then library default.  The root finder's
---root-* flags apply to analyze, scan, mesh and verify; the quadrature's
---quad-* flags only to verify, whose checks keep the adaptive integral as
-an oracle for the closed-form height.  Floating point
-values are serialized with 12 significant digits.
+--root-* flags apply to analyze, scan, mesh and verify; the crossing is
+solved at H = 1, so --root-x-tol bounds the bracket on H s.  The
+quadrature's --quad-* flags apply only to verify, whose checks keep the
+adaptive integral as an oracle for the closed-form height.  scan
+classifies each distinct B once per invocation and scales that H = 1
+report to every H of the grid.  Floating point values are serialized
+with 12 significant digits.
 """
 from __future__ import annotations
 
@@ -196,11 +199,10 @@ def cmd_scan(args: argparse.Namespace) -> int:
                     writer.writerow(row + ["", VERDICT_INVALID,
                                            "", "", "", ""])
                     continue
-                unit = shapes.get(params.B)
-                if unit is None:
-                    unit = shapes[params.B] = classify(
+                if params.B not in shapes:
+                    shapes[params.B] = classify(
                         DelaunayParams(1.0, params.B), root)
-                rep = unit.at(params.H)
+                rep = shapes[params.B].at(params.H)
                 dichotomy = ""
                 if rep.z_at_s0 is not None and rep.z0 is not None:
                     dichotomy = _fmt(rep.z_at_s0 - rep.z0)

@@ -22,10 +22,9 @@ The gap is computed as the product 2 lambda1 lambda2, with lambda2 in
 the factored form x' (x x' + z z') / x, which is 1 + k2 u once
 x'^2 + z'^2 = 1 is used.  x x' + z z' = (|position|^2 / 2)', and on a
 portion both of its terms and x' have the sign of s, so lambda2 >= 0
-there with no cancellation.  The difference form loses every digit
-when its O(B^2) terms cancel (B = 1e12 gave a gap of -2e8 where the
-true minimum is about 2.85); the verify battery's AC5 keeps it as the
-identity it checks.
+there with no cancellation.  The difference form cancels O(B^2) terms:
+at B = 1e12 it is off by about 2e8 where the true minimum is about
+2.85.  The verify battery's AC5 keeps it as the identity it checks.
 
 A sphere of radius rho tangent from inside has k1 = k2 = 1/rho and
 u = -rho, which gives gap = 0: spheres sit exactly on the equality case.

@@ -181,8 +181,8 @@ def _check_example_portion(ctx: _Context) -> CheckResult:
 def _check_gap_identity(ctx: _Context) -> CheckResult:
     r = _Ratios()
     for _, _, pa in ctx.sample_rows():
-        # the reported gap is the product 2 lambda1 lambda2; the identity
-        # holds it against the difference form of the curvature module
+        # the reported gap is the product 2 lambda1 lambda2; the check
+        # holds it to the difference form, so it is not vacuous
         u = pa.support
         difference = (0.5 * (2.0 + pa.mean_curv * u) ** 2
                       - pa.phi_sq * u * u)
