@@ -62,8 +62,9 @@ VERDICT_NO_ORTHOGONAL = "NoOrthogonalIntersection"
 VERDICT_CYLINDER = "Cylinder"
 VERDICT_INVALID = "Invalid"
 
-# uniform gap samples over [-sb, sb] before the golden-section refinement
-GAP_SAMPLES = 2048
+# uniform gap samples over [-sb, sb]; odd, so the centre sample is the
+# neck s = 0, where lambda2 (and with it the gap) is exactly 0
+GAP_SAMPLES = 2049
 
 
 class NoRootError(ValueError):
@@ -222,36 +223,14 @@ def _g_off_zero_set(st: GeneratrixState):
     return g_function(replace(st, dz=np.where(off, st.dz, 1.0))), off
 
 
-def _golden_min(fun, lo: float, hi: float) -> float:
-    # golden-section refinement; returns the smallest sampled value
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc = fun(c)
-    fd = fun(d)
-    best = min(fc, fd)
-    for _ in range(80):
-        if b - a < 1e-13:
-            break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = fun(d)
-        best = min(best, fc, fd)
-    return best
-
-
 def _find_crossing(params: DelaunayParams, root_cfg: RootConfig
                    ) -> tuple[float, float, float]:
     """sb, R0 and the residual |u(sb)| of the orthogonal crossing.
 
     They are solved on the H = 1 surface of params.B, where x_tol bounds
-    H sb, and divided by H.  Raises NoRootError where there is none.
+    H sb, and divided by H.  Raises NoRootError where there is none, and
+    ValueError when x_tol is so wide that the search stops at s = 0,
+    which is never a root: g(0) = |1 - B| / H > 0.
     """
     unit = DelaunayParams(1.0, params.B)
     family = params.family
@@ -262,6 +241,11 @@ def _find_crossing(params: DelaunayParams, root_cfg: RootConfig
     else:
         raise NoRootError(
             "a cylinder never meets a centred sphere orthogonally")
+    if sb == 0.0:
+        raise ValueError(
+            f"root tolerance x_tol={root_cfg.x_tol!r} is as wide as the "
+            "crossing bracket, so the search stopped at s = 0, which is "
+            "not a crossing; use a smaller --root-x-tol")
     boundary = eval_state(unit, sb)
     H = params.H
     return (sb / H, math.hypot(boundary.x, boundary.z) / H,
@@ -273,11 +257,14 @@ def build_portion(params: DelaunayParams,
     """Locate the crossing, measure R0, and scan the gap over the portion.
 
     The crossing comes from _find_crossing (solved at H = 1).  The gap
-    is sampled on a uniform grid of GAP_SAMPLES points over [-sb, sb],
-    then refined around the grid minimum by golden section; classify
-    calls this at H = 1 only.  Every sample is checked to lie inside the
-    ball of radius R0 (1e-9 relative tolerance); a point outside raises
-    EnclosureError since the construction guarantees containment.
+    is sampled in one array pass on a uniform grid of GAP_SAMPLES points
+    over [-sb, sb], and min_gap is the grid minimum.  The grid holds the
+    neck s = 0, where x' = 0 makes lambda2 = x'(x x' + z z')/x and the
+    gap exactly 0, and the gap is nonnegative on a portion, so min_gap
+    is the exact minimum 0; classify calls this at H = 1 only.  Every
+    sample is checked to lie inside the ball of radius R0 (1e-9 relative
+    tolerance); a point outside raises EnclosureError since the
+    construction guarantees containment.
     """
     sb, r0, residual = _find_crossing(params, root_cfg)
 
@@ -290,19 +277,9 @@ def build_portion(params: DelaunayParams,
             f"portion sample at s={s_out!r} lies outside radius {r0!r}")
     gaps = analyze_point(params, st).gap
 
-    min_gap = float(gaps.min())
-    i_min = int(gaps.argmin())
-    lo = float(ss[max(i_min - 1, 0)])
-    hi = float(ss[min(i_min + 1, GAP_SAMPLES - 1)])
-
-    def gap_at(s: float) -> float:
-        return analyze_point(params, eval_state(params, s)).gap
-
-    min_gap = min(min_gap, _golden_min(gap_at, lo, hi))
-
     scaled = DelaunayParams(params.H * r0, params.B)
     return FreeBoundaryPortion(s_bar=sb, R0=r0, scaled_params=scaled,
-                               min_gap=min_gap,
+                               min_gap=float(gaps.min()),
                                orthogonality_residual=residual)
 
 

@@ -315,6 +315,26 @@ def test_mesh_without_portion_fails(tmp_path, capsys):
                     str(out_path), "--resolution", "4"], capsys)[0] == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--H", "1", "--B", "0.9", "--root-x-tol", "0.5"],
+    ["analyze", "--H", "1", "--B", "1.5", "--root-x-tol", "5"],
+    ["scan", "--H-min", "1", "--H-max", "1", "--H-steps", "1", "--B-min",
+     "0.9", "--B-max", "0.9", "--B-steps", "1", "--root-x-tol", "0.5"],
+    ["mesh", "--H", "1", "--B", "0.9", "--root-x-tol", "1"]],
+    ids=["analyze-unduloid", "analyze-nodoid", "scan", "mesh"])
+def test_root_tolerance_wider_than_bracket_is_invalid(argv, tmp_path,
+                                                      capsys):
+    # g(0) = |1 - B|/H > 0, so a search that stops at the bracket end
+    # s = 0 has found no crossing (it reported sBar 0 and R0 0.1)
+    if argv[0] == "mesh":
+        argv = argv + ["--out", str(tmp_path / "m.obj")]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert "root tolerance x_tol=" in err and "s = 0" in err
+    assert "PinchedFreeBoundaryPortion" not in out
+    assert not (tmp_path / "m.obj").exists()
+
+
 def test_verify_passes_at_defaults(shared_verify, capsys):
     code, out, _ = run_cli(["verify"], capsys)
     assert code == 0

@@ -256,7 +256,7 @@ def test_enclosure_error_names_first_sample_outside(monkeypatch,
 
     monkeypatch.setattr(freeboundary, "z_many", lifted)
     sb = example_portion.s_bar
-    ss = np.linspace(-sb, sb, 2048)
+    ss = np.linspace(-sb, sb, freeboundary.GAP_SAMPLES)
     first = float(ss[ss > 0.5][0])
     with pytest.raises(EnclosureError, match=f"at s={first!r} lies outside"):
         build_portion(EXAMPLE)
@@ -496,13 +496,15 @@ def test_crossing_is_solved_at_unit_scale():
                                       p.orthogonality_residual)
 
 
-@pytest.mark.parametrize("h", [1.0, 1e-4])
-@pytest.mark.parametrize("b", [1.0 - 1e-6, 1.0 + 1e-6, 1.0 - 1e-9,
-                               1.0 + 1e-9])
+@pytest.mark.parametrize("b, h", [
+    (b, h) for b in (1.0 - 1e-6, 1.0 + 1e-6, 1.0 - 1e-9, 1.0 + 1e-9)
+    for h in (1.0, 1e-4)] + [
+    (1.0 - 1e-12, 1e-6), (1.0 - 1e-15, 1.0), (1e12, 1.0)])
 def test_near_degenerate_shapes_are_pinched(h, b):
-    # |1 - B| down to 1e-9: the neck is resolved, no ZeroDivisionError or
-    # EnclosureError, and the gap stays nonnegative up to rounding
+    # |1 - B| down to 1e-15 and B up to 1e12: the neck is resolved, no
+    # ZeroDivisionError or EnclosureError, and the gap grid holds the
+    # neck s = 0, where the gap is exactly 0, its minimum on the portion
     rep = classify(DelaunayParams(h, b))
     assert rep.verdict == VERDICT_PINCHED
-    assert rep.portion.min_gap >= -1e-8
+    assert rep.portion.min_gap == 0.0
     assert 0.0 < rep.portion.s_bar

@@ -61,3 +61,5 @@ def test_pinched_min_gap_is_nonnegative(h, b):
     rep = classify(DelaunayParams(h, b))
     if rep.verdict == VERDICT_PINCHED:
         assert rep.portion.min_gap >= MIN_GAP_BOUND
+        # the gap grid holds the neck s = 0, where the gap is exactly 0
+        assert rep.portion.min_gap <= 0.0
