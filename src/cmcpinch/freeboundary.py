@@ -242,10 +242,8 @@ def _find_crossing(params: DelaunayParams, root_cfg: RootConfig
         raise NoRootError(
             "a cylinder never meets a centred sphere orthogonally")
     if sb == 0.0:
-        raise ValueError(
-            f"root tolerance x_tol={root_cfg.x_tol!r} is as wide as the "
-            "crossing bracket, so the search stopped at s = 0, which is "
-            "not a crossing; use a smaller --root-x-tol")
+        raise ValueError(f"root tolerance x_tol={root_cfg.x_tol!r} stopped "
+                         "the crossing search at s = 0, which is no crossing")
     boundary = eval_state(unit, sb)
     H = params.H
     return (sb / H, math.hypot(boundary.x, boundary.z) / H,
@@ -257,11 +255,9 @@ def build_portion(params: DelaunayParams,
     """Locate the crossing, measure R0, and scan the gap over the portion.
 
     The crossing comes from _find_crossing (solved at H = 1).  The gap
-    is sampled in one array pass on a uniform grid of GAP_SAMPLES points
-    over [-sb, sb], and min_gap is the grid minimum.  The grid holds the
-    neck s = 0, where x' = 0 makes lambda2 = x'(x x' + z z')/x and the
-    gap exactly 0, and the gap is nonnegative on a portion, so min_gap
-    is the exact minimum 0; classify calls this at H = 1 only.  Every
+    is sampled in one array pass at GAP_SAMPLES uniform points over
+    [-sb, sb], and min_gap is their minimum.  The centre sample is the
+    neck s = 0, where x' = 0 makes lambda2 and the gap exactly 0.  Every
     sample is checked to lie inside the ball of radius R0 (1e-9 relative
     tolerance); a point outside raises EnclosureError since the
     construction guarantees containment.
@@ -276,7 +272,6 @@ def build_portion(params: DelaunayParams,
         raise EnclosureError(
             f"portion sample at s={s_out!r} lies outside radius {r0!r}")
     gaps = analyze_point(params, st).gap
-
     scaled = DelaunayParams(params.H * r0, params.B)
     return FreeBoundaryPortion(s_bar=sb, R0=r0, scaled_params=scaled,
                                min_gap=float(gaps.min()),

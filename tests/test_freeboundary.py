@@ -262,6 +262,25 @@ def test_enclosure_error_names_first_sample_outside(monkeypatch,
         build_portion(EXAMPLE)
 
 
+@pytest.mark.parametrize("params", [EXAMPLE, NODOID_EX])
+def test_gap_is_one_array_pass_through_the_neck(monkeypatch, params):
+    # no scalar refinement: one analyze_point call on the whole grid,
+    # whose centre sample is the neck s = 0, where the gap is exactly 0
+    passes = []
+
+    def counted(p, st):
+        passes.append(st.s)
+        return analyze_point(p, st)
+
+    monkeypatch.setattr(freeboundary, "analyze_point", counted)
+    portion = build_portion(params)
+    (ss,) = passes
+    assert ss.shape == (freeboundary.GAP_SAMPLES,)
+    assert ss[freeboundary.GAP_SAMPLES // 2] == 0.0
+    assert math.copysign(1.0, portion.min_gap) == 1.0
+    assert portion.min_gap == 0.0
+
+
 def test_portion_stays_inside_ball(example_portion):
     p = example_portion
     ss = np.linspace(-p.s_bar, p.s_bar, 500)
