@@ -69,3 +69,9 @@ def test_verify_json_matches_golden(shared_verify, capsys):
     assert main(["verify", "--format", "json"]) == 0
     got = capsys.readouterr().out.encode("ascii")
     assert got == (GOLDEN_DIR / "verify.jsonl").read_bytes()
+
+
+def test_verify_text_matches_golden(shared_verify, capsys):
+    assert main(["verify"]) == 0
+    got = capsys.readouterr().out.encode("ascii")
+    assert got == (GOLDEN_DIR / "verify.txt").read_bytes()

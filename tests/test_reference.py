@@ -107,9 +107,12 @@ GOLDENS = sorted(REFERENCE["files"])
 
 
 def test_reference_covers_the_numeric_goldens():
+    # the verify goldens print check ratios, rounding residuals that have
+    # no exact value
     numeric = {p.name for p in GOLDEN_DIR.iterdir()
                if p.suffix in (".json", ".txt", ".csv", ".obj")
-               and p.name != "reference.json"}
+               and p.name != "reference.json"
+               and p.stem != "verify"}
     assert set(GOLDENS) == numeric
 
 
