@@ -163,10 +163,15 @@ def cmd_profile(args: argparse.Namespace) -> int:
     st = profile(params, ss, z_many(params, ss))
     pa = analyze_point(params, st)
     g, has_g = _g_off_zero_set(st)
-    table = np.empty((args.n, len(PROFILE_COLUMNS)), dtype=object)
-    table[:, :-1] = np.column_stack(
+    cells = np.column_stack(
         [st.s, st.x, st.z, st.dx, st.dz, st.ddx, st.ddz, pa.k1, pa.k2,
-         pa.support, pa.lambda1, pa.lambda2, pa.phi_sq, pa.gap])
+         pa.support, pa.lambda1, pa.lambda2, pa.phi_sq, pa.gap,
+         np.where(has_g, g, 0.0)])
+    if not np.isfinite(cells).all():
+        raise OverflowError("the profile table holds a value that is not a "
+                            "finite float")
+    table = np.empty((args.n, len(PROFILE_COLUMNS)), dtype=object)
+    table[:, :-1] = cells[:, :-1]
     table[:, -1] = [_fmt(g_i) if g_ok else ""
                     for g_i, g_ok in zip(g.tolist(), has_g.tolist())]
     with _open_output(args.output) as out:
@@ -187,31 +192,34 @@ def cmd_scan(args: argparse.Namespace) -> int:
     bs = np.linspace(args.B_min, args.B_max, args.B_steps)
     # the H = 1 report of each B, classified once for this scan
     shapes: dict[float, AnalysisReport] = {}
+    # every row is built before the output opens, so a failed row
+    # leaves nothing written
+    rows = []
+    for h in hs:
+        for b in bs:
+            row = [_fmt(float(h)), _fmt(float(b))]
+            try:
+                params = DelaunayParams(float(h), float(b))
+            except ValueError:
+                rows.append(row + ["", VERDICT_INVALID, "", "", "", ""])
+                continue
+            if params.B not in shapes:
+                shapes[params.B] = classify(
+                    DelaunayParams(1.0, params.B), root)
+            rep = shapes[params.B].at(params.H)
+            dichotomy = ""
+            if rep.z_at_s0 is not None and rep.z0 is not None:
+                dichotomy = _fmt(rep.z_at_s0 - rep.z0)
+            p = rep.portion
+            rows.append(row + [
+                params.family, rep.verdict, dichotomy,
+                _fmt(p.s_bar) if p else "",
+                _fmt(p.R0) if p else "",
+                _fmt(p.min_gap) if p else ""])
     with _open_output(args.output) as out:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(SCAN_COLUMNS)
-        for h in hs:
-            for b in bs:
-                row = [_fmt(float(h)), _fmt(float(b))]
-                try:
-                    params = DelaunayParams(float(h), float(b))
-                except ValueError:
-                    writer.writerow(row + ["", VERDICT_INVALID,
-                                           "", "", "", ""])
-                    continue
-                if params.B not in shapes:
-                    shapes[params.B] = classify(
-                        DelaunayParams(1.0, params.B), root)
-                rep = shapes[params.B].at(params.H)
-                dichotomy = ""
-                if rep.z_at_s0 is not None and rep.z0 is not None:
-                    dichotomy = _fmt(rep.z_at_s0 - rep.z0)
-                p = rep.portion
-                writer.writerow(row + [
-                    params.family, rep.verdict, dichotomy,
-                    _fmt(p.s_bar) if p else "",
-                    _fmt(p.R0) if p else "",
-                    _fmt(p.min_gap) if p else ""])
+        writer.writerows(rows)
     return EXIT_OK
 
 

@@ -110,24 +110,40 @@ class AnalysisReport:
 
         Every length is divided by k = H / params.H; the verdict, n0, the
         gaps and lambda2 are dilation-invariant.  From an H = 1 report,
-        k is H itself, which is how classify builds every report.
+        k is H itself, which is how classify builds every report.  A
+        length that is not a finite float at H raises OverflowError.
         """
         k = H / self.params.H
 
         def length(v: Optional[float]) -> Optional[float]:
-            return None if v is None else v / k
+            return None if v is None else _scaled_length(v, k)
 
         p = self.portion
         if p is not None:
-            r0 = p.R0 / k
-            p = replace(p, s_bar=p.s_bar / k, R0=r0,
+            r0 = length(p.R0)
+            p = replace(p, s_bar=length(p.s_bar), R0=r0,
                         scaled_params=DelaunayParams(H * r0, self.params.B),
-                        orthogonality_residual=p.orthogonality_residual / k)
+                        orthogonality_residual=length(
+                            p.orthogonality_residual))
         return replace(
             self, params=DelaunayParams(H, self.params.B),
             s0=length(self.s0), r0=length(self.r0), z0=length(self.z0),
             z_at_s0=length(self.z_at_s0), portion=p,
-            violations=[v._replace(t=v.t / k) for v in self.violations])
+            violations=[v._replace(t=length(v.t)) for v in self.violations])
+
+
+def _scaled_length(length: float, k: float) -> float:
+    """length / k, the length on the surface dilated by 1/k.
+
+    Raises OverflowError where the quotient is not a finite float (H =
+    1e-310 makes every length of an H = 1 report inf), so no command
+    prints inf or nan for a valid input.
+    """
+    out = length / k
+    if not math.isfinite(out):
+        raise OverflowError(f"the length {length!r} / {k!r} is not a "
+                            "finite float")
+    return out
 
 
 def g_function(st: GeneratrixState) -> float:
@@ -228,9 +244,10 @@ def _find_crossing(params: DelaunayParams, root_cfg: RootConfig
     """sb, R0 and the residual |u(sb)| of the orthogonal crossing.
 
     They are solved on the H = 1 surface of params.B, where x_tol bounds
-    H sb, and divided by H.  Raises NoRootError where there is none, and
+    H sb, and divided by H.  Raises NoRootError where there is none,
     ValueError when x_tol is so wide that the search stops at s = 0,
-    which is never a root: g(0) = |1 - B| / H > 0.
+    which is never a root: g(0) = |1 - B| / H > 0, and OverflowError
+    when a length divided by H is not a finite float.
     """
     unit = DelaunayParams(1.0, params.B)
     family = params.family
@@ -246,8 +263,9 @@ def _find_crossing(params: DelaunayParams, root_cfg: RootConfig
                          "the crossing search at s = 0, which is no crossing")
     boundary = eval_state(unit, sb)
     H = params.H
-    return (sb / H, math.hypot(boundary.x, boundary.z) / H,
-            abs(support_function(boundary)) / H)
+    return tuple(_scaled_length(v, H) for v in (
+        sb, math.hypot(boundary.x, boundary.z),
+        abs(support_function(boundary))))
 
 
 def build_portion(params: DelaunayParams,

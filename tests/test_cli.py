@@ -6,6 +6,7 @@ import pathlib
 import re
 import sys
 
+import numpy as np
 import pytest
 
 from cmcpinch import cli
@@ -333,6 +334,47 @@ def test_root_tolerance_wider_than_bracket_is_invalid(argv, tmp_path,
     assert "root tolerance x_tol=" in err and "s = 0" in err
     assert "PinchedFreeBoundaryPortion" not in out
     assert not (tmp_path / "m.obj").exists()
+
+
+# valid inputs whose lengths leave the floats once scaled from H = 1
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--H", "1e-310", "--B", "0.5", "--format", "json"],
+    ["analyze", "--H", "1e-308", "--B", "1e12"],
+    ["mesh", "--H", "1e-308", "--B", "1e12", "--resolution", "8"],
+    ["scan", "--H-min", "1e-310", "--H-max", "1e-310", "--H-steps", "1",
+     "--B-min", "0.5", "--B-max", "0.5", "--B-steps", "1"],
+    ["profile", "--H", "1e-310", "--B", "0.5", "--s-min", "-1", "--s-max",
+     "1", "--n", "16"]],
+    ids=["analyze-json", "analyze-nodoid", "mesh", "scan", "profile"])
+def test_non_finite_result_exits_3_writing_nothing(argv, tmp_path, capsys):
+    # they printed inf, nan or Infinity (invalid JSON), or, where the
+    # scaled parameters overflowed, exited 2 as if H were invalid
+    dest = tmp_path / "out"
+    flag = "--out" if argv[0] == "mesh" else "--output"
+    with np.errstate(all="ignore"):
+        code, out, err = run_cli(argv + [flag, str(dest)], capsys)
+        assert (code, out) == (3, "")
+        assert "not a finite float" in err
+        assert not dest.exists()
+        if argv[0] != "mesh":
+            assert run_cli(argv, capsys)[:2] == (3, "")
+
+
+SCAN_WITH_FAILING_ROWS = [
+    "scan", "--H-min", "0.5", "--H-max", "2", "--H-steps", "2", "--B-min",
+    "0", "--B-max", "2", "--B-steps", "11", "--root-x-tol", "1"]
+
+
+def test_scan_writes_nothing_when_a_row_fails(tmp_path, capsys):
+    # six rows come before the first failing one; they were printed,
+    # with the header, before the exit
+    code, out, err = run_cli(SCAN_WITH_FAILING_ROWS, capsys)
+    assert (code, out) == (2, "")
+    assert "root tolerance x_tol=" in err
+    dest = tmp_path / "scan.csv"
+    assert run_cli(SCAN_WITH_FAILING_ROWS + ["--output", str(dest)],
+                   capsys)[:2] == (2, "")
+    assert not dest.exists()
 
 
 def test_verify_passes_at_defaults(shared_verify, capsys):
