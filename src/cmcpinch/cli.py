@@ -9,7 +9,10 @@ Subcommands:
   verify    run the acceptance checks
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input,
-3 numerical failure, 4 no portion exists for the requested surface.
+3 numerical failure, 4 no portion exists for the requested surface.  A
+command opens its output only once every value is computed, so a
+failure writes nothing; a length or profile cell that is not a finite
+float raises OverflowError, exit 3.
 
 Numeric tolerances resolve in priority order: command line flag, then
 CMCPINCH_* environment variable, then library default.  The root finder's
