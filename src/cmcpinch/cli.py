@@ -8,21 +8,20 @@ Subcommands:
   mesh      OBJ export of the free boundary portion
   verify    run the acceptance checks
 
-Exit codes: 0 success, 1 verification failure, 2 invalid input,
-3 numerical failure, 4 no portion exists for the requested surface.  A
-command opens its output only once every value is computed, so a
-failure writes nothing; a length or profile cell that is not a finite
-float raises OverflowError, exit 3.
+Exit codes: 0 success, 1 verification failure, 2 invalid input or an
+output path that cannot be opened, 3 numerical failure, 4 no portion
+exists for the requested surface.  A command opens its output only once
+every value is computed, so a failure writes nothing; a length or
+profile cell that is not a finite float raises OverflowError, exit 3.
 
-Numeric tolerances resolve in priority order: command line flag, then
-CMCPINCH_* environment variable, then library default.  The root finder's
---root-* flags apply to analyze, scan, mesh and verify; the crossing is
-solved at H = 1, so --root-x-tol bounds the bracket on H s.  The
-quadrature's --quad-* flags apply only to verify, whose checks keep the
-adaptive integral as an oracle for the closed-form height.  scan
-classifies each distinct B once per invocation and scales that H = 1
-report to every H of the grid.  Floating point values are serialized
-with 12 significant digits.
+Each numeric tolerance comes from its flag alone; a flag not given
+takes the library default.  The root finder's --root-* flags apply to
+analyze, scan, mesh and verify; the crossing is solved at H = 1, so
+--root-x-tol bounds the bracket on H s.  The quadrature's --quad-*
+flags apply only to verify, whose checks keep the adaptive integral as
+an oracle for the closed-form height.  scan classifies each distinct B
+once per invocation and scales that H = 1 report to every H of the
+grid.  Floating point values are serialized with 12 significant digits.
 """
 from __future__ import annotations
 
@@ -30,7 +29,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 from contextlib import contextmanager
 from dataclasses import fields
@@ -54,10 +52,8 @@ EXIT_INVALID_INPUT = 2
 EXIT_NUMERICAL_FAILURE = 3
 EXIT_NO_PORTION = 4
 
-ENV_PREFIX = "CMCPINCH_"
-
-# each field of each config a command uses is the flag --<prefix>-<field>
-# and the variable CMCPINCH_<PREFIX>_<FIELD>, parsed like the field's default
+# each field of each config a command uses is the flag --<prefix>-<field>,
+# parsed like the field's default
 QUAD_CONFIG = ("quad", QuadratureConfig)
 ROOT_CONFIG = ("root", RootConfig)
 
@@ -71,19 +67,11 @@ def _round12(v: Optional[float]) -> Optional[float]:
 
 
 def _resolve_config(args: argparse.Namespace) -> tuple:
-    """Each tolerance from its flag, else its variable, else the default."""
-    configs = []
-    for prefix, config in args.tolerance_configs:
-        values = {}
-        for f in fields(config):
-            name = f"{prefix}_{f.name}"
-            value = getattr(args, name)
-            if value is None:
-                raw = os.environ.get(ENV_PREFIX + name.upper())
-                value = f.default if raw is None else type(f.default)(raw)
-            values[f.name] = value
-        configs.append(config(**values))
-    return tuple(configs)
+    """The tolerance configs, each field from its flag's value."""
+    return tuple(
+        config(**{f.name: getattr(args, f"{prefix}_{f.name}")
+                  for f in fields(config)})
+        for prefix, config in args.tolerance_configs)
 
 
 @contextmanager
@@ -275,7 +263,7 @@ def _add_tolerance_flags(p: argparse.ArgumentParser, *configs) -> None:
     for prefix, config in configs:
         for f in fields(config):
             p.add_argument(f"--{prefix}-{f.name.replace('_', '-')}",
-                           type=type(f.default), default=None)
+                           type=type(f.default), default=f.default)
     p.set_defaults(tolerance_configs=configs)
 
 
@@ -356,7 +344,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             NoSignChangeError, OverflowError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL_FAILURE
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
 

@@ -55,7 +55,8 @@ import numpy as np
 from .curvature import analyze_point, support_function
 from .delaunay import (CYLINDER, NODOID, UNDULOID, DelaunayParams,
                        GeneratrixState, eval_state, profile, z_many, z_of)
-from .numerics import DEFAULT_ROOT, RootConfig, find_root
+from .numerics import (DEFAULT_ROOT, IterationLimitError, RootConfig,
+                       find_root)
 
 VERDICT_PINCHED = "PinchedFreeBoundaryPortion"
 VERDICT_NO_ORTHOGONAL = "NoOrthogonalIntersection"
@@ -147,9 +148,9 @@ def _scaled_length(length: float, k: float) -> float:
 
 
 def g_function(st: GeneratrixState) -> float:
-    """g = x - (x'/z') z; zero iff the support function is zero there."""
+    """g = x - (x'/z') z, zero iff u is; ZeroDivisionError where z' = 0."""
     if np.any(st.dz == 0.0):
-        raise ValueError("g is undefined where z' = 0")
+        raise ZeroDivisionError("g is undefined where z' = 0")
     return st.x - (st.dx / st.dz) * st.z
 
 
@@ -202,7 +203,9 @@ def nodoid_find_rbar(params: DelaunayParams,
 
     g(0) = (B - 1)/H > 0 and g -> -infinity approaching r0, so a root
     always exists; the upper bracket end is walked toward r0 until g
-    turns negative.
+    turns negative.  Where the walk ends with g still positive (seen
+    for B from 1e16 on) it raises IterationLimitError: the crossing
+    exists but was not found.
     """
     r_top = nodoid_r0(params)
     g = _g_of_s(params)
@@ -212,7 +215,8 @@ def nodoid_find_rbar(params: DelaunayParams,
             break
         hi = r_top - 0.5 * (r_top - hi)
     else:
-        raise NoRootError("could not bracket the nodoid crossing below r0")
+        raise IterationLimitError(
+            "could not bracket the nodoid crossing below r0")
     return find_root(g, 0.0, hi, root_cfg)
 
 

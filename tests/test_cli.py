@@ -377,6 +377,41 @@ def test_scan_writes_nothing_when_a_row_fails(tmp_path, capsys):
     assert not dest.exists()
 
 
+# every nodoid has a portion, but the bracket walk toward r0 does not find
+# it from B = 1e16 on, and at B = 1e300 it steps onto z' = 0
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--H", "1", "--B", "1e16"],
+    ["analyze", "--H", "1", "--B", "1e300"],
+    ["mesh", "--H", "1", "--B", "1e16"]],
+    ids=["analyze-1e16", "analyze-1e300", "mesh-1e16"])
+def test_unbracketed_nodoid_crossing_exits_3(argv, tmp_path, capsys):
+    # they exited 4, "no portion", and 2, "invalid input"
+    dest = tmp_path / "out"
+    flag = "--out" if argv[0] == "mesh" else "--output"
+    with np.errstate(all="ignore"):
+        code, out, err = run_cli(argv + [flag, str(dest)], capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ")
+    assert not dest.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--H", "1", "--B", "0.9", "--output"],
+    ["profile", "--H", "1", "--B", "1.5", "--s-min", "-1", "--s-max", "1",
+     "--output"],
+    ["scan", "--H-min", "1", "--H-max", "1", "--H-steps", "1", "--B-min",
+     "0.9", "--B-max", "0.9", "--B-steps", "1", "--output"],
+    ["mesh", "--H", "1", "--B", "1.5", "--resolution", "8", "--out"]],
+    ids=["analyze", "profile", "scan", "mesh"])
+def test_unwritable_output_path_is_invalid_input(argv, tmp_path, capsys):
+    # it raised FileNotFoundError, a traceback and exit 1
+    dest = tmp_path / "missing" / "x"
+    code, out, err = run_cli(argv + [str(dest)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not dest.parent.exists()
+
+
 def test_verify_passes_at_defaults(shared_verify, capsys):
     code, out, _ = run_cli(["verify"], capsys)
     assert code == 0
@@ -405,38 +440,63 @@ def test_verify_loose_quadrature_fails(capsys):
     assert "FAIL" in ac3
 
 
-def test_verify_env_tolerance(monkeypatch, capsys):
-    monkeypatch.setenv("CMCPINCH_QUAD_ABS_TOL", "1")
-    code, out, _ = run_cli(["verify"], capsys)
-    assert code == 1
-    assert "FAIL" in out
+INVALID_TOLERANCES = [
+    ("--quad-abs-tol=0", "abs_tol must be positive"),
+    # -1e-3 is no negative number to argparse, so the value is attached
+    ("--quad-rel-tol=-1e-3", "rel_tol must be nonnegative"),
+    ("--quad-rel-tol=nan", "rel_tol must be nonnegative"),
+    ("--quad-max-subdivisions=0", "max_subdivisions must be at least 1"),
+    ("--root-x-tol=-1", "x_tol must be positive"),
+    ("--root-max-iterations=0", "max_iterations must be at least 1"),
+]
 
 
-def test_verify_flag_beats_env(shared_verify, monkeypatch, capsys):
-    monkeypatch.setenv("CMCPINCH_QUAD_ABS_TOL", "1")
-    code, out, _ = run_cli(["verify", "--quad-abs-tol", "1e-10"], capsys)
-    assert code == 0
-    assert "16/16 checks passed" in out
-
-
-@pytest.mark.parametrize("name,value,message", [
-    ("QUAD_ABS_TOL", "0", "abs_tol must be positive"),
-    ("QUAD_REL_TOL", "-1e-3", "rel_tol must be nonnegative"),
-    ("QUAD_REL_TOL", "nan", "rel_tol must be nonnegative"),
-    ("QUAD_MAX_SUBDIVISIONS", "0", "max_subdivisions must be at least 1"),
-    ("ROOT_X_TOL", "-1", "x_tol must be positive"),
-    ("ROOT_MAX_ITERATIONS", "0", "max_iterations must be at least 1"),
-])
-def test_invalid_env_tolerance_is_invalid_input(monkeypatch, capsys, name,
-                                                value, message):
-    # verify is the only reader of the CMCPINCH_QUAD_* variables
-    monkeypatch.setenv("CMCPINCH_" + name, value)
-    argv = (["verify"] if name.startswith("QUAD_")
+@pytest.mark.parametrize("flag,message", INVALID_TOLERANCES,
+                         ids=[flag for flag, _ in INVALID_TOLERANCES])
+def test_invalid_tolerance_flag_is_invalid_input(capsys, flag, message):
+    # verify is the only command that takes the --quad-* flags
+    argv = (["verify"] if flag.startswith("--quad-")
             else ["analyze", "--H", "1", "--B", "0"])
-    code, out, err = run_cli(argv, capsys)
+    code, out, err = run_cli(argv + [flag], capsys)
     assert code == 2
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+# the variables that once set tolerances, each at a value that would fail
+# or change the run; CMCPINCH_ROOT_F_TOL set RootConfig.f_tol, since gone
+FORMER_VARIABLES = {
+    "CMCPINCH_ROOT_X_TOL": "0.5", "CMCPINCH_ROOT_MAX_ITERATIONS": "1",
+    "CMCPINCH_QUAD_ABS_TOL": "1", "CMCPINCH_QUAD_REL_TOL": "-1",
+    "CMCPINCH_QUAD_MAX_SUBDIVISIONS": "0", "CMCPINCH_ROOT_F_TOL": "-0.5"}
+# one golden run per command, as in CI's console-script step
+GOLDEN_RUNS = {
+    "analyze": (["analyze", "--H", "0.1", "--B", "0.9", "--format", "json"],
+                "analyze_H0.1_B0.9.json"),
+    "profile": (["profile", "--H", "0.1", "--B", "0.9", "--s-min", "-1.8",
+                 "--s-max", "1.8", "--n", "64"], "profile_H0.1_B0.9.csv"),
+    "scan": (["scan", "--H-min", "0.5", "--H-max", "2", "--H-steps", "2",
+              "--B-min", "0", "--B-max", "2", "--B-steps", "11"],
+             "scan_H0.5-2_B0-2.csv"),
+    "mesh": (["mesh", "--H", "0.1", "--B", "0.9", "--resolution", "16",
+              "--include-sphere"], "mesh_H0.1_B0.9_r16_sphere.obj"),
+    "verify": (["verify", "--format", "json"], "verify.jsonl"),
+}
+
+
+@pytest.mark.parametrize("command", list(GOLDEN_RUNS))
+def test_environment_is_not_an_input(command, shared_verify, monkeypatch,
+                                     tmp_path, capsys):
+    for name, value in FORMER_VARIABLES.items():
+        monkeypatch.setenv(name, value)
+    argv, golden = GOLDEN_RUNS[command]
+    dest = tmp_path / golden
+    if command == "mesh":
+        argv = argv + ["--out", str(dest)]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, err) == (0, "")
+    got = dest.read_bytes() if command == "mesh" else out.encode("ascii")
+    assert got == (GOLDEN_DIR / golden).read_bytes()
 
 
 def test_console_entry_point_exits_zero(monkeypatch, capsys):
@@ -536,15 +596,6 @@ def test_unused_root_flags_are_rejected(command, flag, tmp_path, capsys):
     assert f"unrecognized arguments: {flag} 1" in err
 
 
-@pytest.mark.parametrize("command", ["analyze", "profile", "scan", "mesh"])
-def test_quad_variables_are_not_read(command, monkeypatch, tmp_path, capsys):
-    default = _outcome(KNOB_INPUTS[command], tmp_path, capsys)
-    assert default[0] == 0
-    for name in ("ABS_TOL", "REL_TOL", "MAX_SUBDIVISIONS"):
-        monkeypatch.setenv("CMCPINCH_QUAD_" + name, "-1")
-    assert _outcome(KNOB_INPUTS[command], tmp_path, capsys) == default
-
-
 @pytest.mark.parametrize("h", ["1", "1e-4"])
 def test_analyze_near_degenerate_shape(h, capsys):
     # |1 - B| = 1e-6: the neck is resolved, where adaptive heights failed
@@ -555,23 +606,3 @@ def test_analyze_near_degenerate_shape(h, capsys):
     report = json.loads(out)
     assert report["verdict"] == "PinchedFreeBoundaryPortion"
     assert report["minGap"] >= -1e-8
-
-
-@pytest.mark.parametrize("name,value", [
-    ("ROOT_X_TOL", "-1"), ("ROOT_MAX_ITERATIONS", "0"),
-    ("ROOT_F_TOL", "-0.5")])
-def test_profile_reads_no_root_variable(monkeypatch, capsys, name, value):
-    monkeypatch.setenv("CMCPINCH_" + name, value)
-    code, out, err = run_cli(
-        ["profile", "--H", "0.1", "--B", "0.9", "--s-min", "-1.8",
-         "--s-max", "1.8", "--n", "64"], capsys)
-    assert (code, err) == (0, "")
-    assert out == (GOLDEN_DIR / "profile_H0.1_B0.9.csv").read_text()
-
-
-def test_root_f_tol_variable_is_not_read(monkeypatch, capsys):
-    monkeypatch.setenv("CMCPINCH_ROOT_F_TOL", "-0.5")
-    code, out, err = run_cli(
-        ["analyze", "--H", "0.1", "--B", "0.9", "--format", "json"], capsys)
-    assert (code, err) == (0, "")
-    assert out == (GOLDEN_DIR / "analyze_H0.1_B0.9.json").read_text()

@@ -61,7 +61,7 @@ def test_g_at_nodoid_neck():
 def test_g_rejects_zero_dz():
     st = GeneratrixState(s=0.0, x=1.0, z=0.5, dx=1.0, dz=0.0, ddx=0.0,
                          ddz=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ZeroDivisionError):
         g_function(st)
 
 
