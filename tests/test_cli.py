@@ -596,6 +596,37 @@ def test_unused_root_flags_are_rejected(command, flag, tmp_path, capsys):
     assert f"unrecognized arguments: {flag} 1" in err
 
 
+# each former variable alone, beside test_environment_is_not_an_input's
+# all-at-once run
+@pytest.mark.parametrize("command", ["analyze", "profile", "scan", "mesh"])
+def test_quad_variables_are_not_read(command, monkeypatch, tmp_path, capsys):
+    default = _outcome(KNOB_INPUTS[command], tmp_path, capsys)
+    assert default[0] == 0
+    for name in ("ABS_TOL", "REL_TOL", "MAX_SUBDIVISIONS"):
+        monkeypatch.setenv("CMCPINCH_QUAD_" + name, "-1")
+    assert _outcome(KNOB_INPUTS[command], tmp_path, capsys) == default
+
+
+@pytest.mark.parametrize("name,value", [
+    ("ROOT_X_TOL", "-1"), ("ROOT_MAX_ITERATIONS", "0"),
+    ("ROOT_F_TOL", "-0.5")])
+def test_profile_reads_no_root_variable(monkeypatch, capsys, name, value):
+    monkeypatch.setenv("CMCPINCH_" + name, value)
+    code, out, err = run_cli(
+        ["profile", "--H", "0.1", "--B", "0.9", "--s-min", "-1.8",
+         "--s-max", "1.8", "--n", "64"], capsys)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN_DIR / "profile_H0.1_B0.9.csv").read_text()
+
+
+def test_root_f_tol_variable_is_not_read(monkeypatch, capsys):
+    monkeypatch.setenv("CMCPINCH_ROOT_F_TOL", "-0.5")
+    code, out, err = run_cli(
+        ["analyze", "--H", "0.1", "--B", "0.9", "--format", "json"], capsys)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN_DIR / "analyze_H0.1_B0.9.json").read_text()
+
+
 @pytest.mark.parametrize("h", ["1", "1e-4"])
 def test_analyze_near_degenerate_shape(h, capsys):
     # |1 - B| = 1e-6: the neck is resolved, where adaptive heights failed
