@@ -15,8 +15,8 @@ from .delaunay import (CYLINDER, NODOID, UNDULOID, DelaunayParams,
                        GeneratrixState, eval_state, profile, z_many, z_of)
 from .freeboundary import (VERDICT_CYLINDER, VERDICT_INVALID,
                            VERDICT_NO_ORTHOGONAL, VERDICT_PINCHED,
-                           AnalysisReport, EnclosureError,
-                           FreeBoundaryPortion, NoRootError, ViolationPoint,
+                           AnalysisReport, FreeBoundaryPortion,
+                           NoRootError, ViolationPoint,
                            build_portion, check_profile_conditions, classify,
                            find_n0, find_sbar, g_function, nodoid_find_rbar,
                            nodoid_r0, s0, violation_points, z0)
@@ -30,7 +30,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnalysisReport", "CheckResult", "CYLINDER", "DEFAULT_QUADRATURE",
-    "DEFAULT_ROOT", "DelaunayParams", "EnclosureError",
+    "DEFAULT_ROOT", "DelaunayParams",
     "FreeBoundaryPortion", "GeneratrixState", "IterationLimitError",
     "NODOID", "NoRootError", "NoSignChangeError", "PointAnalysis",
     "QuadratureConfig", "RootConfig", "SubdivisionLimitError",

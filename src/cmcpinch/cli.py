@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -38,9 +39,8 @@ import numpy as np
 
 from .curvature import analyze_point
 from .delaunay import DelaunayParams, profile, z_many
-from .freeboundary import (VERDICT_INVALID, AnalysisReport, EnclosureError,
-                           NoRootError, classify, _find_crossing,
-                           _g_off_zero_set)
+from .freeboundary import (VERDICT_INVALID, AnalysisReport, NoRootError,
+                           build_portion, classify, _g_off_zero_set)
 from .mesh import export_obj_scene, revolve, sphere
 from .numerics import (IterationLimitError, NoSignChangeError,
                        QuadratureConfig, RootConfig, SubdivisionLimitError)
@@ -219,11 +219,11 @@ def cmd_mesh(args: argparse.Namespace) -> int:
     params = DelaunayParams(args.H, args.B)
     if args.resolution < 8:
         raise ValueError("mesh resolution must be at least 8")
-    sb, r0, _ = _find_crossing(params, root)
-    portion_mesh = revolve(params, -sb, sb, args.resolution, args.resolution)
-    objects = [("portion", portion_mesh)]
+    p = build_portion(params, root)
+    objects = [("portion", revolve(params, -p.s_bar, p.s_bar,
+                                   args.resolution, args.resolution))]
     if args.include_sphere:
-        objects.append(("sphere", sphere(r0, max(args.resolution // 2, 2),
+        objects.append(("sphere", sphere(p.R0, max(args.resolution // 2, 2),
                                          args.resolution)))
     with open(args.out, "wb") as sink:
         export_obj_scene(objects, sink)
@@ -274,6 +274,7 @@ def _add_params_flags(p: argparse.ArgumentParser) -> None:
                    help="shape parameter, B >= 0 and B != 1")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cmcpinch",
@@ -340,8 +341,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except NoRootError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_PORTION
-    except (SubdivisionLimitError, IterationLimitError, EnclosureError,
-            NoSignChangeError, OverflowError, ZeroDivisionError) as exc:
+    except (SubdivisionLimitError, IterationLimitError, NoSignChangeError,
+            OverflowError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL_FAILURE
     except (ValueError, OSError) as exc:

@@ -8,9 +8,9 @@ same as a zero of
     g(s) = x(s) - (x'(s) / z'(s)) z(s),
 
 since u = x' z - x z' = -z' g.  This module locates such zeros, builds
-the resulting portion, checks the pointwise pinching gap over it, and
-produces the sequence of points outside the portion where the gap goes
-negative.
+the resulting portion, on which the pinching gap is nonnegative by the
+theorem below, and produces the sequence of points outside the portion
+where the gap goes negative.
 
 Unduloid dichotomy (0 < B < 1).  Let s0 = arccos(B) / H be the first
 positive zero of x'' (the inflection of the profile radius) and
@@ -23,6 +23,34 @@ z0 = (1 - B^2) / (H B).  Then g(s0) <= 0 exactly when z(s0) >= z0, and:
 Nodoid case (B > 1).  On the inner branch (0, r0) with
 r0 = arccos(1/B) / H, g decreases from (B - 1)/H > 0 to -infinity, so a
 root rb always exists and the portion is [-rb, rb].
+
+Every portion is pinched, with min gap 0 at the neck, and lies in its
+ball.  At H = 1, with c = cos s: x, z', x'' are even and x', z odd, so
+u, k1, lambda1, lambda2 are even and [0, sb] suffices.  Unit speed
+(x' x'' + z' z'' = 0) gives k1 = -x'' / z'; u(0) = B - 1 and
+u' = x'' z - x z''; x'' has the sign of (1 - B c)(c - B), z' that of
+1 - B c and z'' that of sin s (B - c).
+
+* Unduloid, sb in (0, s0]: c >= B on [0, sb], so x'' >= 0, z' > 0,
+  z >= 0, z'' <= 0.  Then k1 <= 0 and u' >= 0: u rises from B - 1 < 0
+  to u(sb) = 0, so u <= 0.
+* Nodoid, rb in (0, r0): c > 1/B, so 1 - B c < 0 and c - B < 0, giving
+  x'' > 0, z' < 0, z <= 0, z'' >= 0.  Then k1 > 0 and u' <= 0: u falls
+  from B - 1 > 0 to u(rb) = 0, so u >= 0.
+
+So k1 u >= 0 and lambda1 = 1 + k1 u >= 1.  x' = B sin s / sqrt(Q) >= 0
+and z z' >= 0, so x x' + z z' >= 0 and lambda2 = x' (x x' + z z') / x
+>= 0, zero only at the neck s = 0.  The gap 2 lambda1 lambda2 is thus
+>= 0 on the portion and 0 only at s = 0, and (|P|^2)' = 2 (x x' + z z')
+gives |P| <= |P(sb)| = R0.  This is the H > 0 counterpart of the
+equality case of Ambrozio and Nunes' gap theorem (arXiv:1608.05689),
+and why the pinching bound is sharp.  The hypotheses hold by
+construction: find_root returns a point of its bracket, [0, s0] or
+[0, hi] with hi < r0, and build_portion rejects sb = 0.  At the
+computed sb, u is the reported residual, not 0, so lambda1 is 1 within
+|k1| times it.  The sampled gap stays as an oracle in AC4 and, with the
+enclosure, in tests/test_properties.py; tests/test_reference.py checks
+the inequalities at 50 digits.
 
 Violation sequence (unduloid, B > 0).  At t_n = (2 n pi - arccos B) / H
 the meridian curvature contribution gives lambda1 = 1 exactly, while
@@ -40,7 +68,7 @@ only grows with n.
 
 Canonical units.  The surface (H, B) is the surface (1, B) scaled by
 1/H, and the verdict, lambda1, lambda2 and the gap do not change under
-dilation.  classify and the crossing finder therefore solve at H = 1 and
+dilation.  classify and build_portion therefore solve at H = 1 and
 divide every length (s0, z0, z(s0), sb, R0, the residual u(sb), t_n) by
 H, so a verdict depends on B alone and the root tolerance bounds H s.
 """
@@ -48,7 +76,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple, Optional
+from typing import ClassVar, NamedTuple, Optional
 
 import numpy as np
 
@@ -63,17 +91,9 @@ VERDICT_NO_ORTHOGONAL = "NoOrthogonalIntersection"
 VERDICT_CYLINDER = "Cylinder"
 VERDICT_INVALID = "Invalid"
 
-# uniform gap samples over [-sb, sb]; odd, so the centre sample is the
-# neck s = 0, where lambda2 (and with it the gap) is exactly 0
-GAP_SAMPLES = 2049
-
 
 class NoRootError(ValueError):
     """The requested orthogonal-crossing root does not exist."""
-
-
-class EnclosureError(RuntimeError):
-    """A sampled portion point fell outside the bounding ball."""
 
 
 class ViolationPoint(NamedTuple):
@@ -90,8 +110,8 @@ class FreeBoundaryPortion:
     s_bar: float
     R0: float
     scaled_params: DelaunayParams
-    min_gap: float
     orthogonality_residual: float
+    min_gap: ClassVar[float] = 0.0  # 0 by theorem, attained at the neck
 
 
 @dataclass(frozen=True)
@@ -243,15 +263,14 @@ def _g_off_zero_set(st: GeneratrixState):
     return g_function(replace(st, dz=np.where(off, st.dz, 1.0))), off
 
 
-def _find_crossing(params: DelaunayParams, root_cfg: RootConfig
-                   ) -> tuple[float, float, float]:
-    """sb, R0 and the residual |u(sb)| of the orthogonal crossing.
+def build_portion(params: DelaunayParams,
+                  root_cfg: RootConfig = DEFAULT_ROOT) -> FreeBoundaryPortion:
+    """The crossing sb, R0 and residual |u(sb)|, solved at H = 1 over H.
 
-    They are solved on the H = 1 surface of params.B, where x_tol bounds
-    H sb, and divided by H.  Raises NoRootError where there is none,
-    ValueError when x_tol is so wide that the search stops at s = 0,
-    which is never a root: g(0) = |1 - B| / H > 0, and OverflowError
-    when a length divided by H is not a finite float.
+    Nothing is sampled: gap >= 0 and |P| <= R0 hold by the module
+    docstring's theorem.  Raises NoRootError where there is no crossing,
+    ValueError when x_tol stops the search at s = 0 (g(0) > 0, never a
+    root) and OverflowError when a length over H is not a finite float.
     """
     unit = DelaunayParams(1.0, params.B)
     family = params.family
@@ -267,36 +286,11 @@ def _find_crossing(params: DelaunayParams, root_cfg: RootConfig
                          "the crossing search at s = 0, which is no crossing")
     boundary = eval_state(unit, sb)
     H = params.H
-    return tuple(_scaled_length(v, H) for v in (
+    sb, r0, residual = (_scaled_length(v, H) for v in (
         sb, math.hypot(boundary.x, boundary.z),
         abs(support_function(boundary))))
-
-
-def build_portion(params: DelaunayParams,
-                  root_cfg: RootConfig = DEFAULT_ROOT) -> FreeBoundaryPortion:
-    """Locate the crossing, measure R0, and scan the gap over the portion.
-
-    The crossing comes from _find_crossing (solved at H = 1).  The gap
-    is sampled in one array pass at GAP_SAMPLES uniform points over
-    [-sb, sb], and min_gap is their minimum.  The centre sample is the
-    neck s = 0, where x' = 0 makes lambda2 and the gap exactly 0.  Every
-    sample is checked to lie inside the ball of radius R0 (1e-9 relative
-    tolerance); a point outside raises EnclosureError since the
-    construction guarantees containment.
-    """
-    sb, r0, residual = _find_crossing(params, root_cfg)
-
-    ss = np.linspace(-sb, sb, GAP_SAMPLES)
-    st = profile(params, ss, z_many(params, ss))
-    outside = st.x * st.x + st.z * st.z > r0 * r0 * (1.0 + 1e-9)
-    if outside.any():
-        s_out = float(ss[outside.argmax()])
-        raise EnclosureError(
-            f"portion sample at s={s_out!r} lies outside radius {r0!r}")
-    gaps = analyze_point(params, st).gap
-    scaled = DelaunayParams(params.H * r0, params.B)
-    return FreeBoundaryPortion(s_bar=sb, R0=r0, scaled_params=scaled,
-                               min_gap=float(gaps.min()),
+    return FreeBoundaryPortion(s_bar=sb, R0=r0,
+                               scaled_params=DelaunayParams(H * r0, params.B),
                                orthogonality_residual=residual)
 
 

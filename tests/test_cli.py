@@ -508,6 +508,29 @@ def test_console_entry_point_exits_zero(monkeypatch, capsys):
     assert "verdict: Cylinder" in capsys.readouterr().out
 
 
+def test_parser_is_built_once(monkeypatch, capsys):
+    # main reuses one parser, and a second call with other flags parses
+    # its own arguments: no value leaks from the first call
+    parser = cli.build_parser()
+    parses = []
+
+    def counted(argv):
+        parses.append(argv)
+        return type(parser).parse_args(parser, argv)
+
+    monkeypatch.setattr(parser, "parse_args", counted)
+    for argv, golden in (
+            (["analyze", "--H", "1", "--B", "1.5", "--format", "text"],
+             "analyze_H1_B1.5.txt"),
+            (["analyze", "--H", "0.1", "--B", "0.9", "--format", "json"],
+             "analyze_H0.1_B0.9.json")):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, err) == (0, "")
+        assert out.encode("ascii") == (GOLDEN_DIR / golden).read_bytes()
+    assert len(parses) == 2
+    assert cli.build_parser() is parser
+
+
 # cheap inputs per subcommand
 KNOB_INPUTS = {
     "analyze": ["analyze", "--H", "0.1", "--B", "0.9", "--format", "json"],

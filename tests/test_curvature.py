@@ -121,7 +121,8 @@ def test_distance_hessian_matches_lambda1():
 
 
 def test_array_gaps_equal_scalar_gaps_bitwise():
-    # build_portion compares grid gaps (array) with refined gaps (scalar)
+    # the sampled oracles (array) and single-point checks (scalar) must
+    # see the same gap
     rng = np.random.default_rng(11)
     for _ in range(20):
         params = random_params(rng)

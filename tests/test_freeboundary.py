@@ -6,12 +6,10 @@ import pytest
 from cmcpinch.curvature import analyze_point, support_function
 from cmcpinch.delaunay import (DelaunayParams, GeneratrixState, _dz_integrand,
                                eval_state, z_many, z_of)
-from cmcpinch.numerics import (DEFAULT_QUADRATURE, DEFAULT_ROOT,
-                               QuadratureConfig, integrate)
+from cmcpinch.numerics import DEFAULT_QUADRATURE, QuadratureConfig, integrate
 from cmcpinch import freeboundary
 from cmcpinch.freeboundary import (VERDICT_CYLINDER, VERDICT_NO_ORTHOGONAL,
-                                   VERDICT_PINCHED, EnclosureError,
-                                   NoRootError,
+                                   VERDICT_PINCHED, NoRootError,
                                    build_portion, check_profile_conditions,
                                    classify, find_n0, find_sbar, g_function,
                                    nodoid_find_rbar, nodoid_r0, s0,
@@ -246,41 +244,6 @@ def test_build_portion_cylinder_raises():
         build_portion(DelaunayParams(1.0, 0.0))
 
 
-def test_enclosure_error_names_first_sample_outside(monkeypatch,
-                                                   example_portion):
-    true_z_many = freeboundary.z_many
-
-    def lifted(params, ss):
-        # push every sample past s = 0.5 far above the ball
-        return true_z_many(params, ss) + np.where(ss > 0.5, 100.0, 0.0)
-
-    monkeypatch.setattr(freeboundary, "z_many", lifted)
-    sb = example_portion.s_bar
-    ss = np.linspace(-sb, sb, freeboundary.GAP_SAMPLES)
-    first = float(ss[ss > 0.5][0])
-    with pytest.raises(EnclosureError, match=f"at s={first!r} lies outside"):
-        build_portion(EXAMPLE)
-
-
-@pytest.mark.parametrize("params", [EXAMPLE, NODOID_EX])
-def test_gap_is_one_array_pass_through_the_neck(monkeypatch, params):
-    # no scalar refinement: one analyze_point call on the whole grid,
-    # whose centre sample is the neck s = 0, where the gap is exactly 0
-    passes = []
-
-    def counted(p, st):
-        passes.append(st.s)
-        return analyze_point(p, st)
-
-    monkeypatch.setattr(freeboundary, "analyze_point", counted)
-    portion = build_portion(params)
-    (ss,) = passes
-    assert ss.shape == (freeboundary.GAP_SAMPLES,)
-    assert ss[freeboundary.GAP_SAMPLES // 2] == 0.0
-    assert math.copysign(1.0, portion.min_gap) == 1.0
-    assert portion.min_gap == 0.0
-
-
 def test_portion_stays_inside_ball(example_portion):
     p = example_portion
     ss = np.linspace(-p.s_bar, p.s_bar, 500)
@@ -507,12 +470,25 @@ def test_classify_is_the_scaled_unit_report(b):
 
 
 def test_crossing_is_solved_at_unit_scale():
-    # mesh and analyze share the crossing, solved once at H = 1
+    # mesh (build_portion) and analyze (classify) share the crossing,
+    # solved once at H = 1 and divided by H: s_bar, R0, scaled_params and
+    # the residual agree bit for bit
     for params in (EXAMPLE, NODOID_EX, DelaunayParams(1e5, 0.95)):
-        sb, r0, residual = freeboundary._find_crossing(params, DEFAULT_ROOT)
-        p = classify(params).portion
-        assert (sb, r0, residual) == (p.s_bar, p.R0,
-                                      p.orthogonality_residual)
+        assert build_portion(params) == classify(params).portion
+
+
+@pytest.mark.parametrize("params", [EXAMPLE, NODOID_EX])
+def test_build_portion_evaluates_no_gap(monkeypatch, params):
+    # min_gap = 0 and |P| <= R0 are theorems, so the portion is the
+    # crossing alone: no height array and no curvature are evaluated
+    def forbidden(*args):
+        raise AssertionError("build_portion sampled the portion")
+
+    monkeypatch.setattr(freeboundary, "analyze_point", forbidden)
+    monkeypatch.setattr(freeboundary, "z_many", forbidden)
+    p = build_portion(params)
+    assert p.min_gap == 0.0
+    assert 0.0 < p.s_bar
 
 
 @pytest.mark.parametrize("b, h", [
@@ -521,8 +497,7 @@ def test_crossing_is_solved_at_unit_scale():
     (1.0 - 1e-12, 1e-6), (1.0 - 1e-15, 1.0), (1e12, 1.0)])
 def test_near_degenerate_shapes_are_pinched(h, b):
     # |1 - B| down to 1e-15 and B up to 1e12: the neck is resolved, no
-    # ZeroDivisionError or EnclosureError, and the gap grid holds the
-    # neck s = 0, where the gap is exactly 0, its minimum on the portion
+    # ZeroDivisionError, and the minimum gap is 0, at the neck s = 0
     rep = classify(DelaunayParams(h, b))
     assert rep.verdict == VERDICT_PINCHED
     assert rep.portion.min_gap == 0.0

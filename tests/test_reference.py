@@ -127,3 +127,51 @@ def test_golden_cells_within_reference_bound(name):
             f"{name} {where}: {printed} vs exact {exact}")
         checked += 1
     assert checked > 0
+
+
+# Pinched shapes at H = 1 for the 50-digit check of the freeboundary
+# theorem: unduloids from just above the dichotomy threshold
+# B* = 0.76589502387... up to 1 - 1e-6, nodoids from 1 + 1e-6 to 1e9
+THEOREM_SHAPES = [0.76589503, 0.7659, 0.9, 0.999, 1.0 - 1e-6,
+                  1.0 + 1e-6, 1.5, 10.0, 1e3, 1e6, 1e9]
+
+
+def test_portion_theorem_holds_at_50_digits():
+    # the inequalities the freeboundary docstring proves on [0, sb]:
+    # k1 u >= 0 (so lambda1 >= 1), x' >= 0 and x x' + z z' >= 0 (so
+    # lambda2 >= 0 and |P| <= R0), in mpmath at 50 digits, on the exact
+    # crossing solved from the package's
+    mp = pytest.importorskip("mpmath")
+    from cmcpinch.delaunay import DelaunayParams
+    from cmcpinch.freeboundary import VERDICT_PINCHED, classify
+
+    def state(B, s):
+        """x', x x' + z z', k1 and u at s on the H = 1 surface of B."""
+        c, sn = mp.cos(s), mp.sin(s)
+        q = 1 + B * B - 2 * B * c
+        x = mp.sqrt(q)
+        dx, dz = B * sn / x, (1 - B * c) / x
+        ddx = B * (1 - B * c) * (c - B) / (q * x)
+        ddz = B * B * sn * (B - c) / (q * x)
+        # z by mpmath's Carlson integrals; |s| / 2 < pi / 2 on a portion
+        a, r = (1 - B) ** 2, s / 2
+        args = (a * mp.cos(r) ** 2, a + 4 * B * mp.sin(r) ** 2, a)
+        z = (2 * (1 - B) * mp.sin(r) * mp.elliprf(*args)
+             + 4 * B * a / 3 * mp.sin(r) ** 3 * mp.elliprd(*args))
+        return dx, x * dx + z * dz, dx * ddz - ddx * dz, dx * z - x * dz
+
+    with mp.workdps(50):
+        for b in THEOREM_SHAPES:
+            rep = classify(DelaunayParams(1.0, b))
+            assert rep.verdict == VERDICT_PINCHED, b
+            B = mp.mpf(b)
+            sb = mp.findroot(lambda s: state(B, s)[3],
+                             mp.mpf(rep.portion.s_bar))
+            top = rep.s0 if b < 1.0 else rep.r0
+            assert 0 < sb <= top, b
+            assert abs(state(B, sb)[3]) < mp.mpf(10) ** -40 * (1 + B), b
+            samples = [sb * j / 12 for j in range(12)]
+            for s in samples + [sb * (1 - mp.mpf(10) ** -20)]:
+                dx, radial, k1, u = state(B, s)
+                assert k1 * u >= 0, (b, s)
+                assert dx >= 0 and radial >= 0, (b, s)
