@@ -48,9 +48,8 @@ and why the pinching bound is sharp.  The hypotheses hold by
 construction: find_root returns a point of its bracket, [0, s0] or
 [0, hi] with hi < r0, and build_portion rejects sb = 0.  At the
 computed sb, u is the reported residual, not 0, so lambda1 is 1 within
-|k1| times it.  The sampled gap stays as an oracle in AC4 and, with the
-enclosure, in tests/test_properties.py; tests/test_reference.py checks
-the inequalities at 50 digits.
+|k1| times it.  AC4 and tests/sampled_portion.py sample the gap and
+the ball as an oracle; tests/test_reference.py checks it at 50 digits.
 
 Violation sequence (unduloid, B > 0).  At t_n = (2 n pi - arccos B) / H
 the meridian curvature contribution gives lambda1 = 1 exactly, while

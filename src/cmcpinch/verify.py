@@ -42,6 +42,8 @@ from .numerics import (DEFAULT_QUADRATURE, DEFAULT_ROOT, QuadratureConfig,
 
 EXAMPLE = DelaunayParams(0.1, 0.9)
 NODOID_EXAMPLE = DelaunayParams(1.0, 1.5)
+# points of [-sb, sb] where AC4 samples the gap, an oracle for min_gap = 0
+PORTION_SAMPLES = 2049
 
 # reference values for the (H, B) = (0.1, 0.9) worked example
 S0_REF = 4.51026
@@ -191,8 +193,7 @@ def _check_z_at_s0_reference(ctx: _Context, r: _Ratios) -> str:
 def _check_example_portion(ctx: _Context, r: _Ratios) -> str:
     p = ctx.example_portion
     r.bound(p.orthogonality_residual, 1e-8)
-    # the sampled gap, an oracle for the theorem behind p.min_gap = 0
-    ss = np.linspace(-p.s_bar, p.s_bar, 2049)
+    ss = np.linspace(-p.s_bar, p.s_bar, PORTION_SAMPLES)
     st = profile(EXAMPLE, ss, z_many(EXAMPLE, ss))
     min_gap = float(analyze_point(EXAMPLE, st).gap.min())
     r.bound(min(min_gap, 0.0), 1e-8)

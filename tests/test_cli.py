@@ -12,6 +12,7 @@ import pytest
 from cmcpinch import cli
 from cmcpinch.cli import main
 from cmcpinch.numerics import NoSignChangeError
+from sampled_portion import sampled_min_gap
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -653,10 +654,15 @@ def test_root_f_tol_variable_is_not_read(monkeypatch, capsys):
 @pytest.mark.parametrize("h", ["1", "1e-4"])
 def test_analyze_near_degenerate_shape(h, capsys):
     # |1 - B| = 1e-6: the neck is resolved, where adaptive heights failed
-    # the enclosure check (exit 3)
+    # the enclosure check (exit 3); the sampled oracle checks the
+    # reported portion's gap and enclosure
     code, out, err = run_cli(
         ["analyze", "--H", h, "--B", "0.999999", "--format", "json"], capsys)
     assert (code, err) == (0, "")
     report = json.loads(out)
     assert report["verdict"] == "PinchedFreeBoundaryPortion"
-    assert report["minGap"] >= -1e-8
+    params = cli.DelaunayParams(float(h), 0.999999)
+    portion = cli.classify(params).portion
+    assert (report["sBar"], report["R0"]) == (
+        cli._round12(portion.s_bar), cli._round12(portion.R0))
+    assert sampled_min_gap(params, portion) == 0.0

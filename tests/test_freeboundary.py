@@ -14,6 +14,7 @@ from cmcpinch.freeboundary import (VERDICT_CYLINDER, VERDICT_NO_ORTHOGONAL,
                                    classify, find_n0, find_sbar, g_function,
                                    nodoid_find_rbar, nodoid_r0, s0,
                                    violation_points, z0)
+from sampled_portion import sampled_min_gap
 
 EXAMPLE = DelaunayParams(0.1, 0.9)
 NODOID_EX = DelaunayParams(1.0, 1.5)
@@ -216,8 +217,7 @@ def test_build_portion_example(example_portion):
     p = example_portion
     assert p.s_bar == pytest.approx(SBAR_GOLDEN, abs=1e-9)
     assert p.R0 == pytest.approx(R0_GOLDEN, abs=1e-9)
-    assert p.min_gap >= -1e-8
-    assert p.min_gap == pytest.approx(0.0, abs=1e-10)
+    assert sampled_min_gap(EXAMPLE, p) == pytest.approx(0.0, abs=1e-10)
     assert p.orthogonality_residual <= 1e-10
     assert p.scaled_params.H == pytest.approx(SCALED_H_GOLDEN, abs=1e-9)
     assert p.scaled_params.B == 0.9
@@ -226,7 +226,7 @@ def test_build_portion_example(example_portion):
 def test_build_portion_nodoid(nodoid_portion):
     p = nodoid_portion
     assert p.s_bar == pytest.approx(RBAR_GOLDEN, abs=1e-9)
-    assert p.min_gap >= -1e-8
+    sampled_min_gap(NODOID_EX, p)
     assert p.R0 > eval_state(NODOID_EX, p.s_bar, z=0.0).x
 
 
@@ -461,7 +461,6 @@ def test_classify_is_the_scaled_unit_report(b):
             assert p.s_bar == q.s_bar / h
             assert p.R0 == q.R0 / h
             assert p.orthogonality_residual == q.orthogonality_residual / h
-            assert p.min_gap == q.min_gap
             assert p.scaled_params == DelaunayParams(h * (q.R0 / h), b)
         assert len(rep.violations) == len(unit.violations)
         for v, w in zip(rep.violations, unit.violations):
@@ -497,8 +496,9 @@ def test_build_portion_evaluates_no_gap(monkeypatch, params):
     (1.0 - 1e-12, 1e-6), (1.0 - 1e-15, 1.0), (1e12, 1.0)])
 def test_near_degenerate_shapes_are_pinched(h, b):
     # |1 - B| down to 1e-15 and B up to 1e12: the neck is resolved, no
-    # ZeroDivisionError, and the minimum gap is 0, at the neck s = 0
+    # ZeroDivisionError, the sampled minimum gap is 0, at the neck s = 0,
+    # and every sample lies in the ball
     rep = classify(DelaunayParams(h, b))
     assert rep.verdict == VERDICT_PINCHED
-    assert rep.portion.min_gap == 0.0
+    assert sampled_min_gap(rep.params, rep.portion) == 0.0
     assert 0.0 < rep.portion.s_bar
