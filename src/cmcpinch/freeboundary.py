@@ -52,11 +52,11 @@ computed sb, u is the reported residual, not 0, so lambda1 is 1 within
 the ball as an oracle; tests/test_reference.py checks it at 50 digits.
 
 Violation sequence (unduloid, B > 0).  At t_n = (2 n pi - arccos B) / H
-the meridian curvature contribution gives lambda1 = 1 exactly, while
-lambda2 = B H (B/H - z(t_n)), so the gap = 2 lambda1 lambda2 is negative
-exactly where z(t_n) > B/H.  That holds from n = 1 on: n0, the first such
-index, is 1, and the pinching inequality fails at every t_n outside the
-portion.  Proof: with c = cos(H s), z' = (1 - B c) / sqrt(1 + B^2 - 2 B c)
+x'' = z'' = 0 and x' = -B, z' = H x, so lambda1 = 1 and lambda2 =
+B (B - H z(t_n)), the closed forms violation_points returns (the general
+kernel is the tests' oracle).  The gap 2 lambda2 is negative exactly where
+z(t_n) > B/H, which holds from n = 1 on, so n0 = 1.  Proof: with
+c = cos(H s), z' = (1 - B c) / sqrt(1 + B^2 - 2 B c)
 is positive, and where c <= 0
 
     2 (1 - B c)^2 - (1 + B^2 - 2 B c) = (1 - B^2) - 2 B c + 2 B^2 c^2 > 0,
@@ -79,9 +79,9 @@ from typing import ClassVar, NamedTuple, Optional
 
 import numpy as np
 
-from .curvature import analyze_point, support_function
+from .curvature import support_function
 from .delaunay import (CYLINDER, NODOID, UNDULOID, DelaunayParams,
-                       GeneratrixState, eval_state, profile, z_many, z_of)
+                       GeneratrixState, eval_state, z_of)
 from .numerics import (DEFAULT_ROOT, IterationLimitError, RootConfig,
                        find_root)
 
@@ -229,13 +229,15 @@ def nodoid_find_rbar(params: DelaunayParams,
     r_top = nodoid_r0(params)
     g = _g_of_s(params)
     hi = r_top * (1.0 - 1e-3)
-    for _ in range(60):
-        if g(hi) <= 0.0:
-            break
-        hi = r_top - 0.5 * (r_top - hi)
-    else:
-        raise IterationLimitError(
-            "could not bracket the nodoid crossing below r0")
+    # g reads neither x'' nor z'', whose products overflow from B ~ 1e103
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(60):
+            if g(hi) <= 0.0:
+                break
+            hi = r_top - 0.5 * (r_top - hi)
+        else:
+            raise IterationLimitError(
+                "could not bracket the nodoid crossing below r0")
     return find_root(g, 0.0, hi, root_cfg)
 
 
@@ -297,21 +299,21 @@ def violation_points(params: DelaunayParams, count: int
                      ) -> list[ViolationPoint]:
     """First `count` members of the violation sequence t_n.
 
-    t_n = (2 n pi - arccos B) / H, so H t_n / 2 = n pi - arccos(B) / 2 and
-    z(t_n) is the closed form's G(-arccos(B) / 2) / H plus n periods of
-    2 G(pi/2) / H each.
+    t_n = (2 n pi - arccos B) / H, where the module docstring gives
+    lambda1 = 1 exactly; each point carries that closed form,
+    lambda2 = B (B - H z(t_n)) and gap = 2 lambda2, from one height each.
     """
     if params.family != UNDULOID:
         raise ValueError("the violation sequence needs an unduloid with B > 0")
     if count < 1:
         raise ValueError("count must be at least 1")
-    acb = math.acos(params.B)
-    n = np.arange(1, count + 1)
-    t = (2.0 * math.pi * n - acb) / params.H
-    pa = analyze_point(params, profile(params, t, z_many(params, t)))
-    return [ViolationPoint(n=k, t=tk, lambda2=l2, gap=gap)
-            for k, tk, l2, gap in zip(n.tolist(), t.tolist(),
-                                      pa.lambda2.tolist(), pa.gap.tolist())]
+    B, H, acb = params.B, params.H, math.acos(params.B)
+    points = []
+    for n in range(1, count + 1):
+        t = (2.0 * math.pi * n - acb) / H
+        lambda2 = B * (B - H * z_of(params, t))
+        points.append(ViolationPoint(n, t, lambda2, 2.0 * lambda2))
+    return points
 
 
 def find_n0(params: DelaunayParams) -> int:

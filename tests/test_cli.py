@@ -379,20 +379,24 @@ def test_scan_writes_nothing_when_a_row_fails(tmp_path, capsys):
 
 
 # every nodoid has a portion, but the bracket walk toward r0 does not find
-# it from B = 1e16 on, and at B = 1e300 it steps onto z' = 0
+# it from B = 1e16 on, and at B = 1e300 it steps onto z' = 0; from B =
+# 1e103 on, x'' and z'' overflow on the way, which must not reach stderr
 @pytest.mark.parametrize("argv", [
     ["analyze", "--H", "1", "--B", "1e16"],
+    ["analyze", "--H", "1", "--B", "1e103"],
+    ["analyze", "--H", "1", "--B", "1e154"],
     ["analyze", "--H", "1", "--B", "1e300"],
     ["mesh", "--H", "1", "--B", "1e16"]],
-    ids=["analyze-1e16", "analyze-1e300", "mesh-1e16"])
+    ids=["analyze-1e16", "analyze-1e103", "analyze-1e154", "analyze-1e300",
+         "mesh-1e16"])
 def test_unbracketed_nodoid_crossing_exits_3(argv, tmp_path, capsys):
-    # they exited 4, "no portion", and 2, "invalid input"
+    # they exited 4, "no portion", and 2, "invalid input"; the
+    # RuntimeWarning filter fails the test on any numpy warning
     dest = tmp_path / "out"
     flag = "--out" if argv[0] == "mesh" else "--output"
-    with np.errstate(all="ignore"):
-        code, out, err = run_cli(argv + [flag, str(dest)], capsys)
+    code, out, err = run_cli(argv + [flag, str(dest)], capsys)
     assert (code, out) == (3, "")
-    assert err.startswith("error: ")
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert not dest.exists()
 
 

@@ -5,9 +5,9 @@ import pytest
 
 from cmcpinch.curvature import analyze_point, support_function
 from cmcpinch.delaunay import (DelaunayParams, GeneratrixState, _dz_integrand,
-                               eval_state, z_many, z_of)
+                               eval_state, profile, z_many, z_of)
 from cmcpinch.numerics import DEFAULT_QUADRATURE, QuadratureConfig, integrate
-from cmcpinch import freeboundary
+from cmcpinch import curvature, delaunay, freeboundary
 from cmcpinch.freeboundary import (VERDICT_CYLINDER, VERDICT_NO_ORTHOGONAL,
                                    VERDICT_PINCHED, NoRootError,
                                    build_portion, check_profile_conditions,
@@ -301,16 +301,26 @@ def test_violation_t1_golden():
 
 
 def test_violation_closed_forms():
-    # lambda1(t_n) = 1, lambda2(t_n) = B H (B/H - z(t_n)), x''(t_n) = 0
-    pts = violation_points(EXAMPLE, 4)
-    for pt in pts:
+    # violation_points returns the closed form lambda2 = B (B - H z(t_n)),
+    # gap = 2 lambda2; the general kernel at the same float t_n is its
+    # oracle, with lambda1 = 1, x'' = 0 and x' = -B there
+    for pt in violation_points(EXAMPLE, 4):
         st = eval_state(EXAMPLE, pt.t)
-        pa = analyze_point(EXAMPLE, st)
-        assert pa.lambda1 == pytest.approx(1.0, abs=1e-10)
-        closed = EXAMPLE.B * EXAMPLE.H * (EXAMPLE.B / EXAMPLE.H - st.z)
-        assert pt.lambda2 == pytest.approx(closed, abs=1e-8)
+        assert analyze_point(EXAMPLE, st).lambda1 == pytest.approx(
+            1.0, abs=1e-10)
         assert st.ddx == pytest.approx(0.0, abs=1e-10)
         assert st.dx == pytest.approx(-EXAMPLE.B, abs=1e-11)
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        params = DelaunayParams(
+            10.0 ** rng.uniform(-3.0, 3.0),
+            1.0 - 10.0 ** rng.uniform(-6.0, math.log10(1.0 - 0.766)))
+        pts = violation_points(params, 3)
+        t = np.array([pt.t for pt in pts])
+        pa = analyze_point(params, profile(params, t, z_many(params, t)))
+        for pt, lambda2, gap in zip(pts, pa.lambda2, pa.gap):
+            assert pt.lambda2 == pytest.approx(lambda2, rel=1e-9), params
+            assert pt.gap == pytest.approx(gap, rel=1e-9), params
 
 
 def test_violation_alternate_closed_form():
@@ -478,16 +488,24 @@ def test_crossing_is_solved_at_unit_scale():
 
 @pytest.mark.parametrize("params", [EXAMPLE, NODOID_EX])
 def test_build_portion_evaluates_no_gap(monkeypatch, params):
-    # min_gap = 0 and |P| <= R0 are theorems, so the portion is the
-    # crossing alone: no height array and no curvature are evaluated
+    # min_gap = 0 and |P| <= R0 are theorems and the violations are closed
+    # forms, so neither build_portion nor classify evaluates a height
+    # array or the curvature: freeboundary imports neither, and the
+    # definitions raise
     def forbidden(*args):
-        raise AssertionError("build_portion sampled the portion")
+        raise AssertionError("the portion or the violations were sampled")
 
-    monkeypatch.setattr(freeboundary, "analyze_point", forbidden)
-    monkeypatch.setattr(freeboundary, "z_many", forbidden)
+    for name in ("analyze_point", "profile", "z_many"):
+        assert not hasattr(freeboundary, name)
+    monkeypatch.setattr(curvature, "analyze_point", forbidden)
+    monkeypatch.setattr(delaunay, "z_many", forbidden)
     p = build_portion(params)
     assert p.min_gap == 0.0
     assert 0.0 < p.s_bar
+    rep = classify(params)
+    assert rep.verdict == VERDICT_PINCHED
+    assert rep.portion == p
+    assert len(rep.violations) == (3 if params.B < 1.0 else 0)
 
 
 @pytest.mark.parametrize("b, h", [

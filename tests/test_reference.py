@@ -175,3 +175,40 @@ def test_portion_theorem_holds_at_50_digits():
                 dx, radial, k1, u = state(B, s)
                 assert k1 * u >= 0, (b, s)
                 assert dx >= 0 and radial >= 0, (b, s)
+
+
+def test_violation_closed_form_holds_at_50_digits():
+    # violation_points' lambda2 = B (B - H z(t_n)) against 1 + k2 u from
+    # the definitions at the exact t_n = (2 n pi - arccos B) / H, mpmath
+    # at 50 digits with the height from mpmath's Carlson integrals
+    mp = pytest.importorskip("mpmath")
+    from cmcpinch.delaunay import DelaunayParams
+    from cmcpinch.freeboundary import violation_points
+
+    def lambda2(H, B, t):
+        a = (1 - B) ** 2
+
+        def G(r):
+            sr, cr = mp.sin(r), mp.cos(r)
+            args = (a * cr ** 2, a + 4 * B * sr ** 2, a)
+            return (2 * (1 - B) * sr * mp.elliprf(*args)
+                    + 4 * B * a / 3 * sr ** 3 * mp.elliprd(*args))
+
+        theta = H * t / 2
+        k = mp.nint(theta / mp.pi)
+        z = (G(theta - k * mp.pi) + 2 * k * G(mp.pi / 2)) / H
+        c, sn = mp.cos(H * t), mp.sin(H * t)
+        rq = mp.sqrt(1 + B * B - 2 * B * c)
+        x, dx, dz = rq / H, B * sn / rq, (1 - B * c) / rq
+        return 1 + dz / x * (dx * z - x * dz)
+
+    with mp.workdps(50):
+        for b in (0.766, 0.8, 0.9, 0.99, 0.999, 1.0 - 1e-4, 1.0 - 1e-6):
+            for h in (1.0, 0.1):
+                H, B = mp.mpf(h), mp.mpf(b)
+                for pt in violation_points(DelaunayParams(h, b), 3):
+                    t = (2 * pt.n * mp.pi - mp.acos(B)) / H
+                    exact = lambda2(H, B, t)
+                    assert abs(pt.lambda2 - exact) <= 1e-13 * abs(exact), (
+                        h, b, pt.n)
+                    assert pt.gap == 2.0 * pt.lambda2
