@@ -229,7 +229,9 @@ def nodoid_find_rbar(params: DelaunayParams,
     r_top = nodoid_r0(params)
     g = _g_of_s(params)
     hi = r_top * (1.0 - 1e-3)
-    # g reads neither x'' nor z'', whose products overflow from B ~ 1e103
+    # x'' and z'' overflow from B ~ 1e103 and g reads neither; from
+    # B ~ 1.3e154 (1 - B)^2 overflows too, which leaves g nan or
+    # undefined, and the walk reports that below as exit 3
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(60):
             if g(hi) <= 0.0:

@@ -273,11 +273,10 @@ def _check_violation_sequence(ctx: _Context, r: _Ratios) -> str:
     acb = math.acos(EXAMPLE.B)
     t_n0 = (2.0 * math.pi * n0 - acb) / EXAMPLE.H
     r.require(z_of(EXAMPLE, t_n0) > threshold)
-    r.require(points[n0 - 1].gap < 0.0)
     for pt in points:
-        st = eval_state(EXAMPLE, pt.t)
-        pa = analyze_point(EXAMPLE, st)
+        pa = analyze_point(EXAMPLE, eval_state(EXAMPLE, pt.t))
         r.bound(pa.lambda1 - 1.0, 1e-10)
+        r.require(pt.n != n0 or pa.gap < 0.0)
     return f"n0={n0} gap(t_n0)={points[n0 - 1].gap:.6g}"
 
 

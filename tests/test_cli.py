@@ -379,16 +379,20 @@ def test_scan_writes_nothing_when_a_row_fails(tmp_path, capsys):
 
 
 # every nodoid has a portion, but the bracket walk toward r0 does not find
-# it from B = 1e16 on, and at B = 1e300 it steps onto z' = 0; from B =
-# 1e103 on, x'' and z'' overflow on the way, which must not reach stderr
+# it from B = 1e16 on; from B = 1e103 on, x'' and z'' overflow on the
+# way, and from 1.3e154 on (1 - B)^2 too, where the walk steps onto
+# z' = 0 (1e155, 1e300) or ends unbracketed (1.7e308); none of the
+# overflows may reach stderr
 @pytest.mark.parametrize("argv", [
     ["analyze", "--H", "1", "--B", "1e16"],
     ["analyze", "--H", "1", "--B", "1e103"],
     ["analyze", "--H", "1", "--B", "1e154"],
+    ["analyze", "--H", "1", "--B", "1e155"],
     ["analyze", "--H", "1", "--B", "1e300"],
+    ["analyze", "--H", "1", "--B", "1.7e308"],
     ["mesh", "--H", "1", "--B", "1e16"]],
-    ids=["analyze-1e16", "analyze-1e103", "analyze-1e154", "analyze-1e300",
-         "mesh-1e16"])
+    ids=["analyze-1e16", "analyze-1e103", "analyze-1e154", "analyze-1e155",
+         "analyze-1e300", "analyze-1.7e308", "mesh-1e16"])
 def test_unbracketed_nodoid_crossing_exits_3(argv, tmp_path, capsys):
     # they exited 4, "no portion", and 2, "invalid input"; the
     # RuntimeWarning filter fails the test on any numpy warning

@@ -15,6 +15,7 @@ minimum gap, the neck gap, the orthogonality residual, a mesh coordinate
 at a right angle) and near-zero cells where O(1) terms cancel are judged
 by the floor instead.
 """
+import functools
 import json
 import math
 import pathlib
@@ -132,6 +133,47 @@ def test_golden_cells_within_reference_bound(name):
 # Pinched shapes at H = 1 for the 50-digit check of the freeboundary
 # theorem: unduloids from just above the dichotomy threshold
 # B* = 0.76589502387... up to 1 - 1e-6, nodoids from 1 + 1e-6 to 1e9
+def _mp_dz(H, B):
+    """z' = (1 - B cos Hs) / sqrt(Q) as a function of s, in mpmath."""
+    import mpmath as mp
+
+    def dz(s):
+        c = mp.cos(H * s)
+        return (1 - B * c) / mp.sqrt(1 + B * B - 2 * B * c)
+    return dz
+
+
+@functools.lru_cache(maxsize=None)
+def _mp_period_height(H, B, dps):
+    """The rise of z over one period 2 pi / H, at dps digits."""
+    import mpmath as mp
+    with mp.workdps(dps):
+        return mp.quad(_mp_dz(H, B), [0, 2 * mp.pi / H])
+
+
+def mp_state(H, B, s):
+    """x, x', z, z', x'', z'' at s on the surface (H, B), in mpmath.
+
+    z is the integral of z' = (1 - B cos Hs) / sqrt(Q) from 0, by
+    quadrature of the definition, so it shares nothing with the
+    package's Carlson form.  z' is 2 pi / H periodic and sharp at the
+    necks s = 2 pi k / H for B near 1, so z(s) = k z(2 pi / H) plus the
+    integral over [0, s - 2 pi k / H], each between two necks.
+    """
+    import mpmath as mp
+    period = 2 * mp.pi / H
+    k = mp.floor(s / period)
+    z = mp.quad(_mp_dz(H, B), [0, s - k * period])
+    if k:
+        z += k * _mp_period_height(H, B, mp.mp.dps)
+    c, sn = mp.cos(H * s), mp.sin(H * s)
+    q = 1 + B * B - 2 * B * c
+    rq = mp.sqrt(q)
+    return (rq / H, B * sn / rq, z, (1 - B * c) / rq,
+            B * H * (1 - B * c) * (c - B) / (q * rq),
+            B * B * H * sn * (B - c) / (q * rq))
+
+
 THEOREM_SHAPES = [0.76589503, 0.7659, 0.9, 0.999, 1.0 - 1e-6,
                   1.0 + 1e-6, 1.5, 10.0, 1e3, 1e6, 1e9]
 
@@ -147,17 +189,7 @@ def test_portion_theorem_holds_at_50_digits():
 
     def state(B, s):
         """x', x x' + z z', k1 and u at s on the H = 1 surface of B."""
-        c, sn = mp.cos(s), mp.sin(s)
-        q = 1 + B * B - 2 * B * c
-        x = mp.sqrt(q)
-        dx, dz = B * sn / x, (1 - B * c) / x
-        ddx = B * (1 - B * c) * (c - B) / (q * x)
-        ddz = B * B * sn * (B - c) / (q * x)
-        # z by mpmath's Carlson integrals; |s| / 2 < pi / 2 on a portion
-        a, r = (1 - B) ** 2, s / 2
-        args = (a * mp.cos(r) ** 2, a + 4 * B * mp.sin(r) ** 2, a)
-        z = (2 * (1 - B) * mp.sin(r) * mp.elliprf(*args)
-             + 4 * B * a / 3 * mp.sin(r) ** 3 * mp.elliprd(*args))
+        x, dx, z, dz, ddx, ddz = mp_state(1, B, s)
         return dx, x * dx + z * dz, dx * ddz - ddx * dz, dx * z - x * dz
 
     with mp.workdps(50):
@@ -180,27 +212,10 @@ def test_portion_theorem_holds_at_50_digits():
 def test_violation_closed_form_holds_at_50_digits():
     # violation_points' lambda2 = B (B - H z(t_n)) against 1 + k2 u from
     # the definitions at the exact t_n = (2 n pi - arccos B) / H, mpmath
-    # at 50 digits with the height from mpmath's Carlson integrals
+    # at 50 digits
     mp = pytest.importorskip("mpmath")
     from cmcpinch.delaunay import DelaunayParams
     from cmcpinch.freeboundary import violation_points
-
-    def lambda2(H, B, t):
-        a = (1 - B) ** 2
-
-        def G(r):
-            sr, cr = mp.sin(r), mp.cos(r)
-            args = (a * cr ** 2, a + 4 * B * sr ** 2, a)
-            return (2 * (1 - B) * sr * mp.elliprf(*args)
-                    + 4 * B * a / 3 * sr ** 3 * mp.elliprd(*args))
-
-        theta = H * t / 2
-        k = mp.nint(theta / mp.pi)
-        z = (G(theta - k * mp.pi) + 2 * k * G(mp.pi / 2)) / H
-        c, sn = mp.cos(H * t), mp.sin(H * t)
-        rq = mp.sqrt(1 + B * B - 2 * B * c)
-        x, dx, dz = rq / H, B * sn / rq, (1 - B * c) / rq
-        return 1 + dz / x * (dx * z - x * dz)
 
     with mp.workdps(50):
         for b in (0.766, 0.8, 0.9, 0.99, 0.999, 1.0 - 1e-4, 1.0 - 1e-6):
@@ -208,7 +223,8 @@ def test_violation_closed_form_holds_at_50_digits():
                 H, B = mp.mpf(h), mp.mpf(b)
                 for pt in violation_points(DelaunayParams(h, b), 3):
                     t = (2 * pt.n * mp.pi - mp.acos(B)) / H
-                    exact = lambda2(H, B, t)
+                    x, dx, z, dz, _, _ = mp_state(H, B, t)
+                    exact = 1 + dz / x * (dx * z - x * dz)
                     assert abs(pt.lambda2 - exact) <= 1e-13 * abs(exact), (
                         h, b, pt.n)
                     assert pt.gap == 2.0 * pt.lambda2
