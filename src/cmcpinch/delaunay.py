@@ -16,6 +16,8 @@ the arc-length parameter s centred on a neck (minimal radius) at
 
 z is an elliptic integral (K. Kenmotsu, Tohoku Math. J. 32, 1980) and is
 evaluated in closed form through Carlson's R_F and R_D; see _height.
+profile evaluates these forms at one float s (math) or at an array
+(numpy), and eval_state is profile at one float with z from z_of.
 
 The shape parameter B >= 0 selects the family: B = 0 is the right
 cylinder of radius 1/H, 0 < B < 1 an unduloid, B > 1 a nodoid.  B = 1
@@ -34,6 +36,10 @@ import numpy as np
 CYLINDER = "cylinder"
 UNDULOID = "unduloid"
 NODOID = "nodoid"
+# (sqrt, sin, cos, any, where) on one float and on arrays
+_FLOAT_OPS = (math.sqrt, math.sin, math.cos, bool,
+              lambda cond, a, b: a if cond else b)
+_ARRAY_OPS = (np.sqrt, np.sin, np.cos, np.any, np.where)
 
 
 @dataclass(frozen=True)
@@ -60,7 +66,7 @@ class DelaunayParams:
 
 @dataclass(frozen=True)
 class GeneratrixState:
-    """Profile position and derivatives: floats (eval_state) or arrays."""
+    """Profile position and derivatives: floats at a float s, else arrays."""
 
     s: float
     x: float
@@ -77,22 +83,25 @@ def profile(params: DelaunayParams, s, z) -> GeneratrixState:
     They are evaluated through h = sin(H s / 2): Q = (1 - B)^2 + 4 B h^2,
     1 - B cos(H s) = (1 - B) + 2 B h^2 and cos(H s) - B = (1 - B) - 2 h^2,
     so nothing cancels at the neck, where Q is (1 - B)^2 however close B
-    is to 1.
+    is to 1.  A float s is evaluated with math into float fields, anything
+    else as arrays with numpy; a test holds the two bit-equal.
     """
     H = params.H
     B = params.B
-    s = np.asarray(s, dtype=float)
+    if not isinstance(s, float):
+        s, z = np.asarray(s, dtype=float), np.asarray(z, dtype=float)
+    sqrt, sin, *_ = _FLOAT_OPS if isinstance(s, float) else _ARRAY_OPS
     hs = H * s
-    sn = np.sin(hs)
-    h = np.sin(0.5 * hs)
+    sn = sin(hs)
+    h = sin(0.5 * hs)
     hh = h * h
     om = 1.0 - B
     q = om * om + 4.0 * B * hh
-    rq = np.sqrt(q)
+    rq = sqrt(q)
     one_minus_bc = om + 2.0 * B * hh
     c_minus_b = om - 2.0 * hh
     return GeneratrixState(
-        s=s, x=rq / H, z=np.asarray(z, dtype=float),
+        s=s, x=rq / H, z=z,
         dx=B * sn / rq,
         dz=one_minus_bc / rq,
         ddx=B * H * one_minus_bc * c_minus_b / (q * rq),
@@ -119,10 +128,6 @@ def _dz_integrand(params: DelaunayParams):
 # spread of the arguments about A_0 for R_F and (r/4)^(-1/6) for R_D
 _QF = (3.0 * 2.0 ** -53) ** (-1.0 / 6.0)
 _QD = (0.25 * 2.0 ** -53) ** (-1.0 / 6.0)
-# (sqrt, sin, cos, any, where) on one float and on arrays
-_FLOAT_OPS = (math.sqrt, math.sin, math.cos, bool,
-              lambda cond, a, b: a if cond else b)
-_ARRAY_OPS = (np.sqrt, np.sin, np.cos, np.any, np.where)
 
 
 def _carlson_fd(x, y, z, ops):
@@ -219,14 +224,12 @@ def z_of(params: DelaunayParams, s: float) -> float:
 
 def eval_state(params: DelaunayParams, s: float,
                *, z: Optional[float] = None) -> GeneratrixState:
-    """Scalar view of profile at one s, with float fields.
+    """profile at the one float s, with float fields.
 
     z defaults to z_of(s); callers that already know it can pass it.
     """
-    if z is None:
-        z = z_of(params, s)
-    st = profile(params, s, z)
-    return GeneratrixState(**{k: float(v) for k, v in vars(st).items()})
+    s = float(s)
+    return profile(params, s, z_of(params, s) if z is None else z)
 
 
 def z_many(params: DelaunayParams, s_values: Sequence[float]) -> np.ndarray:

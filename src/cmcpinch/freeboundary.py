@@ -168,7 +168,7 @@ def _scaled_length(length: float, k: float) -> float:
 
 def g_function(st: GeneratrixState) -> float:
     """g = x - (x'/z') z, zero iff u is; ZeroDivisionError where z' = 0."""
-    if np.any(st.dz == 0.0):
+    if (st.dz == 0.0 if isinstance(st.dz, float) else np.any(st.dz == 0.0)):
         raise ZeroDivisionError("g is undefined where z' = 0")
     return st.x - (st.dx / st.dz) * st.z
 
@@ -229,17 +229,13 @@ def nodoid_find_rbar(params: DelaunayParams,
     r_top = nodoid_r0(params)
     g = _g_of_s(params)
     hi = r_top * (1.0 - 1e-3)
-    # x'' and z'' overflow from B ~ 1e103 and g reads neither; from
-    # B ~ 1.3e154 (1 - B)^2 overflows too, which leaves g nan or
-    # undefined, and the walk reports that below as exit 3
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(60):
-            if g(hi) <= 0.0:
-                break
-            hi = r_top - 0.5 * (r_top - hi)
-        else:
-            raise IterationLimitError(
-                "could not bracket the nodoid crossing below r0")
+    for _ in range(60):
+        if g(hi) <= 0.0:
+            break
+        hi = r_top - 0.5 * (r_top - hi)
+    else:
+        raise IterationLimitError(
+            "could not bracket the nodoid crossing below r0")
     return find_root(g, 0.0, hi, root_cfg)
 
 

@@ -381,19 +381,23 @@ def test_scan_writes_nothing_when_a_row_fails(tmp_path, capsys):
 # every nodoid has a portion, but the bracket walk toward r0 does not find
 # it from B = 1e16 on; from B = 1e103 on, x'' and z'' overflow on the
 # way, and from 1.3e154 on (1 - B)^2 too, where the walk steps onto
-# z' = 0 (1e155, 1e300) or ends unbracketed (1.7e308); none of the
-# overflows may reach stderr
-@pytest.mark.parametrize("argv", [
-    ["analyze", "--H", "1", "--B", "1e16"],
-    ["analyze", "--H", "1", "--B", "1e103"],
-    ["analyze", "--H", "1", "--B", "1e154"],
-    ["analyze", "--H", "1", "--B", "1e155"],
-    ["analyze", "--H", "1", "--B", "1e300"],
-    ["analyze", "--H", "1", "--B", "1.7e308"],
-    ["mesh", "--H", "1", "--B", "1e16"]],
+# z' = 0 (1e155, 1e300) or ends unbracketed (1.7e308); the walk runs on
+# Python floats, which overflow to inf and nan without a warning, and
+# z' = 0 keeps g's own message, not Python's "float division by zero"
+ZERO_DZ = "error: g is undefined where z' = 0\n"
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["analyze", "--H", "1", "--B", "1e16"], None),
+    (["analyze", "--H", "1", "--B", "1e103"], None),
+    (["analyze", "--H", "1", "--B", "1e154"], None),
+    (["analyze", "--H", "1", "--B", "1e155"], ZERO_DZ),
+    (["analyze", "--H", "1", "--B", "1e300"], ZERO_DZ),
+    (["analyze", "--H", "1", "--B", "1.7e308"], None),
+    (["mesh", "--H", "1", "--B", "1e16"], None)],
     ids=["analyze-1e16", "analyze-1e103", "analyze-1e154", "analyze-1e155",
          "analyze-1e300", "analyze-1.7e308", "mesh-1e16"])
-def test_unbracketed_nodoid_crossing_exits_3(argv, tmp_path, capsys):
+def test_unbracketed_nodoid_crossing_exits_3(argv, want, tmp_path, capsys):
     # they exited 4, "no portion", and 2, "invalid input"; the
     # RuntimeWarning filter fails the test on any numpy warning
     dest = tmp_path / "out"
@@ -401,6 +405,7 @@ def test_unbracketed_nodoid_crossing_exits_3(argv, tmp_path, capsys):
     code, out, err = run_cli(argv + [flag, str(dest)], capsys)
     assert (code, out) == (3, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert want is None or err == want
     assert not dest.exists()
 
 

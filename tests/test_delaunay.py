@@ -1,3 +1,4 @@
+import contextlib
 import json
 import math
 import pathlib
@@ -248,6 +249,29 @@ def test_profile_arrays_match_eval_state_and_integrand():
                   for k in ("s", "x", "z", "dx", "dz", "ddx", "ddz")))
             # the oracle quadrature's integrand is the same z', bit for bit
             assert f(float(ss[i])) == st.dz[i]
+
+
+@pytest.mark.parametrize("b", [0.0, 0.3, 0.9, 1.0 - 1e-15, 1.0 + 1e-9, 1.5,
+                               1e9, 1e103])
+def test_float_profile_is_the_array_profile_bit_for_bit(b):
+    # eval_state runs profile's math path, cmd_profile and revolve its
+    # numpy path: one set of formulas, so every field must agree to the
+    # bit (float.hex tells -0 from +0 and calls every nan the same); at
+    # B = 1e103, x'' and z'' overflow, which numpy alone warns about
+    rng = np.random.default_rng(13)
+    for H in (10.0 ** np.arange(-12, 13, 2)).tolist():
+        params = DelaunayParams(H, b)
+        ss = np.concatenate(([0.0, -0.0], rng.uniform(-20.0, 20.0, 60))) / H
+        with (np.errstate(over="ignore", invalid="ignore") if b > 1e100
+              else contextlib.nullcontext()):
+            arrays = profile(params, ss, z_many(params, ss))
+        for i, s in enumerate(ss.tolist()):
+            one = eval_state(params, s)
+            for k in ("s", "x", "z", "dx", "dz", "ddx", "ddz"):
+                got = getattr(one, k)
+                assert type(got) is float
+                assert got.hex() == float(getattr(arrays, k)[i]).hex(), (
+                    H, s, k)
 
 
 def test_eval_state_accepts_precomputed_z():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -58,10 +59,15 @@ def test_g_at_nodoid_neck():
 
 
 def test_g_rejects_zero_dz():
+    # the same message for a float z' = 0 and for an array holding one,
+    # where numpy alone would divide to inf with a warning
     st = GeneratrixState(s=0.0, x=1.0, z=0.5, dx=1.0, dz=0.0, ddx=0.0,
                          ddz=0.0)
-    with pytest.raises(ZeroDivisionError):
-        g_function(st)
+    arrays = GeneratrixState(*(np.full(3, v) for v in vars(st).values()))
+    for bad in (st, replace(arrays, dz=np.array([1.0, 0.0, -1.0]))):
+        with pytest.raises(ZeroDivisionError,
+                           match="^g is undefined where z' = 0$"):
+            g_function(bad)
 
 
 def test_u_equals_minus_dz_times_g():
