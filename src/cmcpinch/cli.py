@@ -150,6 +150,8 @@ def cmd_profile(args: argparse.Namespace) -> int:
         raise ValueError("profile needs at least 16 samples")
     if not args.s_max > args.s_min:
         raise ValueError("need --s-max > --s-min")
+    if not (math.isfinite(args.s_min) and math.isfinite(args.s_max)):
+        raise ValueError("need finite --s-min and --s-max")
     ss = np.linspace(args.s_min, args.s_max, args.n)
     st = profile(params, ss, z_many(params, ss))
     pa = analyze_point(params, st)

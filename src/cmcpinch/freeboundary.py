@@ -46,7 +46,7 @@ gives |P| <= |P(sb)| = R0.  This is the H > 0 counterpart of the
 equality case of Ambrozio and Nunes' gap theorem (arXiv:1608.05689),
 and why the pinching bound is sharp.  The hypotheses hold by
 construction: find_root returns a point of its bracket, [0, s0] or
-[0, hi] with hi < r0, and build_portion rejects sb = 0.  At the
+[0, hi] with hi < r0, and classify rejects sb = 0.  At the
 computed sb, u is the reported residual, not 0, so lambda1 is 1 within
 |k1| times it.  AC4 and tests/sampled_portion.py sample the gap and
 the ball as an oracle; tests/test_reference.py checks it at 50 digits.
@@ -67,9 +67,10 @@ only grows with n.
 
 Canonical units.  The surface (H, B) is the surface (1, B) scaled by
 1/H, and the verdict, lambda1, lambda2 and the gap do not change under
-dilation.  classify and build_portion therefore solve at H = 1 and
-divide every length (s0, z0, z(s0), sb, R0, the residual u(sb), t_n) by
-H, so a verdict depends on B alone and the root tolerance bounds H s.
+dilation.  classify is the one solve: it works at H = 1, and
+AnalysisReport.at divides every length (s0, z0, z(s0), sb, R0, the
+residual u(sb), t_n) by H, so a verdict depends on B alone and the root
+tolerance bounds H s.  build_portion is the portion of that report.
 """
 from __future__ import annotations
 
@@ -199,8 +200,8 @@ def find_sbar(params: DelaunayParams,
 
     Raises NoRootError when z(s0) < z0, which is exactly the case g > 0
     throughout (0, s0].  The root search runs to bracket collapse, so
-    sb carries x_tol accuracy in the units of params; classify and the
-    CLI call it at H = 1 only, where x_tol bounds H sb.
+    sb carries x_tol accuracy in the units of params; classify calls it
+    at H = 1 only, where x_tol bounds H sb.
     """
     s_top = s0(params)
     if z_of(params, s_top) < z0(params):
@@ -264,33 +265,16 @@ def _g_off_zero_set(st: GeneratrixState):
 
 def build_portion(params: DelaunayParams,
                   root_cfg: RootConfig = DEFAULT_ROOT) -> FreeBoundaryPortion:
-    """The crossing sb, R0 and residual |u(sb)|, solved at H = 1 over H.
+    """classify(params, root_cfg).portion, the one solve of the crossing.
 
-    Nothing is sampled: gap >= 0 and |P| <= R0 hold by the module
-    docstring's theorem.  Raises NoRootError where there is no crossing,
-    ValueError when x_tol stops the search at s = 0 (g(0) > 0, never a
-    root) and OverflowError when a length over H is not a finite float.
+    Raises NoRootError naming the verdict where classify reports no
+    portion, and whatever classify raises.
     """
-    unit = DelaunayParams(1.0, params.B)
-    family = params.family
-    if family == UNDULOID:
-        sb = find_sbar(unit, root_cfg)
-    elif family == NODOID:
-        sb = nodoid_find_rbar(unit, root_cfg)
-    else:
-        raise NoRootError(
-            "a cylinder never meets a centred sphere orthogonally")
-    if sb == 0.0:
-        raise ValueError(f"root tolerance x_tol={root_cfg.x_tol!r} stopped "
-                         "the crossing search at s = 0, which is no crossing")
-    boundary = eval_state(unit, sb)
-    H = params.H
-    sb, r0, residual = (_scaled_length(v, H) for v in (
-        sb, math.hypot(boundary.x, boundary.z),
-        abs(support_function(boundary))))
-    return FreeBoundaryPortion(s_bar=sb, R0=r0,
-                               scaled_params=DelaunayParams(H * r0, params.B),
-                               orthogonality_residual=residual)
+    rep = classify(params, root_cfg)
+    if rep.portion is None:
+        raise NoRootError(f"(H, B) = ({params.H!r}, {params.B!r}) is "
+                          f"{rep.verdict}, not {VERDICT_PINCHED}")
+    return rep.portion
 
 
 def violation_points(params: DelaunayParams, count: int
@@ -336,28 +320,35 @@ def classify(params: DelaunayParams,
     Cylinders never cross a centred sphere orthogonally (u = -1/H is
     constant), unduloids go through the z(s0) vs z0 dichotomy, nodoids
     always produce a portion.  For a pinched unduloid the report also
-    carries the violation sequence through n0 + 2.
+    carries the violation sequence through n0 + 2.  This is the one
+    solve of the crossing (build_portion returns its portion).  Raises
+    ValueError when x_tol stops the search at s = 0 and OverflowError
+    when a length over H is not a finite float.
     """
     unit = DelaunayParams(1.0, params.B)
     family = params.family
     if family == CYLINDER:
-        report = AnalysisReport(params=unit, verdict=VERDICT_CYLINDER)
-    elif family == UNDULOID:
+        return AnalysisReport(unit, VERDICT_CYLINDER).at(params.H)
+    if family == UNDULOID:
         s_top = s0(unit)
-        z_thresh = z0(unit)
-        z_at_top = z_of(unit, s_top)
-        if z_at_top < z_thresh:
-            report = AnalysisReport(params=unit,
-                                    verdict=VERDICT_NO_ORTHOGONAL,
-                                    s0=s_top, z0=z_thresh, z_at_s0=z_at_top)
-        else:
-            n0 = find_n0(unit)
-            report = AnalysisReport(
-                params=unit, verdict=VERDICT_PINCHED, s0=s_top, z0=z_thresh,
-                z_at_s0=z_at_top, portion=build_portion(unit, root_cfg),
-                violations=violation_points(unit, n0 + 2), n0=n0)
+        fields = dict(s0=s_top, z0=z0(unit), z_at_s0=z_of(unit, s_top))
+        if fields["z_at_s0"] < fields["z0"]:
+            return AnalysisReport(unit, VERDICT_NO_ORTHOGONAL,
+                                  **fields).at(params.H)
+        sb = find_sbar(unit, root_cfg)
+        n0 = find_n0(unit)
+        fields.update(violations=violation_points(unit, n0 + 2), n0=n0)
     else:
-        report = AnalysisReport(params=unit, verdict=VERDICT_PINCHED,
-                                r0=nodoid_r0(unit),
-                                portion=build_portion(unit, root_cfg))
-    return report.at(params.H)
+        fields = dict(r0=nodoid_r0(unit))
+        sb = nodoid_find_rbar(unit, root_cfg)
+    # s = 0, where g > 0, is no crossing
+    if sb == 0.0:
+        raise ValueError(f"root tolerance x_tol={root_cfg.x_tol!r} stopped "
+                         "the crossing search at s = 0, which is no crossing")
+    boundary = eval_state(unit, sb)
+    r0 = math.hypot(boundary.x, boundary.z)
+    portion = FreeBoundaryPortion(
+        s_bar=sb, R0=r0, scaled_params=DelaunayParams(r0, params.B),
+        orthogonality_residual=abs(support_function(boundary)))
+    return AnalysisReport(unit, VERDICT_PINCHED, portion=portion,
+                          **fields).at(params.H)

@@ -33,9 +33,9 @@ import numpy as np
 from .curvature import analyze_point
 from .delaunay import (DelaunayParams, eval_state, profile, z_many, z_of,
                        _dz_integrand)
-from .freeboundary import (VERDICT_PINCHED, FreeBoundaryPortion,
-                           check_profile_conditions, classify, find_n0,
-                           g_function, nodoid_r0, s0, violation_points, z0)
+from .freeboundary import (FreeBoundaryPortion, build_portion,
+                           check_profile_conditions, find_n0, g_function,
+                           nodoid_r0, s0, violation_points, z0)
 from .mesh import export_obj, revolve
 from .numerics import (DEFAULT_QUADRATURE, DEFAULT_ROOT, QuadratureConfig,
                        RootConfig, integrate)
@@ -91,16 +91,6 @@ class _Ratios:
             self.ok = False
 
 
-def _pinched_portion(params: DelaunayParams,
-                     root: RootConfig) -> FreeBoundaryPortion:
-    """The portion of classify(params), which must be Pinched."""
-    rep = classify(params, root)
-    if rep.verdict != VERDICT_PINCHED:
-        raise ValueError(f"(H, B) = ({params.H!r}, {params.B!r}) is "
-                         f"{rep.verdict}, not {VERDICT_PINCHED}")
-    return rep.portion
-
-
 class _Context:
     """Tolerances and the inputs several checks share, each built once.
 
@@ -114,11 +104,11 @@ class _Context:
 
     @cached_property
     def example_portion(self) -> FreeBoundaryPortion:
-        return _pinched_portion(EXAMPLE, self.root)
+        return build_portion(EXAMPLE, self.root)
 
     @cached_property
     def nodoid_portion(self) -> FreeBoundaryPortion:
-        return _pinched_portion(NODOID_EXAMPLE, self.root)
+        return build_portion(NODOID_EXAMPLE, self.root)
 
     @cached_property
     def sample_rows(self) -> list:
@@ -284,7 +274,7 @@ def _check_violation_sequence(ctx: _Context, r: _Ratios) -> str:
                 "rescaled portion has R0 = 1 within 1e-10")
 def _check_dilation(ctx: _Context, r: _Ratios) -> str:
     p = ctx.example_portion
-    r.bound(_pinched_portion(p.scaled_params, ctx.root).R0 - 1.0, 1e-10)
+    r.bound(build_portion(p.scaled_params, ctx.root).R0 - 1.0, 1e-10)
     ss = np.linspace(-p.s_bar, p.s_bar, 100)
     z_orig = z_many(EXAMPLE, ss)
     z_scaled = z_many(p.scaled_params, ss / p.R0)

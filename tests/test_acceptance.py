@@ -9,7 +9,7 @@ import math
 
 import pytest
 
-from cmcpinch import verify
+from cmcpinch import freeboundary, verify
 from cmcpinch.freeboundary import AnalysisReport, VERDICT_NO_ORTHOGONAL
 from cmcpinch.numerics import DEFAULT_QUADRATURE, DEFAULT_ROOT
 
@@ -47,7 +47,7 @@ def test_each_check_maps_a_context_to_its_result():
         assert res.check_id == check_id
 
 
-# the checks that read a fixed example's classify report
+# the checks that read a fixed example's portion, from build_portion
 PORTION_CHECKS = ["AC4", "AC12", "AC13", "AC15", "AC16"]
 
 
@@ -57,7 +57,7 @@ def test_a_check_that_raises_fails_under_its_own_description(
     def broken(*args):
         raise ZeroDivisionError("classify broke")
 
-    monkeypatch.setattr(verify, "classify", broken)
+    monkeypatch.setattr(freeboundary, "classify", broken)
     run = dict(verify.CHECKS)[check_id]
     res = run(verify._Context(DEFAULT_QUADRATURE, DEFAULT_ROOT))
     assert res == verify.CheckResult(
@@ -71,10 +71,11 @@ def test_an_example_that_is_not_pinched_names_its_verdict(
     def not_pinched(params, root):
         return AnalysisReport(params=params, verdict=VERDICT_NO_ORTHOGONAL)
 
-    monkeypatch.setattr(verify, "classify", not_pinched)
+    monkeypatch.setattr(freeboundary, "classify", not_pinched)
     run = dict(verify.CHECKS)[check_id]
     res = run(verify._Context(DEFAULT_QUADRATURE, DEFAULT_ROOT))
     assert res.description == results[check_id].description
     assert (res.passed, res.worst_ratio) == (False, math.inf)
-    assert res.detail.startswith("ValueError: ")
+    # build_portion's NoRootError is a ValueError naming the verdict
+    assert res.detail.startswith("NoRootError: ")
     assert VERDICT_NO_ORTHOGONAL in res.detail

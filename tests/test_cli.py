@@ -181,6 +181,21 @@ def test_profile_rejects_bad_grid(capsys):
          "--s-max", "0"], capsys)[0] == 2
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bounds", [["--s-min", "0", "--s-max", "inf"],
+                                    ["--s-min=-inf", "--s-max", "1"]],
+                         ids=["s-max-inf", "s-min-minus-inf"])
+def test_profile_rejects_infinite_bounds(bounds, tmp_path, capsys):
+    # an infinite bound is bad input: exit 2 before any sample is taken
+    dest = tmp_path / "p.csv"
+    code, out, err = run_cli(
+        ["profile", "--H", "1", "--B", "0.5", "--n", "16", "--output",
+         str(dest)] + bounds, capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: need finite --s-min and --s-max\n"
+    assert not dest.exists()
+
+
 def test_scan_dichotomy_transition(capsys):
     code, out, _ = run_cli(
         ["scan", "--H-min", "1", "--H-max", "1", "--H-steps", "1",
@@ -306,13 +321,16 @@ def test_mesh_deterministic(tmp_path, capsys):
 
 
 def test_mesh_without_portion_fails(tmp_path, capsys):
+    # one error line naming classify's verdict, and no OBJ
     out_path = tmp_path / "none.obj"
-    code, _, _ = run_cli(
-        ["mesh", "--H", "1", "--B", "0.5", "--out", str(out_path)], capsys)
-    assert code == 4
-    code, _, _ = run_cli(
-        ["mesh", "--H", "1", "--B", "0", "--out", str(out_path)], capsys)
-    assert code == 4
+    for b, verdict in (("0.5", "NoOrthogonalIntersection"),
+                       ("0", "Cylinder")):
+        code, out, err = run_cli(
+            ["mesh", "--H", "1", "--B", b, "--out", str(out_path)], capsys)
+        assert (code, out) == (4, "")
+        assert err == (f"error: (H, B) = (1.0, {float(b)!r}) is {verdict}, "
+                       "not PinchedFreeBoundaryPortion\n")
+        assert not out_path.exists()
     assert run_cli(["mesh", "--H", "1", "--B", "0.9", "--out",
                     str(out_path), "--resolution", "4"], capsys)[0] == 2
 

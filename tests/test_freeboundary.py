@@ -7,7 +7,8 @@ import pytest
 from cmcpinch.curvature import analyze_point, support_function
 from cmcpinch.delaunay import (DelaunayParams, GeneratrixState, _dz_integrand,
                                eval_state, profile, z_many, z_of)
-from cmcpinch.numerics import DEFAULT_QUADRATURE, QuadratureConfig, integrate
+from cmcpinch.numerics import (DEFAULT_QUADRATURE, QuadratureConfig,
+                               find_root, integrate)
 from cmcpinch import curvature, delaunay, freeboundary
 from cmcpinch.freeboundary import (VERDICT_CYLINDER, VERDICT_NO_ORTHOGONAL,
                                    VERDICT_PINCHED, NoRootError,
@@ -246,8 +247,12 @@ def test_boundary_gap_is_two(example_portion, nodoid_portion):
 
 
 def test_build_portion_cylinder_raises():
-    with pytest.raises(ValueError):
-        build_portion(DelaunayParams(1.0, 0.0))
+    # no portion: one NoRootError (a ValueError) naming classify's verdict
+    for b, verdict in ((0.0, VERDICT_CYLINDER), (0.5, VERDICT_NO_ORTHOGONAL)):
+        with pytest.raises(NoRootError) as info:
+            build_portion(DelaunayParams(1.0, b))
+        assert str(info.value) == (f"(H, B) = (1.0, {b!r}) is {verdict}, "
+                                   f"not {VERDICT_PINCHED}")
 
 
 def test_portion_stays_inside_ball(example_portion):
@@ -484,12 +489,22 @@ def test_classify_is_the_scaled_unit_report(b):
                                                     w.gap)
 
 
-def test_crossing_is_solved_at_unit_scale():
-    # mesh (build_portion) and analyze (classify) share the crossing,
-    # solved once at H = 1 and divided by H: s_bar, R0, scaled_params and
-    # the residual agree bit for bit
+def test_crossing_is_solved_at_unit_scale(monkeypatch):
+    # mesh (build_portion) and analyze (classify) share the crossing: one
+    # root search per portion, at H = 1, with s_bar, R0, scaled_params and
+    # the residual bit for bit those of classify's report
+    roots = []
+
+    def counting(f, a, b, cfg):
+        roots.append(b)
+        return find_root(f, a, b, cfg)
+
+    monkeypatch.setattr(freeboundary, "find_root", counting)
     for params in (EXAMPLE, NODOID_EX, DelaunayParams(1e5, 0.95)):
+        roots.clear()
         assert build_portion(params) == classify(params).portion
+        assert len(roots) == 2
+        assert roots[0] == roots[1] <= math.pi / 2
 
 
 @pytest.mark.parametrize("params", [EXAMPLE, NODOID_EX])
