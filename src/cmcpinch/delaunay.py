@@ -36,10 +36,9 @@ import numpy as np
 CYLINDER = "cylinder"
 UNDULOID = "unduloid"
 NODOID = "nodoid"
-# (sqrt, sin, cos, any, where) on one float and on arrays
-_FLOAT_OPS = (math.sqrt, math.sin, math.cos, bool,
-              lambda cond, a, b: a if cond else b)
-_ARRAY_OPS = (np.sqrt, np.sin, np.cos, np.any, np.where)
+# (sqrt, sin, cos, any) on one float and on arrays
+_FLOAT_OPS = (math.sqrt, math.sin, math.cos, bool)
+_ARRAY_OPS = (np.sqrt, np.sin, np.cos, np.any)
 
 
 @dataclass(frozen=True)
@@ -64,7 +63,7 @@ class DelaunayParams:
         return UNDULOID if self.B < 1.0 else NODOID
 
 
-@dataclass(frozen=True)
+@dataclass
 class GeneratrixState:
     """Profile position and derivatives: floats at a float s, else arrays."""
 
@@ -134,14 +133,16 @@ def _carlson_fd(x, y, z, ops):
     """Carlson's R_F(x, y, z) and R_D(x, y, z) for x, y >= 0, z > 0.
 
     One duplication loop serves both (B. C. Carlson, Numer. Algorithms
-    10, 1995; DLMF 19.36.1-2), on floats or elementwise on arrays.  It
-    stops once 4^-n Q < A_n holds for both means, where the spread in Q
-    is |A_0 - x| + |A_0 - y| + |A_0 - z|: that bounds DLMF's maximum from
-    above, so the loop stops no earlier than the stated rule (at most one
-    step later).  In an array each element stops at its own step, so it
-    gets the same bits as the float computation.
+    10, 1995; DLMF 19.36.1-2).  It stops once 4^-n Q < A_n holds for
+    both means, where the spread in Q is |A_0 - x| + |A_0 - y| +
+    |A_0 - z|: that bounds DLMF's maximum from above, so the loop stops
+    no earlier than the stated rule (at most one step later).  The loop
+    is written twice, with the same statements in the same order: plain
+    on floats (ops is _FLOAT_OPS), and on arrays through np.where, so
+    each element stops at its own step and gets the bits of the float
+    loop.  test_z_many_matches_z_of holds the two equal by float.hex.
     """
-    sqrt, _, _, any_, where = ops
+    sqrt = ops[0]
     af = (x + y + z) / 3.0
     ad = (x + y + 3.0 * z) / 5.0
     dxf, dyf = af - x, af - y
@@ -151,17 +152,30 @@ def _carlson_fd(x, y, z, ops):
     fac = 1.0
     tail = 0.0
     going = (qf >= af) | (qd >= ad)
-    while any_(going):
-        sx, sy, sz = sqrt(x), sqrt(y), sqrt(z)
-        lam = sx * (sy + sz) + sy * sz
-        tail = where(going, tail + fac / (sz * (z + lam)), tail)
-        fac = where(going, 0.25 * fac, fac)
-        x = where(going, 0.25 * (x + lam), x)
-        y = where(going, 0.25 * (y + lam), y)
-        z = where(going, 0.25 * (z + lam), z)
-        af = where(going, 0.25 * (af + lam), af)
-        ad = where(going, 0.25 * (ad + lam), ad)
-        going = (fac * qf >= af) | (fac * qd >= ad)
+    if ops is _FLOAT_OPS:
+        while going:
+            sx, sy, sz = sqrt(x), sqrt(y), sqrt(z)
+            lam = sx * (sy + sz) + sy * sz
+            tail += fac / (sz * (z + lam))
+            fac = 0.25 * fac
+            x = 0.25 * (x + lam)
+            y = 0.25 * (y + lam)
+            z = 0.25 * (z + lam)
+            af = 0.25 * (af + lam)
+            ad = 0.25 * (ad + lam)
+            going = (fac * qf >= af) | (fac * qd >= ad)
+    else:
+        while np.any(going):
+            sx, sy, sz = sqrt(x), sqrt(y), sqrt(z)
+            lam = sx * (sy + sz) + sy * sz
+            tail = np.where(going, tail + fac / (sz * (z + lam)), tail)
+            fac = np.where(going, 0.25 * fac, fac)
+            x = np.where(going, 0.25 * (x + lam), x)
+            y = np.where(going, 0.25 * (y + lam), y)
+            z = np.where(going, 0.25 * (z + lam), z)
+            af = np.where(going, 0.25 * (af + lam), af)
+            ad = np.where(going, 0.25 * (ad + lam), ad)
+            going = (fac * qf >= af) | (fac * qd >= ad)
     X = dxf * fac / af
     Y = dyf * fac / af
     Z = -X - Y
@@ -205,7 +219,7 @@ def _height(params: DelaunayParams, s):
     height gained over one period 2 pi / H.
     """
     ops = _FLOAT_OPS if isinstance(s, float) else _ARRAY_OPS
-    _, sin, cos, any_, _ = ops
+    _, sin, cos, any_ = ops
     B = params.B
     theta = 0.5 * (params.H * s)
     k = (theta / math.pi + 0.5) // 1.0

@@ -132,38 +132,43 @@ class AnalysisReport:
         Every length is divided by k = H / params.H; the verdict, n0, the
         gaps and lambda2 are dilation-invariant.  From an H = 1 report,
         k is H itself, which is how classify builds every report.  A
-        length that is not a finite float at H raises OverflowError.
+        length that is not a finite float at H raises OverflowError, which
+        names the length by its report key.
         """
         k = H / self.params.H
 
-        def length(v: Optional[float]) -> Optional[float]:
-            return None if v is None else _scaled_length(v, k)
+        def length(key: str, v: Optional[float]) -> Optional[float]:
+            return None if v is None else _scaled_length(key, v, k)
 
         p = self.portion
         if p is not None:
-            r0 = length(p.R0)
-            p = replace(p, s_bar=length(p.s_bar), R0=r0,
+            r0 = length("R0", p.R0)
+            p = replace(p, s_bar=length("sBar", p.s_bar), R0=r0,
                         scaled_params=DelaunayParams(H * r0, self.params.B),
                         orthogonality_residual=length(
+                            "orthogonalityResidual",
                             p.orthogonality_residual))
         return replace(
             self, params=DelaunayParams(H, self.params.B),
-            s0=length(self.s0), r0=length(self.r0), z0=length(self.z0),
-            z_at_s0=length(self.z_at_s0), portion=p,
-            violations=[v._replace(t=length(v.t)) for v in self.violations])
+            s0=length("s0", self.s0), r0=length("r0", self.r0),
+            z0=length("z0", self.z0),
+            z_at_s0=length("zAtS0", self.z_at_s0), portion=p,
+            violations=[v._replace(t=length(f"violations n={v.n} t", v.t))
+                        for v in self.violations])
 
 
-def _scaled_length(length: float, k: float) -> float:
-    """length / k, the length on the surface dilated by 1/k.
+def _scaled_length(key: str, length: float, k: float) -> float:
+    """length / k, the length named key on the surface dilated by 1/k.
 
     Raises OverflowError where the quotient is not a finite float (H =
     1e-310 makes every length of an H = 1 report inf), so no command
-    prints inf or nan for a valid input.
+    prints inf or nan for a valid input.  The message names the length
+    by key, since mesh draws none of the violation points.
     """
     out = length / k
     if not math.isfinite(out):
-        raise OverflowError(f"the length {length!r} / {k!r} is not a "
-                            "finite float")
+        raise OverflowError(f"{key} = {length!r} / {k!r} is not a finite "
+                            "float")
     return out
 
 

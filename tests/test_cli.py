@@ -379,6 +379,22 @@ def test_non_finite_result_exits_3_writing_nothing(argv, tmp_path, capsys):
             assert run_cli(argv, capsys)[:2] == (3, "")
 
 
+@pytest.mark.parametrize("command", ["mesh", "analyze"])
+def test_overflowing_length_names_its_report_key(command, tmp_path, capsys):
+    # s-bar and R0 are finite at H = 1e-307, but the violation point t_3
+    # is not: the one error line says which length overflowed, since
+    # mesh draws none of the violation points
+    dest = tmp_path / "tiny.obj"
+    argv = [command, "--H", "1e-307", "--B", "0.9"]
+    if command == "mesh":
+        argv += ["--out", str(dest)]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (3, "")
+    assert err == ("error: violations n=3 t = 18.398529109742498 / 1e-307 "
+                   "is not a finite float\n")
+    assert not dest.exists()
+
+
 SCAN_WITH_FAILING_ROWS = [
     "scan", "--H-min", "0.5", "--H-max", "2", "--H-steps", "2", "--B-min",
     "0", "--B-max", "2", "--B-steps", "11", "--root-x-tol", "1"]

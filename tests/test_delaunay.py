@@ -6,6 +6,7 @@ import pathlib
 import numpy as np
 import pytest
 
+from cmcpinch import delaunay
 from cmcpinch.delaunay import (CYLINDER, NODOID, UNDULOID, DelaunayParams,
                                GeneratrixState, _dz_integrand, eval_state,
                                profile, z_many, z_of)
@@ -149,13 +150,40 @@ def test_phase_shifted_sine_form():
         assert dz_alt == pytest.approx(st.dz, rel=1e-9, abs=1e-10)
 
 
-def test_z_many_matches_z_of():
-    params = DelaunayParams(0.4, 0.7)
+def _duplication_steps(monkeypatch, params, s):
+    # steps of _carlson_fd's float loop at |H s| <= pi (one G, k = 0):
+    # each step takes three square roots, the series after it two more
+    calls = []
+
+    def sqrt(v):
+        calls.append(v)
+        return math.sqrt(v)
+
+    with monkeypatch.context() as m:
+        m.setattr(delaunay, "_FLOAT_OPS", (sqrt,) + delaunay._FLOAT_OPS[1:])
+        z_of(params, s)
+    return (len(calls) - 2) // 3
+
+
+def test_z_many_matches_z_of(monkeypatch):
+    # z_of runs _carlson_fd's float loop, z_many its array loop: each
+    # element must get the float's bits (float.hex tells -0 from +0).
+    # One array mixes elements that stop after 0 duplication steps (the
+    # neck) with ones that run 10 (near B = 1), and arc lengths span
+    # several periods (k != 0)
     rng = np.random.default_rng(8)
-    ss = rng.uniform(-12.0, 12.0, size=40)
-    zs = z_many(params, ss)
-    for s, z in zip(ss, zs):
-        assert z == pytest.approx(z_of(params, float(s)), abs=5e-10)
+    head = [0.0, -0.0, 1e-300, -1e-12, 1e-6, -0.5, 3.0]
+    for b in (0.0, 0.3, 0.9, 1.0 - 1e-15, 1.0 + 1e-9, 1.5, 1e9):
+        for H in (1e-3, 0.4, 1.0, 7.0):
+            params = DelaunayParams(H, b)
+            ss = np.concatenate((head, rng.uniform(-30.0, 30.0, 40))) / H
+            zs = z_many(params, ss)
+            for s, z in zip(ss.tolist(), zs.tolist()):
+                assert z_of(params, s).hex() == z.hex(), (b, H, s)
+        steps = {_duplication_steps(monkeypatch, DelaunayParams(1.0, b), s)
+                 for s in head}
+        assert 0 in steps and max(steps) >= (10 if abs(b - 1.0) < 1e-8
+                                             else 5), (b, steps)
 
 
 def test_z_many_duplicates_and_zero():
