@@ -30,7 +30,9 @@ value is written with 25 significant digits; the test that reads the
 file (tests/test_reference.py) needs neither mpmath nor this script.
 The "kernel" section holds z at 10 arc lengths for each of 11 shape
 parameters B, from 1e-9 to 1e12 and within 1e-6 of 1, for the closed
-form's own tests.
+form's own tests.  The "z2Oracle" section holds z(2.0) at the six (H, B)
+pairs of verify's Z2_ORACLE_PAIRS, read from src/cmcpinch/verify.py,
+for the test that sizes AC14's fixed-grid Simpson oracle.
 """
 from __future__ import annotations
 
@@ -47,6 +49,7 @@ mp.mp.dps = 50
 
 HERE = pathlib.Path(__file__).resolve().parent
 TESTS = HERE.parent
+VERIFY = TESTS.parent / "src" / "cmcpinch" / "verify.py"
 OUTPUT = TESTS / "golden" / "reference.json"
 DIGITS = 25
 
@@ -302,14 +305,25 @@ def kernel_reference() -> dict:
             "cases": cases}
 
 
-def golden_outputs() -> list:
-    """FILE_OUTPUTS of tests/test_golden_outputs.py, read as a literal."""
-    tree = ast.parse((TESTS / "test_golden_outputs.py").read_text())
+def _literal(path: pathlib.Path, name: str):
+    """The literal assigned to a module-level name, read without import."""
+    tree = ast.parse(path.read_text())
     for node in tree.body:
-        if (isinstance(node, ast.Assign)
-                and node.targets[0].id == "FILE_OUTPUTS"):
+        if isinstance(node, ast.Assign) and node.targets[0].id == name:
             return ast.literal_eval(node.value)
-    raise LookupError("FILE_OUTPUTS")
+    raise LookupError(name)
+
+
+def golden_outputs() -> list:
+    """FILE_OUTPUTS of tests/test_golden_outputs.py."""
+    return _literal(TESTS / "test_golden_outputs.py", "FILE_OUTPUTS")
+
+
+def z2_oracle_reference() -> list:
+    """z(2.0) at each (H, B) of verify's Z2_ORACLE_PAIRS."""
+    return [{"H": repr(h), "B": repr(b),
+             "z": _text(Surface(h, b).z(_exact(2.0)))}
+            for (h, b), _ in _literal(VERIFY, "Z2_ORACLE_PAIRS")]
 
 
 def main() -> int:
@@ -325,7 +339,8 @@ def main() -> int:
             files[name] = scan_reference(flags, golden)
         elif argv[0] == "mesh":
             files[name] = mesh_reference(flags)
-    data = {"digits": mp.mp.dps, "files": files, "kernel": kernel_reference()}
+    data = {"digits": mp.mp.dps, "files": files, "kernel": kernel_reference(),
+            "z2Oracle": z2_oracle_reference()}
     OUTPUT.write_text(json.dumps(data, indent=1) + "\n")
     return 0
 

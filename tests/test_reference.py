@@ -6,7 +6,9 @@ and of every v and vn component of the mesh golden (mpmath at 50
 digits; tests/oracle/make_reference.py writes it).  The
 byte tests in test_golden_outputs.py say that the output did not change;
 these say how far each printed number is from the truth, so a change
-that moves a last digit can be told from a regression.
+that moves a last digit can be told from a regression.  The file's
+"z2Oracle" cells, z(2.0) at the shapes of verify's AC14, size that
+check's fixed-grid Simpson oracle.
 
 A cell passes within 4 units in the last printed significant digit of
 its reference, the 12th (the OBJ's 9th), which allows 3.5 units of error
@@ -128,6 +130,23 @@ def test_golden_cells_within_reference_bound(name):
             f"{name} {where}: {printed} vs exact {exact}")
         checked += 1
     assert checked > 0
+
+
+def test_simpson_oracle_and_frozen_constants_within_1e_12_of_reference():
+    # AC14 holds the closed form to the fixed-grid Simpson rule and the rule
+    # to its frozen constants within 1e-9; at the panel count verify uses,
+    # both lie much closer than that to z(2.0) in mpmath, so the panel
+    # count loosens none of AC14's comparisons
+    from cmcpinch.delaunay import DelaunayParams
+    from cmcpinch.verify import Z2_ORACLE_PAIRS, _composite_simpson_z
+    cells = REFERENCE["z2Oracle"]
+    assert [(float(c["H"]), float(c["B"])) for c in cells] == [
+        pair for pair, _ in Z2_ORACLE_PAIRS]
+    for cell, ((h, b), frozen) in zip(cells, Z2_ORACLE_PAIRS):
+        ref = float(cell["z"])
+        simpson = _composite_simpson_z(DelaunayParams(h, b), 2.0)
+        assert abs(simpson - ref) <= 1e-12, (h, b, simpson, cell["z"])
+        assert abs(frozen - ref) <= 1e-12, (h, b, frozen, cell["z"])
 
 
 # Pinched shapes at H = 1 for the 50-digit check of the freeboundary
