@@ -19,6 +19,12 @@ derivatives are compared against finite differences; the mesh check
 re-parses the exported OBJ text rather than trusting the arrays it came
 from.  The adaptive quadrature (numerics.integrate, tuned by --quad-*)
 is used only here.
+
+The Simpson oracle runs SIMPSON_PANELS = 10^4 panels, sized by its
+measured error: against mpmath's z(2.0) on the six Z2_ORACLE_PAIRS
+(tests/golden/reference.json) it is within 9.5e-16 at 10^4 panels and
+within 1.4e-15 at 10^6, where the longer sums gather more rounding, so
+more panels would only cost time.  AC14's bound stays 1e-9.
 """
 from __future__ import annotations
 
@@ -44,14 +50,17 @@ EXAMPLE = DelaunayParams(0.1, 0.9)
 NODOID_EXAMPLE = DelaunayParams(1.0, 1.5)
 # points of [-sb, sb] where AC4 samples the gap, an oracle for min_gap = 0
 PORTION_SAMPLES = 2049
+# panels of AC14's fixed-grid Simpson oracle; see the module docstring
+SIMPSON_PANELS = 10 ** 4
 
 # reference values for the (H, B) = (0.1, 0.9) worked example
 S0_REF = 4.51026
 Z0_REF = 19.0 / 9.0
 Z_AT_S0_REF = 2.71697
 
-# z(2.0) from a 10^6-panel composite Simpson rule, cross-checked at
-# build time against an independent adaptive integrator
+# z(2.0) frozen from a 10^6-panel composite Simpson rule, cross-checked
+# then against an independent adaptive integrator; each is within 1e-12
+# of mpmath's value, as tests/test_reference.py asserts
 Z2_ORACLE_PAIRS = [
     ((0.1, 0.3), 1.997602923785724),
     ((0.1, 0.9), 1.5430733456176617),
@@ -303,19 +312,18 @@ def _check_nodoid(ctx: _Context, r: _Ratios) -> str:
     return f"rb={rb:.12g} r0={r_top:.12g}"
 
 
-def _composite_simpson_z(params: DelaunayParams, s: float,
-                         panels: int = 10 ** 6) -> float:
+def _composite_simpson_z(params: DelaunayParams, s: float) -> float:
     # fixed-grid oracle, independent of the closed form and of integrate
-    u = np.linspace(0.0, s, 2 * panels + 1)
+    u = np.linspace(0.0, s, 2 * SIMPSON_PANELS + 1)
     c = np.cos(params.H * u)
     vals = (1.0 - params.B * c) / np.sqrt(
         1.0 + params.B * params.B - 2.0 * params.B * c)
-    h = s / (2.0 * panels)
+    h = s / (2.0 * SIMPSON_PANELS)
     return float(h / 3.0 * (vals[0] + vals[-1] + 4.0 * vals[1::2].sum()
                             + 2.0 * vals[2:-1:2].sum()))
 
 
-@_check("AC14", "closed-form and adaptive z(2.0) match 1e6-panel composite "
+@_check("AC14", "closed-form and adaptive z(2.0) match 1e4-panel composite "
                 "Simpson within 1e-9 on six parameter pairs")
 def _check_quadrature_oracle(ctx: _Context, r: _Ratios) -> None:
     for (h, b), frozen in Z2_ORACLE_PAIRS:
@@ -337,22 +345,27 @@ def _check_radial_boundary(ctx: _Context, r: _Ratios) -> None:
 
 
 def _parse_obj(text: str):
-    vs, vns, faces = [], [], []
+    """The v and vn records and the f records' vertex indices, as arrays.
+
+    Each block is converted by one np.loadtxt call, which raises on a
+    field that is not a number and on a record whose field count differs
+    from the others; a block of records that all lack or add a field
+    raises here.  So a malformed record fails the check rather than
+    shortening an array.
+    """
+    blocks = {"v": [], "vn": [], "f": []}
     for line in text.splitlines():
-        parts = line.split()
-        if not parts:
-            continue
-        if parts[0] == "v":
-            vs.append(tuple(float(t) for t in parts[1:4]))
-        elif parts[0] == "vn":
-            vns.append(tuple(float(t) for t in parts[1:4]))
-        elif parts[0] == "f":
-            tri = []
-            for tok in parts[1:4]:
-                v_idx, _, n_idx = tok.partition("//")
-                tri.append((int(v_idx), int(n_idx)))
-            faces.append(tuple(tri))
-    return vs, vns, faces
+        tag, _, rest = line.partition(" ")
+        if tag in blocks:
+            blocks[tag].append(rest)
+    vs = np.loadtxt(blocks["v"], ndmin=2)
+    vns = np.loadtxt(blocks["vn"], ndmin=2)
+    # "i//i" tokens: vertex and normal index
+    faces = np.loadtxt([f.replace("//", " ") for f in blocks["f"]],
+                       dtype=np.int64, ndmin=2)
+    if vs.shape[1] != 3 or vns.shape[1] != 3 or faces.shape[1] != 6:
+        raise ValueError("an OBJ record does not have three fields")
+    return vs, vns, faces[:, 0::2]
 
 
 @_check("AC16", "OBJ re-parses: boundary rings at radius R0 +- 1e-6, all "
@@ -368,23 +381,23 @@ def _check_mesh_export(ctx: _Context, r: _Ratios) -> str:
     r.require(len(vs) == len(m.vertices))
     r.require(len(vns) == len(m.normals))
     r.require(len(faces) == len(m.triangles))
-    radii = np.linalg.norm(np.array(vs), axis=1)
+    radii = np.linalg.norm(vs, axis=1)
     r.bound(float(radii.max()) / p.R0 - 1.0, 1e-6)
     first_ring = radii[:n_par]
     last_ring = radii[-n_par:]
     for ring in (first_ring, last_ring):
         r.bound(float(np.abs(ring - p.R0).max()), 1e-6)
-    norm_len = np.linalg.norm(np.array(vns), axis=1)
+    norm_len = np.linalg.norm(vns, axis=1)
     r.bound(float(np.abs(norm_len - 1.0).max()), 1e-9)
-    edges = set()
-    for tri in faces:
-        idx = [t[0] for t in tri]
-        for k in range(3):
-            e = (idx[k], idx[(k + 1) % 3])
-            edges.add((min(e), max(e)))
-    euler = len(vs) - len(edges) + len(faces)
+    # each undirected edge as one integer key, its ends sorted and offset
+    # to start at 0
+    pairs = np.sort(np.concatenate((faces[:, [0, 1]], faces[:, [1, 2]],
+                                    faces[:, [2, 0]])), axis=1)
+    pairs -= pairs.min()
+    n_edges = len(np.unique(pairs[:, 0] * (pairs.max() + 1) + pairs[:, 1]))
+    euler = len(vs) - n_edges + len(faces)
     r.require(euler == 0)
-    return f"V={len(vs)} E={len(edges)} F={len(faces)} chi={euler}"
+    return f"V={len(vs)} E={n_edges} F={len(faces)} chi={euler}"
 
 
 def run_checks(quad_cfg: Optional[QuadratureConfig] = None,

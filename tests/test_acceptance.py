@@ -5,8 +5,11 @@ pass/fail line per check id.  The whole battery runs once per session
 (conftest.default_checks).  The registry tests below call the entries
 of verify.CHECKS directly.
 """
+import io
 import math
+import pathlib
 
+import numpy as np
 import pytest
 
 from cmcpinch import freeboundary, verify
@@ -79,3 +82,67 @@ def test_an_example_that_is_not_pinched_names_its_verdict(
     # build_portion's NoRootError is a ValueError naming the verdict
     assert res.detail.startswith("NoRootError: ")
     assert VERDICT_NO_ORTHOGONAL in res.detail
+
+
+def _first(lines, tag):
+    return next(i for i, line in enumerate(lines)
+                if line.startswith(tag + " "))
+
+
+def _push_vertex_out(lines):
+    # the middle vertex, off both boundary rings, moved out tenfold
+    first = _first(lines, "v")
+    i = first + sum(line.startswith("v ") for line in lines) // 2
+    x, y, z = (10.0 * float(t) for t in lines[i].split()[1:])
+    lines[i] = f"v {x:.9g} {y:.9g} {z:.9g}\n"
+    return lines
+
+
+def _drop_face(lines):
+    del lines[_first(lines, "f")]
+    return lines
+
+
+def _garble_coordinate(lines):
+    i = _first(lines, "v")
+    tag, x, y, z = lines[i].split()
+    lines[i] = f"{tag} {x} {y}q {z}\n"
+    return lines
+
+
+# the detail shows the count of each block, or the parse error
+@pytest.mark.parametrize("corrupt, detail", [
+    (_push_vertex_out, "V=4096 E=12160 F=8064 chi=0"),
+    (_drop_face, "V=4096 E=12160 F=8063 chi=-1"),
+    (_garble_coordinate, "ValueError: could not convert string '"),
+])
+def test_ac16_fails_on_a_corrupted_obj(corrupt, detail, results,
+                                       monkeypatch):
+    real = verify.export_obj
+
+    def export_corrupted(mesh, sink):
+        clean = io.BytesIO()
+        real(mesh, clean)
+        lines = clean.getvalue().decode("ascii").splitlines(keepends=True)
+        sink.write("".join(corrupt(lines)).encode("ascii"))
+
+    monkeypatch.setattr(verify, "export_obj", export_corrupted)
+    res = dict(verify.CHECKS)["AC16"](
+        verify._Context(DEFAULT_QUADRATURE, DEFAULT_ROOT))
+    assert (res.check_id, res.description) == (
+        "AC16", results["AC16"].description)
+    assert not res.passed and res.worst_ratio > 1.0
+    assert res.detail.startswith(detail)
+
+
+def test_obj_parse_equals_python_float_bit_for_bit():
+    golden = (pathlib.Path(__file__).parent / "golden"
+              / "mesh_H0.1_B0.9_r16_sphere.obj").read_text()
+    vs, vns, faces = verify._parse_obj(golden)
+    lines = [line.split() for line in golden.splitlines()]
+    for table, tag in ((vs, "v"), (vns, "vn")):
+        ref = np.array([[float(t) for t in p[1:]] for p in lines
+                        if p[0] == tag])
+        assert np.array_equal(table.view(np.int64), ref.view(np.int64))
+    assert faces.tolist() == [[int(t.partition("//")[0]) for t in p[1:]]
+                              for p in lines if p[0] == "f"]
