@@ -30,6 +30,7 @@ import csv
 import functools
 import json
 import math
+import re
 import sys
 from contextlib import contextmanager
 from dataclasses import fields
@@ -276,9 +277,24 @@ def _add_params_flags(p: argparse.ArgumentParser) -> None:
                    help="shape parameter, B >= 0 and B != 1")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads -1e-3 as a value, as it reads -0.001.
+
+    argparse in Python 3.11 takes an argument for a negative number only
+    in the forms -1 and -.5, so "--s-min -1e-3" failed with "expected one
+    argument".  Here "-" followed by a digit, or by "." and a digit, is a
+    value; no option of this parser looks like that.  Subparsers are
+    built from the same class.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cmcpinch",
         description="Delaunay free boundary portions in a ball and the "
                     "pinching gap")

@@ -196,6 +196,20 @@ def test_profile_rejects_infinite_bounds(bounds, tmp_path, capsys):
     assert not dest.exists()
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["profile", "--H", "1", "--B", "0.5", "--s-max", "1", "--n", "16"],
+     "--s-min"),
+    (["scan", "--H-min", "1", "--H-max", "1", "--H-steps", "1", "--B-max",
+      "0.5", "--B-steps", "2"], "--B-min"),
+], ids=["profile", "scan"])
+def test_float_flag_takes_a_negative_exponent(argv, flag, capsys):
+    # -1e-3 is the value -0.001, written either way and with or without =
+    code, want, err = run_cli(argv + [flag, "-0.001"], capsys)
+    assert (code, err) == (0, "")
+    for given in ([flag, "-1e-3"], [flag, "-1E-3"], [f"{flag}=-1e-3"]):
+        assert run_cli(argv + given, capsys) == (0, want, "")
+
+
 def test_scan_dichotomy_transition(capsys):
     code, out, _ = run_cli(
         ["scan", "--H-min", "1", "--H-max", "1", "--H-steps", "1",
