@@ -278,14 +278,9 @@ def _add_params_flags(p: argparse.ArgumentParser) -> None:
 
 
 class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser that reads -1e-3 as a value, as it reads -0.001.
-
-    argparse in Python 3.11 takes an argument for a negative number only
-    in the forms -1 and -.5, so "--s-min -1e-3" failed with "expected one
-    argument".  Here "-" followed by a digit, or by "." and a digit, is a
-    value; no option of this parser looks like that.  Subparsers are
-    built from the same class.
-    """
+    """An ArgumentParser, and so its subparsers, that reads -1e-3 as a
+    value: argparse in Python 3.11 reads only -1 and -.5 as negative
+    numbers.  No option of this parser starts with a digit."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)

@@ -20,11 +20,10 @@ re-parses the exported OBJ text rather than trusting the arrays it came
 from.  The adaptive quadrature (numerics.integrate, tuned by --quad-*)
 is used only here.
 
-The Simpson oracle runs SIMPSON_PANELS = 10^4 panels, sized by its
-measured error: against mpmath's z(2.0) on the six Z2_ORACLE_PAIRS
-(tests/golden/reference.json) it is within 9.5e-16 at 10^4 panels and
-within 1.4e-15 at 10^6, where the longer sums gather more rounding, so
-more panels would only cost time.  AC14's bound stays 1e-9.
+AC14's Simpson oracle runs SIMPSON_PANELS = 10^4 panels, sized by its
+error against mpmath's z(2.0) (tests/golden/reference.json): at most
+9.5e-16 there, and 1.4e-15 at 10^6 panels, whose longer sums gather
+more rounding.
 """
 from __future__ import annotations
 
@@ -50,7 +49,6 @@ EXAMPLE = DelaunayParams(0.1, 0.9)
 NODOID_EXAMPLE = DelaunayParams(1.0, 1.5)
 # points of [-sb, sb] where AC4 samples the gap, an oracle for min_gap = 0
 PORTION_SAMPLES = 2049
-# panels of AC14's fixed-grid Simpson oracle; see the module docstring
 SIMPSON_PANELS = 10 ** 4
 
 # reference values for the (H, B) = (0.1, 0.9) worked example
@@ -345,14 +343,9 @@ def _check_radial_boundary(ctx: _Context, r: _Ratios) -> None:
 
 
 def _parse_obj(text: str):
-    """The v and vn records and the f records' vertex indices, as arrays.
-
-    Each block is converted by one np.loadtxt call, which raises on a
-    field that is not a number and on a record whose field count differs
-    from the others; a block of records that all lack or add a field
-    raises here.  So a malformed record fails the check rather than
-    shortening an array.
-    """
+    """The v, vn and f blocks, each converted by one np.loadtxt call,
+    which raises on a field that is not a number and on a record whose
+    field count differs from the others'; f keeps its vertex indices."""
     blocks = {"v": [], "vn": [], "f": []}
     for line in text.splitlines():
         tag, _, rest = line.partition(" ")
@@ -363,8 +356,6 @@ def _parse_obj(text: str):
     # "i//i" tokens: vertex and normal index
     faces = np.loadtxt([f.replace("//", " ") for f in blocks["f"]],
                        dtype=np.int64, ndmin=2)
-    if vs.shape[1] != 3 or vns.shape[1] != 3 or faces.shape[1] != 6:
-        raise ValueError("an OBJ record does not have three fields")
     return vs, vns, faces[:, 0::2]
 
 
@@ -378,9 +369,9 @@ def _check_mesh_export(ctx: _Context, r: _Ratios) -> str:
     sink = io.BytesIO()
     export_obj(m, sink)
     vs, vns, faces = _parse_obj(sink.getvalue().decode("ascii"))
-    r.require(len(vs) == len(m.vertices))
-    r.require(len(vns) == len(m.normals))
-    r.require(len(faces) == len(m.triangles))
+    r.require(vs.shape == m.vertices.shape)
+    r.require(vns.shape == m.normals.shape)
+    r.require(faces.shape == m.triangles.shape)
     radii = np.linalg.norm(vs, axis=1)
     r.bound(float(radii.max()) / p.R0 - 1.0, 1e-6)
     first_ring = radii[:n_par]
@@ -389,8 +380,7 @@ def _check_mesh_export(ctx: _Context, r: _Ratios) -> str:
         r.bound(float(np.abs(ring - p.R0).max()), 1e-6)
     norm_len = np.linalg.norm(vns, axis=1)
     r.bound(float(np.abs(norm_len - 1.0).max()), 1e-9)
-    # each undirected edge as one integer key, its ends sorted and offset
-    # to start at 0
+    # one integer key per undirected edge
     pairs = np.sort(np.concatenate((faces[:, [0, 1]], faces[:, [1, 2]],
                                     faces[:, [2, 0]])), axis=1)
     pairs -= pairs.min()
