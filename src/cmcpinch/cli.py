@@ -278,13 +278,14 @@ def _add_params_flags(p: argparse.ArgumentParser) -> None:
 
 
 class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser, and so its subparsers, that reads -1e-3 as a
-    value: argparse in Python 3.11 reads only -1 and -.5 as negative
-    numbers.  No option of this parser starts with a digit."""
+    """An ArgumentParser, and so its subparsers, that reads -1e-3 and -inf
+    as values: argparse in Python 3.11 reads only -1 and -.5 as negative
+    numbers.  No option of this parser starts with a digit, inf or nan."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"-\.?\d")
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)",
+                                                   re.IGNORECASE)
 
 
 @functools.cache

@@ -56,9 +56,8 @@ S0_REF = 4.51026
 Z0_REF = 19.0 / 9.0
 Z_AT_S0_REF = 2.71697
 
-# z(2.0) frozen from a 10^6-panel composite Simpson rule, cross-checked
-# then against an independent adaptive integrator; each is within 1e-12
-# of mpmath's value, as tests/test_reference.py asserts
+# z(2.0) frozen from a 10^6-panel composite Simpson rule checked against
+# an adaptive integrator; tests/test_reference.py holds each to mpmath
 Z2_ORACLE_PAIRS = [
     ((0.1, 0.3), 1.997602923785724),
     ((0.1, 0.9), 1.5430733456176617),

@@ -84,27 +84,26 @@ def test_an_example_that_is_not_pinched_names_its_verdict(
     assert VERDICT_NO_ORTHOGONAL in res.detail
 
 
-def _first(lines, tag):
-    return next(i for i, line in enumerate(lines)
-                if line.startswith(tag + " "))
+def _records(lines, tag):
+    return [i for i, line in enumerate(lines) if line.startswith(tag + " ")]
 
 
 def _push_vertex_out(lines):
     # the middle vertex, off both boundary rings, moved out tenfold
-    first = _first(lines, "v")
-    i = first + sum(line.startswith("v ") for line in lines) // 2
+    vertices = _records(lines, "v")
+    i = vertices[len(vertices) // 2]
     x, y, z = (10.0 * float(t) for t in lines[i].split()[1:])
     lines[i] = f"v {x:.9g} {y:.9g} {z:.9g}\n"
     return lines
 
 
 def _drop_face(lines):
-    del lines[_first(lines, "f")]
+    del lines[_records(lines, "f")[0]]
     return lines
 
 
 def _garble_coordinate(lines):
-    i = _first(lines, "v")
+    i = _records(lines, "v")[0]
     tag, x, y, z = lines[i].split()
     lines[i] = f"{tag} {x} {y}q {z}\n"
     return lines

@@ -183,8 +183,10 @@ def test_profile_rejects_bad_grid(capsys):
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("bounds", [["--s-min", "0", "--s-max", "inf"],
-                                    ["--s-min=-inf", "--s-max", "1"]],
-                         ids=["s-max-inf", "s-min-minus-inf"])
+                                    ["--s-min=-inf", "--s-max", "1"],
+                                    ["--s-min", "-Infinity", "--s-max", "1"]],
+                         ids=["s-max-inf", "s-min-minus-inf",
+                              "s-min-minus-infinity"])
 def test_profile_rejects_infinite_bounds(bounds, tmp_path, capsys):
     # an infinite bound is bad input: exit 2 before any sample is taken
     dest = tmp_path / "p.csv"
