@@ -32,7 +32,12 @@ The "kernel" section holds z at 10 arc lengths for each of 11 shape
 parameters B, from 1e-9 to 1e12 and within 1e-6 of 1, for the closed
 form's own tests.  The "z2Oracle" section holds z(2.0) at the six (H, B)
 pairs of verify's Z2_ORACLE_PAIRS, read from src/cmcpinch/verify.py,
-for the test that sizes AC14's fixed-grid Simpson oracle.
+for the test that sizes AC14's fixed-grid Simpson oracle.  The
+"catenoidLimit" section holds the B -> 1 limit of the crossing in neck
+units a = |1 - B| / H: with t0 tanh t0 = 1 (the critical catenoid's
+crossing), sBar / a -> sinh t0 and R0 / a -> sqrt(cosh^2 t0 + t0^2),
+with the first-order slopes d(sBar / a) / d(1 - B) and d(R0 / a) /
+d(1 - B) on each side of B = 1, and C, the largest of their sizes.
 """
 from __future__ import annotations
 
@@ -305,6 +310,38 @@ def kernel_reference() -> dict:
             "cases": cases}
 
 
+# |1 - B| at which the first-order slopes of the catenoid limit are
+# measured: the second-order term is below 1e-11 of the slope there
+CATENOID_EPS = mp.mpf(10) ** -12
+
+
+def catenoid_reference() -> dict:
+    """The B -> 1 limit of sBar / a and R0 / a at H = 1, and its slopes."""
+    t0 = mp.findroot(lambda t: t * mp.tanh(t) - 1, mp.mpf("1.2"))
+    s_lim = mp.sinh(t0)
+    r_lim = mp.sqrt(mp.cosh(t0) ** 2 + t0 ** 2)
+    slopes = {}
+    for side, sign in (("below", 1), ("above", -1)):
+        surf = Surface(1.0, 1.0)
+        surf.B = 1 - sign * CATENOID_EPS
+        sb = mp.findroot(lambda s: surf.state(s)["u"], s_lim * CATENOID_EPS,
+                         tol=mp.mpf(10) ** -45)
+        st = surf.state(sb)
+        # u is of order eps; the quadrature leaves about 1e-29 of it
+        assert abs(st["u"]) < mp.mpf(10) ** -25 * CATENOID_EPS
+        r0 = mp.sqrt(st["x"] ** 2 + st["z"] ** 2)
+        # 1 - B = sign * eps
+        slopes[side] = {
+            "sBar": (sb / CATENOID_EPS - s_lim) / (sign * CATENOID_EPS),
+            "R0": (r0 / CATENOID_EPS - r_lim) / (sign * CATENOID_EPS)}
+    C = max(abs(v) for side in slopes.values() for v in side.values())
+    return {"t0": _text(t0), "sBarOverA": _text(s_lim),
+            "R0OverA": _text(r_lim),
+            "slopes": {side: {k: _text(v) for k, v in cells.items()}
+                       for side, cells in slopes.items()},
+            "C": _text(C)}
+
+
 def _literal(path: pathlib.Path, name: str):
     """The literal assigned to a module-level name, read without import."""
     tree = ast.parse(path.read_text())
@@ -340,7 +377,8 @@ def main() -> int:
         elif argv[0] == "mesh":
             files[name] = mesh_reference(flags)
     data = {"digits": mp.mp.dps, "files": files, "kernel": kernel_reference(),
-            "z2Oracle": z2_oracle_reference()}
+            "z2Oracle": z2_oracle_reference(),
+            "catenoidLimit": catenoid_reference()}
     OUTPUT.write_text(json.dumps(data, indent=1) + "\n")
     return 0
 
