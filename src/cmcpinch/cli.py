@@ -16,12 +16,13 @@ profile cell that is not a finite float raises OverflowError, exit 3.
 
 Each numeric tolerance comes from its flag alone; a flag not given
 takes the library default.  The root finder's --root-* flags apply to
-analyze, scan, mesh and verify; the crossing is solved at H = 1, so
---root-x-tol bounds the bracket on H s.  The quadrature's --quad-*
-flags apply only to verify, whose checks keep the adaptive integral as
-an oracle for the closed-form height.  scan classifies each distinct B
-once per invocation and scales that H = 1 report to every H of the
-grid.  Floating point values are serialized with 12 significant digits.
+analyze, scan, mesh and verify; the crossing is solved at H = 1 in neck
+units, so --root-x-tol bounds the bracket on H s / min(1, |1 - B|).
+The quadrature's --quad-* flags apply only to verify, whose checks keep
+the adaptive integral as an oracle for the closed-form height.  scan
+classifies each distinct B once per invocation and scales that H = 1
+report to every H of the grid.  Floating point values are serialized
+with 12 significant digits.
 """
 from __future__ import annotations
 
@@ -43,8 +44,9 @@ from .delaunay import DelaunayParams, profile, z_many
 from .freeboundary import (VERDICT_INVALID, AnalysisReport, NoRootError,
                            build_portion, classify, _g_off_zero_set)
 from .mesh import export_obj_scene, revolve, sphere
-from .numerics import (IterationLimitError, NoSignChangeError,
-                       QuadratureConfig, RootConfig, SubdivisionLimitError)
+from .numerics import (IterationLimitError, NonFiniteError,
+                       NoSignChangeError, QuadratureConfig, RootConfig,
+                       SubdivisionLimitError)
 from .verify import run_checks
 
 EXIT_OK = 0
@@ -149,10 +151,10 @@ def cmd_profile(args: argparse.Namespace) -> int:
     params = DelaunayParams(args.H, args.B)
     if args.n < 16:
         raise ValueError("profile needs at least 16 samples")
-    if not args.s_max > args.s_min:
-        raise ValueError("need --s-max > --s-min")
     if not (math.isfinite(args.s_min) and math.isfinite(args.s_max)):
         raise ValueError("need finite --s-min and --s-max")
+    if not args.s_max > args.s_min:
+        raise ValueError("need --s-max > --s-min")
     ss = np.linspace(args.s_min, args.s_max, args.n)
     st = profile(params, ss, z_many(params, ss))
     pa = analyze_point(params, st)
@@ -356,7 +358,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_PORTION
     except (SubdivisionLimitError, IterationLimitError, NoSignChangeError,
-            OverflowError, ZeroDivisionError) as exc:
+            NonFiniteError, OverflowError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL_FAILURE
     except (ValueError, OSError) as exc:

@@ -2,27 +2,41 @@
 
 A portion of a Delaunay surface between arc-length values -sb and +sb
 meets the sphere of radius R0 = |(x(sb), z(sb))| orthogonally exactly
-when the support function vanishes at sb.  With z'(sb) != 0 that is the
-same as a zero of
+when the support function
 
-    g(s) = x(s) - (x'(s) / z'(s)) z(s),
+    u(s) = x'(s) z(s) - x(s) z'(s)
 
-since u = x' z - x z' = -z' g.  This module locates such zeros, builds
-the resulting portion, on which the pinching gap is nonnegative by the
-theorem below, and produces the sequence of points outside the portion
-where the gap goes negative.
+vanishes at sb.  Where z' != 0 that is a zero of g = x - (x'/z') z,
+since u = -z' g, but u is smooth where g has a pole (z' = 0 at the
+nodoid's r0).  This module solves u = 0, builds the resulting portion,
+on which the pinching gap is nonnegative by the theorem below, and
+produces the sequence of points outside the portion where the gap goes
+negative.
 
 Unduloid dichotomy (0 < B < 1).  Let s0 = arccos(B) / H be the first
 positive zero of x'' (the inflection of the profile radius) and
-z0 = (1 - B^2) / (H B).  Then g(s0) <= 0 exactly when z(s0) >= z0, and:
+z0 = (1 - B^2) / (H B).  At s0, x' = B and x = z' = sqrt(1 - B^2) / H,
+so u(s0) = B (z(s0) - z0), and:
 
-* z(s0) <  z0: g > 0 on (0, s0]; no orthogonal crossing, no portion.
-* z(s0) >= z0: g crosses zero at a unique sb in (0, s0], giving a free
-  boundary portion on [-sb, sb].
+* z(s0) <  z0: u < 0 on [0, s0]; no orthogonal crossing, no portion.
+* z(s0) >= z0: u rises from u(0) = (B - 1)/H < 0 to u(s0) >= 0 and
+  crosses zero at a unique sb in (0, s0], giving a free boundary
+  portion on [-sb, sb].
 
 Nodoid case (B > 1).  On the inner branch (0, r0) with
-r0 = arccos(1/B) / H, g decreases from (B - 1)/H > 0 to -infinity, so a
-root rb always exists and the portion is [-rb, rb].
+r0 = arccos(1/B) / H, u falls from u(0) = (B - 1)/H > 0 to
+u(r0) = x' z < 0, so a root rb always exists and the portion is
+[-rb, rb].
+
+The solve (_crossing).  The bracket is [0, s0] or [0, r0], with no walk
+toward r0.  Each step is a Newton step on u, with u' = x'' z - x z''
+from the same profile evaluation, safeguarded by bisection
+(numerics.find_root).  It runs in neck units: the neck radius is
+a = |1 - B| / H, and with l = min(1, |1 - B|) / H the bracket closes to
+x_tol * l, so sb and R0 carry x_tol relative accuracy however close B
+is to 1.  As B -> 1, sb / a -> sinh t0 and R0 / a -> sqrt(cosh^2 t0 +
+t0^2) with t0 tanh t0 = 1, the critical catenoid's crossing, and the
+first point tried is SINH_T0 * l.
 
 Every portion is pinched, with min gap 0 at the neck, and lies in its
 ball.  At H = 1, with c = cos s: x, z', x'' are even and x', z odd, so
@@ -46,7 +60,8 @@ gives |P| <= |P(sb)| = R0.  This is the H > 0 counterpart of the
 equality case of Ambrozio and Nunes' gap theorem (arXiv:1608.05689),
 and why the pinching bound is sharp.  The hypotheses hold by
 construction: find_root returns a point of its bracket, [0, s0] or
-[0, hi] with hi < r0, and classify rejects sb = 0.  At the
+[0, r0] (r0 itself only for a tolerance about as wide as the bracket),
+and classify rejects sb = 0.  At the
 computed sb, u is the reported residual, not 0, so lambda1 is 1 within
 |k1| times it.  AC4 and tests/sampled_portion.py sample the gap and
 the ball as an oracle; tests/test_reference.py checks it at 50 digits.
@@ -70,7 +85,7 @@ Canonical units.  The surface (H, B) is the surface (1, B) scaled by
 dilation.  classify is the one solve: it works at H = 1, and
 AnalysisReport.at divides every length (s0, z0, z(s0), sb, R0, the
 residual u(sb), t_n) by H, so a verdict depends on B alone and the root
-tolerance bounds H s.  build_portion is the portion of that report.
+tolerance bounds H s / min(1, |1 - B|).  build_portion is the portion of that report.
 """
 from __future__ import annotations
 
@@ -83,13 +98,15 @@ import numpy as np
 from .curvature import support_function
 from .delaunay import (CYLINDER, NODOID, UNDULOID, DelaunayParams,
                        GeneratrixState, eval_state, z_of)
-from .numerics import (DEFAULT_ROOT, IterationLimitError, RootConfig,
-                       find_root)
+from .numerics import DEFAULT_ROOT, RootConfig, find_root
 
 VERDICT_PINCHED = "PinchedFreeBoundaryPortion"
 VERDICT_NO_ORTHOGONAL = "NoOrthogonalIntersection"
 VERDICT_CYLINDER = "Cylinder"
 VERDICT_INVALID = "Invalid"
+# sinh t0, where t0 tanh t0 = 1: the crossing of the critical catenoid in
+# units of its neck radius, the B -> 1 limit of sb / a
+SINH_T0 = 1.50887956153832
 
 
 class NoRootError(ValueError):
@@ -193,26 +210,40 @@ def z0(params: DelaunayParams) -> float:
     return (1.0 - params.B * params.B) / (params.H * params.B)
 
 
-def _g_of_s(params: DelaunayParams):
-    def g(s: float) -> float:
-        return g_function(eval_state(params, s))
-    return g
+def _u_of_s(params: DelaunayParams):
+    # u = x' z - x z' and u' = x'' z - x z'', one profile per point
+    def u(s: float) -> tuple[float, float]:
+        st = eval_state(params, s)
+        return st.dx * st.z - st.x * st.dz, st.ddx * st.z - st.x * st.ddz
+    return u
+
+
+def _crossing(params: DelaunayParams, top: float,
+              root_cfg: RootConfig) -> float:
+    """The zero of u in [0, top], in neck units (module docstring).
+
+    With l = min(1, |1 - B|) / H the bracket closes to x_tol * l, and the
+    first point tried after the ends is SINH_T0 * l.
+    """
+    unit = min(1.0, abs(1.0 - params.B)) / params.H
+    cfg = replace(root_cfg, x_tol=max(root_cfg.x_tol * unit, math.ulp(0.0)))
+    return find_root(_u_of_s(params), 0.0, top, cfg, SINH_T0 * unit)
 
 
 def find_sbar(params: DelaunayParams,
               root_cfg: RootConfig = DEFAULT_ROOT) -> float:
     """Orthogonal-crossing arc length sb in (0, s0] for an unduloid.
 
-    Raises NoRootError when z(s0) < z0, which is exactly the case g > 0
-    throughout (0, s0].  The root search runs to bracket collapse, so
-    sb carries x_tol accuracy in the units of params; classify calls it
-    at H = 1 only, where x_tol bounds H sb.
+    Raises NoRootError when z(s0) < z0, which is exactly the case u < 0
+    throughout [0, s0].  Otherwise u(0) = B - 1 < 0 <= u(s0) brackets
+    the zero, which the search closes to x_tol in neck units
+    (_crossing).
     """
     s_top = s0(params)
     if z_of(params, s_top) < z0(params):
         raise NoRootError(
             "no orthogonal sphere crossing: z(s0) < (1 - B^2)/(H B)")
-    return find_root(_g_of_s(params), 0.0, s_top, root_cfg)
+    return _crossing(params, s_top, root_cfg)
 
 
 def nodoid_r0(params: DelaunayParams) -> float:
@@ -226,23 +257,10 @@ def nodoid_find_rbar(params: DelaunayParams,
                      root_cfg: RootConfig = DEFAULT_ROOT) -> float:
     """Orthogonal-crossing arc length rb in (0, r0) for a nodoid.
 
-    g(0) = (B - 1)/H > 0 and g -> -infinity approaching r0, so a root
-    always exists; the upper bracket end is walked toward r0 until g
-    turns negative.  Where the walk ends with g still positive (seen
-    for B from 1e16 on) it raises IterationLimitError: the crossing
-    exists but was not found.
+    u(0) = B - 1 > 0 and u(r0) = x' z < 0 bracket the zero, which the
+    search closes to x_tol in neck units (_crossing).
     """
-    r_top = nodoid_r0(params)
-    g = _g_of_s(params)
-    hi = r_top * (1.0 - 1e-3)
-    for _ in range(60):
-        if g(hi) <= 0.0:
-            break
-        hi = r_top - 0.5 * (r_top - hi)
-    else:
-        raise IterationLimitError(
-            "could not bracket the nodoid crossing below r0")
-    return find_root(g, 0.0, hi, root_cfg)
+    return _crossing(params, nodoid_r0(params), root_cfg)
 
 
 def check_profile_conditions(st: GeneratrixState) -> tuple[bool, bool, bool]:
@@ -321,10 +339,10 @@ def classify(params: DelaunayParams,
 
     The report is built once for the H = 1 surface of params.B and
     returned as report.at(params.H), every length divided by H, so the
-    verdict depends on B alone and root_cfg.x_tol bounds H sb.
-    Cylinders never cross a centred sphere orthogonally (u = -1/H is
-    constant), unduloids go through the z(s0) vs z0 dichotomy, nodoids
-    always produce a portion.  For a pinched unduloid the report also
+    verdict depends on B alone and root_cfg.x_tol bounds
+    H sb / min(1, |1 - B|).  Cylinders never cross a centred sphere
+    orthogonally (u = -1/H is constant), unduloids go through the z(s0)
+    vs z0 dichotomy, nodoids always produce a portion.  For a pinched unduloid the report also
     carries the violation sequence through n0 + 2.  This is the one
     solve of the crossing (build_portion returns its portion).  Raises
     ValueError when x_tol stops the search at s = 0 and OverflowError
@@ -346,7 +364,7 @@ def classify(params: DelaunayParams,
     else:
         fields = dict(r0=nodoid_r0(unit))
         sb = nodoid_find_rbar(unit, root_cfg)
-    # s = 0, where g > 0, is no crossing
+    # s = 0, where u = B - 1 != 0, is no crossing
     if sb == 0.0:
         raise ValueError(f"root tolerance x_tol={root_cfg.x_tol!r} stopped "
                          "the crossing search at s = 0, which is no crossing")

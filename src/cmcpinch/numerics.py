@@ -10,10 +10,13 @@ Two kernels:
   worst panel is split first, and the loop stops once the summed
   estimate meets ``max(abs_tol, rel_tol * |I|)``.
 * ``find_root``: bracketed scalar root finding (the orthogonal crossing
-  of every portion), bisection with a secant acceleration step whenever
-  the secant point falls inside the current bracket and keeps shrinking
-  it.  It stops only on an exact zero of f or once the bracket is at
-  most ``x_tol`` wide; there is no residual test.
+  of every portion, u = 0 in neck units; freeboundary scales x_tol).  A
+  safeguarded Newton step from a bracket end, along f' where f returns
+  it and along the chord through the ends otherwise, falls back to
+  bisection when it leaves the bracket or fails to shrink the step.  It
+  stops only on an exact zero of f or once the bracket is at most
+  ``x_tol`` wide; there is no residual test, and a nan or infinite
+  value of f raises NonFiniteError.
 
 Both are plain Python on purpose: the rest of the package needs exact
 control over the termination semantics (subdivision budget errors, the
@@ -32,7 +35,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Optional
 
 
 class SubdivisionLimitError(RuntimeError):
@@ -45,6 +48,10 @@ class NoSignChangeError(ValueError):
 
 class IterationLimitError(RuntimeError):
     """Iteration budget exhausted before convergence."""
+
+
+class NonFiniteError(ArithmeticError):
+    """The root function is nan or infinite at a point of the search."""
 
 
 @dataclass(frozen=True)
@@ -153,54 +160,95 @@ def integrate(f: Callable[[float], float], a: float, b: float,
     return total
 
 
-def find_root(f: Callable[[float], float], a: float, b: float,
-              cfg: RootConfig = DEFAULT_ROOT) -> float:
+def _next_point(a, fa, da, b, fb, db, tol, prev, last):
+    """The next point of find_root inside (a, b), and its step size."""
+    width = b - a
+    chord = (fb - fa) / width
+    ends = ((a, fa, da), (b, fb, db))
+    for end, fe, de in (ends if abs(fa) <= abs(fb) else ends[::-1]):
+        slope = de if math.isfinite(de) and de != 0.0 else chord
+        step = fe / slope
+        if end - step == end or abs(step) < 0.5 * tol and last < 0.5 * tol:
+            # Newton cannot get closer from this end: step over the root,
+            # by x_tol / 2 or at least one float
+            other = b if end == a else a
+            x = end + math.copysign(0.5 * tol, other - end)
+            if x == end:
+                x = math.nextafter(end, other)
+            return x, abs(x - end)
+        if a < end - step < b and abs(step) <= 0.5 * prev:
+            return end - step, abs(step)
+    return a + 0.5 * width, 0.5 * width
+
+
+def find_root(f: Callable, a: float, b: float,
+              cfg: RootConfig = DEFAULT_ROOT,
+              x0: Optional[float] = None) -> float:
     """Locate a root of f inside the bracket [a, b].
+
+    f(x) returns f's value, or the pair (f(x), f'(x)); it is called once
+    per point.  x0, where given inside the bracket, is the first point
+    after the ends.  Each step is a Newton step from a bracket end, the one
+    with the smaller |f| first, along f' where it is given and along the
+    chord through the two ends otherwise; it falls back to bisection
+    when neither end's step lands inside the bracket or when the step is
+    over half the step before last.  Once the step is below x_tol / 2
+    twice running, the next point is x_tol / 2 inside the bracket from
+    that end, which closes the bracket on the far side of the root.
 
     Stops only where f is exactly zero, returning that x, or once the
     bracket is at most ``x_tol`` wide (or cannot shrink in floating
     point), returning the bracket end with the smaller |f|; there is no
     residual tolerance.  The endpoints are tried first, so an endpoint
-    root is returned directly.  Raises NoSignChangeError when f(a) and
-    f(b) have the same (nonzero) sign and IterationLimitError when the
-    budget runs out.
+    root is returned directly.  Raises NonFiniteError where f is nan or
+    infinite, NoSignChangeError when f(a) and f(b) have the same
+    (nonzero) sign and IterationLimitError when the budget runs out.
     """
     if b < a:
         a, b = b, a
-    fa = f(a)
+    tol = cfg.x_tol
+
+    def value_slope(x: float) -> tuple[float, float]:
+        y = f(x)
+        fx, dfx = y if isinstance(y, tuple) else (y, math.nan)
+        if not math.isfinite(fx):
+            raise NonFiniteError(f"the root search met f = {fx!r} at x = "
+                                 f"{x!r}, not a finite value")
+        return fx, dfx
+
+    fa, da = value_slope(a)
     if fa == 0.0:
         return a
-    fb = f(b)
+    fb, db = value_slope(b)
     if fb == 0.0:
         return b
     if (fa > 0.0) == (fb > 0.0):
         raise NoSignChangeError(
             f"f({a!r})={fa!r} and f({b!r})={fb!r} have the same sign")
 
-    force_bisect = False
+    # the sizes of the last two steps, for the bisection fallback
+    prev = last = b - a
+    x = math.nan if x0 is None else x0
     for _ in range(cfg.max_iterations):
         width = b - a
-        if width <= cfg.x_tol:
+        if width <= tol:
             return a if abs(fa) <= abs(fb) else b
-        x = math.nan
-        if not force_bisect and fb != fa:
-            x = b - fb * (b - a) / (fb - fa)
         if not (a < x < b):
-            x = a + 0.5 * width
+            x, size = _next_point(a, fa, da, b, fb, db, tol, prev, last)
+        else:
+            size = width
         if not (a < x < b):
             # bracket already at float resolution
             return a if abs(fa) <= abs(fb) else b
-        fx = f(x)
+        prev, last = last, size
+        fx, dfx = value_slope(x)
         if fx == 0.0:
             return x
         if (fx > 0.0) == (fa > 0.0):
-            a, fa = x, fx
+            a, fa, da = x, fx, dfx
         else:
-            b, fb = x, fx
-        # a secant step that failed to halve the bracket forces a
-        # bisection next time, so the width halves at least every
-        # second iteration
-        force_bisect = (b - a) > 0.5 * width
+            b, fb, db = x, fx, dfx
+        x = math.nan
     raise IterationLimitError(
         f"no convergence in {cfg.max_iterations} iterations "
         f"(bracket [{a!r}, {b!r}])")

@@ -184,11 +184,17 @@ def test_profile_rejects_bad_grid(capsys):
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("bounds", [["--s-min", "0", "--s-max", "inf"],
                                     ["--s-min=-inf", "--s-max", "1"],
-                                    ["--s-min", "-Infinity", "--s-max", "1"]],
+                                    ["--s-min", "-Infinity", "--s-max", "1"],
+                                    ["--s-min", "nan", "--s-max", "1"],
+                                    ["--s-min", "-nan", "--s-max", "1"],
+                                    ["--s-min", "0", "--s-max", "nan"]],
                          ids=["s-max-inf", "s-min-minus-inf",
-                              "s-min-minus-infinity"])
+                              "s-min-minus-infinity", "s-min-nan",
+                              "s-min-minus-nan", "s-max-nan"])
 def test_profile_rejects_infinite_bounds(bounds, tmp_path, capsys):
-    # an infinite bound is bad input: exit 2 before any sample is taken
+    # an infinite or nan bound is bad input: exit 2 before any sample is
+    # taken, with the line that names it (a nan fails the order test too,
+    # so finiteness is checked first)
     dest = tmp_path / "p.csv"
     code, out, err = run_cli(
         ["profile", "--H", "1", "--B", "0.5", "--n", "16", "--output",
@@ -352,16 +358,18 @@ def test_mesh_without_portion_fails(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["analyze", "--H", "1", "--B", "0.9", "--root-x-tol", "0.5"],
-    ["analyze", "--H", "1", "--B", "1.5", "--root-x-tol", "5"],
+    ["analyze", "--H", "1", "--B", "0.99", "--root-x-tol", "20"],
+    ["analyze", "--H", "1", "--B", "1.01", "--root-x-tol", "20"],
     ["scan", "--H-min", "1", "--H-max", "1", "--H-steps", "1", "--B-min",
-     "0.9", "--B-max", "0.9", "--B-steps", "1", "--root-x-tol", "0.5"],
-    ["mesh", "--H", "1", "--B", "0.9", "--root-x-tol", "1"]],
+     "0.99", "--B-max", "0.99", "--B-steps", "1", "--root-x-tol", "20"],
+    ["mesh", "--H", "1", "--B", "0.99", "--root-x-tol", "20"]],
     ids=["analyze-unduloid", "analyze-nodoid", "scan", "mesh"])
 def test_root_tolerance_wider_than_bracket_is_invalid(argv, tmp_path,
                                                       capsys):
-    # g(0) = |1 - B|/H > 0, so a search that stops at the bracket end
-    # s = 0 has found no crossing (it reported sBar 0 and R0 0.1)
+    # u(0) = B - 1 != 0, so a search that stops at the bracket end s = 0
+    # has found no crossing (it reported sBar 0 and R0 = the neck radius);
+    # in neck units the brackets are about 14 wide, and near B = 1 the end
+    # s = 0 has the smaller |u|
     if argv[0] == "mesh":
         argv = argv + ["--out", str(tmp_path / "m.obj")]
     code, out, err = run_cli(argv, capsys)
@@ -413,7 +421,7 @@ def test_overflowing_length_names_its_report_key(command, tmp_path, capsys):
 
 SCAN_WITH_FAILING_ROWS = [
     "scan", "--H-min", "0.5", "--H-max", "2", "--H-steps", "2", "--B-min",
-    "0", "--B-max", "2", "--B-steps", "11", "--root-x-tol", "1"]
+    "0", "--B-max", "2", "--B-steps", "11", "--root-x-tol", "3"]
 
 
 def test_scan_writes_nothing_when_a_row_fails(tmp_path, capsys):
@@ -428,23 +436,26 @@ def test_scan_writes_nothing_when_a_row_fails(tmp_path, capsys):
     assert not dest.exists()
 
 
-# every nodoid has a portion, but the bracket walk toward r0 does not find
-# it from B = 1e16 on; from B = 1e103 on, x'' and z'' overflow on the
-# way, and from 1.3e154 on (1 - B)^2 too, where the walk steps onto
-# z' = 0 (1e155, 1e300) or ends unbracketed (1.7e308); the walk runs on
-# Python floats, which overflow to inf and nan without a warning, and
-# z' = 0 keeps g's own message, not Python's "float division by zero"
-ZERO_DZ = "error: g is undefined where z' = 0\n"
+# every nodoid has a portion, found on floats for every B up to about
+# 6.7e15.  Above, the top end's u(r0) = x' z is lost to rounding: from
+# about 6.8e15 some B, and from about 1.4e16 every B, exit 3 with the
+# bracket's "same sign" line.  From 3.6e102 on, 4 B (1 - B)^2 overflows
+# in z, so u is nan already at s = 0, which the search names; the profile
+# runs on Python floats, which overflow to inf and nan without a warning
+NAN_AT_NECK = ("error: the root search met f = nan at x = 0.0, not a "
+               "finite value\n")
+SAME_SIGN = ("error: f(0.0)=1e+16 and f(1.5707963267948966)="
+             "1.0000000000000002 have the same sign\n")
 
 
 @pytest.mark.parametrize("argv, want", [
-    (["analyze", "--H", "1", "--B", "1e16"], None),
-    (["analyze", "--H", "1", "--B", "1e103"], None),
-    (["analyze", "--H", "1", "--B", "1e154"], None),
-    (["analyze", "--H", "1", "--B", "1e155"], ZERO_DZ),
-    (["analyze", "--H", "1", "--B", "1e300"], ZERO_DZ),
-    (["analyze", "--H", "1", "--B", "1.7e308"], None),
-    (["mesh", "--H", "1", "--B", "1e16"], None)],
+    (["analyze", "--H", "1", "--B", "1e16"], SAME_SIGN),
+    (["analyze", "--H", "1", "--B", "1e103"], NAN_AT_NECK),
+    (["analyze", "--H", "1", "--B", "1e154"], NAN_AT_NECK),
+    (["analyze", "--H", "1", "--B", "1e155"], NAN_AT_NECK),
+    (["analyze", "--H", "1", "--B", "1e300"], NAN_AT_NECK),
+    (["analyze", "--H", "1", "--B", "1.7e308"], NAN_AT_NECK),
+    (["mesh", "--H", "1", "--B", "1e16"], SAME_SIGN)],
     ids=["analyze-1e16", "analyze-1e103", "analyze-1e154", "analyze-1e155",
          "analyze-1e300", "analyze-1.7e308", "mesh-1e16"])
 def test_unbracketed_nodoid_crossing_exits_3(argv, want, tmp_path, capsys):
@@ -454,9 +465,20 @@ def test_unbracketed_nodoid_crossing_exits_3(argv, want, tmp_path, capsys):
     flag = "--out" if argv[0] == "mesh" else "--output"
     code, out, err = run_cli(argv + [flag, str(dest)], capsys)
     assert (code, out) == (3, "")
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert want is None or err == want
+    assert err == want
     assert not dest.exists()
+
+
+@pytest.mark.parametrize("b", ["2523797916671996.0", "7938526459681719.0"])
+def test_nodoid_crossing_found_where_the_bracket_walk_failed(b, capsys):
+    # the walk toward r0 met z' = 0 at 2.5e15 and ended unbracketed at
+    # 7.9e15 (exit 3); u is finite at r0, so [0, r0] brackets the crossing
+    code, out, err = run_cli(["analyze", "--H", "1", "--B", b, "--format",
+                              "json"], capsys)
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["verdict"] == "PinchedFreeBoundaryPortion"
+    assert 0.0 < report["sBar"] <= report["r0"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -617,7 +639,8 @@ TOLERANCE_FLAGS = {"analyze": ROOT_FLAGS,
 REMOVED_FLAGS = {c: QUAD_FLAGS for c in ("analyze", "profile", "scan",
                                          "mesh")}
 # a value far enough from the default to change what each command prints;
-# --root-x-tol bounds H s, so 0.1 is a bracket of 1 in s at H = 0.1
+# --root-x-tol bounds H s / min(1, |1 - B|), so 0.1 is a bracket of 0.1 in
+# s at H = 0.1, B = 0.9
 KNOB_VALUES = {"--quad-abs-tol": "1", "--quad-rel-tol": "0.1",
                "--quad-max-subdivisions": "1", "--root-x-tol": "0.1",
                "--root-max-iterations": "1"}

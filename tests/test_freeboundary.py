@@ -495,9 +495,9 @@ def test_crossing_is_solved_at_unit_scale(monkeypatch):
     # the residual bit for bit those of classify's report
     roots = []
 
-    def counting(f, a, b, cfg):
+    def counting(f, a, b, cfg, x0):
         roots.append(b)
-        return find_root(f, a, b, cfg)
+        return find_root(f, a, b, cfg, x0)
 
     monkeypatch.setattr(freeboundary, "find_root", counting)
     for params in (EXAMPLE, NODOID_EX, DelaunayParams(1e5, 0.95)):

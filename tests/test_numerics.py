@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from cmcpinch.numerics import (IterationLimitError, NoSignChangeError,
+from cmcpinch.delaunay import DelaunayParams
+from cmcpinch.freeboundary import SINH_T0, _u_of_s, nodoid_r0, s0
+from cmcpinch.numerics import (DEFAULT_ROOT, IterationLimitError,
+                               NonFiniteError, NoSignChangeError,
                                QuadratureConfig, RootConfig,
                                SubdivisionLimitError, find_root, integrate)
 
@@ -157,3 +160,82 @@ def test_random_brackets_converge():
             return (x - r) * (1.0 + (x - r) ** 2)
 
         assert abs(find_root(f, a, b, cfg) - r) <= 1e-12
+
+
+def test_non_finite_value_raises():
+    # nan fails every sign test, so it must not reach the bracket logic
+    def f(x):
+        return math.nan if 0.4 < x < 0.6 else x - 0.5
+
+    with pytest.raises(NonFiniteError, match="nan at x = 0.5"):
+        find_root(f, 0.0, 1.0)
+    with pytest.raises(NonFiniteError, match="inf at x = 0.0"):
+        find_root(lambda x: math.inf if x == 0.0 else x, 0.0, 1.0)
+    with pytest.raises(NonFiniteError, match="nan at x = 1.0"):
+        find_root(lambda x: (x - 0.5) if x < 1.0 else math.nan, 0.0, 1.0)
+
+
+def _recorded(f):
+    points = {}
+
+    def g(x):
+        y = f(x)
+        points[x] = y[0] if isinstance(y, tuple) else y
+        return y
+    return g, points
+
+
+def _meets_termination_rule(root, points, tol):
+    """root is an evaluated zero, or the end with the smaller |f| of a
+    sign-changing pair of evaluated points at most tol apart."""
+    if points[root] == 0.0:
+        return True
+    return any((fx > 0.0) != (points[root] > 0.0) and abs(x - root) <= tol
+               and abs(points[root]) <= abs(fx) for x, fx in points.items())
+
+
+def _u_bracket(b):
+    # the unduloid's crossing in [0, s0] and the nodoid's in [0, r0]; at
+    # B = 0.3 there is none in [0, s0], but there is one period on
+    p = DelaunayParams(1.0, b)
+    if b == 0.3:
+        return p, 2.0 * math.pi, 2.0 * math.pi + s0(p)
+    return p, 0.0, s0(p) if b < 1.0 else nodoid_r0(p)
+
+
+# the most evaluations measured for one crossing on these shapes is 9; the
+# secant-and-bisection step before the Newton step took about 30
+NEWTON_CAP = 10
+
+
+@pytest.mark.parametrize("b", [0.3, 0.9, 1.0 - 1e-9, 1.0 + 1e-9, 1.5, 1e9])
+def test_newton_step_on_u_within_evaluation_cap(b):
+    # u and u' at H = 1, with the neck-unit tolerance and first point
+    # that freeboundary uses
+    p, lo, hi = _u_bracket(b)
+    unit = min(1.0, abs(1.0 - b))
+    tol = 1e-12 * unit
+    f, points = _recorded(_u_of_s(p))
+    root = find_root(f, lo, hi, RootConfig(x_tol=tol), SINH_T0 * unit)
+    assert lo < root < hi
+    assert _meets_termination_rule(root, points, tol)
+    assert len(points) <= NEWTON_CAP
+
+
+def test_newton_step_on_a_polynomial_within_evaluation_cap():
+    # Newton's own example, x^3 - 2x - 5, from the bracket ends alone
+    f, points = _recorded(lambda x: (x ** 3 - 2.0 * x - 5.0,
+                                     3.0 * x * x - 2.0))
+    root = find_root(f, 2.0, 3.0)
+    assert root == pytest.approx(2.0945514815423265, abs=1e-12)
+    assert _meets_termination_rule(root, points, 1e-12)
+    assert len(points) <= NEWTON_CAP
+
+
+def test_first_point_is_tried_first_and_only_inside_the_bracket():
+    f, points = _recorded(lambda x: (x - 0.3, 1.0))
+    assert find_root(f, 0.0, 1.0, DEFAULT_ROOT, 0.3) == 0.3
+    assert list(points) == [0.0, 1.0, 0.3]
+    f, points = _recorded(lambda x: (x - 0.3, 1.0))
+    find_root(f, 0.0, 1.0, DEFAULT_ROOT, 7.0)
+    assert 7.0 not in points

@@ -8,7 +8,9 @@ byte tests in test_golden_outputs.py say that the output did not change;
 these say how far each printed number is from the truth, so a change
 that moves a last digit can be told from a regression.  The file's
 "z2Oracle" cells, z(2.0) at the shapes of verify's AC14, size that
-check's fixed-grid Simpson oracle.
+check's fixed-grid Simpson oracle.  Its "catenoidLimit" cells are the
+B -> 1 limit of the crossing in neck units, the critical catenoid, and
+the first-order constant of the approach.
 
 A cell passes within 4 units in the last printed significant digit of
 its reference, the 12th (the OBJ's 9th), which allows 3.5 units of error
@@ -147,6 +149,25 @@ def test_simpson_oracle_and_frozen_constants_within_1e_12_of_reference():
         simpson = _composite_simpson_z(DelaunayParams(h, b), 2.0)
         assert abs(simpson - ref) <= 1e-12, (h, b, simpson, cell["z"])
         assert abs(frozen - ref) <= 1e-12, (h, b, frozen, cell["z"])
+
+
+@pytest.mark.parametrize("side", [-1.0, 1.0], ids=["below", "above"])
+@pytest.mark.parametrize("k", range(6, 16))
+def test_crossing_tends_to_the_critical_catenoid(k, side):
+    # in units of the neck radius a = |1 - B| (H = 1) the crossing tends
+    # to the critical catenoid's, sBar / a -> sinh t0 and R0 / a ->
+    # sqrt(cosh^2 t0 + t0^2) with t0 tanh t0 = 1, linearly in |1 - B|;
+    # an absolute root tolerance read up to 20% off from |1 - B| = 1e-12
+    from cmcpinch.delaunay import DelaunayParams
+    from cmcpinch.freeboundary import SINH_T0, classify
+    cells = REFERENCE["catenoidLimit"]
+    assert SINH_T0 == pytest.approx(float(cells["sBarOverA"]), rel=1e-15)
+    b = 1.0 + side * 10.0 ** -k
+    a = abs(1.0 - b)
+    portion = classify(DelaunayParams(1.0, b)).portion
+    bound = float(cells["C"]) * a + 1e-10
+    assert abs(portion.s_bar / a - float(cells["sBarOverA"])) <= bound
+    assert abs(portion.R0 / a - float(cells["R0OverA"])) <= bound
 
 
 # Pinched shapes at H = 1 for the 50-digit check of the freeboundary
