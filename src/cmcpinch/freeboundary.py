@@ -61,9 +61,8 @@ equality case of Ambrozio and Nunes' gap theorem (arXiv:1608.05689),
 and why the pinching bound is sharp.  The hypotheses hold by
 construction: find_root returns a point of its bracket, [0, s0] or
 [0, r0] (r0 itself only for a tolerance about as wide as the bracket),
-and classify rejects sb = 0.  At the
-computed sb, u is the reported residual, not 0, so lambda1 is 1 within
-|k1| times it.  AC4 and tests/sampled_portion.py sample the gap and
+and classify rejects sb = 0.  At the computed sb, u is the reported
+residual, not 0, so lambda1 is 1 within |k1| times it.  AC4 and tests/sampled_portion.py sample the gap and
 the ball as an oracle; tests/test_reference.py checks it at 50 digits.
 
 Violation sequence (unduloid, B > 0).  At t_n = (2 n pi - arccos B) / H
@@ -85,7 +84,8 @@ Canonical units.  The surface (H, B) is the surface (1, B) scaled by
 dilation.  classify is the one solve: it works at H = 1, and
 AnalysisReport.at divides every length (s0, z0, z(s0), sb, R0, the
 residual u(sb), t_n) by H, so a verdict depends on B alone and the root
-tolerance bounds H s / min(1, |1 - B|).  build_portion is the portion of that report.
+tolerance bounds H s / min(1, |1 - B|).  build_portion is the portion of
+that report.
 """
 from __future__ import annotations
 
@@ -342,9 +342,10 @@ def classify(params: DelaunayParams,
     verdict depends on B alone and root_cfg.x_tol bounds
     H sb / min(1, |1 - B|).  Cylinders never cross a centred sphere
     orthogonally (u = -1/H is constant), unduloids go through the z(s0)
-    vs z0 dichotomy, nodoids always produce a portion.  For a pinched unduloid the report also
-    carries the violation sequence through n0 + 2.  This is the one
-    solve of the crossing (build_portion returns its portion).  Raises
+    vs z0 dichotomy, nodoids always produce a portion.  For a pinched
+    unduloid the report also carries the violation sequence through
+    n0 + 2.  This is the one solve of the crossing (build_portion
+    returns its portion).  Raises
     ValueError when x_tol stops the search at s = 0 and OverflowError
     when a length over H is not a finite float.
     """

@@ -188,13 +188,14 @@ def find_root(f: Callable, a: float, b: float,
 
     f(x) returns f's value, or the pair (f(x), f'(x)); it is called once
     per point.  x0, where given inside the bracket, is the first point
-    after the ends.  Each step is a Newton step from a bracket end, the one
-    with the smaller |f| first, along f' where it is given and along the
-    chord through the two ends otherwise; it falls back to bisection
-    when neither end's step lands inside the bracket or when the step is
-    over half the step before last.  Once the step is below x_tol / 2
-    twice running, the next point is x_tol / 2 inside the bracket from
-    that end, which closes the bracket on the far side of the root.
+    after the ends.  Each later step is a Newton step from a bracket end,
+    the one with the smaller |f| first, along f' where it is given and
+    along the chord through the two ends otherwise.  It falls back to
+    bisection when neither end's step lands inside the bracket at most
+    half as long as the step before last.  Once the Newton step and the
+    step before it are both below x_tol / 2, or the step cannot move the
+    end, the next point is x_tol / 2 (at least one float) inside the
+    bracket from that end, which closes the bracket over the root.
 
     Stops only where f is exactly zero, returning that x, or once the
     bracket is at most ``x_tol`` wide (or cannot shrink in floating
