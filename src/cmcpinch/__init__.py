@@ -22,8 +22,9 @@ from .freeboundary import (VERDICT_CYLINDER, VERDICT_INVALID,
                            nodoid_r0, s0, violation_points, z0)
 from .mesh import TriangleMesh, export_obj, export_obj_scene, revolve, sphere
 from .numerics import (DEFAULT_QUADRATURE, DEFAULT_ROOT, IterationLimitError,
-                       NoSignChangeError, QuadratureConfig, RootConfig,
-                       SubdivisionLimitError, find_root, integrate)
+                       NonFiniteError, NoSignChangeError, QuadratureConfig,
+                       RootConfig, SubdivisionLimitError, find_root,
+                       integrate)
 from .verify import CheckResult, run_checks
 
 __version__ = "0.1.0"
@@ -32,7 +33,8 @@ __all__ = [
     "AnalysisReport", "CheckResult", "CYLINDER", "DEFAULT_QUADRATURE",
     "DEFAULT_ROOT", "DelaunayParams",
     "FreeBoundaryPortion", "GeneratrixState", "IterationLimitError",
-    "NODOID", "NoRootError", "NoSignChangeError", "PointAnalysis",
+    "NODOID", "NonFiniteError", "NoRootError", "NoSignChangeError",
+    "PointAnalysis",
     "QuadratureConfig", "RootConfig", "SubdivisionLimitError",
     "TriangleMesh", "UNDULOID", "VERDICT_CYLINDER", "VERDICT_INVALID",
     "VERDICT_NO_ORTHOGONAL", "VERDICT_PINCHED", "ViolationPoint",

@@ -10,13 +10,9 @@ Two kernels:
   worst panel is split first, and the loop stops once the summed
   estimate meets ``max(abs_tol, rel_tol * |I|)``.
 * ``find_root``: bracketed scalar root finding (the orthogonal crossing
-  of every portion, u = 0 in neck units; freeboundary scales x_tol).  A
-  safeguarded Newton step from a bracket end, along f' where f returns
-  it and along the chord through the ends otherwise, falls back to
-  bisection when it leaves the bracket or fails to shrink the step.  It
-  stops only on an exact zero of f or once the bracket is at most
-  ``x_tol`` wide; there is no residual test, and a nan or infinite
-  value of f raises NonFiniteError.
+  of every portion), a Newton step safeguarded by bisection.  It stops
+  only on an exact zero of f or once the bracket is at most ``x_tol``
+  wide; there is no residual test.
 
 Both are plain Python on purpose: the rest of the package needs exact
 control over the termination semantics (subdivision budget errors, the
