@@ -83,7 +83,8 @@ def profile(params: DelaunayParams, s, z) -> GeneratrixState:
     1 - B cos(H s) = (1 - B) + 2 B h^2 and cos(H s) - B = (1 - B) - 2 h^2,
     so nothing cancels at the neck, where Q is (1 - B)^2 however close B
     is to 1.  A float s is evaluated with math into float fields, anything
-    else as arrays with numpy; a test holds the two bit-equal.
+    else as arrays with numpy; a test holds the two bit-equal.  Only
+    params.H and params.B are read, and on arrays they may be arrays too.
     """
     H = params.H
     B = params.B
@@ -214,6 +215,9 @@ def _carlson_g(B: float, sr, cr, ops):
 def _height(params: DelaunayParams, s):
     """z(s) in closed form (Kenmotsu), for a float or an array of floats.
 
+    On an array s, params.H and params.B may be arrays too, one value per
+    element of s (verify's sample set); each element gets the float bits.
+
     With H s / 2 = k pi + r, |r| <= pi/2, the integrand is pi-periodic in
     H s / 2, so z(s) = [G(r) + 2 k G(pi/2)] / H; 2 G(pi/2) / H is the
     height gained over one period 2 pi / H.
@@ -226,7 +230,8 @@ def _height(params: DelaunayParams, s):
     r = theta - k * math.pi
     g = _carlson_g(B, sin(r), cos(r), ops)
     if any_(k):
-        g = g + 2.0 * k * _carlson_g(B, 1.0, 0.0, _FLOAT_OPS)
+        g = g + 2.0 * k * _carlson_g(
+            B, 1.0, 0.0, _FLOAT_OPS if isinstance(B, float) else ops)
     # + 0.0 makes z(-0) = +0, the empty integral, on every family
     return g / params.H + 0.0
 

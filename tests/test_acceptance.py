@@ -5,6 +5,7 @@ pass/fail line per check id.  The whole battery runs once per session
 (conftest.default_checks).  The registry tests below call the entries
 of verify.CHECKS directly.
 """
+import dataclasses
 import io
 import math
 import pathlib
@@ -13,6 +14,8 @@ import numpy as np
 import pytest
 
 from cmcpinch import freeboundary, verify
+from cmcpinch.curvature import PointAnalysis, analyze_point
+from cmcpinch.delaunay import DelaunayParams, GeneratrixState, eval_state
 from cmcpinch.freeboundary import AnalysisReport, VERDICT_NO_ORTHOGONAL
 from cmcpinch.numerics import DEFAULT_QUADRATURE, DEFAULT_ROOT
 
@@ -145,3 +148,83 @@ def test_obj_parse_equals_python_float_bit_for_bit():
         assert np.array_equal(table.view(np.int64), ref.view(np.int64))
     assert faces.tolist() == [[int(t.partition("//")[0]) for t in p[1:]]
                               for p in lines if p[0] == "f"]
+
+
+def _sample_rows_one_at_a_time():
+    """The sample set built a row at a time: scalar draws, then one
+    DelaunayParams, eval_state and analyze_point per row."""
+    rng = np.random.default_rng(20260819)
+    rows = []
+    for _ in range(1000):
+        pick = rng.random()
+        if pick < 0.1:
+            b = 0.0
+        elif pick < 0.55:
+            b = float(rng.uniform(0.05, 0.9))
+        else:
+            b = float(rng.uniform(1.15, 2.5))
+        h = float(rng.uniform(0.2, 2.0))
+        span = min(6.0, 2.0 * math.pi / h)
+        s = float(rng.uniform(-span, span))
+        params = DelaunayParams(h, b)
+        st = eval_state(params, s)
+        rows.append((params, st, analyze_point(params, st)))
+    return rows
+
+
+def test_sample_set_is_the_row_at_a_time_set_bit_for_bit():
+    # one block of draws and one array state with per-row (H, B) must
+    # give every row's draws, state and analysis to the bit (float.hex
+    # tells -0 from +0)
+    shapes, st, pa = verify._Context(DEFAULT_QUADRATURE,
+                                     DEFAULT_ROOT).sample_rows
+    rows = _sample_rows_one_at_a_time()
+    assert len(shapes.H) == len(shapes.B) == len(rows) == 1000
+    assert {params.family for params, _, _ in rows} == {
+        "cylinder", "unduloid", "nodoid"}
+    columns = [("H", shapes, 0), ("B", shapes, 0)]
+    columns += [(f.name, st, 1) for f in dataclasses.fields(GeneratrixState)]
+    columns += [(f.name, pa, 2) for f in dataclasses.fields(PointAnalysis)]
+    for name, table, part in columns:
+        got = [v.hex() for v in getattr(table, name).tolist()]
+        want = [float(getattr(row[part], name)).hex() for row in rows]
+        assert got == want, name
+
+
+def _bound_each(residuals, tols):
+    r = verify._Ratios()
+    for res, tol in zip(residuals, np.broadcast_to(tols, residuals.shape)):
+        r.bound(res, tol)
+    return r.worst, r.ok
+
+
+def _ratio_tables():
+    # AC8's kind of table: a tolerance per element, one ratio exactly 1
+    rng = np.random.default_rng(5)
+    tols = 1e-6 * np.maximum(1.0, np.abs(10.0 * rng.standard_normal(1000)))
+    passing = rng.uniform(-1.0, 1.0, 1000) * tols
+    passing[17] = -tols[17]
+    one_fails = passing.copy()
+    one_fails[500] = 1.5 * tols[500]
+    with_nan = passing.copy()
+    with_nan[3] = math.nan
+    with_inf = passing.copy()
+    with_inf[999] = -math.inf
+    return tols, {"passing": passing, "one-fails": one_fails,
+                  "nan": with_nan, "inf": with_inf}
+
+
+@pytest.mark.parametrize("name", ["passing", "one-fails", "nan", "inf"])
+def test_array_bound_is_the_per_element_loop(name):
+    tols, tables = _ratio_tables()
+    table = tables[name]
+    r = verify._Ratios()
+    r.bound_all(table, tols)
+    assert (r.worst, r.ok) == _bound_each(table, tols)
+    assert {"passing": (1.0, True), "one-fails": (1.5, False),
+            "nan": (math.inf, False), "inf": (math.inf, False)}[name] == (
+        r.worst, r.ok)
+    # a scalar tolerance, as AC5-AC7 pass, broadcasts the same way
+    r = verify._Ratios()
+    r.bound_all(table, 1e-6)
+    assert (r.worst, r.ok) == _bound_each(table, 1e-6)

@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import json
 import math
@@ -300,6 +301,31 @@ def test_float_profile_is_the_array_profile_bit_for_bit(b):
                 assert type(got) is float
                 assert got.hex() == float(getattr(arrays, k)[i]).hex(), (
                     H, s, k)
+
+
+def test_per_element_shapes_match_the_float_path():
+    # verify's sample set passes params whose H and B are arrays, one
+    # shape per element of s: z_many and profile must give each element
+    # the bits of z_of and eval_state on its own shape.  The elements are
+    # shuffled so that neighbours differ in shape, stop the duplication
+    # loop at different steps and lie in different periods (k != 0)
+    rng = np.random.default_rng(21)
+    rows = [(H, b, s)
+            for b in (0.0, 0.3, 1.0 - 1e-9, 1.0 + 1e-9, 1.5, 1e9)
+            for H in (1e-3, 0.4, 1.0, 7.0)
+            for s in [0.0, -0.0, *(rng.uniform(-30.0, 30.0, 8) / H)]]
+    H, B, S = rng.permutation(np.array(rows)).T
+    assert np.any(np.abs(H * S) > 2.0 * math.pi)
+    shapes = collections.namedtuple("Shapes", "H B")(H, B)
+    zs = z_many(shapes, S)
+    arrays = profile(shapes, S, zs)
+    for i, (h, b, s) in enumerate(zip(H.tolist(), B.tolist(), S.tolist())):
+        params = DelaunayParams(h, b)
+        assert z_of(params, s).hex() == float(zs[i]).hex(), (h, b, s)
+        one = eval_state(params, s)
+        for k in ("s", "x", "z", "dx", "dz", "ddx", "ddz"):
+            got = float(getattr(arrays, k)[i])
+            assert getattr(one, k).hex() == got.hex(), (h, b, s, k)
 
 
 def test_eval_state_accepts_precomputed_z():
