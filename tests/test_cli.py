@@ -469,6 +469,20 @@ def test_unbracketed_nodoid_crossing_exits_3(argv, want, tmp_path, capsys):
     assert not dest.exists()
 
 
+def test_profile_overflow_exits_3_without_numpy_warnings(tmp_path, capsys):
+    # at B = 6e102 the height and x'' overflow on numpy arrays; the table
+    # is evaluated under np.errstate, so stderr holds only the one line,
+    # and the RuntimeWarning filter fails the test on any warning
+    dest = tmp_path / "p.csv"
+    code, out, err = run_cli(
+        ["profile", "--H", "1", "--B", "6e102", "--s-min", "-1", "--s-max",
+         "1", "--n", "16", "--output", str(dest)], capsys)
+    assert (code, out) == (3, "")
+    assert err == ("error: the profile table holds a value that is not a "
+                   "finite float\n")
+    assert not dest.exists()
+
+
 @pytest.mark.parametrize("b", ["2523797916671996.0", "7938526459681719.0"])
 def test_nodoid_crossing_found_where_the_bracket_walk_failed(b, capsys):
     # the walk toward r0 met z' = 0 at 2.5e15 and ended unbracketed at
