@@ -156,16 +156,22 @@ def cmd_profile(args: argparse.Namespace) -> int:
     if not args.s_max > args.s_min:
         raise ValueError("need --s-max > --s-min")
     ss = np.linspace(args.s_min, args.s_max, args.n)
-    # a cell that overflows is reported once, by the check below
-    with np.errstate(all="ignore"):
-        st = profile(params, ss, z_many(params, ss))
-        pa = analyze_point(params, st)
-        g, has_g = _g_off_zero_set(st)
-        cells = np.column_stack(
-            [st.s, st.x, st.z, st.dx, st.dz, st.ddx, st.ddz, pa.k1, pa.k2,
-             pa.support, pa.lambda1, pa.lambda2, pa.phi_sq, pa.gap,
-             np.where(has_g, g, 0.0)])
-    if not np.isfinite(cells).all():
+    # an overflow on the table's arrays stops it, even one that would
+    # leave every cell finite; the other numpy warnings stay silent, and
+    # a cell they make nan or infinite is caught by the finiteness check
+    try:
+        with np.errstate(all="ignore", over="raise"):
+            st = profile(params, ss, z_many(params, ss))
+            pa = analyze_point(params, st)
+            g, has_g = _g_off_zero_set(st)
+            cells = np.column_stack(
+                [st.s, st.x, st.z, st.dx, st.dz, st.ddx, st.ddz, pa.k1,
+                 pa.k2, pa.support, pa.lambda1, pa.lambda2, pa.phi_sq,
+                 pa.gap, np.where(has_g, g, 0.0)])
+        finite = bool(np.isfinite(cells).all())
+    except FloatingPointError:
+        finite = False
+    if not finite:
         raise OverflowError("the profile table holds a value that is not a "
                             "finite float")
     table = np.empty((args.n, len(PROFILE_COLUMNS)), dtype=object)

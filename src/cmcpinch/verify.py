@@ -22,10 +22,10 @@ is used only here.
 
 AC5-AC8 share one seeded sample set of 1000 points over all three
 families (_Context.sample_rows), evaluated as arrays with per-row (H, B)
-and bounded a table at a time (_Ratios.bound_all); AC8 keeps z' from an
-adaptive integral per row.  AC4, AC9, AC11, AC13 and AC15 still
-evaluate single points through the float path, eval_state, and tests
-hold the float and array paths equal bit for bit.
+and bounded a table at a time; AC8 keeps z' from an adaptive integral
+per row.  AC4, AC9, AC11, AC13 and AC15 still evaluate single points
+through the float path, eval_state, and tests hold the float and array
+paths equal bit for bit.
 
 AC14's Simpson oracle runs SIMPSON_PANELS = 10^4 panels, sized by its
 error against mpmath's z(2.0) (tests/golden/reference.json): at most
@@ -91,20 +91,12 @@ class _Ratios:
         self.worst = 0.0
         self.ok = True
 
-    def bound(self, residual: float, tol: float) -> None:
-        ratio = float(abs(residual) / tol)
-        if not math.isfinite(ratio):
-            ratio = math.inf
+    def bound(self, residual, tol) -> None:
+        """Bound a float or a table; a ratio that is not finite is inf."""
+        q = np.abs(residual) / tol
+        ratio = float(np.where(np.isfinite(q), q, math.inf).max())
         self.worst = max(self.worst, ratio)
         self.ok = self.ok and ratio <= 1.0
-
-    def bound_all(self, residuals: np.ndarray, tols) -> None:
-        """bound on a whole table: the same worst ratio and pass flag as
-        calling bound on each element in turn."""
-        ratios = np.abs(residuals) / tols
-        worst = float(np.where(np.isfinite(ratios), ratios, math.inf).max())
-        self.worst = max(self.worst, worst)
-        self.ok = self.ok and worst <= 1.0
 
     def require(self, condition: bool) -> None:
         if not condition:
@@ -248,19 +240,19 @@ def _check_gap_identity(ctx: _Context, r: _Ratios) -> None:
     u = pa.support
     difference = (0.5 * np.float_power(2.0 + pa.mean_curv * u, 2.0)
                   - pa.phi_sq * u * u)
-    r.bound_all(pa.gap - difference, 1e-10)
+    r.bound(pa.gap - difference, 1e-10)
 
 
 @_check("AC6", "k1 + k2 = H within 1e-8 on the sample set")
 def _check_cmc_identity(ctx: _Context, r: _Ratios) -> None:
     shapes, _, pa = ctx.sample_rows
-    r.bound_all(pa.mean_curv - shapes.H, 1e-8)
+    r.bound(pa.mean_curv - shapes.H, 1e-8)
 
 
 @_check("AC7", "x'^2 + z'^2 = 1 within 1e-12 on the sample set")
 def _check_arc_length(ctx: _Context, r: _Ratios) -> None:
     _, st, _ = ctx.sample_rows
-    r.bound_all(st.dx * st.dx + st.dz * st.dz - 1.0, 1e-12)
+    r.bound(st.dx * st.dx + st.dz * st.dz - 1.0, 1e-12)
 
 
 @_check("AC8", "closed-form x', x'', z', z'' match central differences "
@@ -280,7 +272,7 @@ def _check_derivatives(ctx: _Context, r: _Ratios) -> None:
                        ((plus.dx - minus.dx) / (2.0 * h), st.ddx),
                        (fd_dz, st.dz),
                        ((plus.dz - minus.dz) / (2.0 * h), st.ddz)):
-        r.bound_all(fd - closed, 1e-6 * np.maximum(1.0, np.abs(closed)))
+        r.bound(fd - closed, 1e-6 * np.maximum(1.0, np.abs(closed)))
 
 
 @_check("AC9", "neck gap vanishes within 1e-12 on 20 unduloids")

@@ -191,13 +191,6 @@ def test_sample_set_is_the_row_at_a_time_set_bit_for_bit():
         assert got == want, name
 
 
-def _bound_each(residuals, tols):
-    r = verify._Ratios()
-    for res, tol in zip(residuals, np.broadcast_to(tols, residuals.shape)):
-        r.bound(res, tol)
-    return r.worst, r.ok
-
-
 def _ratio_tables():
     # AC8's kind of table: a tolerance per element, one ratio exactly 1
     rng = np.random.default_rng(5)
@@ -214,17 +207,22 @@ def _ratio_tables():
                   "nan": with_nan, "inf": with_inf}
 
 
-@pytest.mark.parametrize("name", ["passing", "one-fails", "nan", "inf"])
-def test_array_bound_is_the_per_element_loop(name):
+@pytest.mark.parametrize("name, want", [
+    ("passing", (1.0, True)), ("one-fails", (1.5, False)),
+    ("nan", (math.inf, False)), ("inf", (math.inf, False))])
+def test_bound_on_a_table_is_the_per_element_loop(name, want):
+    # AC5-AC8 bound a whole table in one call; bound on each element, a
+    # Python float at a time, gives the same worst ratio and pass flag,
+    # with a tolerance per element (AC8) and one for all (AC5-AC7)
     tols, tables = _ratio_tables()
     table = tables[name]
-    r = verify._Ratios()
-    r.bound_all(table, tols)
-    assert (r.worst, r.ok) == _bound_each(table, tols)
-    assert {"passing": (1.0, True), "one-fails": (1.5, False),
-            "nan": (math.inf, False), "inf": (math.inf, False)}[name] == (
-        r.worst, r.ok)
-    # a scalar tolerance, as AC5-AC7 pass, broadcasts the same way
-    r = verify._Ratios()
-    r.bound_all(table, 1e-6)
-    assert (r.worst, r.ok) == _bound_each(table, 1e-6)
+    for tol in (tols, 1e-6):
+        r = verify._Ratios()
+        r.bound(table, tol)
+        each = verify._Ratios()
+        for res, t in zip(table.tolist(),
+                          np.broadcast_to(tol, table.shape).tolist()):
+            each.bound(res, t)
+        assert (r.worst, r.ok) == (each.worst, each.ok)
+        if tol is tols:
+            assert (r.worst, r.ok) == want

@@ -469,14 +469,18 @@ def test_unbracketed_nodoid_crossing_exits_3(argv, want, tmp_path, capsys):
     assert not dest.exists()
 
 
-def test_profile_overflow_exits_3_without_numpy_warnings(tmp_path, capsys):
-    # at B = 6e102 the height and x'' overflow on numpy arrays; the table
-    # is evaluated under np.errstate, so stderr holds only the one line,
-    # and the RuntimeWarning filter fails the test on any warning
+@pytest.mark.parametrize("b", ["3.6e102", "4e102", "6e102"])
+def test_profile_overflow_exits_3_without_numpy_warnings(b, tmp_path,
+                                                         capsys):
+    # from B^3 = 4.5e307 (B = 3.56e102) on, 4 B a / 3 in the height and
+    # the first tail term of the Carlson loop overflow; at 6e102 x'' does
+    # too.  An overflow on the table's arrays stops it under np.errstate,
+    # so stderr holds only the one line, and the RuntimeWarning filter
+    # fails the test on any warning
     dest = tmp_path / "p.csv"
     code, out, err = run_cli(
-        ["profile", "--H", "1", "--B", "6e102", "--s-min", "-1", "--s-max",
-         "1", "--n", "16", "--output", str(dest)], capsys)
+        ["profile", "--H", "1", "--B", b, "--s-min", "-1", "--s-max", "1",
+         "--n", "16", "--output", str(dest)], capsys)
     assert (code, out) == (3, "")
     assert err == ("error: the profile table holds a value that is not a "
                    "finite float\n")
