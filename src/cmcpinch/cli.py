@@ -22,7 +22,9 @@ The quadrature's --quad-* flags apply only to verify, whose checks keep
 the adaptive integral as an oracle for the closed-form height.  scan
 classifies each distinct B once per invocation and scales that H = 1
 report to every H of the grid.  Floating point values are serialized
-with 12 significant digits.
+with 12 significant digits; the profile table formats each column in
+one pass of ``textfmt.format_g``, byte for byte printf "%.12g".  mesh
+writes no OBJ unless every vertex and normal is a finite float.
 """
 from __future__ import annotations
 
@@ -47,6 +49,7 @@ from .mesh import export_obj_scene, revolve, sphere
 from .numerics import (IterationLimitError, NonFiniteError,
                        NoSignChangeError, QuadratureConfig, RootConfig,
                        SubdivisionLimitError)
+from .textfmt import format_g, lines
 from .verify import run_checks
 
 EXIT_OK = 0
@@ -143,8 +146,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 PROFILE_COLUMNS = ["s", "x", "z", "dx", "dz", "ddx", "ddz", "k1", "k2", "u",
                    "lambda1", "lambda2", "phiSq", "gap", "g"]
-# every cell but g; g is preformatted, blank where z' vanishes
-PROFILE_ROW = "%.12g," * (len(PROFILE_COLUMNS) - 1) + "%s\n"
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
@@ -174,13 +175,17 @@ def cmd_profile(args: argparse.Namespace) -> int:
     if not finite:
         raise OverflowError("the profile table holds a value that is not a "
                             "finite float")
-    table = np.empty((args.n, len(PROFILE_COLUMNS)), dtype=object)
-    table[:, :-1] = cells[:, :-1]
-    table[:, -1] = [_fmt(g_i) if g_ok else ""
-                    for g_i, g_ok in zip(g.tolist(), has_g.tolist())]
+    # each cell as "%.12g", with g blank where z' vanishes
+    blocks = [format_g(column, 12) for column in cells.T]
+    blocks[-1][:, ~has_g] = 0
+    row = []
+    for block in blocks:
+        row += [block, b","]
+    row[-1] = b"\n"
+    text = lines(row).decode("ascii")
     with _open_output(args.output) as out:
         out.write(",".join(PROFILE_COLUMNS) + "\n")
-        out.write((PROFILE_ROW * args.n) % tuple(table.ravel().tolist()))
+        out.write(text)
     return EXIT_OK
 
 
@@ -238,6 +243,11 @@ def cmd_mesh(args: argparse.Namespace) -> int:
     if args.include_sphere:
         objects.append(("sphere", sphere(p.R0, max(args.resolution // 2, 2),
                                          args.resolution)))
+    for name, mesh in objects:
+        if not (np.isfinite(mesh.vertices).all()
+                and np.isfinite(mesh.normals).all()):
+            raise OverflowError(f"the {name} mesh holds a vertex or normal "
+                                "that is not a finite float")
     with open(args.out, "wb") as sink:
         export_obj_scene(objects, sink)
     return EXIT_OK

@@ -12,9 +12,9 @@ with the exact unit normal
 which is unit length because the profile is arc-length parametrized.
 Meshes are plain numpy arrays; export writes deterministic ASCII OBJ
 (9 significant digits, one object per mesh, faces as v//vn triples).
-Each object's v, vn and f records are formatted as one block each and
-written to the sink block by block; the bytes are the same as formatting
-one line at a time.
+Each object's v, vn and f records are formatted as one block each by the
+vectorised kernel of ``textfmt`` and written to the sink block by block;
+the bytes are those of printf "%.9g" and "%d", one line at a time.
 """
 from __future__ import annotations
 
@@ -25,6 +25,7 @@ from typing import BinaryIO, Optional, Sequence
 import numpy as np
 
 from .delaunay import DelaunayParams, profile, z_many
+from .textfmt import format_g, format_int, join, lines
 
 
 @dataclass(frozen=True)
@@ -63,7 +64,9 @@ def revolve(params: DelaunayParams, s_min: float, s_max: float,
         raise ValueError("need s_max > s_min")
 
     ss = np.linspace(s_min, s_max, n_meridian)
-    prof = profile(params, ss, z_many(params, ss))
+    # x'' and z'', which a mesh does not use, overflow at huge H
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        prof = profile(params, ss, z_many(params, ss))
 
     theta = 2.0 * math.pi * np.arange(n_parallel) / n_parallel
     ct = np.cos(theta)
@@ -127,33 +130,29 @@ def sphere(radius: float, n_lat: int = 32, n_lon: int = 64) -> TriangleMesh:
                         triangles=triangles)
 
 
-def _xyz_block(tag: str, rows: np.ndarray) -> bytes:
-    """One "<tag> x y z" line per row, all formatted by one % operation."""
-    return ((f"{tag} %.9g %.9g %.9g\n" * len(rows))
-            % tuple(rows.ravel().tolist())).encode("ascii")
-
-
 def _write_scene(named: Sequence[tuple[Optional[str], TriangleMesh]],
                  destination: BinaryIO) -> None:
     """Write each object as its o line, v, vn and f blocks, in order.
 
     Each block goes to the sink as soon as it is formatted, so no
-    whole-file string is built.  Face records index a table of
-    "i//i" tokens, one per vertex with the scene offset applied.
+    whole-file string is built.  Face records gather the "i" text of
+    each vertex index, with the scene offset applied.
     """
     offset = 0
     for name, mesh in named:
         if name is not None:
             destination.write(f"o {name}\n".encode("ascii"))
-        destination.write(_xyz_block("v", mesh.vertices))
-        destination.write(_xyz_block("vn", mesh.normals))
+        for tag, rows in ((b"v ", mesh.vertices), (b"vn ", mesh.normals)):
+            x, y, z = (format_g(column, 9) for column in rows.T)
+            destination.write(lines([tag, x, b" ", y, b" ", z, b"\n"]))
         n = len(mesh.vertices)
-        tokens = np.array([f"{i}//{i}" for i in range(offset + 1,
-                                                      offset + n + 1)],
-                          dtype=object)
-        faces = tokens[mesh.triangles.ravel()].tolist()
-        destination.write((("f %s %s %s\n" * len(mesh.triangles))
-                           % tuple(faces)).encode("ascii"))
+        index = format_int(np.arange(offset + 1, offset + n + 1))
+        # one " i//i" row per vertex, gathered three to a face; .T makes
+        # the faces' rows the character-major block lines() takes
+        token = join([b" ", index, b"//", index])
+        corners = token.take(mesh.triangles, axis=0).reshape(
+            len(mesh.triangles), 3 * token.shape[1])
+        destination.write(lines([b"f", corners.T, b"\n"]))
         offset += n
 
 

@@ -11,6 +11,9 @@ import pytest
 
 from cmcpinch import cli
 from cmcpinch.cli import main
+from cmcpinch.curvature import analyze_point
+from cmcpinch.delaunay import DelaunayParams, profile, z_many
+from cmcpinch.freeboundary import _g_off_zero_set
 from cmcpinch.numerics import NoSignChangeError
 from sampled_portion import sampled_min_gap
 
@@ -170,6 +173,46 @@ def test_profile_blank_g_where_dz_vanishes(capsys):
     assert rows[-1][-1] == ""
     for row in rows[1:-1]:
         assert row[-1] != ""
+
+
+def _profile_cell_loop(h, b, s_min, s_max, n):
+    """The profile table written one "%.12g" cell at a time, g blank where
+    z' vanishes: the reference for cmd_profile's block formatting."""
+    params = DelaunayParams(h, b)
+    ss = np.linspace(s_min, s_max, n)
+    st = profile(params, ss, z_many(params, ss))
+    pa = analyze_point(params, st)
+    g, has_g = _g_off_zero_set(st)
+    columns = [st.s, st.x, st.z, st.dx, st.dz, st.ddx, st.ddz, pa.k1, pa.k2,
+               pa.support, pa.lambda1, pa.lambda2, pa.phi_sq, pa.gap]
+    text = ",".join(cli.PROFILE_COLUMNS) + "\n"
+    for i in range(n):
+        cells = ["%.12g" % float(c[i]) for c in columns]
+        cells.append("%.12g" % float(g[i]) if has_g[i] else "")
+        text += ",".join(cells) + "\n"
+    return text
+
+
+@pytest.mark.parametrize("h, b, s_min, s_max, n", [
+    (0.5, 0.0, -40.0, 40.0, 301),
+    (1.0, 0.5, -30.0, 30.0, 1001),
+    (0.7, 2.3, -25.0, 25.0, 777),
+    (1.0, 1.0 - 1e-9, -60.0, 60.0, 513),
+    (1.0, 1.0 + 1e-9, -60.0, 60.0, 513),
+    (3.0, 0.9, -1e-7, 1e-7, 17),
+    (1.0, 1.5, -0.8410686705679303, 0.8410686705679303, 17)],
+    ids=["cylinder", "unduloid", "nodoid", "B-below-1", "B-above-1",
+         "near-neck", "blank-g"])
+def test_profile_table_is_the_per_cell_loop(h, b, s_min, s_max, n, capsys):
+    with np.errstate(all="ignore"):
+        want = _profile_cell_loop(h, b, s_min, s_max, n)
+    code, out, err = run_cli(
+        ["profile", "--H", repr(h), "--B", repr(b), "--s-min", repr(s_min),
+         "--s-max", repr(s_max), "--n", str(n)], capsys)
+    assert (code, err) == (0, "")
+    assert out == want
+    # only the last table samples z' = 0, at both ends
+    assert out.count(",\n") == (2 if b == 1.5 else 0)
 
 
 def test_profile_rejects_bad_grid(capsys):
@@ -415,6 +458,39 @@ def test_overflowing_length_names_its_report_key(command, tmp_path, capsys):
     code, out, err = run_cli(argv, capsys)
     assert (code, out) == (3, "")
     assert err == ("error: violations n=3 t = 18.398529109742498 / 1e-307 "
+                   "is not a finite float\n")
+    assert not dest.exists()
+
+
+def test_mesh_at_huge_h_writes_subnormal_vertices_silently(tmp_path, capsys):
+    # x'' and z'', which revolve does not use, overflow at H = 1e308; the
+    # RuntimeWarning filter fails the test on any numpy warning
+    dest = tmp_path / "m.obj"
+    code, out, err = run_cli(["mesh", "--H", "1e308", "--B", "0.9",
+                              "--resolution", "8", "--out", str(dest)],
+                             capsys)
+    assert (code, out, err) == (0, "", "")
+    assert dest.read_bytes().startswith(
+        b"o portion\nv 1.9424495e-309 0 -1.40545342e-309\n")
+
+
+@pytest.mark.parametrize("field", ["vertices", "normals"])
+def test_mesh_with_a_non_finite_vertex_exits_3(field, monkeypatch, tmp_path,
+                                               capsys):
+    real_revolve = cli.revolve
+
+    def broken(*args):
+        mesh = real_revolve(*args)
+        getattr(mesh, field)[3, 1] = np.inf
+        return mesh
+
+    monkeypatch.setattr(cli, "revolve", broken)
+    dest = tmp_path / "m.obj"
+    code, out, err = run_cli(["mesh", "--H", "1", "--B", "1.5",
+                              "--resolution", "8", "--out", str(dest)],
+                             capsys)
+    assert (code, out) == (3, "")
+    assert err == ("error: the portion mesh holds a vertex or normal that "
                    "is not a finite float\n")
     assert not dest.exists()
 
