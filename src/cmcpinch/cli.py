@@ -15,11 +15,11 @@ every value is computed, so a failure writes nothing; a length or
 profile cell that is not a finite float raises OverflowError, exit 3.
 
 Each numeric tolerance comes from its flag alone; a flag not given
-takes the library default.  The root finder's --root-* flags apply to
-analyze, scan, mesh and verify; the crossing is solved at H = 1 in neck
-units, so --root-x-tol bounds the bracket on H s / min(1, |1 - B|).
-The quadrature's --quad-* flags apply only to verify, whose checks keep
-the adaptive integral as an oracle for the closed-form height.  scan
+takes the library default.  The root finder's --root-* flags, the only
+tolerances, apply to analyze, scan, mesh and verify; the crossing is
+solved at H = 1 in neck units, so --root-x-tol bounds the bracket on
+H s / min(1, |1 - B|).  The height is a closed form and verify's
+quadrature oracle runs on a fixed grid, so no flag tunes either.  scan
 classifies each distinct B once per invocation and scales that H = 1
 report to every H of the grid.  Floating point values are serialized
 with 12 significant digits; the profile table formats each column in
@@ -36,7 +36,6 @@ import math
 import re
 import sys
 from contextlib import contextmanager
-from dataclasses import fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -46,9 +45,8 @@ from .delaunay import DelaunayParams, profile, z_many
 from .freeboundary import (VERDICT_INVALID, AnalysisReport, NoRootError,
                            build_portion, classify, _g_off_zero_set)
 from .mesh import export_obj_scene, revolve, sphere
-from .numerics import (IterationLimitError, NonFiniteError,
-                       NoSignChangeError, QuadratureConfig, RootConfig,
-                       SubdivisionLimitError)
+from .numerics import (DEFAULT_ROOT, IterationLimitError, NonFiniteError,
+                       NoSignChangeError, RootConfig)
 from .textfmt import format_g, lines
 from .verify import run_checks
 
@@ -57,11 +55,6 @@ EXIT_VERIFY_FAILED = 1
 EXIT_INVALID_INPUT = 2
 EXIT_NUMERICAL_FAILURE = 3
 EXIT_NO_PORTION = 4
-
-# each field of each config a command uses is the flag --<prefix>-<field>,
-# parsed like the field's default
-QUAD_CONFIG = ("quad", QuadratureConfig)
-ROOT_CONFIG = ("root", RootConfig)
 
 
 def _fmt(v: float) -> str:
@@ -72,12 +65,9 @@ def _round12(v: Optional[float]) -> Optional[float]:
     return None if v is None else float(f"{v:.12g}")
 
 
-def _resolve_config(args: argparse.Namespace) -> tuple:
-    """The tolerance configs, each field from its flag's value."""
-    return tuple(
-        config(**{f.name: getattr(args, f"{prefix}_{f.name}")
-                  for f in fields(config)})
-        for prefix, config in args.tolerance_configs)
+def _root_config(args: argparse.Namespace) -> RootConfig:
+    """The root finder's config, each field from its --root-* flag."""
+    return RootConfig(args.root_x_tol, args.root_max_iterations)
 
 
 @contextmanager
@@ -133,7 +123,7 @@ def _print_report_text(payload: dict, out) -> None:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    (root,) = _resolve_config(args)
+    root = _root_config(args)
     params = DelaunayParams(args.H, args.B)
     payload = _report_payload(classify(params, root))
     with _open_output(args.output) as out:
@@ -194,7 +184,7 @@ SCAN_COLUMNS = ["H", "B", "family", "verdict", "zAtS0MinusZ0", "sBar", "R0",
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    (root,) = _resolve_config(args)
+    root = _root_config(args)
     if args.H_steps < 1 or args.B_steps < 1:
         raise ValueError("need at least one step in each direction")
     hs = np.linspace(args.H_min, args.H_max, args.H_steps)
@@ -233,7 +223,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 
 def cmd_mesh(args: argparse.Namespace) -> int:
-    (root,) = _resolve_config(args)
+    root = _root_config(args)
     params = DelaunayParams(args.H, args.B)
     if args.resolution < 8:
         raise ValueError("mesh resolution must be at least 8")
@@ -254,8 +244,7 @@ def cmd_mesh(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    quad, root = _resolve_config(args)
-    results = run_checks(quad, root)
+    results = run_checks(_root_config(args))
     out = sys.stdout
     all_passed = all(r.passed for r in results)
     if args.format == "json":
@@ -282,12 +271,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if all_passed else EXIT_VERIFY_FAILED
 
 
-def _add_tolerance_flags(p: argparse.ArgumentParser, *configs) -> None:
-    for prefix, config in configs:
-        for f in fields(config):
-            p.add_argument(f"--{prefix}-{f.name.replace('_', '-')}",
-                           type=type(f.default), default=f.default)
-    p.set_defaults(tolerance_configs=configs)
+def _add_root_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--root-x-tol", type=float, default=DEFAULT_ROOT.x_tol)
+    p.add_argument("--root-max-iterations", type=int,
+                   default=DEFAULT_ROOT.max_iterations)
 
 
 def _add_params_flags(p: argparse.ArgumentParser) -> None:
@@ -322,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
                            default="text")
     p_analyze.add_argument("--output", default=None,
                            help="file path or - for stdout")
-    _add_tolerance_flags(p_analyze, ROOT_CONFIG)
+    _add_root_flags(p_analyze)
     p_analyze.set_defaults(fn=cmd_analyze)
 
     p_profile = sub.add_parser("profile",
@@ -343,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--B-max", type=float, required=True)
     p_scan.add_argument("--B-steps", type=int, required=True)
     p_scan.add_argument("--output", default=None)
-    _add_tolerance_flags(p_scan, ROOT_CONFIG)
+    _add_root_flags(p_scan)
     p_scan.set_defaults(fn=cmd_scan)
 
     p_mesh = sub.add_parser("mesh", help="OBJ export of the portion")
@@ -352,13 +339,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_mesh.add_argument("--resolution", type=int, default=64)
     p_mesh.add_argument("--include-sphere", action="store_true",
                         help="also emit the bounding sphere as an object")
-    _add_tolerance_flags(p_mesh, ROOT_CONFIG)
+    _add_root_flags(p_mesh)
     p_mesh.set_defaults(fn=cmd_mesh)
 
     p_verify = sub.add_parser("verify", help="run the acceptance checks")
     p_verify.add_argument("--format", choices=("text", "json"),
                           default="text")
-    _add_tolerance_flags(p_verify, QUAD_CONFIG, ROOT_CONFIG)
+    _add_root_flags(p_verify)
     p_verify.set_defaults(fn=cmd_verify)
 
     return parser
@@ -375,8 +362,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except NoRootError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_PORTION
-    except (SubdivisionLimitError, IterationLimitError, NoSignChangeError,
-            NonFiniteError, OverflowError, ZeroDivisionError) as exc:
+    except (IterationLimitError, NoSignChangeError, NonFiniteError,
+            OverflowError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL_FAILURE
     except (ValueError, OSError) as exc:

@@ -32,8 +32,6 @@ u = -rho, which gives gap = 0: spheres sit exactly on the equality case.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 from .delaunay import DelaunayParams, GeneratrixState
@@ -50,7 +48,6 @@ class PointAnalysis:
     support: float
     lambda1: float
     lambda2: float
-    trace_sum: float
     phi_sq: float
     gap: float
 
@@ -66,29 +63,6 @@ def support_function(st: GeneratrixState) -> float:
     return st.dx * st.z - st.x * st.dz
 
 
-def assemble_analysis(s: float, k1: float, k2: float, u: float,
-                      lambda2: Optional[float] = None) -> PointAnalysis:
-    """Build a PointAnalysis from raw curvatures and support value.
-
-    Split out from analyze_point so non-Delaunay configurations (for
-    example a sphere with k1 = k2 = 1/rho, u = -rho) can be fed through
-    the same gap arithmetic.  lambda2 defaults to 1 + k2 u; analyze_point
-    passes the factored form.
-    """
-    mean_curv = k1 + k2
-    lambda1 = 1.0 + k1 * u
-    if lambda2 is None:
-        lambda2 = 1.0 + k2 * u
-    # float_power calls C pow as float ** does; ** on arrays multiplies,
-    # which differs in the last bit for ~1 argument in 1000 and would
-    # split array and scalar phi_sq
-    phi_sq = 0.5 * np.float_power(k1 - k2, 2.0)
-    return PointAnalysis(s=s, k1=k1, k2=k2, mean_curv=mean_curv, support=u,
-                         lambda1=lambda1, lambda2=lambda2,
-                         trace_sum=lambda1 + lambda2, phi_sq=phi_sq,
-                         gap=2.0 * lambda1 * lambda2)
-
-
 def analyze_point(params: DelaunayParams, st: GeneratrixState) -> PointAnalysis:
     """Curvature and gap data at one profile point of params.
 
@@ -96,5 +70,13 @@ def analyze_point(params: DelaunayParams, st: GeneratrixState) -> PointAnalysis:
     reproduces params.H up to rounding.
     """
     k1, k2 = principal_curvatures(st)
+    u = support_function(st)
+    lambda1 = 1.0 + k1 * u
     lambda2 = st.dx * (st.x * st.dx + st.z * st.dz) / st.x
-    return assemble_analysis(st.s, k1, k2, support_function(st), lambda2)
+    # float_power calls C pow as float ** does; ** on arrays multiplies,
+    # which differs in the last bit for ~1 argument in 1000 and would
+    # split array and scalar phi_sq
+    phi_sq = 0.5 * np.float_power(k1 - k2, 2.0)
+    return PointAnalysis(s=st.s, k1=k1, k2=k2, mean_curv=k1 + k2, support=u,
+                         lambda1=lambda1, lambda2=lambda2, phi_sq=phi_sq,
+                         gap=2.0 * lambda1 * lambda2)

@@ -108,21 +108,6 @@ def profile(params: DelaunayParams, s, z) -> GeneratrixState:
         ddz=-B * B * H * sn * c_minus_b / (q * rq))
 
 
-def _dz_integrand(params: DelaunayParams):
-    # profile's z' as a float function (a test holds them bit-equal), for
-    # the adaptive quadrature that the verify command keeps as an oracle
-    H = params.H
-    B = params.B
-    om = 1.0 - B
-
-    def f(u: float) -> float:
-        h = math.sin(0.5 * (H * u))
-        hh = h * h
-        return (om + 2.0 * B * hh) / math.sqrt(om * om + 4.0 * B * hh)
-
-    return f
-
-
 # Carlson's series is accurate to r = 2^-53 (DLMF 19.36.1-2) once the
 # duplication loop reaches 4^-n Q < A_n, with Q = (3r)^(-1/6) times the
 # spread of the arguments about A_0 for R_F and (r/4)^(-1/6) for R_D

@@ -1,41 +1,30 @@
-"""Scalar quadrature and root finding.
+"""Quadrature and root finding.
 
 Two kernels:
 
-* ``integrate``: globally adaptive Simpson quadrature, used only as the
-  verify battery's oracle for the closed-form height (AC3, AC8, AC14);
-  no other path integrates.  The interval is covered by three-point
-  Gauss-Lobatto (Simpson) panels; each panel carries a Richardson error
-  estimate from comparing one against two Simpson applications, the
-  worst panel is split first, and the loop stops once the summed
-  estimate meets ``max(abs_tol, rel_tol * |I|)``.
+* ``integrate``: the composite Simpson rule on SIMPSON_PANELS equal
+  panels, one numpy evaluation of the integrand on the whole grid.  It
+  is the verify battery's oracle for the closed-form height (AC3,
+  AC14); no other path integrates.  The grid is fixed, so there is no
+  tolerance and no error estimate: the panel count is sized by the
+  rule's error against mpmath's z(2.0) (the ``z2Oracle`` cells of
+  tests/golden/reference.json), at most 9.5e-16 there, and 1.4e-15 at
+  10^6 panels, whose longer sums gather more rounding.
 * ``find_root``: bracketed scalar root finding (the orthogonal crossing
   of every portion), a Newton step safeguarded by bisection.  It stops
   only on an exact zero of f or once the bracket is at most ``x_tol``
-  wide; there is no residual test.
-
-Both are plain Python on purpose: the rest of the package needs exact
-control over the termination semantics (subdivision budget errors, the
-behaviour at loose tolerances, bracket-width convergence) rather than
-maximum speed.
-
-The panel estimate is trusted as-is, so a loose tolerance really does
-accept the first panel; that is relied on by the forced-failure mode of
-the verification command.  The flip side is the usual adaptive-Simpson
-caveat: an integrand that aliases at the five initial samples (many
-periods per interval) can fool the estimate, so oscillatory integrals
-should be split at the period scale by the caller.
+  wide; there is no residual test.  It is plain Python on purpose: the
+  rest of the package needs exact control over its termination
+  (bracket-width convergence, the iteration budget) rather than
+  maximum speed.
 """
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
-
-class SubdivisionLimitError(RuntimeError):
-    """Quadrature could not meet the tolerance within the panel budget."""
+import numpy as np
 
 
 class NoSignChangeError(ValueError):
@@ -51,21 +40,6 @@ class NonFiniteError(ArithmeticError):
 
 
 @dataclass(frozen=True)
-class QuadratureConfig:
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
-    max_subdivisions: int = 100_000
-
-    def __post_init__(self) -> None:
-        if not self.abs_tol > 0.0:
-            raise ValueError("abs_tol must be positive")
-        if not self.rel_tol >= 0.0:
-            raise ValueError("rel_tol must be nonnegative")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be at least 1")
-
-
-@dataclass(frozen=True)
 class RootConfig:
     x_tol: float = 1e-12
     max_iterations: int = 200
@@ -77,83 +51,25 @@ class RootConfig:
             raise ValueError("max_iterations must be at least 1")
 
 
-DEFAULT_QUADRATURE = QuadratureConfig()
 DEFAULT_ROOT = RootConfig()
+SIMPSON_PANELS = 10 ** 4
 
 
-class _Panel(NamedTuple):
-    lo: float
-    hi: float
-    flo: float
-    flm: float
-    fmid: float
-    frm: float
-    fhi: float
-    s_left: float
-    s_right: float
-    value: float
-    err: float
+def integrate(f: Callable[[np.ndarray], np.ndarray], a: float,
+              b: float) -> float:
+    """The composite Simpson rule for f over [a, b] on SIMPSON_PANELS
+    equal panels.
 
-
-def _make_panel(f: Callable[[float], float], lo: float, hi: float,
-                flo: float, fmid: float, fhi: float, coarse: float) -> _Panel:
-    # coarse is the one-shot Simpson value on [lo, hi]; the refined value
-    # is the two-half composite plus its Richardson correction.
-    mid = 0.5 * (lo + hi)
-    lm = 0.5 * (lo + mid)
-    rm = 0.5 * (mid + hi)
-    flm = f(lm)
-    frm = f(rm)
-    h12 = (hi - lo) / 12.0
-    s_left = h12 * (flo + 4.0 * flm + fmid)
-    s_right = h12 * (fmid + 4.0 * frm + fhi)
-    fine = s_left + s_right
-    err = abs(fine - coarse) / 15.0
-    value = fine + (fine - coarse) / 15.0
-    return _Panel(lo, hi, flo, flm, fmid, frm, fhi, s_left, s_right, value, err)
-
-
-def integrate(f: Callable[[float], float], a: float, b: float,
-              cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
-    """Integrate f over [a, b] to the configured tolerance.
-
-    Swapped endpoints negate the result exactly.  Raises
-    SubdivisionLimitError when the summed panel error estimate still
-    exceeds ``max(abs_tol, rel_tol * |I|)`` after ``max_subdivisions``
-    panel splits.
+    f maps an array of points to the integrand there; it is called once,
+    on all 2 SIMPSON_PANELS + 1 grid points.  Swapped endpoints negate
+    the result exactly.
     """
-    if a == b:
-        return 0.0
     if b < a:
-        return -integrate(f, b, a, cfg)
-
-    fa = f(a)
-    fmid = f(0.5 * (a + b))
-    fb = f(b)
-    coarse = (b - a) / 6.0 * (fa + 4.0 * fmid + fb)
-    root = _make_panel(f, a, b, fa, fmid, fb, coarse)
-
-    total = root.value
-    err_sum = root.err
-    heap = [(-root.err, 0, root)]
-    seq = 1
-    splits = 0
-    while err_sum > max(cfg.abs_tol, cfg.rel_tol * abs(total)):
-        if splits >= cfg.max_subdivisions:
-            raise SubdivisionLimitError(
-                f"error estimate {err_sum:.3e} after {splits} subdivisions "
-                f"(abs_tol={cfg.abs_tol:.3e}, rel_tol={cfg.rel_tol:.3e})")
-        _, _, p = heapq.heappop(heap)
-        mid = 0.5 * (p.lo + p.hi)
-        left = _make_panel(f, p.lo, mid, p.flo, p.flm, p.fmid, p.s_left)
-        right = _make_panel(f, mid, p.hi, p.fmid, p.frm, p.fhi, p.s_right)
-        total += left.value + right.value - p.value
-        err_sum += left.err + right.err - p.err
-        heapq.heappush(heap, (-left.err, seq, left))
-        heapq.heappush(heap, (-right.err, seq + 1, right))
-        seq += 2
-        splits += 1
-    return total
+        return -integrate(f, b, a)
+    vals = f(np.linspace(a, b, 2 * SIMPSON_PANELS + 1))
+    h = (b - a) / (2 * SIMPSON_PANELS)
+    return float(h / 3.0 * (vals[0] + vals[-1] + 4.0 * vals[1::2].sum()
+                            + 2.0 * vals[2:-1:2].sum()))
 
 
 def _next_point(a, fa, da, b, fb, db, tol, prev, last):

@@ -12,25 +12,18 @@ infinity, under its own id and description, and the exception as its
 detail.
 
 The checks deliberately follow independent routes where the point is
-redundancy: the height is checked in closed form and by an adaptive
-quadrature of z' side by side, and against a fixed-grid composite
-Simpson rule that shares no code with either; the closed-form
-derivatives are compared against finite differences; the mesh check
-re-parses the exported OBJ text rather than trusting the arrays it came
-from.  The adaptive quadrature (numerics.integrate, tuned by --quad-*)
-is used only here.
+redundancy: the closed-form height is checked against the fixed-grid
+composite Simpson rule (numerics.integrate, used only here) on z' in
+its cos form, which shares no code with the closed form or with
+profile's half-angle z'; the closed-form derivatives are compared
+against central differences; the mesh check re-parses the exported OBJ
+text rather than trusting the arrays it came from.
 
 AC5-AC8 share one seeded sample set of 1000 points over all three
 families (_Context.sample_rows), evaluated as arrays with per-row (H, B)
-and bounded a table at a time; AC8 keeps z' from an adaptive integral
-per row.  AC4, AC9, AC11, AC13 and AC15 still evaluate single points
-through the float path, eval_state, and tests hold the float and array
-paths equal bit for bit.
-
-AC14's Simpson oracle runs SIMPSON_PANELS = 10^4 panels, sized by its
-error against mpmath's z(2.0) (tests/golden/reference.json): at most
-9.5e-16 there, and 1.4e-15 at 10^6 panels, whose longer sums gather
-more rounding.
+and bounded a table at a time.  AC4, AC9, AC11, AC13 and AC15 still
+evaluate single points through the float path, eval_state, and tests
+hold the float and array paths equal bit for bit.
 """
 from __future__ import annotations
 
@@ -44,27 +37,25 @@ import numpy as np
 
 from .curvature import PointAnalysis, analyze_point
 from .delaunay import (DelaunayParams, GeneratrixState, eval_state, profile,
-                       z_many, z_of, _dz_integrand)
+                       z_many, z_of)
 from .freeboundary import (FreeBoundaryPortion, build_portion,
                            check_profile_conditions, find_n0, g_function,
                            nodoid_r0, s0, violation_points, z0)
 from .mesh import export_obj, revolve
-from .numerics import (DEFAULT_QUADRATURE, DEFAULT_ROOT, QuadratureConfig,
-                       RootConfig, integrate)
+from .numerics import DEFAULT_ROOT, RootConfig, integrate
 
 EXAMPLE = DelaunayParams(0.1, 0.9)
 NODOID_EXAMPLE = DelaunayParams(1.0, 1.5)
 # points of [-sb, sb] where AC4 samples the gap, an oracle for min_gap = 0
 PORTION_SAMPLES = 2049
-SIMPSON_PANELS = 10 ** 4
 
 # reference values for the (H, B) = (0.1, 0.9) worked example
 S0_REF = 4.51026
 Z0_REF = 19.0 / 9.0
 Z_AT_S0_REF = 2.71697
 
-# z(2.0) frozen from a 10^6-panel composite Simpson rule checked against
-# an adaptive integrator; tests/test_reference.py holds each to mpmath
+# z(2.0) frozen from a 10^6-panel composite Simpson rule;
+# tests/test_reference.py holds each within 1e-12 of mpmath
 Z2_ORACLE_PAIRS = [
     ((0.1, 0.3), 1.997602923785724),
     ((0.1, 0.9), 1.5430733456176617),
@@ -123,8 +114,7 @@ class _Context:
     reads it fails with the same exception.
     """
 
-    def __init__(self, quad: QuadratureConfig, root: RootConfig) -> None:
-        self.quad = quad
+    def __init__(self, root: RootConfig) -> None:
         self.root = root
 
     @cached_property
@@ -202,15 +192,23 @@ def _check_z0_reference(ctx: _Context, r: _Ratios) -> str:
     return f"z0={val:.17g}"
 
 
-def _adaptive_z(params: DelaunayParams, s: float, ctx: _Context) -> float:
-    return integrate(_dz_integrand(params), 0.0, s, ctx.quad)
+def _simpson_dz(params: DelaunayParams) -> Callable[[np.ndarray],
+                                                  np.ndarray]:
+    """z' as (1 - B cos Hs) / sqrt(1 + B^2 - 2 B cos Hs), for the
+    Simpson oracle; it shares no code with the closed-form height."""
+    def dz(u: np.ndarray) -> np.ndarray:
+        c = np.cos(params.H * u)
+        return (1.0 - params.B * c) / np.sqrt(
+            1.0 + params.B * params.B - 2.0 * params.B * c)
+    return dz
 
 
 @_check("AC3", "z(s0) for (0.1, 0.9) matches 2.71697 within 1e-4")
 def _check_z_at_s0_reference(ctx: _Context, r: _Ratios) -> str:
     val = z_of(EXAMPLE, s0(EXAMPLE))
     r.bound(val - Z_AT_S0_REF, 1e-4)
-    r.bound(_adaptive_z(EXAMPLE, s0(EXAMPLE), ctx) - Z_AT_S0_REF, 1e-4)
+    simpson = integrate(_simpson_dz(EXAMPLE), 0.0, s0(EXAMPLE))
+    r.bound(simpson - Z_AT_S0_REF, 1e-4)
     return f"z(s0)={val:.12g}"
 
 
@@ -260,17 +258,11 @@ def _check_arc_length(ctx: _Context, r: _Ratios) -> None:
 def _check_derivatives(ctx: _Context, r: _Ratios) -> None:
     h = 1e-5
     shapes, st, _ = ctx.sample_rows
-    plus = profile(shapes, st.s + h, 0.0)
-    minus = profile(shapes, st.s - h, 0.0)
-    # z' by the adaptive quadrature of each row
-    fd_dz = np.array([
-        integrate(_dz_integrand(DelaunayParams(hr, br)), s - h, s + h,
-                  ctx.quad)
-        for hr, br, s in zip(shapes.H.tolist(), shapes.B.tolist(),
-                             st.s.tolist())]) / (2.0 * h)
+    plus = profile(shapes, st.s + h, z_many(shapes, st.s + h))
+    minus = profile(shapes, st.s - h, z_many(shapes, st.s - h))
     for fd, closed in (((plus.x - minus.x) / (2.0 * h), st.dx),
                        ((plus.dx - minus.dx) / (2.0 * h), st.ddx),
-                       (fd_dz, st.dz),
+                       ((plus.z - minus.z) / (2.0 * h), st.dz),
                        ((plus.dz - minus.dz) / (2.0 * h), st.ddz)):
         r.bound(fd - closed, 1e-6 * np.maximum(1.0, np.abs(closed)))
 
@@ -344,25 +336,13 @@ def _check_nodoid(ctx: _Context, r: _Ratios) -> str:
     return f"rb={rb:.12g} r0={r_top:.12g}"
 
 
-def _composite_simpson_z(params: DelaunayParams, s: float) -> float:
-    # fixed-grid oracle, independent of the closed form and of integrate
-    u = np.linspace(0.0, s, 2 * SIMPSON_PANELS + 1)
-    c = np.cos(params.H * u)
-    vals = (1.0 - params.B * c) / np.sqrt(
-        1.0 + params.B * params.B - 2.0 * params.B * c)
-    h = s / (2.0 * SIMPSON_PANELS)
-    return float(h / 3.0 * (vals[0] + vals[-1] + 4.0 * vals[1::2].sum()
-                            + 2.0 * vals[2:-1:2].sum()))
-
-
-@_check("AC14", "closed-form and adaptive z(2.0) match 1e4-panel composite "
-                "Simpson within 1e-9 on six parameter pairs")
+@_check("AC14", "closed-form z(2.0) matches 1e4-panel composite Simpson "
+                "within 1e-9 on six parameter pairs")
 def _check_quadrature_oracle(ctx: _Context, r: _Ratios) -> None:
     for (h, b), frozen in Z2_ORACLE_PAIRS:
         params = DelaunayParams(h, b)
-        simpson = _composite_simpson_z(params, 2.0)
+        simpson = integrate(_simpson_dz(params), 0.0, 2.0)
         r.bound(z_of(params, 2.0) - simpson, 1e-9)
-        r.bound(_adaptive_z(params, 2.0, ctx) - simpson, 1e-9)
         # the frozen constant guards against both routes drifting together
         r.bound(simpson - frozen, 1e-9)
 
@@ -424,8 +404,7 @@ def _check_mesh_export(ctx: _Context, r: _Ratios) -> str:
     return f"V={len(vs)} E={n_edges} F={len(faces)} chi={euler}"
 
 
-def run_checks(quad_cfg: Optional[QuadratureConfig] = None,
-               root_cfg: Optional[RootConfig] = None) -> list[CheckResult]:
+def run_checks(root_cfg: Optional[RootConfig] = None) -> list[CheckResult]:
     """Run every registered check; one that raises is a failed result."""
-    ctx = _Context(quad_cfg or DEFAULT_QUADRATURE, root_cfg or DEFAULT_ROOT)
+    ctx = _Context(root_cfg or DEFAULT_ROOT)
     return [run(ctx) for _, run in CHECKS]

@@ -2,7 +2,7 @@
 import pytest
 
 from cmcpinch import cli
-from cmcpinch.numerics import DEFAULT_QUADRATURE, DEFAULT_ROOT
+from cmcpinch.numerics import DEFAULT_ROOT
 from cmcpinch.verify import run_checks
 
 
@@ -14,16 +14,16 @@ def default_checks():
 
 @pytest.fixture
 def shared_verify(default_checks, monkeypatch):
-    """The verify command, answering the default tolerances from one run.
+    """The verify command, answering the default root config from one run.
 
-    Any other configuration still runs the battery, so a flag or variable
-    that does not resolve to the defaults still shows in the output.
+    Any other config still runs the battery, so a flag or variable that
+    does not resolve to the default still shows in the output.
     """
     real = cli.run_checks
 
-    def run_checks_once(quad, root):
-        if (quad, root) == (DEFAULT_QUADRATURE, DEFAULT_ROOT):
+    def run_checks_once(root):
+        if root == DEFAULT_ROOT:
             return list(default_checks)
-        return real(quad, root)
+        return real(root)
 
     monkeypatch.setattr(cli, "run_checks", run_checks_once)

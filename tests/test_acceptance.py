@@ -17,7 +17,7 @@ from cmcpinch import freeboundary, verify
 from cmcpinch.curvature import PointAnalysis, analyze_point
 from cmcpinch.delaunay import DelaunayParams, GeneratrixState, eval_state
 from cmcpinch.freeboundary import AnalysisReport, VERDICT_NO_ORTHOGONAL
-from cmcpinch.numerics import DEFAULT_QUADRATURE, DEFAULT_ROOT
+from cmcpinch.numerics import DEFAULT_ROOT
 
 CHECK_IDS = [f"AC{i}" for i in range(1, 17)]
 
@@ -46,7 +46,7 @@ def test_checks_are_registered_in_battery_order():
 
 
 def test_each_check_maps_a_context_to_its_result():
-    ctx = verify._Context(DEFAULT_QUADRATURE, DEFAULT_ROOT)
+    ctx = verify._Context(DEFAULT_ROOT)
     for check_id, run in verify.CHECKS:
         res = run(ctx)
         assert isinstance(res, verify.CheckResult)
@@ -65,7 +65,7 @@ def test_a_check_that_raises_fails_under_its_own_description(
 
     monkeypatch.setattr(freeboundary, "classify", broken)
     run = dict(verify.CHECKS)[check_id]
-    res = run(verify._Context(DEFAULT_QUADRATURE, DEFAULT_ROOT))
+    res = run(verify._Context(DEFAULT_ROOT))
     assert res == verify.CheckResult(
         check_id, results[check_id].description, False, math.inf,
         "ZeroDivisionError: classify broke")
@@ -79,7 +79,7 @@ def test_an_example_that_is_not_pinched_names_its_verdict(
 
     monkeypatch.setattr(freeboundary, "classify", not_pinched)
     run = dict(verify.CHECKS)[check_id]
-    res = run(verify._Context(DEFAULT_QUADRATURE, DEFAULT_ROOT))
+    res = run(verify._Context(DEFAULT_ROOT))
     assert res.description == results[check_id].description
     assert (res.passed, res.worst_ratio) == (False, math.inf)
     # build_portion's NoRootError is a ValueError naming the verdict
@@ -129,8 +129,7 @@ def test_ac16_fails_on_a_corrupted_obj(corrupt, detail, results,
         sink.write("".join(corrupt(lines)).encode("ascii"))
 
     monkeypatch.setattr(verify, "export_obj", export_corrupted)
-    res = dict(verify.CHECKS)["AC16"](
-        verify._Context(DEFAULT_QUADRATURE, DEFAULT_ROOT))
+    res = dict(verify.CHECKS)["AC16"](verify._Context(DEFAULT_ROOT))
     assert (res.check_id, res.description) == (
         "AC16", results["AC16"].description)
     assert not res.passed and res.worst_ratio > 1.0
@@ -176,8 +175,7 @@ def test_sample_set_is_the_row_at_a_time_set_bit_for_bit():
     # one block of draws and one array state with per-row (H, B) must
     # give every row's draws, state and analysis to the bit (float.hex
     # tells -0 from +0)
-    shapes, st, pa = verify._Context(DEFAULT_QUADRATURE,
-                                     DEFAULT_ROOT).sample_rows
+    shapes, st, pa = verify._Context(DEFAULT_ROOT).sample_rows
     rows = _sample_rows_one_at_a_time()
     assert len(shapes.H) == len(shapes.B) == len(rows) == 1000
     assert {params.family for params, _, _ in rows} == {

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from cmcpinch.curvature import (analyze_point, assemble_analysis,
-                                principal_curvatures, support_function)
-from cmcpinch.delaunay import DelaunayParams, eval_state, profile, z_many
+from cmcpinch.curvature import (analyze_point, principal_curvatures,
+                                support_function)
+from cmcpinch.delaunay import (DelaunayParams, GeneratrixState, eval_state,
+                               profile, z_many)
 
 
 def random_params(rng):
@@ -75,8 +76,6 @@ def test_gap_identity():
             0.5 * (2.0 + pa.mean_curv * u) ** 2 - pa.phi_sq * u * u,
             abs=1e-10)
         assert pa.lambda2 == pytest.approx(1.0 + pa.k2 * u, abs=1e-12)
-        assert pa.trace_sum == pytest.approx(
-            2.0 + pa.mean_curv * pa.support, abs=1e-10)
 
 
 def test_phi_sq_closed_form():
@@ -97,8 +96,13 @@ def test_phi_sq_closed_form():
 
 
 def test_sphere_is_the_equality_case():
+    # the great circle (rho cos(s / rho), rho sin(s / rho)) at s = 0, with
+    # k1 = k2 = 1/rho and u = -rho; analyze_point reads only the state
     for rho in (0.5, 1.0, 3.7):
-        pa = assemble_analysis(0.0, 1.0 / rho, 1.0 / rho, -rho)
+        st = GeneratrixState(s=0.0, x=rho, z=0.0, dx=0.0, dz=1.0,
+                             ddx=-1.0 / rho, ddz=0.0)
+        pa = analyze_point(None, st)
+        assert (pa.k1, pa.k2, pa.support) == (1.0 / rho, 1.0 / rho, -rho)
         assert pa.phi_sq == 0.0
         assert pa.lambda1 == pytest.approx(0.0, abs=1e-15)
         assert pa.lambda2 == pytest.approx(0.0, abs=1e-15)

@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 
 from cmcpinch.curvature import analyze_point, support_function
-from cmcpinch.delaunay import (DelaunayParams, GeneratrixState, _dz_integrand,
-                               eval_state, profile, z_many, z_of)
-from cmcpinch.numerics import (DEFAULT_QUADRATURE, QuadratureConfig,
-                               find_root, integrate)
-from cmcpinch import curvature, delaunay, freeboundary
+from cmcpinch.delaunay import (DelaunayParams, GeneratrixState, eval_state,
+                               profile, z_many, z_of)
+from cmcpinch.numerics import find_root, integrate
+from cmcpinch import curvature, delaunay, freeboundary, verify
 from cmcpinch.freeboundary import (VERDICT_CYLINDER, VERDICT_NO_ORTHOGONAL,
                                    VERDICT_PINCHED, NoRootError,
                                    build_portion, check_profile_conditions,
@@ -369,14 +368,10 @@ def test_find_n0_marks_first_negative_gap():
             assert pts[n0 - 2].gap >= 0.0
 
 
-@pytest.mark.parametrize("quad_cfg", [
-    DEFAULT_QUADRATURE, QuadratureConfig(abs_tol=1.0),
-    QuadratureConfig(abs_tol=1.0, rel_tol=1e-2, max_subdivisions=1)])
-def test_first_violation_height_clears_threshold(quad_cfg):
+def test_first_violation_height_clears_threshold():
     # find_n0 returns 1 because H z(t_1) >= pi/sqrt(2) > 1 > B; check
     # the bound on the closed-form height over many decades of H, B up to
-    # 1 - 1e-7, and on the adaptive oracle integral, also at loose
-    # quadrature
+    # 1 - 1e-7, and on verify's Simpson oracle
     rng = np.random.default_rng(3)
     cases = [(1.0, 1e-12), (1.0, 1.0 - 1e-7), (1e-6, 0.5), (1e6, 0.5)]
     cases += [(10.0 ** rng.uniform(-6.0, 6.0),
@@ -384,8 +379,8 @@ def test_first_violation_height_clears_threshold(quad_cfg):
     for h, b in cases:
         params = DelaunayParams(h, b)
         t1 = (2.0 * math.pi - math.acos(b)) / h
-        adaptive = integrate(_dz_integrand(params), 0.0, t1, quad_cfg)
-        for z1 in (z_of(params, t1), adaptive):
+        simpson = integrate(verify._simpson_dz(params), 0.0, t1)
+        for z1 in (z_of(params, t1), simpson):
             assert h * z1 >= math.pi / math.sqrt(2.0), (h, b)
             assert z1 > b / h
 

@@ -8,7 +8,8 @@ byte tests in test_golden_outputs.py say that the output did not change;
 these say how far each printed number is from the truth, so a change
 that moves a last digit can be told from a regression.  The file's
 "z2Oracle" cells, z(2.0) at the shapes of verify's AC14, size that
-check's fixed-grid Simpson oracle.  Its "catenoidLimit" cells are the
+check's fixed-grid Simpson oracle, and the analyze golden's zAtS0 cell
+holds the same rule at AC3's z(s0).  Its "catenoidLimit" cells are the
 B -> 1 limit of the crossing in neck units, the critical catenoid, and
 the first-order constant of the approach.
 
@@ -140,15 +141,28 @@ def test_simpson_oracle_and_frozen_constants_within_1e_12_of_reference():
     # both lie much closer than that to z(2.0) in mpmath, so the panel
     # count loosens none of AC14's comparisons
     from cmcpinch.delaunay import DelaunayParams
-    from cmcpinch.verify import Z2_ORACLE_PAIRS, _composite_simpson_z
+    from cmcpinch.numerics import integrate
+    from cmcpinch.verify import Z2_ORACLE_PAIRS, _simpson_dz
     cells = REFERENCE["z2Oracle"]
     assert [(float(c["H"]), float(c["B"])) for c in cells] == [
         pair for pair, _ in Z2_ORACLE_PAIRS]
     for cell, ((h, b), frozen) in zip(cells, Z2_ORACLE_PAIRS):
         ref = float(cell["z"])
-        simpson = _composite_simpson_z(DelaunayParams(h, b), 2.0)
+        simpson = integrate(_simpson_dz(DelaunayParams(h, b)), 0.0, 2.0)
         assert abs(simpson - ref) <= 1e-12, (h, b, simpson, cell["z"])
         assert abs(frozen - ref) <= 1e-12, (h, b, frozen, cell["z"])
+
+
+def test_simpson_oracle_at_s0_within_1e_12_of_reference():
+    # AC3 holds the closed form and the Simpson rule to 2.71697 within
+    # 1e-4; the rule's own z(s0) at (0.1, 0.9) is far closer to mpmath
+    from cmcpinch.freeboundary import s0
+    from cmcpinch.numerics import integrate
+    from cmcpinch.verify import EXAMPLE, _simpson_dz
+    cell = REFERENCE["files"]["analyze_H0.1_B0.9.json"]
+    assert (float(cell["H"]), float(cell["B"])) == (EXAMPLE.H, EXAMPLE.B)
+    simpson = integrate(_simpson_dz(EXAMPLE), 0.0, s0(EXAMPLE))
+    assert abs(simpson - float(cell["zAtS0"])) <= 1e-12, simpson
 
 
 @pytest.mark.parametrize("side", [-1.0, 1.0], ids=["below", "above"])
