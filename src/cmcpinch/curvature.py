@@ -32,6 +32,7 @@ u = -rho, which gives gap = 0: spheres sit exactly on the equality case.
 from __future__ import annotations
 
 from dataclasses import dataclass
+
 import numpy as np
 
 from .delaunay import DelaunayParams, GeneratrixState

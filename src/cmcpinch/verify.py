@@ -192,8 +192,8 @@ def _check_z0_reference(ctx: _Context, r: _Ratios) -> str:
     return f"z0={val:.17g}"
 
 
-def _simpson_dz(params: DelaunayParams) -> Callable[[np.ndarray],
-                                                  np.ndarray]:
+def _simpson_dz(
+        params: DelaunayParams) -> Callable[[np.ndarray], np.ndarray]:
     """z' as (1 - B cos Hs) / sqrt(1 + B^2 - 2 B cos Hs), for the
     Simpson oracle; it shares no code with the closed-form height."""
     def dz(u: np.ndarray) -> np.ndarray:
