@@ -8,7 +8,7 @@ from cmcpinch.curvature import analyze_point, support_function
 from cmcpinch.delaunay import (DelaunayParams, GeneratrixState, eval_state,
                                profile, z_many, z_of)
 from cmcpinch.numerics import find_root, integrate
-from cmcpinch import curvature, delaunay, freeboundary, verify
+from cmcpinch import curvature, delaunay, freeboundary, numerics, verify
 from cmcpinch.freeboundary import (VERDICT_CYLINDER, VERDICT_NO_ORTHOGONAL,
                                    VERDICT_PINCHED, NoRootError,
                                    build_portion, check_profile_conditions,
@@ -368,10 +368,14 @@ def test_find_n0_marks_first_negative_gap():
             assert pts[n0 - 2].gap >= 0.0
 
 
-def test_first_violation_height_clears_threshold():
+@pytest.mark.parametrize("quad_cfg", [numerics.SIMPSON_PANELS, 10, 1],
+                         ids=["quad_cfg0", "quad_cfg1", "quad_cfg2"])
+def test_first_violation_height_clears_threshold(quad_cfg, monkeypatch):
     # find_n0 returns 1 because H z(t_1) >= pi/sqrt(2) > 1 > B; check
     # the bound on the closed-form height over many decades of H, B up to
-    # 1 - 1e-7, and on verify's Simpson oracle
+    # 1 - 1e-7, and on verify's Simpson oracle, also on coarse grids of
+    # quad_cfg panels
+    monkeypatch.setattr(numerics, "SIMPSON_PANELS", quad_cfg)
     rng = np.random.default_rng(3)
     cases = [(1.0, 1e-12), (1.0, 1.0 - 1e-7), (1e-6, 0.5), (1e6, 0.5)]
     cases += [(10.0 ** rng.uniform(-6.0, 6.0),
