@@ -25,6 +25,11 @@ report to every H of the grid.  Floating point values are serialized
 with 12 significant digits; the profile table formats each column in
 one pass of ``textfmt.format_g``, byte for byte printf "%.12g".  mesh
 writes no OBJ unless every vertex and normal is a finite float.
+
+The profile table's last column is g = x - (x'/z') z.  Where z' != 0,
+u = -z' g, so g vanishes exactly where the support function u does, but
+u is smooth where g has a pole (z' = 0 at the nodoid's r0); g is blank
+where |z'| < 1e-12.
 """
 from __future__ import annotations
 
@@ -43,7 +48,7 @@ import numpy as np
 from .curvature import analyze_point
 from .delaunay import DelaunayParams, profile, z_many
 from .freeboundary import (VERDICT_INVALID, AnalysisReport, NoRootError,
-                           build_portion, classify, _g_off_zero_set)
+                           build_portion, classify)
 from .mesh import export_obj_scene, revolve, sphere
 from .numerics import (DEFAULT_ROOT, IterationLimitError, NonFiniteError,
                        NoSignChangeError, RootConfig)
@@ -153,8 +158,9 @@ def cmd_profile(args: argparse.Namespace) -> int:
     try:
         with np.errstate(all="ignore", over="raise"):
             st = profile(params, ss, z_many(params, ss))
-            pa = analyze_point(params, st)
-            g, has_g = _g_off_zero_set(st)
+            pa = analyze_point(st)
+            has_g = np.abs(st.dz) >= 1e-12
+            g = st.x - (st.dx / np.where(has_g, st.dz, 1.0)) * st.z
             cells = np.column_stack(
                 [st.s, st.x, st.z, st.dx, st.dz, st.ddx, st.ddz, pa.k1,
                  pa.k2, pa.support, pa.lambda1, pa.lambda2, pa.phi_sq,

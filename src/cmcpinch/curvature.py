@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .delaunay import DelaunayParams, GeneratrixState
+from .delaunay import GeneratrixState
 
 
 @dataclass(frozen=True)
@@ -64,12 +64,10 @@ def support_function(st: GeneratrixState) -> float:
     return st.dx * st.z - st.x * st.dz
 
 
-def analyze_point(params: DelaunayParams, st: GeneratrixState) -> PointAnalysis:
-    """Curvature and gap data at one profile point of params.
-
-    params is the surface st was evaluated on; mean_curv in the result
-    reproduces params.H up to rounding.
-    """
+def analyze_point(st: GeneratrixState) -> PointAnalysis:
+    """Curvature and gap data at the profile point st, or at each point of
+    an array state.  Only st is read; on a Delaunay profile mean_curv
+    reproduces the surface's H up to rounding."""
     k1, k2 = principal_curvatures(st)
     u = support_function(st)
     lambda1 = 1.0 + k1 * u

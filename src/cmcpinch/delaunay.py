@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -226,14 +226,10 @@ def z_of(params: DelaunayParams, s: float) -> float:
     return _height(params, float(s))
 
 
-def eval_state(params: DelaunayParams, s: float,
-               *, z: Optional[float] = None) -> GeneratrixState:
-    """profile at the one float s, with float fields.
-
-    z defaults to z_of(s); callers that already know it can pass it.
-    """
+def eval_state(params: DelaunayParams, s: float) -> GeneratrixState:
+    """profile at the one float s, with z = z_of(s) and float fields."""
     s = float(s)
-    return profile(params, s, z_of(params, s) if z is None else z)
+    return profile(params, s, z_of(params, s))
 
 
 def z_many(params: DelaunayParams, s_values: Sequence[float]) -> np.ndarray:

@@ -6,12 +6,10 @@ when the support function
 
     u(s) = x'(s) z(s) - x(s) z'(s)
 
-vanishes at sb.  Where z' != 0 that is a zero of g = x - (x'/z') z,
-since u = -z' g, but u is smooth where g has a pole (z' = 0 at the
-nodoid's r0).  This module solves u = 0, builds the resulting portion,
-on which the pinching gap is nonnegative by the theorem below, and
-produces the sequence of points outside the portion where the gap goes
-negative.
+vanishes at sb.  This module solves u = 0, builds the resulting
+portion, on which the pinching gap is nonnegative by the theorem below,
+and produces the sequence of points outside the portion where the gap
+goes negative.
 
 Unduloid dichotomy (0 < B < 1).  Let s0 = arccos(B) / H be the first
 positive zero of x'' (the inflection of the profile radius) and
@@ -62,8 +60,10 @@ and why the pinching bound is sharp.  The hypotheses hold by
 construction: find_root returns a point of its bracket, [0, s0] or
 [0, r0] (r0 itself only for a tolerance about as wide as the bracket),
 and classify rejects sb = 0.  At the computed sb, u is the reported
-residual, not 0, so lambda1 is 1 within |k1| times it.  AC4 and tests/sampled_portion.py sample the gap and
-the ball as an oracle; tests/test_reference.py checks it at 50 digits.
+residual, not 0, so lambda1 is 1 within |k1| times it.  AC4 and
+tests/sampled_portion.py sample the gap and the ball as an oracle, AC13
+checks the hypotheses and k1 u >= 0, lambda2 >= 0 on the nodoid
+example, and tests/test_reference.py checks them at 50 digits.
 
 Violation sequence (unduloid, B > 0).  At t_n = (2 n pi - arccos B) / H
 x'' = z'' = 0 and x' = -B, z' = H x, so lambda1 = 1 and lambda2 =
@@ -93,11 +93,9 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import ClassVar, NamedTuple, Optional
 
-import numpy as np
-
 from .curvature import support_function
 from .delaunay import (CYLINDER, NODOID, UNDULOID, DelaunayParams,
-                       GeneratrixState, eval_state, z_of)
+                       eval_state, z_of)
 from .numerics import DEFAULT_ROOT, RootConfig, find_root
 
 VERDICT_PINCHED = "PinchedFreeBoundaryPortion"
@@ -189,13 +187,6 @@ def _scaled_length(key: str, length: float, k: float) -> float:
     return out
 
 
-def g_function(st: GeneratrixState) -> float:
-    """g = x - (x'/z') z, zero iff u is; ZeroDivisionError where z' = 0."""
-    if (st.dz == 0.0 if isinstance(st.dz, float) else np.any(st.dz == 0.0)):
-        raise ZeroDivisionError("g is undefined where z' = 0")
-    return st.x - (st.dx / st.dz) * st.z
-
-
 def s0(params: DelaunayParams) -> float:
     """First positive zero of x'' for an unduloid: arccos(B) / H."""
     if params.family != UNDULOID:
@@ -261,29 +252,6 @@ def nodoid_find_rbar(params: DelaunayParams,
     search closes to x_tol in neck units (_crossing).
     """
     return _crossing(params, nodoid_r0(params), root_cfg)
-
-
-def check_profile_conditions(st: GeneratrixState) -> tuple[bool, bool, bool]:
-    """Pointwise sufficient conditions (c1, c2, c3) for the gap bound.
-
-    c1: z' != 0 and x'' g >= -1
-    c2: z' == 0 (within 1e-12) and z z'' >= -1
-    c3: -x x'^2 <= z' x' z
-
-    (c1 or c2) together with c3 imply gap >= 0 at the point.  For an
-    array state the three are boolean arrays.
-    """
-    g, off_zero_set = _g_off_zero_set(st)
-    c1 = off_zero_set & (st.ddx * g >= -1.0)
-    c2 = ~off_zero_set & (st.z * st.ddz >= -1.0)
-    c3 = -st.x * st.dx * st.dx <= st.dz * st.dx * st.z
-    return c1, c2, c3
-
-
-def _g_off_zero_set(st: GeneratrixState):
-    """g, and where |z'| >= 1e-12; g is meaningless elsewhere."""
-    off = np.abs(st.dz) >= 1e-12
-    return g_function(replace(st, dz=np.where(off, st.dz, 1.0))), off
 
 
 def build_portion(params: DelaunayParams,

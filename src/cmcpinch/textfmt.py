@@ -32,13 +32,14 @@ with tol = 4 10^p 2^-53.  Then t < 10^p and tol >= 4 |scaled - t|, and
   10^p: it rounds up to 10^p, a carry that gives N at exponent e again.
 
 So the result does not rest on log10 being exact: a wrong e fails the
-test or falls in the second case.  A zero is printed as "0" or "-0".  Every element the kernel does not
-decide is formatted by CPython's ``"%.{p}g" % x``: nan and the
-infinities, |k| > 22 (|x| below about 10^(p-23) or above about
-10^(p+22), subnormals included), N >= 10^p (a carry to the next power
-of ten, or a wrong e) and scaled within tol of a half-integer, where t
-may be an exact tie.  Of the values a mesh or a profile table holds
-that is under one in a hundred, mostly cos(pi/2)-sized coordinates.
+test or falls in the second case.  A zero is printed as "0" or "-0".
+Every element the kernel does not decide is formatted by CPython's
+``"%.{p}g" % x``: nan and the infinities, |k| > 22 (|x| below about
+10^(p-23) or above about 10^(p+22), subnormals included), N >= 10^p (a
+carry to the next power of ten, or a wrong e) and scaled within tol of
+a half-integer, where t may be an exact tie.  Of the values a mesh or a
+profile table holds that is under one in a hundred, mostly
+cos(pi/2)-sized coordinates.
 
 Text follows "%g" without '#': fixed notation when -4 <= e < p, else
 d[.ddd]e+XX; trailing zeros and a bare point are dropped.  Within

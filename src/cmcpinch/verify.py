@@ -35,11 +35,10 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .curvature import PointAnalysis, analyze_point
+from .curvature import PointAnalysis, analyze_point, support_function
 from .delaunay import (DelaunayParams, GeneratrixState, eval_state, profile,
                        z_many, z_of)
-from .freeboundary import (FreeBoundaryPortion, build_portion,
-                           check_profile_conditions, find_n0, g_function,
+from .freeboundary import (FreeBoundaryPortion, build_portion, find_n0,
                            nodoid_r0, s0, violation_points, z0)
 from .mesh import export_obj, revolve
 from .numerics import DEFAULT_ROOT, RootConfig, integrate
@@ -155,7 +154,7 @@ class _Context:
         s = _uniform(-span, span, draws[last])
         shapes = _Shapes(h, b)
         st = profile(shapes, s, z_many(shapes, s))
-        return shapes, st, analyze_point(shapes, st)
+        return shapes, st, analyze_point(st)
 
 
 # (check id, run(ctx) -> CheckResult) in battery order, filled by _check
@@ -219,13 +218,13 @@ def _check_example_portion(ctx: _Context, r: _Ratios) -> str:
     r.bound(p.orthogonality_residual, 1e-8)
     ss = np.linspace(-p.s_bar, p.s_bar, PORTION_SAMPLES)
     st = profile(EXAMPLE, ss, z_many(EXAMPLE, ss))
-    min_gap = float(analyze_point(EXAMPLE, st).gap.min())
+    min_gap = float(analyze_point(st).gap.min())
     r.bound(min(min_gap, 0.0), 1e-8)
     for sb in (p.s_bar, -p.s_bar):
         st = eval_state(EXAMPLE, sb)
-        r.bound(analyze_point(EXAMPLE, st).gap - 2.0, 1e-6)
+        r.bound(analyze_point(st).gap - 2.0, 1e-6)
     neck = eval_state(EXAMPLE, 0.0)
-    r.bound(analyze_point(EXAMPLE, neck).gap, 1e-10)
+    r.bound(analyze_point(neck).gap, 1e-10)
     return f"sBar={p.s_bar:.12g} R0={p.R0:.12g} minGap={min_gap:.3e}"
 
 
@@ -273,7 +272,7 @@ def _check_neck_gap(ctx: _Context, r: _Ratios) -> None:
         for b in np.linspace(0.05, 0.95, 10):
             params = DelaunayParams(h, float(b))
             st = eval_state(params, 0.0)
-            r.bound(analyze_point(params, st).gap, 1e-12)
+            r.bound(analyze_point(st).gap, 1e-12)
 
 
 @_check("AC10", "cylinder gap and lambda2 vanish within 1e-12 at 100 points")
@@ -282,7 +281,7 @@ def _check_cylinder(ctx: _Context, r: _Ratios) -> None:
     for h in (1.0, 0.7):
         params = DelaunayParams(h, 0.0)
         zs = z_many(params, ss)
-        pa = analyze_point(params, profile(params, ss, zs))
+        pa = analyze_point(profile(params, ss, zs))
         r.bound(np.abs(pa.gap).max(), 1e-12)
         r.bound(np.abs(pa.lambda2).max(), 1e-12)
 
@@ -297,7 +296,7 @@ def _check_violation_sequence(ctx: _Context, r: _Ratios) -> str:
     t_n0 = (2.0 * math.pi * n0 - acb) / EXAMPLE.H
     r.require(z_of(EXAMPLE, t_n0) > threshold)
     for pt in points:
-        pa = analyze_point(EXAMPLE, eval_state(EXAMPLE, pt.t))
+        pa = analyze_point(eval_state(EXAMPLE, pt.t))
         r.bound(pa.lambda1 - 1.0, 1e-10)
         r.require(pt.n != n0 or pa.gap < 0.0)
     return f"n0={n0} gap(t_n0)={points[n0 - 1].gap:.6g}"
@@ -311,28 +310,32 @@ def _check_dilation(ctx: _Context, r: _Ratios) -> str:
     ss = np.linspace(-p.s_bar, p.s_bar, 100)
     z_orig = z_many(EXAMPLE, ss)
     z_scaled = z_many(p.scaled_params, ss / p.R0)
-    gaps = analyze_point(EXAMPLE, profile(EXAMPLE, ss, z_orig)).gap
-    scaled = analyze_point(p.scaled_params,
-                           profile(p.scaled_params, ss / p.R0, z_scaled)).gap
+    gaps = analyze_point(profile(EXAMPLE, ss, z_orig)).gap
+    scaled = analyze_point(profile(p.scaled_params, ss / p.R0, z_scaled)).gap
     r.bound(np.abs(gaps - scaled).max(), 1e-9)
     return f"scaled H={p.scaled_params.H:.12g}"
 
 
-@_check("AC13", "nodoid (1, 1.5): rb in (0, r0), |g(rb)| <= 1e-10, x'' > 0, "
-                "x' z <= 0, profile conditions hold, gap >= -1e-8")
+@_check("AC13", "nodoid (1, 1.5): rb in (0, r0), |u(rb)|/R0 <= 5e-11, "
+                "x'' > 0, z' < 0, x' z <= 0, k1 u >= 0, lambda2 >= 0, "
+                "gap >= -1e-8")
 def _check_nodoid(ctx: _Context, r: _Ratios) -> str:
-    rb = ctx.nodoid_portion.s_bar
+    # the hypotheses of the freeboundary docstring's portion proof and
+    # its two conclusions, k1 u >= 0 (lambda1 >= 1) and lambda2 >= 0
+    p = ctx.nodoid_portion
+    rb = p.s_bar
     r_top = nodoid_r0(NODOID_EXAMPLE)
     r.require(0.0 < rb < r_top)
     boundary = eval_state(NODOID_EXAMPLE, rb)
-    r.bound(g_function(boundary), 1e-10)
+    r.bound(support_function(boundary) / p.R0, 5e-11)
     ss = np.linspace(-rb, rb, 1000)
     st = profile(NODOID_EXAMPLE, ss, z_many(NODOID_EXAMPLE, ss))
-    c1, c2, c3 = check_profile_conditions(st)
-    r.require(bool(np.all((st.ddx > 0.0) & (st.dx * st.z <= 0.0)
-                          & (c1 | c2) & c3)))
-    gaps = analyze_point(NODOID_EXAMPLE, st).gap
-    r.bound(min(gaps.min(), 0.0), 1e-8)
+    pa = analyze_point(st)
+    r.require(bool(np.all((st.ddx > 0.0) & (st.dz < 0.0)
+                          & (st.dx * st.z <= 0.0)
+                          & (pa.k1 * pa.support >= 0.0)
+                          & (pa.lambda2 >= 0.0))))
+    r.bound(min(pa.gap.min(), 0.0), 1e-8)
     return f"rb={rb:.12g} r0={r_top:.12g}"
 
 

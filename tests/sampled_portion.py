@@ -24,7 +24,7 @@ def sampled_min_gap(params, portion) -> float:
     """
     ss = np.linspace(-portion.s_bar, portion.s_bar, PORTION_SAMPLES)
     st = profile(params, ss, z_many(params, ss))
-    gap = analyze_point(params, st).gap
+    gap = analyze_point(st).gap
     assert gap.min() >= MIN_GAP_BOUND
     assert np.all(st.x * st.x + st.z * st.z
                   <= portion.R0 * portion.R0 * (1.0 + ENCLOSURE_REL_TOL))

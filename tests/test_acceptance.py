@@ -41,6 +41,15 @@ def test_acceptance(check_id, results):
     assert res.worst_ratio <= 1.0
 
 
+def test_ac13_residual_bound_is_no_looser_than_the_g_bound():
+    # |g| = |u| / |z'|, so |u(rb)|/R0 <= 5e-11 implies the bound
+    # |g(rb)| <= 1e-10 that AC13 once held, as long as 5e-11 does not
+    # exceed 1e-10 |z'(rb)| / R0 (5.08e-11 on the nodoid example)
+    p = freeboundary.build_portion(verify.NODOID_EXAMPLE)
+    st = eval_state(verify.NODOID_EXAMPLE, p.s_bar)
+    assert 5e-11 <= 1e-10 * abs(st.dz) / p.R0
+
+
 def test_checks_are_registered_in_battery_order():
     assert [cid for cid, _ in verify.CHECKS] == CHECK_IDS
 
@@ -167,7 +176,7 @@ def _sample_rows_one_at_a_time():
         s = float(rng.uniform(-span, span))
         params = DelaunayParams(h, b)
         st = eval_state(params, s)
-        rows.append((params, st, analyze_point(params, st)))
+        rows.append((params, st, analyze_point(st)))
     return rows
 
 

@@ -13,7 +13,6 @@ from cmcpinch import cli
 from cmcpinch.cli import main
 from cmcpinch.curvature import analyze_point
 from cmcpinch.delaunay import DelaunayParams, profile, z_many
-from cmcpinch.freeboundary import _g_off_zero_set
 from cmcpinch.numerics import NoSignChangeError
 from sampled_portion import sampled_min_gap
 
@@ -175,14 +174,42 @@ def test_profile_blank_g_where_dz_vanishes(capsys):
         assert row[-1] != ""
 
 
+@pytest.mark.parametrize("h, b, s_max, neck_g", [
+    (0.1, 0.9, 1.8, 1.0),
+    (0.5, 0.0, 4.0, 2.0),
+    (1.0, 1.5, 0.8410686705679303, 0.5)],
+    ids=["unduloid", "cylinder", "nodoid"])
+def test_profile_g_column(h, b, s_max, neck_g, capsys):
+    # g = x - (x'/z') z is |1 - B|/H at the neck, 1/H all along the
+    # cylinder, and u = -z' g in every row; the nodoid table ends at
+    # +-r0, where z' = 0 and g alone is blank
+    code, out, _ = run_cli(
+        ["profile", "--H", repr(h), "--B", repr(b), "--s-min", repr(-s_max),
+         "--s-max", repr(s_max), "--n", "17"], capsys)
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert float(rows[8]["s"]) == 0.0
+    assert float(rows[8]["g"]) == pytest.approx(neck_g, rel=1e-12)
+    blank = [i for i, row in enumerate(rows) if row["g"] == ""]
+    assert blank == ([0, 16] if b > 1.0 else [])
+    for row in rows:
+        assert "" not in [row[k] for k in cli.PROFILE_COLUMNS[:-1]]
+        if row["g"]:
+            assert float(row["u"]) == pytest.approx(
+                -float(row["dz"]) * float(row["g"]), rel=1e-10, abs=1e-11)
+        if b == 0.0:
+            assert float(row["g"]) == pytest.approx(neck_g, rel=1e-12)
+
+
 def _profile_cell_loop(h, b, s_min, s_max, n):
     """The profile table written one "%.12g" cell at a time, g blank where
     z' vanishes: the reference for cmd_profile's block formatting."""
     params = DelaunayParams(h, b)
     ss = np.linspace(s_min, s_max, n)
     st = profile(params, ss, z_many(params, ss))
-    pa = analyze_point(params, st)
-    g, has_g = _g_off_zero_set(st)
+    pa = analyze_point(st)
+    has_g = np.abs(st.dz) >= 1e-12
+    g = st.x - (st.dx / np.where(has_g, st.dz, 1.0)) * st.z
     columns = [st.s, st.x, st.z, st.dx, st.dz, st.ddx, st.ddz, pa.k1, pa.k2,
                pa.support, pa.lambda1, pa.lambda2, pa.phi_sq, pa.gap]
     text = ",".join(cli.PROFILE_COLUMNS) + "\n"
@@ -613,7 +640,7 @@ def test_verify_json_lines(shared_verify, capsys):
 
 
 def test_verify_loose_root_tolerance_fails(capsys):
-    # a bracket of 1e-3 leaves the nodoid's |g(rb)| above AC13's 1e-10
+    # a bracket of 1e-3 leaves the nodoid's |u(rb)|/R0 above AC13's 5e-11
     code, out, _ = run_cli(["verify", "--root-x-tol", "1e-3"], capsys)
     assert code == 1
     lines = out.splitlines()

@@ -66,7 +66,7 @@ def test_inflection_state():
     # at s = arccos(B)/H the radius inflects: x'' = 0, x' = B
     params = DelaunayParams(0.1, 0.9)
     s_infl = math.acos(0.9) / 0.1
-    st = eval_state(params, s_infl, z=0.0)
+    st = profile(params, s_infl, 0.0)
     assert st.x == pytest.approx(math.sqrt(1.0 - 0.81) / 0.1, rel=1e-12)
     assert st.dx == pytest.approx(0.9, rel=1e-12)
     assert st.dz == pytest.approx(math.sqrt(0.19), rel=1e-12)
@@ -75,7 +75,7 @@ def test_inflection_state():
 
 def test_bulge_radius():
     params = DelaunayParams(0.1, 0.9)
-    st = eval_state(params, math.pi / 0.1, z=0.0)
+    st = profile(params, math.pi / 0.1, 0.0)
     assert st.x == pytest.approx(19.0, rel=1e-12)  # (1 + B)/H
     assert st.dx == pytest.approx(0.0, abs=1e-12)
 
@@ -84,7 +84,7 @@ def test_arc_length_identity():
     rng = np.random.default_rng(3)
     for _ in range(1000):
         params = random_params(rng)
-        st = eval_state(params, float(rng.uniform(-10.0, 10.0)), z=0.0)
+        st = profile(params, float(rng.uniform(-10.0, 10.0)), 0.0)
         assert abs(st.dx ** 2 + st.dz ** 2 - 1.0) <= 1e-12
 
 
@@ -93,8 +93,8 @@ def test_parity():
     params = DelaunayParams(0.7, 0.6)
     for _ in range(200):
         s = float(rng.uniform(0.0, 8.0))
-        a = eval_state(params, s, z=0.0)
-        b = eval_state(params, -s, z=0.0)
+        a = profile(params, s, 0.0)
+        b = profile(params, -s, 0.0)
         assert a.x == pytest.approx(b.x, rel=1e-14)
         assert a.dx == pytest.approx(-b.dx, rel=1e-14, abs=1e-15)
         assert a.dz == pytest.approx(b.dz, rel=1e-14)
@@ -122,9 +122,9 @@ def test_derivatives_match_finite_differences():
     for _ in range(300):
         params = random_params(rng)
         s = float(rng.uniform(-5.0, 5.0))
-        st = eval_state(params, s, z=0.0)
-        plus = eval_state(params, s + h, z=0.0)
-        minus = eval_state(params, s - h, z=0.0)
+        st = profile(params, s, 0.0)
+        plus = profile(params, s + h, 0.0)
+        minus = profile(params, s - h, 0.0)
         fd_dx = (plus.x - minus.x) / (2.0 * h)
         fd_ddx = (plus.dx - minus.dx) / (2.0 * h)
         fd_ddz = (plus.dz - minus.dz) / (2.0 * h)
@@ -143,7 +143,7 @@ def test_phase_shifted_sine_form():
             float(rng.uniform(1.1, 2.5))
         params = DelaunayParams(float(rng.uniform(0.1, 2.0)), b)
         s = float(rng.uniform(-10.0, 10.0))
-        st = eval_state(params, s, z=0.0)
+        st = profile(params, s, 0.0)
         shifted = math.sin(params.H * s + 1.5 * math.pi)
         q_alt = 1.0 + b * b + 2.0 * b * shifted
         assert math.sqrt(q_alt) / params.H == pytest.approx(st.x, rel=1e-10)
@@ -271,7 +271,7 @@ def test_profile_arrays_match_eval_state():
         zs = rng.uniform(-5.0, 5.0, 200)
         st = profile(params, ss, zs)
         for i in range(len(ss)):
-            one = eval_state(params, float(ss[i]), z=float(zs[i]))
+            one = profile(params, float(ss[i]), float(zs[i]))
             assert one == GeneratrixState(
                 *(float(getattr(st, k)[i])
                   for k in ("s", "x", "z", "dx", "dz", "ddx", "ddz")))
@@ -325,8 +325,6 @@ def test_per_element_shapes_match_the_float_path():
             assert getattr(one, k).hex() == got.hex(), (h, b, s, k)
 
 
-def test_eval_state_accepts_precomputed_z():
+def test_eval_state_is_profile_at_z_of():
     params = DelaunayParams(0.4, 0.7)
-    honest = eval_state(params, 1.8)
-    short = eval_state(params, 1.8, z=honest.z)
-    assert short == honest
+    assert eval_state(params, 1.8) == profile(params, 1.8, z_of(params, 1.8))

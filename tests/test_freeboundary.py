@@ -1,19 +1,16 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from cmcpinch.curvature import analyze_point, support_function
-from cmcpinch.delaunay import (DelaunayParams, GeneratrixState, eval_state,
-                               profile, z_many, z_of)
+from cmcpinch.delaunay import DelaunayParams, eval_state, profile, z_many, z_of
 from cmcpinch.numerics import find_root, integrate
 from cmcpinch import curvature, delaunay, freeboundary, numerics, verify
 from cmcpinch.freeboundary import (VERDICT_CYLINDER, VERDICT_NO_ORTHOGONAL,
                                    VERDICT_PINCHED, NoRootError,
-                                   build_portion, check_profile_conditions,
-                                   classify, find_n0, find_sbar, g_function,
-                                   nodoid_find_rbar, nodoid_r0, s0,
+                                   build_portion, classify, find_n0,
+                                   find_sbar, nodoid_find_rbar, nodoid_r0, s0,
                                    violation_points, z0)
 from sampled_portion import sampled_min_gap
 
@@ -41,49 +38,6 @@ def nodoid_portion():
     return build_portion(NODOID_EX)
 
 
-def test_g_at_unduloid_neck():
-    assert g_function(eval_state(EXAMPLE, 0.0)) == pytest.approx(
-        1.0, rel=1e-12)  # (1 - B)/H
-
-
-def test_g_constant_on_cylinder():
-    params = DelaunayParams(0.5, 0.0)
-    for s in (-2.0, 0.0, 3.3):
-        assert g_function(eval_state(params, s)) == pytest.approx(
-            2.0, rel=1e-12)
-
-
-def test_g_at_nodoid_neck():
-    assert g_function(eval_state(NODOID_EX, 0.0)) == pytest.approx(
-        0.5, rel=1e-12)  # (B - 1)/H
-
-
-def test_g_rejects_zero_dz():
-    # the same message for a float z' = 0 and for an array holding one,
-    # where numpy alone would divide to inf with a warning
-    st = GeneratrixState(s=0.0, x=1.0, z=0.5, dx=1.0, dz=0.0, ddx=0.0,
-                         ddz=0.0)
-    arrays = GeneratrixState(*(np.full(3, v) for v in vars(st).values()))
-    for bad in (st, replace(arrays, dz=np.array([1.0, 0.0, -1.0]))):
-        with pytest.raises(ZeroDivisionError,
-                           match="^g is undefined where z' = 0$"):
-            g_function(bad)
-
-
-def test_u_equals_minus_dz_times_g():
-    rng = np.random.default_rng(31)
-    for _ in range(300):
-        b = float(rng.uniform(0.05, 0.9)) if rng.random() < 0.5 else \
-            float(rng.uniform(1.1, 2.5))
-        params = DelaunayParams(float(rng.uniform(0.2, 2.0)), b)
-        st = eval_state(params, float(rng.uniform(-4.0, 4.0)))
-        if abs(st.dz) < 1e-6:
-            continue
-        u = support_function(st)
-        assert u == pytest.approx(-st.dz * g_function(st),
-                                  rel=1e-10, abs=1e-12)
-
-
 def test_s0_example_value():
     assert s0(EXAMPLE) == pytest.approx(4.510268117962624, rel=1e-14)
 
@@ -97,10 +51,10 @@ def test_s0_special_angle():
 def test_s0_is_first_ddx_zero():
     top = s0(EXAMPLE)
     for s in np.linspace(1e-3, top * 0.999, 200):
-        assert eval_state(EXAMPLE, float(s), z=0.0).ddx > 0.0
-    assert eval_state(EXAMPLE, top, z=0.0).ddx == pytest.approx(
+        assert profile(EXAMPLE, float(s), 0.0).ddx > 0.0
+    assert profile(EXAMPLE, top, 0.0).ddx == pytest.approx(
         0.0, abs=1e-13)
-    assert eval_state(EXAMPLE, top * 1.01, z=0.0).ddx < 0.0
+    assert profile(EXAMPLE, top * 1.01, 0.0).ddx < 0.0
 
 
 def test_z0_example_value():
@@ -115,22 +69,25 @@ def test_s0_z0_wrong_family():
             fn(NODOID_EX)
 
 
-def test_dichotomy_matches_g_sign():
-    # z(s0) >= z0 exactly when g(s0) <= 0
+def test_dichotomy_matches_u_sign():
+    # u(s0) = B (z(s0) - z0), so z(s0) >= z0 exactly when u(s0) >= 0
     for b in (0.3, 0.5, 0.7, 0.75, 0.8, 0.9, 0.95):
         params = DelaunayParams(1.0, b)
         top = s0(params)
-        assert ((z_of(params, top) >= z0(params))
-                == (g_function(eval_state(params, top)) <= 0.0))
+        u = support_function(eval_state(params, top))
+        dichotomy = z_of(params, top) - z0(params)
+        assert u == pytest.approx(b * dichotomy, rel=1e-12, abs=1e-15)
+        assert (u >= 0.0) == (dichotomy >= 0.0)
 
 
-def test_g_decreases_toward_s0():
+def test_u_rises_toward_s0():
+    # u' = x'' z - x z'' >= 0 on [0, s0], from u(0) = (B - 1)/H < 0
     top = s0(EXAMPLE)
-    g0 = g_function(eval_state(EXAMPLE, 0.0))
-    g_half = g_function(eval_state(EXAMPLE, top / 2.0))
-    g_top = g_function(eval_state(EXAMPLE, top))
-    assert g0 > g_half > g_top
-    assert g_top < 0.0
+    u0, u_half, u_top = (support_function(eval_state(EXAMPLE, s))
+                         for s in (0.0, top / 2.0, top))
+    assert u0 == pytest.approx((EXAMPLE.B - 1.0) / EXAMPLE.H, rel=1e-12)
+    assert u0 < u_half < u_top
+    assert u_top > 0.0
 
 
 def test_find_sbar_golden():
@@ -140,7 +97,7 @@ def test_find_sbar_golden():
 def test_sbar_is_orthogonal(example_portion):
     st = eval_state(EXAMPLE, example_portion.s_bar)
     assert abs(support_function(st)) <= 1e-10
-    assert abs(g_function(st)) <= 1e-10
+    assert abs(support_function(st)) / example_portion.R0 <= 5e-11
 
 
 def test_find_sbar_no_root():
@@ -162,11 +119,11 @@ def test_nodoid_r0_special_angle():
 
 def test_nodoid_branch_end():
     r_top = nodoid_r0(NODOID_EX)
-    assert eval_state(NODOID_EX, r_top, z=0.0).dz == pytest.approx(
+    assert profile(NODOID_EX, r_top, 0.0).dz == pytest.approx(
         0.0, abs=1e-12)
     # z decreasing and radius strictly convex on the inner branch
     for s in np.linspace(1e-3, r_top * 0.999, 200):
-        st = eval_state(NODOID_EX, float(s), z=0.0)
+        st = profile(NODOID_EX, float(s), 0.0)
         assert st.dz < 0.0
         assert st.ddx > 0.0
 
@@ -190,33 +147,37 @@ def test_nodoid_rbar_is_orthogonal(nodoid_portion):
 
 
 def test_profile_conditions_cylinder():
-    c1, c2, c3 = check_profile_conditions(
-        eval_state(DelaunayParams(1.0, 0.0), 1.3))
-    assert c1 and not c2 and c3
+    # k1 = 0 and x' = 0: k1 u >= 0 and lambda2 >= 0 hold with equality
+    pa = analyze_point(eval_state(DelaunayParams(1.0, 0.0), 1.3))
+    assert pa.k1 * pa.support == 0.0
+    assert pa.lambda2 == 0.0
 
 
 def test_profile_conditions_hold_on_example_portion(example_portion):
+    # the portion proof's conclusions: k1 u >= 0, so lambda1 >= 1, and
+    # lambda2 >= 0 at every sample of [-sb, sb]
     sb = example_portion.s_bar
     ss = np.linspace(-sb, sb, 400)
-    zs = z_many(EXAMPLE, ss)
-    for i in range(len(ss)):
-        st = eval_state(EXAMPLE, float(ss[i]), z=float(zs[i]))
-        c1, c2, c3 = check_profile_conditions(st)
-        assert (c1 or c2) and c3
+    pa = analyze_point(profile(EXAMPLE, ss, z_many(EXAMPLE, ss)))
+    assert np.all(pa.k1 * pa.support >= 0.0)
+    assert np.all(pa.lambda1 >= 1.0)
+    assert np.all(pa.lambda2 >= 0.0)
 
 
 def test_profile_conditions_fail_at_violation_point():
-    pts = violation_points(EXAMPLE, 1)
-    st = eval_state(EXAMPLE, pts[0].t)
-    _, _, c3 = check_profile_conditions(st)
-    assert not c3
+    # lambda2 >= 0 fails at t_1, outside the portion
+    pt = violation_points(EXAMPLE, 1)[0]
+    assert analyze_point(eval_state(EXAMPLE, pt.t)).lambda2 < 0.0
 
 
 def test_profile_conditions_zero_set_branch():
-    # at the nodoid branch end z' vanishes and the c2 alternative applies
+    # z' = 0 at the nodoid branch end r0, where g has its pole; u = x' z
+    # stays finite and negative there, the bracket end of the solve on u
     st = eval_state(NODOID_EX, nodoid_r0(NODOID_EX))
-    c1, c2, c3 = check_profile_conditions(st)
-    assert not c1 and c2
+    assert st.dz == pytest.approx(0.0, abs=1e-12)
+    u = support_function(st)
+    assert u == pytest.approx(st.dx * st.z, rel=1e-12)
+    assert u < 0.0
 
 
 def test_build_portion_example(example_portion):
@@ -233,7 +194,7 @@ def test_build_portion_nodoid(nodoid_portion):
     p = nodoid_portion
     assert p.s_bar == pytest.approx(RBAR_GOLDEN, abs=1e-9)
     sampled_min_gap(NODOID_EX, p)
-    assert p.R0 > eval_state(NODOID_EX, p.s_bar, z=0.0).x
+    assert p.R0 > profile(NODOID_EX, p.s_bar, 0.0).x
 
 
 def test_boundary_gap_is_two(example_portion, nodoid_portion):
@@ -241,7 +202,7 @@ def test_boundary_gap_is_two(example_portion, nodoid_portion):
     for params, p in ((EXAMPLE, example_portion),
                       (NODOID_EX, nodoid_portion)):
         for sb in (p.s_bar, -p.s_bar):
-            pa = analyze_point(params, eval_state(params, sb))
+            pa = analyze_point(eval_state(params, sb))
             assert pa.gap == pytest.approx(2.0, abs=1e-6)
 
 
@@ -259,7 +220,7 @@ def test_portion_stays_inside_ball(example_portion):
     ss = np.linspace(-p.s_bar, p.s_bar, 500)
     zs = z_many(EXAMPLE, ss)
     for i in range(len(ss)):
-        st = eval_state(EXAMPLE, float(ss[i]), z=float(zs[i]))
+        st = profile(EXAMPLE, float(ss[i]), float(zs[i]))
         assert st.x ** 2 + st.z ** 2 <= p.R0 ** 2 * (1.0 + 1e-9)
 
 
@@ -286,10 +247,10 @@ def test_gap_is_dilation_invariant(example_portion):
     z_orig = z_many(EXAMPLE, ss)
     z_scal = z_many(scaled, ss / p.R0)
     for i in range(len(ss)):
-        g1 = analyze_point(EXAMPLE, eval_state(
-            EXAMPLE, float(ss[i]), z=float(z_orig[i]))).gap
-        g2 = analyze_point(scaled, eval_state(
-            scaled, float(ss[i]) / p.R0, z=float(z_scal[i]))).gap
+        g1 = analyze_point(profile(
+            EXAMPLE, float(ss[i]), float(z_orig[i]))).gap
+        g2 = analyze_point(profile(
+            scaled, float(ss[i]) / p.R0, float(z_scal[i]))).gap
         assert g1 == pytest.approx(g2, abs=1e-9)
 
 
@@ -298,7 +259,7 @@ def test_geodesic_curvature_of_boundary(example_portion, nodoid_portion):
     # curvature 1, i.e. R0 |x'(sb)| = x(sb)
     for params, p in ((EXAMPLE, example_portion),
                       (NODOID_EX, nodoid_portion)):
-        st = eval_state(params, p.s_bar, z=0.0)
+        st = profile(params, p.s_bar, 0.0)
         assert p.R0 * abs(st.dx) / st.x == pytest.approx(1.0, abs=1e-6)
 
 
@@ -316,7 +277,7 @@ def test_violation_closed_forms():
     # oracle, with lambda1 = 1, x'' = 0 and x' = -B there
     for pt in violation_points(EXAMPLE, 4):
         st = eval_state(EXAMPLE, pt.t)
-        assert analyze_point(EXAMPLE, st).lambda1 == pytest.approx(
+        assert analyze_point(st).lambda1 == pytest.approx(
             1.0, abs=1e-10)
         assert st.ddx == pytest.approx(0.0, abs=1e-10)
         assert st.dx == pytest.approx(-EXAMPLE.B, abs=1e-11)
@@ -327,7 +288,7 @@ def test_violation_closed_forms():
             1.0 - 10.0 ** rng.uniform(-6.0, math.log10(1.0 - 0.766)))
         pts = violation_points(params, 3)
         t = np.array([pt.t for pt in pts])
-        pa = analyze_point(params, profile(params, t, z_many(params, t)))
+        pa = analyze_point(profile(params, t, z_many(params, t)))
         for pt, lambda2, gap in zip(pts, pa.lambda2, pa.gap):
             assert pt.lambda2 == pytest.approx(lambda2, rel=1e-9), params
             assert pt.gap == pytest.approx(gap, rel=1e-9), params

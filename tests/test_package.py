@@ -1,6 +1,10 @@
+import pathlib
+import re
 import types
 
 import cmcpinch
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_all_lists_exactly_the_public_names():
@@ -12,3 +16,14 @@ def test_all_lists_exactly_the_public_names():
               if not name.startswith("_")
               and not isinstance(value, types.ModuleType)}
     assert set(exported) == public
+
+
+def test_all_is_the_readme_list():
+    # the library section's list of exported names, between its colon
+    # and "Everything else"
+    text = README.read_text(encoding="utf-8")
+    listed = re.search(r"holds it to this list\):(.*?)Everything else",
+                       text, re.DOTALL).group(1)
+    names = re.findall(r"`(\w+)`", listed)
+    assert len(set(names)) == len(names)
+    assert sorted(names) == sorted(cmcpinch.__all__)
