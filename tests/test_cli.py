@@ -13,10 +13,12 @@ from cmcpinch import cli
 from cmcpinch.cli import main
 from cmcpinch.curvature import analyze_point
 from cmcpinch.delaunay import DelaunayParams, profile, z_many
+from cmcpinch.freeboundary import nodoid_r0
 from cmcpinch.numerics import NoSignChangeError
 from sampled_portion import sampled_min_gap
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
+NODOID_R0 = nodoid_r0(DelaunayParams(1.0, 1.5))
 
 
 def run_cli(argv, capsys):
@@ -166,7 +168,7 @@ def test_profile_cylinder_rows(capsys):
 def test_profile_blank_g_where_dz_vanishes(capsys):
     code, out, _ = run_cli(
         ["profile", "--H", "1", "--B", "1.5", "--s-min", "0",
-         "--s-max", "0.8410686705679303", "--n", "16"], capsys)
+         "--s-max", repr(NODOID_R0), "--n", "16"], capsys)
     assert code == 0
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[-1][-1] == ""
@@ -177,12 +179,12 @@ def test_profile_blank_g_where_dz_vanishes(capsys):
 @pytest.mark.parametrize("h, b, s_max, neck_g", [
     (0.1, 0.9, 1.8, 1.0),
     (0.5, 0.0, 4.0, 2.0),
-    (1.0, 1.5, 0.8410686705679303, 0.5)],
+    (1.0, 1.5, 0.8, 0.5)],
     ids=["unduloid", "cylinder", "nodoid"])
 def test_profile_g_column(h, b, s_max, neck_g, capsys):
     # g = x - (x'/z') z is |1 - B|/H at the neck, 1/H all along the
-    # cylinder, and u = -z' g in every row; the nodoid table ends at
-    # +-r0, where z' = 0 and g alone is blank
+    # cylinder, and u = -z' g in every row; the nodoid table stops inside
+    # r0, where test_profile_blank_g_where_dz_vanishes takes over
     code, out, _ = run_cli(
         ["profile", "--H", repr(h), "--B", repr(b), "--s-min", repr(-s_max),
          "--s-max", repr(s_max), "--n", "17"], capsys)
@@ -190,13 +192,10 @@ def test_profile_g_column(h, b, s_max, neck_g, capsys):
     rows = list(csv.DictReader(io.StringIO(out)))
     assert float(rows[8]["s"]) == 0.0
     assert float(rows[8]["g"]) == pytest.approx(neck_g, rel=1e-12)
-    blank = [i for i, row in enumerate(rows) if row["g"] == ""]
-    assert blank == ([0, 16] if b > 1.0 else [])
     for row in rows:
-        assert "" not in [row[k] for k in cli.PROFILE_COLUMNS[:-1]]
-        if row["g"]:
-            assert float(row["u"]) == pytest.approx(
-                -float(row["dz"]) * float(row["g"]), rel=1e-10, abs=1e-11)
+        assert "" not in row.values()
+        assert float(row["u"]) == pytest.approx(
+            -float(row["dz"]) * float(row["g"]), rel=1e-10, abs=1e-11)
         if b == 0.0:
             assert float(row["g"]) == pytest.approx(neck_g, rel=1e-12)
 
@@ -227,7 +226,7 @@ def _profile_cell_loop(h, b, s_min, s_max, n):
     (1.0, 1.0 - 1e-9, -60.0, 60.0, 513),
     (1.0, 1.0 + 1e-9, -60.0, 60.0, 513),
     (3.0, 0.9, -1e-7, 1e-7, 17),
-    (1.0, 1.5, -0.8410686705679303, 0.8410686705679303, 17)],
+    (1.0, 1.5, -NODOID_R0, NODOID_R0, 17)],
     ids=["cylinder", "unduloid", "nodoid", "B-below-1", "B-above-1",
          "near-neck", "blank-g"])
 def test_profile_table_is_the_per_cell_loop(h, b, s_min, s_max, n, capsys):

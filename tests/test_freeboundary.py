@@ -97,7 +97,8 @@ def test_find_sbar_golden():
 def test_sbar_is_orthogonal(example_portion):
     st = eval_state(EXAMPLE, example_portion.s_bar)
     assert abs(support_function(st)) <= 1e-10
-    assert abs(support_function(st)) / example_portion.R0 <= 5e-11
+    # |g(sb)| <= 1e-10 with g = -u/z', written without g
+    assert abs(support_function(st)) <= 1e-10 * abs(st.dz)
 
 
 def test_find_sbar_no_root():
