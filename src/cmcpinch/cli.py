@@ -25,6 +25,8 @@ report to every H of the grid.  Floating point values are serialized
 with 12 significant digits; the profile table formats each column in
 one pass of ``textfmt.format_g``, byte for byte printf "%.12g".  mesh
 writes no OBJ unless every vertex and normal is a finite float.
+numpy loads on first use: analyze, --help and usage errors never load
+it; profile, scan, mesh and verify load it at their first array.
 
 The profile table's last column is g = x - (x'/z') z.  Where z' != 0,
 u = -z' g, so g vanishes exactly where the support function u does, but
@@ -43,8 +45,7 @@ import sys
 from contextlib import contextmanager
 from typing import Optional, Sequence
 
-import numpy as np
-
+from ._np import np
 from .curvature import analyze_point
 from .delaunay import DelaunayParams, profile, z_many
 from .freeboundary import (VERDICT_INVALID, AnalysisReport, NoRootError,

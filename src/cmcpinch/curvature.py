@@ -33,8 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._np import np
 from .delaunay import GeneratrixState
 
 

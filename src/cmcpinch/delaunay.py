@@ -30,15 +30,19 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
+from ._np import np
 
 
 CYLINDER = "cylinder"
 UNDULOID = "unduloid"
 NODOID = "nodoid"
-# (sqrt, sin, cos, any) on one float and on arrays
+# (sqrt, sin, cos, any) on one float and, from _array_ops, on arrays
 _FLOAT_OPS = (math.sqrt, math.sin, math.cos, bool)
-_ARRAY_OPS = (np.sqrt, np.sin, np.cos, np.any)
+
+
+def _array_ops() -> tuple:
+    """_FLOAT_OPS for arrays; the first call loads numpy."""
+    return np.sqrt, np.sin, np.cos, np.any
 
 
 @dataclass(frozen=True)
@@ -90,7 +94,7 @@ def profile(params: DelaunayParams, s, z) -> GeneratrixState:
     B = params.B
     if not isinstance(s, float):
         s, z = np.asarray(s, dtype=float), np.asarray(z, dtype=float)
-    sqrt, sin, *_ = _FLOAT_OPS if isinstance(s, float) else _ARRAY_OPS
+    sqrt, sin, *_ = _FLOAT_OPS if isinstance(s, float) else _array_ops()
     hs = H * s
     sn = sin(hs)
     h = sin(0.5 * hs)
@@ -207,7 +211,7 @@ def _height(params: DelaunayParams, s):
     H s / 2, so z(s) = [G(r) + 2 k G(pi/2)] / H; 2 G(pi/2) / H is the
     height gained over one period 2 pi / H.
     """
-    ops = _FLOAT_OPS if isinstance(s, float) else _ARRAY_OPS
+    ops = _FLOAT_OPS if isinstance(s, float) else _array_ops()
     _, sin, cos, any_ = ops
     B = params.B
     theta = 0.5 * (params.H * s)

@@ -22,8 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import BinaryIO, Optional, Sequence
 
-import numpy as np
-
+from ._np import np
 from .delaunay import DelaunayParams, profile, z_many
 from .textfmt import format_g, format_int, join, lines
 

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-import numpy as np
+from ._np import np
 
 
 class NoSignChangeError(ValueError):

@@ -47,12 +47,16 @@ d[.ddd]e+XX; trailing zeros and a bare point are dropped.  Within
 """
 from __future__ import annotations
 
+from functools import cache
 from typing import Sequence, Union
 
-import numpy as np
+from ._np import np
 
-# 10^0 ... 10^22, every one an exact float
-_POW10 = 10.0 ** np.arange(23)
+
+@cache
+def _pow10() -> np.ndarray:
+    """10^0 ... 10^22, every one an exact float, built on the first call."""
+    return 10.0 ** np.arange(23)
 
 
 def _digit_rows(n: np.ndarray, count: int) -> np.ndarray:
@@ -86,7 +90,7 @@ def _decide(x: np.ndarray, p: int) -> tuple:
     a = np.where(nonzero, a, 1.0)
     e = np.floor(np.log10(a)).astype(np.int64)
     k = p - 1 - e
-    power = _POW10.take(np.minimum(np.abs(k), 22))
+    power = _pow10().take(np.minimum(np.abs(k), 22))
     up = k >= 0
     scaled = np.empty_like(a)
     np.multiply(a, power, out=scaled, where=up)

@@ -33,8 +33,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple, Optional
 
-import numpy as np
-
+from ._np import np
 from .curvature import PointAnalysis, analyze_point, support_function
 from .delaunay import (DelaunayParams, GeneratrixState, eval_state, profile,
                        z_many, z_of)

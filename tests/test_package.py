@@ -1,10 +1,16 @@
+import json
+import os
 import pathlib
 import re
+import runpy
+import subprocess
+import sys
 import types
 
 import cmcpinch
 
-README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def test_all_lists_exactly_the_public_names():
@@ -27,3 +33,73 @@ def test_all_is_the_readme_list():
     names = re.findall(r"`(\w+)`", listed)
     assert len(set(names)) == len(names)
     assert sorted(names) == sorted(cmcpinch.__all__)
+
+
+# numpy loads on first use: a fresh interpreter that imports the CLI and
+# answers these commands never runs numpy's own import
+NUMPY_FREE_RUNS = [
+    (["analyze", "--H", "1", "--B", b, "--format", fmt], 0)
+    for b in ("0", "0.5", "0.9", "1.5") for fmt in ("text", "json")
+] + [
+    (["--help"], 0),
+    (["analyze", "--H", "1", "--B", "1"], 2),
+    (["analyze", "--B", "0.5"], 2),
+    (["analyze", "--H", "1", "--B", "1e103"], 3),
+]
+FRESH_RUN = """
+import contextlib, io, json, sys
+import cmcpinch
+from cmcpinch import cli
+cli.build_parser()
+codes = []
+with contextlib.redirect_stdout(io.StringIO()), \\
+        contextlib.redirect_stderr(io.StringIO()):
+    for argv in json.loads(sys.argv[1]):
+        codes.append(cli.main(argv))
+verdict = cmcpinch.classify(cmcpinch.DelaunayParams(0.1, 0.9)).verdict
+print(json.dumps({"codes": codes, "verdict": verdict,
+                  "modules": sorted(sys.modules)}))
+"""
+
+
+def _fresh(code: str, *args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, check=False)
+
+
+def test_analyze_and_the_float_api_never_load_numpy():
+    argvs = [argv for argv, _ in NUMPY_FREE_RUNS]
+    run = _fresh(FRESH_RUN, json.dumps(argvs))
+    assert run.returncode == 0, run.stderr
+    seen = json.loads(run.stdout)
+    assert seen["codes"] == [code for _, code in NUMPY_FREE_RUNS]
+    assert seen["verdict"] == cmcpinch.VERDICT_PINCHED
+    assert "numpy._core" not in seen["modules"]
+    # the benchmark's tracer looks up each module it wraps in sys.modules
+    spans = runpy.run_path(str(ROOT / "bench" / "tracing.py"))["SPANS"]
+    for module, _, _ in spans:
+        assert f"cmcpinch.{module}" in seen["modules"]
+
+
+def test_profile_loads_numpy_on_its_first_array(tmp_path):
+    out = tmp_path / "profile.csv"
+    code = ("import sys; from cmcpinch import cli; "
+            "assert 'numpy._core' not in sys.modules; "
+            "sys.exit(cli.main(sys.argv[1:]))")
+    run = _fresh(code, "profile", "--H", "1", "--B", "1.5", "--s-min", "-3",
+                 "--s-max", "3", "--n", "64", "--output", str(out))
+    assert run.returncode == 0, run.stderr
+    golden = ROOT / "tests" / "golden" / "profile_H1_B1.5.csv"
+    assert out.read_bytes() == golden.read_bytes()
+
+
+def test_a_missing_numpy_is_named():
+    code = ("import sys; sys.modules['numpy'] = None\n"
+            "try:\n"
+            "    import cmcpinch\n"
+            "except ModuleNotFoundError as exc:\n"
+            "    print(exc.name)\n")
+    run = _fresh(code)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "numpy\n"
