@@ -8,9 +8,9 @@ Subcommands:
   mesh      OBJ export of the free boundary portion
   verify    run the acceptance checks
 
-Exit codes: 0 success, 1 verification failure, 2 invalid input or an
-output path that cannot be opened, 3 numerical failure, 4 no portion
-exists for the requested surface.  A command opens its output only once
+Exit codes: 0 success, 1 verification failure, 2 invalid input, an
+unopenable output path or an unallocatable grid, 3 numerical failure, 4
+no portion exists for the requested surface.  Output opens only once
 every value is computed, so a failure writes nothing; a length or
 profile cell that is not a finite float raises OverflowError, exit 3.
 
@@ -47,7 +47,7 @@ from typing import Optional, Sequence
 
 from ._np import np
 from .curvature import analyze_point
-from .delaunay import DelaunayParams, profile, z_many
+from .delaunay import DelaunayParams, profile
 from .freeboundary import (VERDICT_INVALID, AnalysisReport, NoRootError,
                            build_portion, classify)
 from .mesh import export_obj_scene, revolve, sphere
@@ -152,13 +152,12 @@ def cmd_profile(args: argparse.Namespace) -> int:
         raise ValueError("need finite --s-min and --s-max")
     if not args.s_max > args.s_min:
         raise ValueError("need --s-max > --s-min")
-    ss = np.linspace(args.s_min, args.s_max, args.n)
-    # an overflow on the table's arrays stops it, even one that would
+    # an overflow on the grid or the table stops it, even one that would
     # leave every cell finite; the other numpy warnings stay silent, and
     # a cell they make nan or infinite is caught by the finiteness check
     try:
         with np.errstate(all="ignore", over="raise"):
-            st = profile(params, ss, z_many(params, ss))
+            st = profile(params, np.linspace(args.s_min, args.s_max, args.n))
             pa = analyze_point(st)
             has_g = np.abs(st.dz) >= 1e-12
             g = st.x - (st.dx / np.where(has_g, st.dz, 1.0)) * st.z
@@ -194,6 +193,9 @@ def cmd_scan(args: argparse.Namespace) -> int:
     root = _root_config(args)
     if args.H_steps < 1 or args.B_steps < 1:
         raise ValueError("need at least one step in each direction")
+    if not all(map(math.isfinite, (args.H_min, args.H_max, args.B_min,
+                                   args.B_max))):
+        raise ValueError("need finite --H-min, --H-max, --B-min and --B-max")
     hs = np.linspace(args.H_min, args.H_max, args.H_steps)
     bs = np.linspace(args.B_min, args.B_max, args.B_steps)
     # the H = 1 report of each B, classified once for this scan
@@ -373,7 +375,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             OverflowError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL_FAILURE
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
 

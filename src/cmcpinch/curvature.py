@@ -41,7 +41,6 @@ from .delaunay import GeneratrixState
 class PointAnalysis:
     """Curvature and gap data, floats or arrays like the state analysed."""
 
-    s: float
     k1: float
     k2: float
     mean_curv: float
@@ -75,6 +74,6 @@ def analyze_point(st: GeneratrixState) -> PointAnalysis:
     # which differs in the last bit for ~1 argument in 1000 and would
     # split array and scalar phi_sq
     phi_sq = 0.5 * np.float_power(k1 - k2, 2.0)
-    return PointAnalysis(s=st.s, k1=k1, k2=k2, mean_curv=k1 + k2, support=u,
+    return PointAnalysis(k1=k1, k2=k2, mean_curv=k1 + k2, support=u,
                          lambda1=lambda1, lambda2=lambda2, phi_sq=phi_sq,
                          gap=2.0 * lambda1 * lambda2)

@@ -16,8 +16,8 @@ the arc-length parameter s centred on a neck (minimal radius) at
 
 z is an elliptic integral (K. Kenmotsu, Tohoku Math. J. 32, 1980) and is
 evaluated in closed form through Carlson's R_F and R_D; see _height.
-profile evaluates these forms at one float s (math) or at an array
-(numpy), and eval_state is profile at one float with z from z_of.
+profile evaluates these forms, z by z_of or z_many, at one float s
+(math) or at an array (numpy); eval_state is profile at one float.
 
 The shape parameter B >= 0 selects the family: B = 0 is the right
 cylinder of radius 1/H, 0 < B < 1 an unduloid, B > 1 a nodoid.  B = 1
@@ -80,21 +80,24 @@ class GeneratrixState:
     ddz: float
 
 
-def profile(params: DelaunayParams, s, z) -> GeneratrixState:
-    """The module docstring's closed forms at arc lengths s, heights z.
+def profile(params: DelaunayParams, s) -> GeneratrixState:
+    """The module docstring's closed forms, z included, at arc lengths s.
 
     They are evaluated through h = sin(H s / 2): Q = (1 - B)^2 + 4 B h^2,
     1 - B cos(H s) = (1 - B) + 2 B h^2 and cos(H s) - B = (1 - B) - 2 h^2,
     so nothing cancels at the neck, where Q is (1 - B)^2 however close B
-    is to 1.  A float s is evaluated with math into float fields, anything
-    else as arrays with numpy; a test holds the two bit-equal.  Only
-    params.H and params.B are read, and on arrays they may be arrays too.
+    is to 1.  A float s is evaluated with math and z_of into float fields,
+    anything else as arrays with numpy and z_many; a test holds the two
+    bit-equal.  Only params.H and params.B are read, and on arrays they
+    may be arrays too.
     """
     H = params.H
     B = params.B
-    if not isinstance(s, float):
-        s, z = np.asarray(s, dtype=float), np.asarray(z, dtype=float)
-    sqrt, sin, *_ = _FLOAT_OPS if isinstance(s, float) else _array_ops()
+    if isinstance(s, float):
+        (sqrt, sin, *_), z = _FLOAT_OPS, z_of(params, s)
+    else:
+        s = np.asarray(s, dtype=float)
+        (sqrt, sin, *_), z = _array_ops(), z_many(params, s)
     hs = H * s
     sn = sin(hs)
     h = sin(0.5 * hs)
@@ -231,9 +234,8 @@ def z_of(params: DelaunayParams, s: float) -> float:
 
 
 def eval_state(params: DelaunayParams, s: float) -> GeneratrixState:
-    """profile at the one float s, with z = z_of(s) and float fields."""
-    s = float(s)
-    return profile(params, s, z_of(params, s))
+    """profile at the one float s, with float fields."""
+    return profile(params, float(s))
 
 
 def z_many(params: DelaunayParams, s_values: Sequence[float]) -> np.ndarray:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import BinaryIO, Optional, Sequence
 
 from ._np import np
-from .delaunay import DelaunayParams, profile, z_many
+from .delaunay import DelaunayParams, profile
 from .textfmt import format_g, format_int, join, lines
 
 
@@ -65,7 +65,7 @@ def revolve(params: DelaunayParams, s_min: float, s_max: float,
     ss = np.linspace(s_min, s_max, n_meridian)
     # x'' and z'', which a mesh does not use, overflow at huge H
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        prof = profile(params, ss, z_many(params, ss))
+        prof = profile(params, ss)
 
     theta = 2.0 * math.pi * np.arange(n_parallel) / n_parallel
     ct = np.cos(theta)

@@ -36,7 +36,7 @@ from typing import Callable, NamedTuple, Optional
 from ._np import np
 from .curvature import PointAnalysis, analyze_point, support_function
 from .delaunay import (DelaunayParams, GeneratrixState, eval_state, profile,
-                       z_many, z_of)
+                       z_of)
 from .freeboundary import (FreeBoundaryPortion, build_portion, find_n0,
                            nodoid_r0, s0, violation_points, z0)
 from .mesh import export_obj, revolve
@@ -94,7 +94,7 @@ class _Ratios:
 
 
 class _Shapes(NamedTuple):
-    """One H and one B per sample row, read as params by profile and z_many."""
+    """One H and one B per sample row, read as params by profile."""
 
     H: np.ndarray
     B: np.ndarray
@@ -152,7 +152,7 @@ class _Context:
         span = np.minimum(6.0, 2.0 * math.pi / h)
         s = _uniform(-span, span, draws[last])
         shapes = _Shapes(h, b)
-        st = profile(shapes, s, z_many(shapes, s))
+        st = profile(shapes, s)
         return shapes, st, analyze_point(st)
 
 
@@ -216,7 +216,7 @@ def _check_example_portion(ctx: _Context, r: _Ratios) -> str:
     p = ctx.example_portion
     r.bound(p.orthogonality_residual, 1e-8)
     ss = np.linspace(-p.s_bar, p.s_bar, PORTION_SAMPLES)
-    st = profile(EXAMPLE, ss, z_many(EXAMPLE, ss))
+    st = profile(EXAMPLE, ss)
     min_gap = float(analyze_point(st).gap.min())
     r.bound(min(min_gap, 0.0), 1e-8)
     for sb in (p.s_bar, -p.s_bar):
@@ -256,8 +256,8 @@ def _check_arc_length(ctx: _Context, r: _Ratios) -> None:
 def _check_derivatives(ctx: _Context, r: _Ratios) -> None:
     h = 1e-5
     shapes, st, _ = ctx.sample_rows
-    plus = profile(shapes, st.s + h, z_many(shapes, st.s + h))
-    minus = profile(shapes, st.s - h, z_many(shapes, st.s - h))
+    plus = profile(shapes, st.s + h)
+    minus = profile(shapes, st.s - h)
     for fd, closed in (((plus.x - minus.x) / (2.0 * h), st.dx),
                        ((plus.dx - minus.dx) / (2.0 * h), st.ddx),
                        ((plus.z - minus.z) / (2.0 * h), st.dz),
@@ -279,8 +279,7 @@ def _check_cylinder(ctx: _Context, r: _Ratios) -> None:
     ss = np.linspace(-5.0, 5.0, 50)
     for h in (1.0, 0.7):
         params = DelaunayParams(h, 0.0)
-        zs = z_many(params, ss)
-        pa = analyze_point(profile(params, ss, zs))
+        pa = analyze_point(profile(params, ss))
         r.bound(np.abs(pa.gap).max(), 1e-12)
         r.bound(np.abs(pa.lambda2).max(), 1e-12)
 
@@ -307,10 +306,8 @@ def _check_dilation(ctx: _Context, r: _Ratios) -> str:
     p = ctx.example_portion
     r.bound(build_portion(p.scaled_params, ctx.root).R0 - 1.0, 1e-10)
     ss = np.linspace(-p.s_bar, p.s_bar, 100)
-    z_orig = z_many(EXAMPLE, ss)
-    z_scaled = z_many(p.scaled_params, ss / p.R0)
-    gaps = analyze_point(profile(EXAMPLE, ss, z_orig)).gap
-    scaled = analyze_point(profile(p.scaled_params, ss / p.R0, z_scaled)).gap
+    gaps = analyze_point(profile(EXAMPLE, ss)).gap
+    scaled = analyze_point(profile(p.scaled_params, ss / p.R0)).gap
     r.bound(np.abs(gaps - scaled).max(), 1e-9)
     return f"scaled H={p.scaled_params.H:.12g}"
 
@@ -327,8 +324,7 @@ def _check_nodoid(ctx: _Context, r: _Ratios) -> str:
     r.require(0.0 < rb < r_top)
     boundary = eval_state(NODOID_EXAMPLE, rb)
     r.bound(support_function(boundary) / p.R0, 5e-11)
-    ss = np.linspace(-rb, rb, 1000)
-    st = profile(NODOID_EXAMPLE, ss, z_many(NODOID_EXAMPLE, ss))
+    st = profile(NODOID_EXAMPLE, np.linspace(-rb, rb, 1000))
     pa = analyze_point(st)
     r.require(bool(np.all((st.ddx > 0.0) & (st.dz < 0.0)
                           & (st.dx * st.z <= 0.0)

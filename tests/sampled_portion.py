@@ -8,7 +8,7 @@ sample them here, at AC4's PORTION_SAMPLES points and bounds.
 import numpy as np
 
 from cmcpinch.curvature import analyze_point
-from cmcpinch.delaunay import profile, z_many
+from cmcpinch.delaunay import profile
 from cmcpinch.verify import PORTION_SAMPLES
 
 MIN_GAP_BOUND = -1e-8
@@ -23,7 +23,7 @@ def sampled_min_gap(params, portion) -> float:
     sample lies in the ball of radius R0, 1e-9 relative.
     """
     ss = np.linspace(-portion.s_bar, portion.s_bar, PORTION_SAMPLES)
-    st = profile(params, ss, z_many(params, ss))
+    st = profile(params, ss)
     gap = analyze_point(st).gap
     assert gap.min() >= MIN_GAP_BOUND
     assert np.all(st.x * st.x + st.z * st.z

@@ -12,7 +12,7 @@ import pytest
 from cmcpinch import cli
 from cmcpinch.cli import main
 from cmcpinch.curvature import analyze_point
-from cmcpinch.delaunay import DelaunayParams, profile, z_many
+from cmcpinch.delaunay import DelaunayParams, profile
 from cmcpinch.freeboundary import nodoid_r0
 from cmcpinch.numerics import NoSignChangeError
 from sampled_portion import sampled_min_gap
@@ -205,7 +205,7 @@ def _profile_cell_loop(h, b, s_min, s_max, n):
     z' vanishes: the reference for cmd_profile's block formatting."""
     params = DelaunayParams(h, b)
     ss = np.linspace(s_min, s_max, n)
-    st = profile(params, ss, z_many(params, ss))
+    st = profile(params, ss)
     pa = analyze_point(st)
     has_g = np.abs(st.dz) >= 1e-12
     g = st.x - (st.dx / np.where(has_g, st.dz, 1.0)) * st.z
@@ -270,6 +270,44 @@ def test_profile_rejects_infinite_bounds(bounds, tmp_path, capsys):
          str(dest)] + bounds, capsys)
     assert (code, out) == (2, "")
     assert err == "error: need finite --s-min and --s-max\n"
+    assert not dest.exists()
+
+
+SCAN_RANGE = {"--H-min": "1", "--H-max": "2", "--B-min": "0.5",
+              "--B-max": "0.9"}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("flag", list(SCAN_RANGE))
+def test_scan_rejects_non_finite_bounds(flag, value, tmp_path, capsys):
+    # it wrote rows such as "1,inf,,Invalid" after a numpy RuntimeWarning
+    dest = tmp_path / "scan.csv"
+    argv = ["scan", "--H-steps", "2", "--B-steps", "3", "--output",
+            str(dest)]
+    for name, bound in SCAN_RANGE.items():
+        argv += [name, value if name == flag else bound]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: need finite --H-min, --H-max, --B-min and --B-max\n"
+    assert not dest.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["profile", "--H", "1", "--B", "0.5", "--s-min", "-1", "--s-max", "1",
+     "--n", "1000000000000000"],
+    ["scan", "--H-min", "1", "--H-max", "2", "--H-steps", "1000000000000000",
+     "--B-min", "0.5", "--B-max", "0.9", "--B-steps", "3"]],
+    ids=["profile", "scan"])
+def test_grid_too_large_to_allocate_is_invalid_input(argv, tmp_path, capsys):
+    # 10^15 float64 samples are 7.1 PiB, beyond any address space, so
+    # numpy refuses at once and allocates nothing; it was a traceback and
+    # exit 1, the code of a failed verification
+    dest = tmp_path / "out.csv"
+    code, out, err = run_cli(argv + ["--output", str(dest)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: Unable to allocate ")
+    assert err.count("\n") == 1
     assert not dest.exists()
 
 
@@ -571,17 +609,21 @@ def test_unbracketed_nodoid_crossing_exits_3(argv, want, tmp_path, capsys):
     assert not dest.exists()
 
 
-@pytest.mark.parametrize("b", ["3.6e102", "4e102", "6e102"])
-def test_profile_overflow_exits_3_without_numpy_warnings(b, tmp_path,
-                                                         capsys):
+@pytest.mark.parametrize("b, s_min, s_max", [
+    ("3.6e102", "-1", "1"), ("4e102", "-1", "1"), ("6e102", "-1", "1"),
+    ("0.5", "-1e308", "1e308")],
+    ids=["3.6e102", "4e102", "6e102", "grid-span-1e308"])
+def test_profile_overflow_exits_3_without_numpy_warnings(b, s_min, s_max,
+                                                         tmp_path, capsys):
     # from B^3 = 4.5e307 (B = 3.56e102) on, 4 B a / 3 in the height and
     # the first tail term of the Carlson loop overflow; at 6e102 x'' does
-    # too.  An overflow on the table's arrays stops it under np.errstate,
-    # so stderr holds only the one line, and the RuntimeWarning filter
-    # fails the test on any warning
+    # too, and the grid's own step s_max - s_min does at +-1e308.  An
+    # overflow on the grid or the table's arrays stops it under
+    # np.errstate, so stderr holds only the one line, and the
+    # RuntimeWarning filter fails the test on any warning
     dest = tmp_path / "p.csv"
     code, out, err = run_cli(
-        ["profile", "--H", "1", "--B", b, "--s-min", "-1", "--s-max", "1",
+        ["profile", "--H", "1", "--B", b, "--s-min", s_min, "--s-max", s_max,
          "--n", "16", "--output", str(dest)], capsys)
     assert (code, out) == (3, "")
     assert err == ("error: the profile table holds a value that is not a "

@@ -6,7 +6,7 @@ import pytest
 from cmcpinch.curvature import (analyze_point, principal_curvatures,
                                 support_function)
 from cmcpinch.delaunay import (DelaunayParams, GeneratrixState, eval_state,
-                               profile, z_many)
+                               profile)
 
 
 def random_params(rng):
@@ -35,14 +35,15 @@ def test_cylinder_point():
 def test_unduloid_neck_point():
     # k1 = -BH/(1-B), k2 = H/(1-B), u = -(1-B)/H at the neck
     params = DelaunayParams(0.1, 0.9)
-    pa = analyze_point(eval_state(params, 0.0))
+    st = eval_state(params, 0.0)
+    pa = analyze_point(st)
     assert pa.k1 == pytest.approx(-0.9, rel=1e-12)
     assert pa.k2 == pytest.approx(1.0, rel=1e-12)
     assert pa.support == pytest.approx(-1.0, rel=1e-12)
     assert pa.lambda1 == pytest.approx(1.9, rel=1e-12)
     assert pa.lambda2 == pytest.approx(0.0, abs=1e-12)
     assert pa.gap == pytest.approx(0.0, abs=1e-12)
-    assert pa.s == 0.0
+    assert st.s == 0.0
 
 
 def test_nodoid_neck_point():
@@ -57,7 +58,7 @@ def test_cmc_identity():
     rng = np.random.default_rng(21)
     for _ in range(1000):
         params = random_params(rng)
-        st = profile(params, float(rng.uniform(-6.0, 6.0)), 0.0)
+        st = profile(params, float(rng.uniform(-6.0, 6.0)))
         k1, k2 = principal_curvatures(st)
         assert k1 + k2 == pytest.approx(params.H, abs=1e-8)
 
@@ -87,7 +88,7 @@ def test_phi_sq_closed_form():
         if params.B == 0.0:
             continue
         s = float(rng.uniform(-8.0, 8.0))
-        st = profile(params, s, 0.0)
+        st = profile(params, s)
         pa = analyze_point(st)
         q = 1.0 + params.B ** 2 - 2.0 * params.B * math.cos(params.H * s)
         expected = (params.H * (params.B ** 2 - 1.0) / q) ** 2 / 2.0
@@ -114,10 +115,7 @@ def test_distance_hessian_matches_lambda1():
     params = DelaunayParams(0.1, 0.9)
     h = 1e-4
     for s in (0.3, 1.0, 2.5):
-        ss = np.array([s - h, s, s + h])
-        zs = z_many(params, ss)
-        sts = [profile(params, float(ss[i]), float(zs[i]))
-               for i in range(3)]
+        sts = [profile(params, t) for t in (s - h, s, s + h)]
         phi = [0.5 * (t.x ** 2 + t.z ** 2) for t in sts]
         fd = (phi[0] - 2.0 * phi[1] + phi[2]) / (h * h)
         pa = analyze_point(sts[1])
@@ -131,11 +129,9 @@ def test_array_gaps_equal_scalar_gaps_bitwise():
     for _ in range(20):
         params = random_params(rng)
         ss = rng.uniform(-8.0, 8.0, 400)
-        zs = rng.uniform(-3.0, 3.0, 400)
-        arr = analyze_point(profile(params, ss, zs))
+        arr = analyze_point(profile(params, ss))
         for i in range(len(ss)):
-            pa = analyze_point(
-                profile(params, float(ss[i]), float(zs[i])))
+            pa = analyze_point(profile(params, float(ss[i])))
             for field in ("k1", "k2", "support", "phi_sq", "gap"):
                 assert getattr(pa, field) == getattr(arr, field)[i]
 

@@ -66,7 +66,7 @@ def test_inflection_state():
     # at s = arccos(B)/H the radius inflects: x'' = 0, x' = B
     params = DelaunayParams(0.1, 0.9)
     s_infl = math.acos(0.9) / 0.1
-    st = profile(params, s_infl, 0.0)
+    st = profile(params, s_infl)
     assert st.x == pytest.approx(math.sqrt(1.0 - 0.81) / 0.1, rel=1e-12)
     assert st.dx == pytest.approx(0.9, rel=1e-12)
     assert st.dz == pytest.approx(math.sqrt(0.19), rel=1e-12)
@@ -75,7 +75,7 @@ def test_inflection_state():
 
 def test_bulge_radius():
     params = DelaunayParams(0.1, 0.9)
-    st = profile(params, math.pi / 0.1, 0.0)
+    st = profile(params, math.pi / 0.1)
     assert st.x == pytest.approx(19.0, rel=1e-12)  # (1 + B)/H
     assert st.dx == pytest.approx(0.0, abs=1e-12)
 
@@ -84,7 +84,7 @@ def test_arc_length_identity():
     rng = np.random.default_rng(3)
     for _ in range(1000):
         params = random_params(rng)
-        st = profile(params, float(rng.uniform(-10.0, 10.0)), 0.0)
+        st = profile(params, float(rng.uniform(-10.0, 10.0)))
         assert abs(st.dx ** 2 + st.dz ** 2 - 1.0) <= 1e-12
 
 
@@ -93,8 +93,8 @@ def test_parity():
     params = DelaunayParams(0.7, 0.6)
     for _ in range(200):
         s = float(rng.uniform(0.0, 8.0))
-        a = profile(params, s, 0.0)
-        b = profile(params, -s, 0.0)
+        a = profile(params, s)
+        b = profile(params, -s)
         assert a.x == pytest.approx(b.x, rel=1e-14)
         assert a.dx == pytest.approx(-b.dx, rel=1e-14, abs=1e-15)
         assert a.dz == pytest.approx(b.dz, rel=1e-14)
@@ -122,9 +122,9 @@ def test_derivatives_match_finite_differences():
     for _ in range(300):
         params = random_params(rng)
         s = float(rng.uniform(-5.0, 5.0))
-        st = profile(params, s, 0.0)
-        plus = profile(params, s + h, 0.0)
-        minus = profile(params, s - h, 0.0)
+        st = profile(params, s)
+        plus = profile(params, s + h)
+        minus = profile(params, s - h)
         fd_dx = (plus.x - minus.x) / (2.0 * h)
         fd_ddx = (plus.dx - minus.dx) / (2.0 * h)
         fd_ddz = (plus.dz - minus.dz) / (2.0 * h)
@@ -143,7 +143,7 @@ def test_phase_shifted_sine_form():
             float(rng.uniform(1.1, 2.5))
         params = DelaunayParams(float(rng.uniform(0.1, 2.0)), b)
         s = float(rng.uniform(-10.0, 10.0))
-        st = profile(params, s, 0.0)
+        st = profile(params, s)
         shifted = math.sin(params.H * s + 1.5 * math.pi)
         q_alt = 1.0 + b * b + 2.0 * b * shifted
         assert math.sqrt(q_alt) / params.H == pytest.approx(st.x, rel=1e-10)
@@ -257,8 +257,7 @@ def test_near_degenerate_shape_has_finite_neck(b):
     st = eval_state(params, 0.0)
     assert st.x == abs(1.0 - b)
     assert st.dz == math.copysign(1.0, 1.0 - b)
-    ss = np.linspace(-1e-6, 1e-6, 101)
-    st = profile(params, ss, z_many(params, ss))
+    st = profile(params, np.linspace(-1e-6, 1e-6, 101))
     assert np.all(np.isfinite([st.x, st.z, st.dx, st.dz, st.ddx, st.ddz]))
     assert np.all(st.x > 0.0)
 
@@ -268,10 +267,9 @@ def test_profile_arrays_match_eval_state():
     for _ in range(20):
         params = random_params(rng)
         ss = rng.uniform(-20.0, 20.0, 200)
-        zs = rng.uniform(-5.0, 5.0, 200)
-        st = profile(params, ss, zs)
+        st = profile(params, ss)
         for i in range(len(ss)):
-            one = profile(params, float(ss[i]), float(zs[i]))
+            one = profile(params, float(ss[i]))
             assert one == GeneratrixState(
                 *(float(getattr(st, k)[i])
                   for k in ("s", "x", "z", "dx", "dz", "ddx", "ddz")))
@@ -290,7 +288,7 @@ def test_float_profile_is_the_array_profile_bit_for_bit(b):
         ss = np.concatenate(([0.0, -0.0], rng.uniform(-20.0, 20.0, 60))) / H
         with (np.errstate(over="ignore", invalid="ignore") if b > 1e100
               else contextlib.nullcontext()):
-            arrays = profile(params, ss, z_many(params, ss))
+            arrays = profile(params, ss)
         for i, s in enumerate(ss.tolist()):
             one = eval_state(params, s)
             for k in ("s", "x", "z", "dx", "dz", "ddx", "ddz"):
@@ -302,10 +300,11 @@ def test_float_profile_is_the_array_profile_bit_for_bit(b):
 
 def test_per_element_shapes_match_the_float_path():
     # verify's sample set passes params whose H and B are arrays, one
-    # shape per element of s: z_many and profile must give each element
-    # the bits of z_of and eval_state on its own shape.  The elements are
-    # shuffled so that neighbours differ in shape, stop the duplication
-    # loop at different steps and lie in different periods (k != 0)
+    # shape per element of s: profile, through z_many, must give each
+    # element the bits of eval_state, through z_of, on its own shape.  The
+    # elements are shuffled so that neighbours differ in shape, stop the
+    # duplication loop at different steps and lie in different periods
+    # (k != 0)
     rng = np.random.default_rng(21)
     rows = [(H, b, s)
             for b in (0.0, 0.3, 1.0 - 1e-9, 1.0 + 1e-9, 1.5, 1e9)
@@ -314,17 +313,19 @@ def test_per_element_shapes_match_the_float_path():
     H, B, S = rng.permutation(np.array(rows)).T
     assert np.any(np.abs(H * S) > 2.0 * math.pi)
     shapes = collections.namedtuple("Shapes", "H B")(H, B)
-    zs = z_many(shapes, S)
-    arrays = profile(shapes, S, zs)
+    arrays = profile(shapes, S)
     for i, (h, b, s) in enumerate(zip(H.tolist(), B.tolist(), S.tolist())):
-        params = DelaunayParams(h, b)
-        assert z_of(params, s).hex() == float(zs[i]).hex(), (h, b, s)
-        one = eval_state(params, s)
+        one = eval_state(DelaunayParams(h, b), s)
         for k in ("s", "x", "z", "dx", "dz", "ddx", "ddz"):
             got = float(getattr(arrays, k)[i])
             assert getattr(one, k).hex() == got.hex(), (h, b, s, k)
 
 
 def test_eval_state_is_profile_at_z_of():
-    params = DelaunayParams(0.4, 0.7)
-    assert eval_state(params, 1.8) == profile(params, 1.8, z_of(params, 1.8))
+    # profile takes its own height, z_of at a float; eval_state converts s
+    for b in (0.0, 0.7, 1.5):
+        params = DelaunayParams(0.4, b)
+        st = eval_state(params, 2)
+        assert st == profile(params, 2.0)
+        assert st.z == z_of(params, 2.0)
+        assert type(st.s) is float

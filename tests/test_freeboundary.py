@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cmcpinch.curvature import analyze_point, support_function
-from cmcpinch.delaunay import DelaunayParams, eval_state, profile, z_many, z_of
+from cmcpinch.delaunay import DelaunayParams, eval_state, profile, z_of
 from cmcpinch.numerics import find_root, integrate
 from cmcpinch import curvature, delaunay, freeboundary, numerics, verify
 from cmcpinch.freeboundary import (VERDICT_CYLINDER, VERDICT_NO_ORTHOGONAL,
@@ -51,10 +51,10 @@ def test_s0_special_angle():
 def test_s0_is_first_ddx_zero():
     top = s0(EXAMPLE)
     for s in np.linspace(1e-3, top * 0.999, 200):
-        assert profile(EXAMPLE, float(s), 0.0).ddx > 0.0
-    assert profile(EXAMPLE, top, 0.0).ddx == pytest.approx(
+        assert profile(EXAMPLE, float(s)).ddx > 0.0
+    assert profile(EXAMPLE, top).ddx == pytest.approx(
         0.0, abs=1e-13)
-    assert profile(EXAMPLE, top * 1.01, 0.0).ddx < 0.0
+    assert profile(EXAMPLE, top * 1.01).ddx < 0.0
 
 
 def test_z0_example_value():
@@ -120,11 +120,11 @@ def test_nodoid_r0_special_angle():
 
 def test_nodoid_branch_end():
     r_top = nodoid_r0(NODOID_EX)
-    assert profile(NODOID_EX, r_top, 0.0).dz == pytest.approx(
+    assert profile(NODOID_EX, r_top).dz == pytest.approx(
         0.0, abs=1e-12)
     # z decreasing and radius strictly convex on the inner branch
     for s in np.linspace(1e-3, r_top * 0.999, 200):
-        st = profile(NODOID_EX, float(s), 0.0)
+        st = profile(NODOID_EX, float(s))
         assert st.dz < 0.0
         assert st.ddx > 0.0
 
@@ -159,7 +159,7 @@ def test_profile_conditions_hold_on_example_portion(example_portion):
     # lambda2 >= 0 at every sample of [-sb, sb]
     sb = example_portion.s_bar
     ss = np.linspace(-sb, sb, 400)
-    pa = analyze_point(profile(EXAMPLE, ss, z_many(EXAMPLE, ss)))
+    pa = analyze_point(profile(EXAMPLE, ss))
     assert np.all(pa.k1 * pa.support >= 0.0)
     assert np.all(pa.lambda1 >= 1.0)
     assert np.all(pa.lambda2 >= 0.0)
@@ -195,7 +195,7 @@ def test_build_portion_nodoid(nodoid_portion):
     p = nodoid_portion
     assert p.s_bar == pytest.approx(RBAR_GOLDEN, abs=1e-9)
     sampled_min_gap(NODOID_EX, p)
-    assert p.R0 > profile(NODOID_EX, p.s_bar, 0.0).x
+    assert p.R0 > profile(NODOID_EX, p.s_bar).x
 
 
 def test_boundary_gap_is_two(example_portion, nodoid_portion):
@@ -219,9 +219,8 @@ def test_build_portion_cylinder_raises():
 def test_portion_stays_inside_ball(example_portion):
     p = example_portion
     ss = np.linspace(-p.s_bar, p.s_bar, 500)
-    zs = z_many(EXAMPLE, ss)
-    for i in range(len(ss)):
-        st = profile(EXAMPLE, float(ss[i]), float(zs[i]))
+    for s in ss.tolist():
+        st = profile(EXAMPLE, s)
         assert st.x ** 2 + st.z ** 2 <= p.R0 ** 2 * (1.0 + 1e-9)
 
 
@@ -245,13 +244,9 @@ def test_gap_is_dilation_invariant(example_portion):
     p = example_portion
     scaled = p.scaled_params
     ss = np.linspace(-p.s_bar, p.s_bar, 25)
-    z_orig = z_many(EXAMPLE, ss)
-    z_scal = z_many(scaled, ss / p.R0)
-    for i in range(len(ss)):
-        g1 = analyze_point(profile(
-            EXAMPLE, float(ss[i]), float(z_orig[i]))).gap
-        g2 = analyze_point(profile(
-            scaled, float(ss[i]) / p.R0, float(z_scal[i]))).gap
+    for s in ss.tolist():
+        g1 = analyze_point(profile(EXAMPLE, s)).gap
+        g2 = analyze_point(profile(scaled, s / p.R0)).gap
         assert g1 == pytest.approx(g2, abs=1e-9)
 
 
@@ -260,7 +255,7 @@ def test_geodesic_curvature_of_boundary(example_portion, nodoid_portion):
     # curvature 1, i.e. R0 |x'(sb)| = x(sb)
     for params, p in ((EXAMPLE, example_portion),
                       (NODOID_EX, nodoid_portion)):
-        st = profile(params, p.s_bar, 0.0)
+        st = profile(params, p.s_bar)
         assert p.R0 * abs(st.dx) / st.x == pytest.approx(1.0, abs=1e-6)
 
 
@@ -289,7 +284,7 @@ def test_violation_closed_forms():
             1.0 - 10.0 ** rng.uniform(-6.0, math.log10(1.0 - 0.766)))
         pts = violation_points(params, 3)
         t = np.array([pt.t for pt in pts])
-        pa = analyze_point(profile(params, t, z_many(params, t)))
+        pa = analyze_point(profile(params, t))
         for pt, lambda2, gap in zip(pts, pa.lambda2, pa.gap):
             assert pt.lambda2 == pytest.approx(lambda2, rel=1e-9), params
             assert pt.gap == pytest.approx(gap, rel=1e-9), params
