@@ -87,7 +87,7 @@ def _open_output(path: Optional[str]):
 
 def _report_payload(rep: AnalysisReport) -> dict:
     p = rep.portion
-    payload = {
+    return {
         "H": _round12(rep.params.H),
         "B": _round12(rep.params.B),
         "family": rep.params.family,
@@ -99,7 +99,7 @@ def _report_payload(rep: AnalysisReport) -> dict:
         "sBar": _round12(p.s_bar) if p else None,
         "R0": _round12(p.R0) if p else None,
         "scaledH": _round12(p.scaled_params.H) if p else None,
-        "sBarScaled": _round12(p.s_bar / p.R0) if p else None,
+        "sBarScaled": _round12(p.s_bar_scaled) if p else None,
         "minGap": _round12(p.min_gap) if p else None,
         "orthogonalityResidual":
             _round12(p.orthogonality_residual) if p else None,
@@ -110,7 +110,6 @@ def _report_payload(rep: AnalysisReport) -> dict:
             for v in rep.violations
         ],
     }
-    return payload
 
 
 def _print_report_text(payload: dict, out) -> None:

@@ -80,12 +80,12 @@ because arccos B < pi/2, hence H z(t_1) > pi/sqrt(2) > 1 > B, and z(t_n)
 only grows with n.
 
 Canonical units.  The surface (H, B) is the surface (1, B) scaled by
-1/H, and the verdict, lambda1, lambda2 and the gap do not change under
-dilation.  classify is the one solve: it works at H = 1, and
-AnalysisReport.at divides every length (s0, z0, z(s0), sb, R0, the
-residual u(sb), t_n) by H, so a verdict depends on B alone and the root
-tolerance bounds H s / min(1, |1 - B|).  build_portion is the portion of
-that report.
+1/H; the verdict, lambda1, lambda2, the gap and the portion dilated into
+the unit ball (mean curvature H R0, half-length sb / R0) do not change.
+classify is the one solve, at H = 1; AnalysisReport.at divides each
+length (s0, z0, z(s0), sb, R0, the residual u(sb), t_n) by H and copies
+the rest, so those invariants are the H = 1 floats at every H, and the
+root tolerance bounds H s / min(1, |1 - B|).  build_portion is its portion.
 """
 from __future__ import annotations
 
@@ -120,11 +120,13 @@ class ViolationPoint(NamedTuple):
 
 @dataclass(frozen=True)
 class FreeBoundaryPortion:
-    """A symmetric profile arc meeting its bounding sphere orthogonally."""
+    """A symmetric profile arc meeting its bounding sphere orthogonally;
+    scaled_params and s_bar_scaled are the arc in the unit ball, at H = 1."""
 
     s_bar: float
     R0: float
     scaled_params: DelaunayParams
+    s_bar_scaled: float
     orthogonality_residual: float
     min_gap: ClassVar[float] = 0.0  # 0 by theorem, attained at the neck
 
@@ -144,11 +146,11 @@ class AnalysisReport:
     def at(self, H: float) -> AnalysisReport:
         """The report of the same shape B at mean curvature H.
 
-        Every length is divided by k = H / params.H; the verdict, n0, the
-        gaps and lambda2 are dilation-invariant.  From an H = 1 report,
-        k is H itself, which is how classify builds every report.  A
-        length that is not a finite float at H raises OverflowError, which
-        names the length by its report key.
+        Every length is divided by k = H / params.H; all else, the unit-ball
+        scaled_params and s_bar_scaled included, is dilation-invariant and
+        copied.  From an H = 1 report, k is H itself, as classify builds
+        every report.  A length that is not a finite float at H, or an sb
+        or R0 of 0, raises OverflowError naming it by its report key.
         """
         k = H / self.params.H
 
@@ -157,9 +159,8 @@ class AnalysisReport:
 
         p = self.portion
         if p is not None:
-            r0 = length("R0", p.R0)
-            p = replace(p, s_bar=length("sBar", p.s_bar), R0=r0,
-                        scaled_params=DelaunayParams(H * r0, self.params.B),
+            p = replace(p, s_bar=_scaled_length("sBar", p.s_bar, k, True),
+                        R0=_scaled_length("R0", p.R0, k, True),
                         orthogonality_residual=length(
                             "orthogonalityResidual",
                             p.orthogonality_residual))
@@ -172,18 +173,21 @@ class AnalysisReport:
                         for v in self.violations])
 
 
-def _scaled_length(key: str, length: float, k: float) -> float:
+def _scaled_length(key: str, length: float, k: float,
+                   size: bool = False) -> float:
     """length / k, the length named key on the surface dilated by 1/k.
 
     Raises OverflowError where the quotient is not a finite float (H =
-    1e-310 makes every length of an H = 1 report inf), so no command
-    prints inf or nan for a valid input.  The message names the length
-    by key, since mesh draws none of the violation points.
+    1e-310 makes every length of an H = 1 report inf) or a size (sb, R0)
+    is 0, so no command prints inf, nan or a portion of no size for a
+    valid input.  The message names the length by key.
     """
     out = length / k
     if not math.isfinite(out):
         raise OverflowError(f"{key} = {length!r} / {k!r} is not a finite "
                             "float")
+    if size and out == 0.0:
+        raise OverflowError(f"{key} = {length!r} / {k!r} underflows to 0")
     return out
 
 
@@ -315,7 +319,7 @@ def classify(params: DelaunayParams,
     n0 + 2.  This is the one solve of the crossing (build_portion
     returns its portion).  Raises
     ValueError when x_tol stops the search at s = 0 and OverflowError
-    when a length over H is not a finite float.
+    when a length over H is inf, nan or, for sb and R0, 0.
     """
     unit = DelaunayParams(1.0, params.B)
     family = params.family
@@ -341,6 +345,7 @@ def classify(params: DelaunayParams,
     r0 = math.hypot(boundary.x, boundary.z)
     portion = FreeBoundaryPortion(
         s_bar=sb, R0=r0, scaled_params=DelaunayParams(r0, params.B),
+        s_bar_scaled=sb / r0,
         orthogonality_residual=abs(support_function(boundary)))
     return AnalysisReport(unit, VERDICT_PINCHED, portion=portion,
                           **fields).at(params.H)

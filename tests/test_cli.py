@@ -538,6 +538,61 @@ def test_mesh_at_huge_h_writes_subnormal_vertices_silently(tmp_path, capsys):
         b"o portion\nv 1.9424495e-309 0 -1.40545342e-309\n")
 
 
+ZERO_SIZE = {
+    "unduloid": (["--H", "1e308", "--B", "0.9999999999999999"],
+                 "error: sBar = 1.675192830606154e-16 / 1e+308 underflows "
+                 "to 0\n"),
+    "nodoid": (["--H", "1.7e308", "--B", "1.0000000000000002"],
+               "error: sBar = 3.3503856612123057e-16 / 1.7e+308 underflows "
+               "to 0\n")}
+
+
+@pytest.mark.parametrize("command", ["analyze", "mesh", "scan"])
+@pytest.mark.parametrize("shape", list(ZERO_SIZE))
+def test_portion_of_no_size_exits_3_naming_the_length(command, shape,
+                                                      tmp_path, capsys):
+    # near B = 1 at huge H, sb and R0 underflow to 0: a portion of no size
+    # exits 3 with one line naming the length and no OBJ, where it once
+    # exited 2 as if H were invalid, printed sBar 0, or reached revolve
+    flags, want = ZERO_SIZE[shape]
+    h, b = flags[1], flags[3]
+    dest = tmp_path / "m.obj"
+    argv = {"analyze": ["analyze"] + flags + ["--format", "json"],
+            "mesh": ["mesh"] + flags + ["--out", str(dest)],
+            "scan": ["scan", "--H-min", h, "--H-max", h, "--H-steps", "1",
+                     "--B-min", b, "--B-max", b, "--B-steps", "1"]}[command]
+    assert run_cli(argv, capsys) == (3, "", want)
+    assert not dest.exists()
+
+
+SWEEP_H = ["5e-324", "1e-310", "1e-300", "1e-6", "1", "1e6", "1e300",
+           "1e308", "1.7e308"]
+SWEEP_B = ["0", "5e-324", "1e-300", "0.5", "0.9", repr(1.0 - 2.0 ** -53),
+           repr(1.0 + 2.0 ** -52), "1.5", "1e15", "1e16", "1e100", "1e154"]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("b", SWEEP_B)
+@pytest.mark.parametrize("h", SWEEP_H)
+def test_no_valid_input_reads_as_invalid_input(h, b, tmp_path, capsys):
+    # every pair is valid, so each command succeeds, fails numerically or
+    # finds no portion; exit 2 (invalid input) would blame the user for a
+    # length that left the floats
+    runs = [["analyze", "--H", h, "--B", b, "--format", "json"],
+            ["mesh", "--H", h, "--B", b, "--resolution", "8", "--out",
+             str(tmp_path / "m.obj")],
+            ["scan", "--H-min", h, "--H-max", h, "--H-steps", "1",
+             "--B-min", b, "--B-max", b, "--B-steps", "1"],
+            ["profile", "--H", h, "--B", b, "--s-min", "-1", "--s-max", "1",
+             "--n", "16"]]
+    for argv in runs:
+        code, out, err = run_cli(argv, capsys)
+        assert code in (0, 3, 4), (argv, err)
+        if code:
+            assert out == "" and err.count("\n") == 1, (argv, err)
+            assert err.startswith("error: ")
+
+
 @pytest.mark.parametrize("field", ["vertices", "normals"])
 def test_mesh_with_a_non_finite_vertex_exits_3(field, monkeypatch, tmp_path,
                                                capsys):

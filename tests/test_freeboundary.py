@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -225,12 +226,16 @@ def test_portion_stays_inside_ball(example_portion):
 
 
 def test_scale_to_unit_ball(example_portion):
-    # dilation by 1/R0: mean curvature H R0, same B, boundary at sb / R0
+    # dilation by 1/R0: mean curvature H R0, same B, boundary at sb / R0,
+    # both the floats of the H = 1 solve
     p = example_portion
+    unit = build_portion(DelaunayParams(1.0, 0.9))
     assert p.scaled_params.H == pytest.approx(SCALED_H_GOLDEN, abs=1e-9)
-    assert p.scaled_params.H == EXAMPLE.H * p.R0
+    assert p.scaled_params.H.hex() == unit.R0.hex()
     assert p.scaled_params.B == 0.9
-    assert p.s_bar / p.R0 == pytest.approx(SBAR_SCALED_GOLDEN, abs=1e-9)
+    assert p.s_bar_scaled == pytest.approx(SBAR_SCALED_GOLDEN, abs=1e-9)
+    assert p.s_bar_scaled.hex() == (unit.s_bar / unit.R0).hex()
+    assert p.s_bar_scaled == pytest.approx(p.s_bar / p.R0, rel=1e-15)
 
 
 def test_rescaled_portion_has_unit_radius(example_portion):
@@ -438,11 +443,46 @@ def test_classify_is_the_scaled_unit_report(b):
             assert p.s_bar == q.s_bar / h
             assert p.R0 == q.R0 / h
             assert p.orthogonality_residual == q.orthogonality_residual / h
-            assert p.scaled_params == DelaunayParams(h * (q.R0 / h), b)
+            assert p.scaled_params.H.hex() == q.scaled_params.H.hex()
+            assert p.scaled_params.B == b
+            assert p.s_bar_scaled.hex() == q.s_bar_scaled.hex()
         assert len(rep.violations) == len(unit.violations)
         for v, w in zip(rep.violations, unit.violations):
             assert (v.n, v.t, v.lambda2, v.gap) == (w.n, w.t / h, w.lambda2,
                                                     w.gap)
+
+
+@pytest.mark.parametrize("b", [0.9, 0.99, 1.5, 1e9])
+@pytest.mark.parametrize("h", [1e-300, 1e-6, 0.1, 7.0, 1e6, 1e300])
+def test_unit_ball_invariants_do_not_depend_on_h(h, b):
+    # H R0 and sb / R0 are dilation-invariant: the portion carries the
+    # floats of the H = 1 solve at every H, where rebuilding them from
+    # the lengths at H moved their last bits with H
+    q = classify(DelaunayParams(1.0, b)).portion
+    if not math.isfinite(q.R0 / h):
+        # R0 ~ B - 1 at H = 1, so (1e-300, 1e9) has no report at all
+        with pytest.raises(OverflowError, match="^R0 = "):
+            classify(DelaunayParams(h, b))
+        return
+    p = classify(DelaunayParams(h, b)).portion
+    assert (p.scaled_params.H.hex(), p.scaled_params.B.hex(),
+            p.s_bar_scaled.hex()) == (q.scaled_params.H.hex(),
+                                      q.scaled_params.B.hex(),
+                                      q.s_bar_scaled.hex())
+
+
+@pytest.mark.parametrize("field, key", [("s_bar", "sBar"), ("R0", "R0")])
+def test_portion_of_no_size_raises_naming_the_length(field, key):
+    # sb or R0 at 0 is a portion of no size, not a valid answer: .at
+    # raises OverflowError (exit 3) naming it; other lengths may underflow
+    unit = classify(DelaunayParams(1.0, 1.5))
+    tiny = replace(unit, portion=replace(unit.portion, **{field: 5e-324}))
+    with pytest.raises(OverflowError) as info:
+        tiny.at(2.0)
+    assert str(info.value) == f"{key} = 5e-324 / 2.0 underflows to 0"
+    residual = replace(unit, portion=replace(
+        unit.portion, orthogonality_residual=5e-324))
+    assert residual.at(2.0).portion.orthogonality_residual == 0.0
 
 
 def test_crossing_is_solved_at_unit_scale(monkeypatch):
