@@ -552,8 +552,7 @@ ZERO_SIZE = {
 def test_portion_of_no_size_exits_3_naming_the_length(command, shape,
                                                       tmp_path, capsys):
     # near B = 1 at huge H, sb and R0 underflow to 0: a portion of no size
-    # exits 3 with one line naming the length and no OBJ, where it once
-    # exited 2 as if H were invalid, printed sBar 0, or reached revolve
+    # exits 3 with one line naming the length, no output and no OBJ
     flags, want = ZERO_SIZE[shape]
     h, b = flags[1], flags[3]
     dest = tmp_path / "m.obj"

@@ -455,9 +455,8 @@ def test_classify_is_the_scaled_unit_report(b):
 @pytest.mark.parametrize("b", [0.9, 0.99, 1.5, 1e9])
 @pytest.mark.parametrize("h", [1e-300, 1e-6, 0.1, 7.0, 1e6, 1e300])
 def test_unit_ball_invariants_do_not_depend_on_h(h, b):
-    # H R0 and sb / R0 are dilation-invariant: the portion carries the
-    # floats of the H = 1 solve at every H, where rebuilding them from
-    # the lengths at H moved their last bits with H
+    # H R0 and sb / R0 are dilation-invariant, so the portion carries the
+    # floats of the H = 1 solve at every H, bit for bit
     q = classify(DelaunayParams(1.0, b)).portion
     if not math.isfinite(q.R0 / h):
         # R0 ~ B - 1 at H = 1, so (1e-300, 1e9) has no report at all
