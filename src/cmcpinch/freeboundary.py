@@ -159,11 +159,11 @@ class AnalysisReport:
 
         p = self.portion
         if p is not None:
-            p = replace(p, s_bar=_scaled_length("sBar", p.s_bar, k, True),
-                        R0=_scaled_length("R0", p.R0, k, True),
+            p = replace(p,
+                        s_bar=_scaled_length("sBar", p.s_bar, k, size=True),
+                        R0=_scaled_length("R0", p.R0, k, size=True),
                         orthogonality_residual=length(
-                            "orthogonalityResidual",
-                            p.orthogonality_residual))
+                            "orthogonalityResidual", p.orthogonality_residual))
         return replace(
             self, params=DelaunayParams(H, self.params.B),
             s0=length("s0", self.s0), r0=length("r0", self.r0),
