@@ -13,8 +13,7 @@ from .curvature import analyze_point
 from .delaunay import DelaunayParams, eval_state, profile, z_many, z_of
 from .freeboundary import (VERDICT_CYLINDER, VERDICT_NO_ORTHOGONAL,
                            VERDICT_PINCHED, NoRootError, build_portion,
-                           classify, find_sbar, nodoid_find_rbar,
-                           violation_points)
+                           classify, violation_points)
 from .mesh import revolve
 from .numerics import (DEFAULT_ROOT, IterationLimitError, NonFiniteError,
                        NoSignChangeError, RootConfig)
@@ -27,7 +26,6 @@ __all__ = [
     "DEFAULT_ROOT", "DelaunayParams", "IterationLimitError",
     "NoRootError", "NoSignChangeError", "NonFiniteError", "RootConfig",
     "VERDICT_CYLINDER", "VERDICT_NO_ORTHOGONAL", "VERDICT_PINCHED",
-    "analyze_point", "build_portion", "classify", "eval_state", "find_sbar",
-    "nodoid_find_rbar", "profile", "revolve", "run_checks",
-    "violation_points", "z_many", "z_of",
+    "analyze_point", "build_portion", "classify", "eval_state", "profile",
+    "revolve", "run_checks", "violation_points", "z_many", "z_of",
 ]

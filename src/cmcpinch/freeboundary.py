@@ -34,7 +34,9 @@ a = |1 - B| / H, and with l = min(1, |1 - B|) / H the bracket closes to
 x_tol * l, so sb and R0 carry x_tol relative accuracy however close B
 is to 1.  As B -> 1, sb / a -> sinh t0 and R0 / a -> sqrt(cosh^2 t0 +
 t0^2) with t0 tanh t0 = 1, the critical catenoid's crossing, and the
-first point tried is SINH_T0 * l.
+first point tried is SINH_T0 * l.  classify, its one caller, keeps each
+profile state by s for one call, seeded with the dichotomy's s0 state,
+so no height is evaluated twice; the root's state gives R0 and u(sb).
 
 Every portion is pinched, with min gap 0 at the neck, and lies in its
 ball.  At H = 1, with c = cos s: x, z', x'' are even and x', z odd, so
@@ -85,7 +87,8 @@ the unit ball (mean curvature H R0, half-length sb / R0) do not change.
 classify is the one solve, at H = 1; AnalysisReport.at divides each
 length (s0, z0, z(s0), sb, R0, the residual u(sb), t_n) by H and copies
 the rest, so those invariants are the H = 1 floats at every H, and the
-root tolerance bounds H s / min(1, |1 - B|).  build_portion is its portion.
+root tolerance bounds H s / min(1, |1 - B|).  build_portion is its
+portion, and find_sbar and nodoid_find_rbar its sb.
 """
 from __future__ import annotations
 
@@ -205,40 +208,27 @@ def z0(params: DelaunayParams) -> float:
     return (1.0 - params.B * params.B) / (params.H * params.B)
 
 
-def _u_of_s(params: DelaunayParams):
-    # u = x' z - x z' and u' = x'' z - x z'', one profile per point
+def _u_of_s(params: DelaunayParams, states: dict):
+    # u = x' z - x z' and u' = x'' z - x z'', one profile per s, in states
     def u(s: float) -> tuple[float, float]:
-        st = eval_state(params, s)
+        st = states.get(s)
+        if st is None:
+            st = states[s] = eval_state(params, s)
         return st.dx * st.z - st.x * st.dz, st.ddx * st.z - st.x * st.ddz
     return u
 
 
-def _crossing(params: DelaunayParams, top: float,
-              root_cfg: RootConfig) -> float:
+def _crossing(params: DelaunayParams, top: float, root_cfg: RootConfig,
+              states: dict) -> float:
     """The zero of u in [0, top], in neck units (module docstring).
 
     With l = min(1, |1 - B|) / H the bracket closes to x_tol * l, and the
-    first point tried after the ends is SINH_T0 * l.
+    first point tried after the ends is SINH_T0 * l.  The search leaves
+    every state it evaluates, the root's too, in states.
     """
     unit = min(1.0, abs(1.0 - params.B)) / params.H
     cfg = replace(root_cfg, x_tol=max(root_cfg.x_tol * unit, math.ulp(0.0)))
-    return find_root(_u_of_s(params), 0.0, top, cfg, SINH_T0 * unit)
-
-
-def find_sbar(params: DelaunayParams,
-              root_cfg: RootConfig = DEFAULT_ROOT) -> float:
-    """Orthogonal-crossing arc length sb in (0, s0] for an unduloid.
-
-    Raises NoRootError when z(s0) < z0, which is exactly the case u < 0
-    throughout [0, s0].  Otherwise u(0) = B - 1 < 0 <= u(s0) brackets
-    the zero, which the search closes to x_tol in neck units
-    (_crossing).
-    """
-    s_top = s0(params)
-    if z_of(params, s_top) < z0(params):
-        raise NoRootError(
-            "no orthogonal sphere crossing: z(s0) < (1 - B^2)/(H B)")
-    return _crossing(params, s_top, root_cfg)
+    return find_root(_u_of_s(params, states), 0.0, top, cfg, SINH_T0 * unit)
 
 
 def nodoid_r0(params: DelaunayParams) -> float:
@@ -248,14 +238,21 @@ def nodoid_r0(params: DelaunayParams) -> float:
     return math.acos(1.0 / params.B) / params.H
 
 
+def find_sbar(params: DelaunayParams,
+              root_cfg: RootConfig = DEFAULT_ROOT) -> float:
+    """Orthogonal-crossing arc length sb in (0, s0] of an unduloid: the
+    view build_portion(params, root_cfg).s_bar, kept (like nodoid_find_rbar)
+    because bench/tracing.py wraps both by name."""
+    s0(params)  # the family's ValueError
+    return build_portion(params, root_cfg).s_bar
+
+
 def nodoid_find_rbar(params: DelaunayParams,
                      root_cfg: RootConfig = DEFAULT_ROOT) -> float:
-    """Orthogonal-crossing arc length rb in (0, r0) for a nodoid.
-
-    u(0) = B - 1 > 0 and u(r0) = x' z < 0 bracket the zero, which the
-    search closes to x_tol in neck units (_crossing).
-    """
-    return _crossing(params, nodoid_r0(params), root_cfg)
+    """Orthogonal-crossing arc length rb in (0, r0) of a nodoid: like
+    find_sbar, build_portion(params, root_cfg).s_bar."""
+    nodoid_r0(params)  # the family's ValueError
+    return build_portion(params, root_cfg).s_bar
 
 
 def build_portion(params: DelaunayParams,
@@ -316,32 +313,35 @@ def classify(params: DelaunayParams,
     orthogonally (u = -1/H is constant), unduloids go through the z(s0)
     vs z0 dichotomy, nodoids always produce a portion.  For a pinched
     unduloid the report also carries the violation sequence through
-    n0 + 2.  This is the one solve of the crossing (build_portion
-    returns its portion).  Raises
-    ValueError when x_tol stops the search at s = 0 and OverflowError
-    when a length over H is inf, nan or, for sb and R0, 0.
+    n0 + 2.  This is the only dichotomy test and the one solve of the
+    crossing, each height evaluated once.  Raises ValueError when x_tol
+    stops the search at s = 0 and OverflowError when a length over H is
+    inf, nan or, for sb and R0, 0.
     """
     unit = DelaunayParams(1.0, params.B)
     family = params.family
     if family == CYLINDER:
         return AnalysisReport(unit, VERDICT_CYLINDER).at(params.H)
     if family == UNDULOID:
-        s_top = s0(unit)
-        fields = dict(s0=s_top, z0=z0(unit), z_at_s0=z_of(unit, s_top))
+        top = s0(unit)
+        # one s0 state: the dichotomy's z(s0) and the search's u(s0)
+        states = {top: eval_state(unit, top)}
+        fields = dict(s0=top, z0=z0(unit), z_at_s0=states[top].z)
         if fields["z_at_s0"] < fields["z0"]:
             return AnalysisReport(unit, VERDICT_NO_ORTHOGONAL,
                                   **fields).at(params.H)
-        sb = find_sbar(unit, root_cfg)
+    else:
+        top, states = nodoid_r0(unit), {}
+        fields = dict(r0=top)
+    sb = _crossing(unit, top, root_cfg, states)
+    if family == UNDULOID:
         n0 = find_n0(unit)
         fields.update(violations=violation_points(unit, n0 + 2), n0=n0)
-    else:
-        fields = dict(r0=nodoid_r0(unit))
-        sb = nodoid_find_rbar(unit, root_cfg)
     # s = 0, where u = B - 1 != 0, is no crossing
     if sb == 0.0:
         raise ValueError(f"root tolerance x_tol={root_cfg.x_tol!r} stopped "
                          "the crossing search at s = 0, which is no crossing")
-    boundary = eval_state(unit, sb)
+    boundary = states[sb]
     r0 = math.hypot(boundary.x, boundary.z)
     portion = FreeBoundaryPortion(
         s_bar=sb, R0=r0, scaled_params=DelaunayParams(r0, params.B),

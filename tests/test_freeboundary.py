@@ -485,9 +485,10 @@ def test_portion_of_no_size_raises_naming_the_length(field, key):
 
 
 def test_crossing_is_solved_at_unit_scale(monkeypatch):
-    # mesh (build_portion) and analyze (classify) share the crossing: one
-    # root search per portion, at H = 1, with s_bar, R0, scaled_params and
-    # the residual bit for bit those of classify's report
+    # mesh (build_portion), analyze (classify) and the views find_sbar and
+    # nodoid_find_rbar share the crossing: one root search per call, at
+    # H = 1, with s_bar, R0, scaled_params and the residual bit for bit
+    # those of classify's report
     roots = []
 
     def counting(f, a, b, cfg, x0):
@@ -500,6 +501,41 @@ def test_crossing_is_solved_at_unit_scale(monkeypatch):
         assert build_portion(params) == classify(params).portion
         assert len(roots) == 2
         assert roots[0] == roots[1] <= math.pi / 2
+    # H log-uniform over 1e-6..1e6; pinched unduloids with 1 - B from 0.2
+    # down to 1e-15 and nodoids with B - 1 from 1e-15 up to 1e15
+    rng = np.random.default_rng(26)
+    for _ in range(200):
+        H = float(10.0 ** rng.uniform(-6.0, 6.0))
+        if rng.random() < 0.5:
+            B = 1.0 - float(10.0 ** rng.uniform(-15.0, math.log10(0.2)))
+            view = find_sbar
+        else:
+            B = 1.0 + float(10.0 ** rng.uniform(-15.0, 15.0))
+            view = nodoid_find_rbar
+        params = DelaunayParams(H, B)
+        roots.clear()
+        sb = view(params)
+        assert len(roots) == 1
+        assert sb.hex() == classify(params).portion.s_bar.hex()
+
+
+@pytest.mark.parametrize("b, count", [(0.9, 11), (1.5, 9), (0.5, 1),
+                                      (0.0, 0)])
+def test_classify_evaluates_each_height_once(monkeypatch, b, count):
+    # the dichotomy's state at s0 seeds the search, which keeps every
+    # state it evaluates, so s0 and s_bar are not evaluated again: a
+    # pinched unduloid takes s0, seven search points and t_1..t_3
+    seen = []
+    height = delaunay._height
+
+    def recording(params, s):
+        seen.append(s)
+        return height(params, s)
+
+    monkeypatch.setattr(delaunay, "_height", recording)
+    classify(DelaunayParams(1.0, b))
+    assert len(seen) == count
+    assert len(set(seen)) == len(seen)
 
 
 @pytest.mark.parametrize("params", [EXAMPLE, NODOID_EX])

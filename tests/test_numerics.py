@@ -180,7 +180,7 @@ def test_newton_step_on_u_within_evaluation_cap(b):
     p, lo, hi = _u_bracket(b)
     unit = min(1.0, abs(1.0 - b))
     tol = 1e-12 * unit
-    f, points = _recorded(_u_of_s(p))
+    f, points = _recorded(_u_of_s(p, {}))
     root = find_root(f, lo, hi, RootConfig(x_tol=tol), SINH_T0 * unit)
     assert lo < root < hi
     assert _meets_termination_rule(root, points, tol)
