@@ -7,13 +7,14 @@ sphere orthogonally, and verify the pointwise pinching inequality
     |Phi|^2 <x, N>^2  <=  (1/2) (2 + H <x, N>)^2
 
 over those portions, together with the sequence of points where it
-fails outside them.
+fails outside them.  classify is the one route to a portion; the module
+functions build_portion and eval_state are not exported.
 """
 from .curvature import analyze_point
-from .delaunay import DelaunayParams, eval_state, profile, z_many, z_of
+from .delaunay import DelaunayParams, profile, z_many, z_of
 from .freeboundary import (VERDICT_CYLINDER, VERDICT_NO_ORTHOGONAL,
-                           VERDICT_PINCHED, NoRootError, build_portion,
-                           classify, violation_points)
+                           VERDICT_PINCHED, NoRootError, classify,
+                           violation_points)
 from .mesh import revolve
 from .numerics import (DEFAULT_ROOT, IterationLimitError, NonFiniteError,
                        NoSignChangeError, RootConfig)
@@ -26,6 +27,6 @@ __all__ = [
     "DEFAULT_ROOT", "DelaunayParams", "IterationLimitError",
     "NoRootError", "NoSignChangeError", "NonFiniteError", "RootConfig",
     "VERDICT_CYLINDER", "VERDICT_NO_ORTHOGONAL", "VERDICT_PINCHED",
-    "analyze_point", "build_portion", "classify", "eval_state", "profile",
-    "revolve", "run_checks", "violation_points", "z_many", "z_of",
+    "analyze_point", "classify", "profile", "revolve", "run_checks",
+    "violation_points", "z_many", "z_of",
 ]

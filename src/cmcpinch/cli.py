@@ -36,7 +36,6 @@ where |z'| < 1e-12.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import math
@@ -223,10 +222,10 @@ def cmd_scan(args: argparse.Namespace) -> int:
                 _fmt(p.s_bar) if p else "",
                 _fmt(p.R0) if p else "",
                 _fmt(p.min_gap) if p else ""])
+    # no field needs CSV quoting: each is a number, a word or blank
     with _open_output(args.output) as out:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(SCAN_COLUMNS)
-        writer.writerows(rows)
+        out.write(",".join(SCAN_COLUMNS) + "\n")
+        out.writelines(",".join(row) + "\n" for row in rows)
     return EXIT_OK
 
 
@@ -268,9 +267,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         for r in results:
             status = "PASS" if r.passed else "FAIL"
-            ratio = ("inf" if math.isinf(r.worst_ratio)
-                     else f"{r.worst_ratio:.3e}")
-            line = f"{r.check_id:<5} {status}  ratio={ratio}  {r.description}"
+            line = (f"{r.check_id:<5} {status}  ratio={r.worst_ratio:.3e}  "
+                    f"{r.description}")
             if r.detail:
                 line += f"  [{r.detail}]"
             out.write(line + "\n")

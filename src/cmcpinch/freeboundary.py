@@ -87,8 +87,9 @@ the unit ball (mean curvature H R0, half-length sb / R0) do not change.
 classify is the one solve, at H = 1; AnalysisReport.at divides each
 length (s0, z0, z(s0), sb, R0, the residual u(sb), t_n) by H and copies
 the rest, so those invariants are the H = 1 floats at every H, and the
-root tolerance bounds H s / min(1, |1 - B|).  build_portion is its
-portion, and find_sbar and nodoid_find_rbar its sb.
+root tolerance bounds H s / min(1, |1 - B|).  Its n0 is the theorem's
+1.  build_portion is its portion.  find_sbar, nodoid_find_rbar (its sb)
+and find_n0 (1) have no caller here; bench/tracing.py wraps them by name.
 """
 from __future__ import annotations
 
@@ -214,7 +215,7 @@ def _u_of_s(params: DelaunayParams, states: dict):
         st = states.get(s)
         if st is None:
             st = states[s] = eval_state(params, s)
-        return st.dx * st.z - st.x * st.dz, st.ddx * st.z - st.x * st.ddz
+        return support_function(st), st.ddx * st.z - st.x * st.ddz
     return u
 
 
@@ -240,17 +241,14 @@ def nodoid_r0(params: DelaunayParams) -> float:
 
 def find_sbar(params: DelaunayParams,
               root_cfg: RootConfig = DEFAULT_ROOT) -> float:
-    """Orthogonal-crossing arc length sb in (0, s0] of an unduloid: the
-    view build_portion(params, root_cfg).s_bar, kept (like nodoid_find_rbar)
-    because bench/tracing.py wraps both by name."""
+    """The crossing sb in (0, s0] of an unduloid (module docstring)."""
     s0(params)  # the family's ValueError
     return build_portion(params, root_cfg).s_bar
 
 
 def nodoid_find_rbar(params: DelaunayParams,
                      root_cfg: RootConfig = DEFAULT_ROOT) -> float:
-    """Orthogonal-crossing arc length rb in (0, r0) of a nodoid: like
-    find_sbar, build_portion(params, root_cfg).s_bar."""
+    """The crossing rb in (0, r0) of a nodoid (module docstring)."""
     nodoid_r0(params)  # the family's ValueError
     return build_portion(params, root_cfg).s_bar
 
@@ -295,7 +293,7 @@ def find_n0(params: DelaunayParams) -> int:
 
     It is 1 for every unduloid: z' > 1/sqrt(2) on [pi/2, 3pi/2] / H,
     which lies inside [0, t_1], so H z(t_1) > pi/sqrt(2) > B (module
-    docstring).  No height is evaluated.
+    docstring), and classify sets that 1 itself.
     """
     if params.family != UNDULOID:
         raise ValueError("the violation sequence needs an unduloid with B > 0")
@@ -312,11 +310,12 @@ def classify(params: DelaunayParams,
     H sb / min(1, |1 - B|).  Cylinders never cross a centred sphere
     orthogonally (u = -1/H is constant), unduloids go through the z(s0)
     vs z0 dichotomy, nodoids always produce a portion.  For a pinched
-    unduloid the report also carries the violation sequence through
-    n0 + 2.  This is the only dichotomy test and the one solve of the
-    crossing, each height evaluated once.  Raises ValueError when x_tol
-    stops the search at s = 0 and OverflowError when a length over H is
-    inf, nan or, for sb and R0, 0.
+    unduloid the report also carries n0 = 1, the module docstring's
+    theorem, and the violation sequence through n0 + 2.  This is the only
+    dichotomy test and the one solve of the crossing, each height
+    evaluated once.  Raises ValueError when x_tol stops the search at
+    s = 0 and OverflowError when a length over H is inf, nan or, for sb
+    and R0, 0.
     """
     unit = DelaunayParams(1.0, params.B)
     family = params.family
@@ -335,8 +334,7 @@ def classify(params: DelaunayParams,
         fields = dict(r0=top)
     sb = _crossing(unit, top, root_cfg, states)
     if family == UNDULOID:
-        n0 = find_n0(unit)
-        fields.update(violations=violation_points(unit, n0 + 2), n0=n0)
+        fields.update(violations=violation_points(unit, 3), n0=1)
     # s = 0, where u = B - 1 != 0, is no crossing
     if sb == 0.0:
         raise ValueError(f"root tolerance x_tol={root_cfg.x_tol!r} stopped "

@@ -17,7 +17,9 @@ composite Simpson rule (numerics.integrate, used only here) on z' in
 its cos form, which shares no code with the closed form or with
 profile's half-angle z'; the closed-form derivatives are compared
 against central differences; the mesh check re-parses the exported OBJ
-text rather than trusting the arrays it came from.
+text rather than trusting the arrays it came from.  AC11 reads n0 from
+classify, the report that analyze prints, and checks the bound
+H z(t_1) > pi/sqrt(2) > B that makes it 1.
 
 AC5-AC8 share one seeded sample set of 1000 points over all three
 families (_Context.sample_rows), evaluated as arrays with per-row (H, B)
@@ -37,7 +39,7 @@ from ._np import np
 from .curvature import PointAnalysis, analyze_point, support_function
 from .delaunay import (DelaunayParams, GeneratrixState, eval_state, profile,
                        z_of)
-from .freeboundary import (FreeBoundaryPortion, build_portion, find_n0,
+from .freeboundary import (FreeBoundaryPortion, build_portion, classify,
                            nodoid_r0, s0, violation_points, z0)
 from .mesh import export_obj, revolve
 from .numerics import DEFAULT_ROOT, RootConfig, integrate
@@ -287,12 +289,12 @@ def _check_cylinder(ctx: _Context, r: _Ratios) -> None:
 @_check("AC11", "n0 is the first index with z(t_n) > B/H, the gap there is "
                 "negative, and lambda1(t_n) = 1 within 1e-10")
 def _check_violation_sequence(ctx: _Context, r: _Ratios) -> str:
-    n0 = find_n0(EXAMPLE)
-    threshold = EXAMPLE.B / EXAMPLE.H
+    n0 = classify(EXAMPLE, ctx.root).n0
     points = violation_points(EXAMPLE, n0 + 3)
-    acb = math.acos(EXAMPLE.B)
-    t_n0 = (2.0 * math.pi * n0 - acb) / EXAMPLE.H
-    r.require(z_of(EXAMPLE, t_n0) > threshold)
+    r.require(z_of(EXAMPLE, points[n0 - 1].t) > EXAMPLE.B / EXAMPLE.H)
+    # the proof's bound makes t_1 the first such point, so n0 must be 1
+    r.require(n0 == 1 and EXAMPLE.H * z_of(EXAMPLE, points[0].t)
+              > math.pi / math.sqrt(2.0) > EXAMPLE.B)
     for pt in points:
         pa = analyze_point(eval_state(EXAMPLE, pt.t))
         r.bound(pa.lambda1 - 1.0, 1e-10)

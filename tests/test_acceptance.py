@@ -15,7 +15,8 @@ import pytest
 
 from cmcpinch import freeboundary, verify
 from cmcpinch.curvature import PointAnalysis, analyze_point
-from cmcpinch.delaunay import DelaunayParams, GeneratrixState, eval_state
+from cmcpinch.delaunay import (DelaunayParams, GeneratrixState, eval_state,
+                               z_of)
 from cmcpinch.freeboundary import AnalysisReport, VERDICT_NO_ORTHOGONAL
 from cmcpinch.numerics import DEFAULT_ROOT
 
@@ -48,6 +49,36 @@ def test_ac13_residual_bound_is_no_looser_than_the_g_bound():
     p = freeboundary.build_portion(verify.NODOID_EXAMPLE)
     st = eval_state(verify.NODOID_EXAMPLE, p.s_bar)
     assert 5e-11 <= 1e-10 * abs(st.dz) / p.R0
+
+
+def test_the_battery_checks_the_numbers_analyze_prints():
+    # AC1-AC3, AC11 and AC13 reach s0, z0, z(s0), t_n and r0 by their
+    # own calls; each is the report's float, so a drift in
+    # AnalysisReport.at shows here (t only: the third gap is one ulp off)
+    rep = freeboundary.classify(verify.EXAMPLE)
+    s0 = freeboundary.s0(verify.EXAMPLE)
+    battery = [s0, freeboundary.z0(verify.EXAMPLE), z_of(verify.EXAMPLE, s0)]
+    assert [v.hex() for v in battery] == [
+        v.hex() for v in (rep.s0, rep.z0, rep.z_at_s0)]
+    assert [p.t.hex() for p in freeboundary.violation_points(
+        verify.EXAMPLE, 3)] == [p.t.hex() for p in rep.violations]
+    nodoid = freeboundary.classify(verify.NODOID_EXAMPLE)
+    assert freeboundary.nodoid_r0(verify.NODOID_EXAMPLE).hex() == (
+        nodoid.r0.hex())
+
+
+@pytest.mark.parametrize("n0", [None, 2])
+def test_ac11_fails_unless_the_report_says_n0_is_1(n0, results,
+                                                   monkeypatch):
+    real = verify.classify
+
+    def misreported(params, root):
+        return dataclasses.replace(real(params, root), n0=n0)
+
+    monkeypatch.setattr(verify, "classify", misreported)
+    res = dict(verify.CHECKS)["AC11"](verify._Context(DEFAULT_ROOT))
+    assert res.description == results["AC11"].description
+    assert (res.passed, res.worst_ratio) == (False, math.inf)
 
 
 def test_checks_are_registered_in_battery_order():

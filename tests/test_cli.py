@@ -15,6 +15,7 @@ from cmcpinch.curvature import analyze_point
 from cmcpinch.delaunay import DelaunayParams, profile
 from cmcpinch.freeboundary import nodoid_r0
 from cmcpinch.numerics import NoSignChangeError
+from cmcpinch.verify import CheckResult
 from sampled_portion import sampled_min_gap
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
@@ -291,6 +292,38 @@ def test_scan_rejects_non_finite_bounds(flag, value, tmp_path, capsys):
     assert (code, out) == (2, "")
     assert err == "error: need finite --H-min, --H-max, --B-min and --B-max\n"
     assert not dest.exists()
+
+
+@pytest.mark.parametrize("flag", ["--H-steps", "--B-steps"])
+def test_scan_needs_a_step_in_each_direction(flag, tmp_path, capsys):
+    dest = tmp_path / "scan.csv"
+    argv = ["scan", "--H-steps", "2", "--B-steps", "3", "--output",
+            str(dest)] + [arg for name, bound in SCAN_RANGE.items()
+                          for arg in (name, bound)]
+    argv[argv.index(flag) + 1] = "0"
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: need at least one step in each direction\n"
+    assert not dest.exists()
+    argv[argv.index("--output") + 1] = "-"
+    assert run_cli(argv, capsys) == (2, "", err)
+
+
+@pytest.mark.parametrize("b", ["5.5e-309", "1e-310", "5e-324"])
+@pytest.mark.parametrize("h", ["1", "2", "1e-05"])
+def test_tiny_b_exits_3_on_an_overflowing_z0(h, b, capsys):
+    # z0 = (1 - B^2) / B overflows at H = 1 below B of about 5.6e-309,
+    # though z(s0) = pi/2 is finite and the verdict is plain
+    code, out, err = run_cli(["analyze", "--H", h, "--B", b], capsys)
+    assert (code, out) == (3, "")
+    assert err == f"error: z0 = inf / {float(h)!r} is not a finite float\n"
+
+
+def test_tiny_b_with_a_finite_z0_is_reported(capsys):
+    code, out, err = run_cli(["analyze", "--H", "1", "--B", "5.6e-309"],
+                             capsys)
+    assert (code, err) == (0, "")
+    assert "verdict: NoOrthogonalIntersection\n" in out
 
 
 @pytest.mark.parametrize("argv", [
@@ -742,6 +775,19 @@ def test_verify_loose_root_tolerance_fails(capsys):
     assert [line.split()[0] for line in lines if " FAIL " in line] == [
         "AC13"]
     assert lines[-1] == "15/16 checks passed"
+
+
+def test_verify_prints_an_infinite_ratio(monkeypatch, capsys):
+    # ".3e" prints inf as inf; JSON has no inf, so it is null there
+    raised = CheckResult("AC0", "a check that raised", False, math.inf,
+                         "ZeroDivisionError: broke")
+    monkeypatch.setattr(cli, "run_checks", lambda root: [raised])
+    assert run_cli(["verify"], capsys) == (
+        1, "AC0   FAIL  ratio=inf  a check that raised  "
+           "[ZeroDivisionError: broke]\n0/1 checks passed\n", "")
+    code, out, _ = run_cli(["verify", "--format", "json"], capsys)
+    assert code == 1
+    assert json.loads(out)["worstRatio"] is None
 
 
 INVALID_TOLERANCES = [

@@ -204,3 +204,25 @@ def test_first_point_is_tried_first_and_only_inside_the_bracket():
     f, points = _recorded(lambda x: (x - 0.3, 1.0))
     find_root(f, 0.0, 1.0, DEFAULT_ROOT, 7.0)
     assert 7.0 not in points
+
+
+def test_a_bracket_of_adjacent_floats_returns_the_smaller_residual():
+    # x_tol below one ulp of the root: the bracket closes to two adjacent
+    # floats, which cannot shrink, and the end with the smaller |f| is
+    # the root
+    f, points = _recorded(lambda x: (x * x - 2.0, 2.0 * x))
+    root = find_root(f, 1.0, 2.0, RootConfig(x_tol=1e-300))
+    assert abs(root - math.sqrt(2.0)) <= math.ulp(math.sqrt(2.0))
+    other = [x for x in points if (points[x] > 0.0) != (points[root] > 0.0)
+             and abs(x - root) == math.ulp(root)]
+    assert len(other) == 1
+    assert abs(points[root]) <= abs(points[other[0]])
+
+
+def test_step_over_the_root_is_at_least_one_float():
+    # the root 1 + 1e-17 lies between 1 and the next float; from f(1) the
+    # Newton step and x_tol / 2 both leave 1 where it is, so the search
+    # steps one float over the root, and that bracket cannot shrink
+    f, points = _recorded(lambda x: (x - 1.0 - 1e-17, 1.0))
+    assert find_root(f, 0.0, 2.0, RootConfig(x_tol=1e-300)) == 1.0
+    assert list(points) == [0.0, 2.0, 1.0, math.nextafter(1.0, 2.0)]
