@@ -84,24 +84,34 @@ def _decide(x: np.ndarray, p: int) -> tuple:
     decided holds, "%.{p}g" prints the digits of the integer n (a float in
     [10^(p-1), 10^p), or 0 for a zero) at decimal exponent e; the module
     docstring proves it.  Elsewhere n and e mean nothing."""
+    # two float buffers serve in turn, and x is never written: a holds
+    # |x|, then |scaled - n|; scaled holds log10, 10^|k|, then a 10^k
     a = np.abs(x)
     zero = a == 0.0
-    nonzero = np.isfinite(a) & ~zero
-    a = np.where(nonzero, a, 1.0)
-    e = np.floor(np.log10(a)).astype(np.int64)
-    k = p - 1 - e
-    power = _pow10().take(np.minimum(np.abs(k), 22))
+    nonzero = np.isfinite(a)
+    nonzero &= ~zero
+    np.copyto(a, 1.0, where=~nonzero)
+    scaled = np.log10(a)
+    np.floor(scaled, out=scaled)
+    e = scaled.astype(np.int64)
+    k = np.subtract(p - 1, e)
     up = k >= 0
-    scaled = np.empty_like(a)
-    np.multiply(a, power, out=scaled, where=up)
-    np.divide(a, power, out=scaled, where=~up)
+    np.abs(k, out=k)
+    decided = k <= 22
+    # every index is in [0, 22] already, so "clip" changes none of them
+    _pow10().take(np.minimum(k, 22, out=k), out=scaled, mode="clip")
+    np.multiply(a, scaled, out=scaled, where=up)
+    np.divide(a, scaled, out=scaled, where=~up)
     n = np.rint(scaled)
-    decided = (nonzero & (np.abs(k) <= 22) & (scaled >= 10.0 ** (p - 1))
-               & (n < 10.0 ** p)
-               & (np.abs(scaled - n) < 0.5 - 4.0 * 10.0 ** p * 2.0 ** -53))
+    decided &= nonzero
+    decided &= scaled >= 10.0 ** (p - 1)
+    decided &= n < 10.0 ** p
+    np.abs(np.subtract(scaled, n, out=a), out=a)
+    decided &= a < 0.5 - 4.0 * 10.0 ** p * 2.0 ** -53
     # a zero is the digit 0 at e = log10(1) = 0: "0", or "-0"
     n[zero] = 0.0
-    return decided | zero, n, e
+    decided |= zero
+    return decided, n, e
 
 
 def format_g(x: np.ndarray, p: int) -> np.ndarray:

@@ -226,6 +226,15 @@ def test_export_scene_matches_line_formatter_across_digit_widths():
     assert b"f 9//9 " in got and b" 100//100" in got
 
 
+def test_export_matches_line_formatter_across_six_digit_indices():
+    # 320 x 320 = 102400 vertices: one object's faces cross 99999 -> 100000
+    mesh = revolve(EXAMPLE, -1.0, 1.0, 320, 320)
+    named = [("portion", mesh)]
+    got = _scene_bytes(named)
+    assert got == _loop_format_scene(named)
+    assert b" 99999//99999" in got and b" 100000//100000" in got
+
+
 def test_export_matches_line_formatter_on_edge_values():
     # where %g switches between fixed and exponent notation, signed
     # zero, the smallest subnormal and values that round up a digit

@@ -71,6 +71,22 @@ def test_a_log10_off_by_one_changes_no_byte(p, shift, monkeypatch):
     assert kernel(values, p) == printf(values, p)
 
 
+def test_the_kernels_leave_their_input_alone():
+    # ravel() returns a view of a contiguous 1-D column, not a copy, so
+    # the kernels see the caller's memory
+    values = np.concatenate((EDGE, -EDGE, [5e-320, -1e-310, 1e-30, -1e40]))
+    assert np.shares_memory(np.asarray(values).ravel(), values)
+    bits = values.view(np.uint64).copy()
+    for p in (9, 12):
+        format_g(values, p)
+        np.testing.assert_array_equal(values.view(np.uint64), bits)
+    n = np.array([0, 7, 10, 99999, 100000, 2 ** 53 + 1], dtype=np.uint64)
+    assert np.shares_memory(np.asarray(n).ravel(), n)
+    kept = n.copy()
+    format_int(n)
+    np.testing.assert_array_equal(n, kept)
+
+
 def test_named_ties_round_half_to_even():
     assert kernel(np.array([1234567885.0]), 9) == b"1.23456788e+09\n"
     assert kernel(np.array([1234567890125.0]), 12) == b"1.23456789012e+12\n"
