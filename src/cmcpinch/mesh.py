@@ -16,10 +16,10 @@ Each object's v, vn and f records are formatted as one block each by the
 vectorised kernel of ``textfmt`` and written to the sink block by block;
 the bytes are those of printf "%.9g" and "%d", one line at a time.  The
 v and vn blocks, about 16% NUL, lose their NULs to ``lines``'
-``bytes.translate``; the f block is built row-major and, with about 2.4%
-NUL, is squeezed with ``bytes.replace``, which there costs 0.55 ns a
-byte against translate's 0.9 on a 2-vCPU Xeon (and 2.9 against 1.0 on
-a v block).
+``translate``; the f block is built row-major and, with about 2.4% NUL,
+is squeezed with ``replace``.  On a 2-vCPU Xeon replace costs about
+0.55 ns a byte on an f block, against 0.55 (bytearray) to 0.9 (bytes)
+for translate, and 2.9 on a v block, against translate's 1.0.
 """
 from __future__ import annotations
 
@@ -29,7 +29,7 @@ from typing import BinaryIO, Optional, Sequence
 
 from ._np import np
 from .delaunay import DelaunayParams, profile
-from .textfmt import format_g, format_int, join, lines
+from .textfmt import format_g, format_int, join, lines, text_rows
 
 
 @dataclass(frozen=True)
@@ -141,8 +141,8 @@ def _write_scene(named: Sequence[tuple[Optional[str], TriangleMesh]],
     Each block goes to the sink as soon as it is formatted, so no
     whole-file string is built.  Face records gather the " i//i" text of
     each vertex index, with the scene offset applied, three to a row of
-    one row-major (faces, 3 w + 2) block that starts each row with "f"
-    and ends it with a newline; its sparse NULs go in one
+    one row-major (faces, 3 w + 2) ``text_rows`` block that starts each
+    row with "f" and ends it with a newline; its sparse NULs go in one
     ``bytes.replace``.
     """
     offset = 0
@@ -158,12 +158,12 @@ def _write_scene(named: Sequence[tuple[Optional[str], TriangleMesh]],
         # into the row-major f block
         token = join([b" ", index, b"//", index])
         m, w = len(mesh.triangles), token.shape[1]
-        face = np.empty((m, 3 * w + 2), dtype=np.uint8)
+        text, face = text_rows(m, 3 * w + 2)
         face[:, 0] = ord("f")
         face[:, -1] = ord("\n")
         token.take(mesh.triangles, axis=0,
                    out=face[:, 1:-1].reshape(m, 3, w))
-        destination.write(face.tobytes().replace(b"\0", b""))
+        destination.write(text.replace(b"\0", b""))
         offset += n
 
 

@@ -5,10 +5,11 @@
 r holds character slot r of every element, and a slot that an element
 does not use holds NUL.  ``format_int`` does the same for non-negative
 integers.  ``join(parts)`` lays blocks and byte literals side by side,
-one element per row, leaving out the block rows no element uses, and
-``lines(parts)`` turns that into text lines with one
-``bytes.translate(None, b"\\0")``.  The OBJ writer in ``mesh`` and the
-profile table in ``cli`` print every number through these.
+one element per row, leaving out the block rows no element uses, in the
+bytearray of ``text_rows``, and ``lines(parts)`` turns that into text
+lines with one ``translate(None, b"\\0")`` of it, with no ``tobytes()``
+copy.  The OBJ writer in ``mesh`` and the profile table in ``cli`` print
+every number through these.
 
 Why the digits are exact (p <= 15).  For finite x != 0 let a = |x|,
 e = floor(log10 a) as computed, k = p - 1 - e and t = a 10^k, the exact
@@ -187,12 +188,16 @@ def format_int(n: np.ndarray) -> np.ndarray:
     return block
 
 
-def join(parts: Sequence[Union[bytes, np.ndarray]]) -> np.ndarray:
-    """The parts side by side, one element per row: each byte literal as
-    is and each block's column for that element, NUL padding kept.
+def text_rows(count: int, width: int) -> tuple:
+    """(text, block): a zeroed bytearray of ``count`` rows of ``width``
+    bytes and its (count, width) uint8 view.  numpy fills the text in
+    place, and bytes methods then read it with no tobytes() copy."""
+    text = bytearray(count * width)
+    return text, np.frombuffer(text, dtype=np.uint8).reshape(count, width)
 
-    Rows of a block that no element uses are left out.
-    """
+
+def _join(parts: Sequence[Union[bytes, np.ndarray]]) -> tuple:
+    """(text, block) of ``text_rows`` holding ``join(parts)``."""
     count = next(part.shape[1] for part in parts
                  if not isinstance(part, bytes))
     pieces = []
@@ -202,15 +207,23 @@ def join(parts: Sequence[Union[bytes, np.ndarray]]) -> np.ndarray:
         else:
             used = part.any(axis=1)
             pieces.append(part if used.all() else part[used])
-    out = np.empty((count, sum(len(piece) for piece in pieces)),
-                   dtype=np.uint8)
+    text, out = text_rows(count, sum(len(piece) for piece in pieces))
     column = 0
     for piece in pieces:
         out[:, column:column + len(piece)] = piece.T
         column += len(piece)
-    return out
+    return text, out
 
 
-def lines(parts: Sequence[Union[bytes, np.ndarray]]) -> bytes:
+def join(parts: Sequence[Union[bytes, np.ndarray]]) -> np.ndarray:
+    """The parts side by side, one element per row: each byte literal as
+    is and each block's column for that element, NUL padding kept.
+
+    Rows of a block that no element uses are left out.
+    """
+    return _join(parts)[1]
+
+
+def lines(parts: Sequence[Union[bytes, np.ndarray]]) -> bytearray:
     """One text line per element from ``join(parts)``, every NUL dropped."""
-    return join(parts).tobytes().translate(None, b"\0")
+    return _join(parts)[0].translate(None, b"\0")

@@ -2,7 +2,8 @@
 import numpy as np
 import pytest
 
-from cmcpinch.textfmt import _decide, format_g, format_int, join, lines
+from cmcpinch.textfmt import (_decide, format_g, format_int, join, lines,
+                              text_rows)
 
 
 def printf(values, p):
@@ -132,3 +133,11 @@ def test_join_drops_rows_no_element_uses():
     assert block.shape[0] == 27
     assert join([b"<", block, b">"]).tolist() == [
         list(b"<1.5\0>"), list(b"<2.25>")]
+
+
+def test_text_rows_block_is_a_view_of_its_text():
+    text, block = text_rows(2, 3)
+    assert text == bytearray(6)
+    block[:] = [list(b"ab\0"), list(b"c\0d")]
+    assert text == b"ab\0c\0d"
+    assert lines([format_int(np.array([7, 10])), b"\n"]) == b"7\n10\n"
