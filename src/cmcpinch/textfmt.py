@@ -66,18 +66,20 @@ def _digit_rows(n: np.ndarray, count: int) -> np.ndarray:
     rows = np.empty((count, len(n)), dtype=np.uint8)
     # nine digits at a time, in uint32 arithmetic
     for stop in range(count, 0, -9):
-        chunk = (n % np.uint64(10 ** 9)).astype(np.uint32)
-        n = n // np.uint64(10 ** 9)
+        high = n // np.uint64(10 ** 9)
+        chunk = (n - high * np.uint64(10 ** 9)).astype(np.uint32)
+        n = high
         for j in range(stop - 1, max(stop - 9, 0) - 1, -1):
             q = chunk // np.uint32(10)
-            rows[j] = chunk - q * np.uint32(10)
+            np.subtract(chunk, q * np.uint32(10), out=rows[j],
+                        casting="unsafe")
             chunk = q
     return rows
 
 
-def _char(mask: np.ndarray, char: str) -> np.ndarray:
+def _char(mask: np.ndarray, char: str, out=None) -> np.ndarray:
     """char where the mask holds, NUL elsewhere (a product, not a branch)."""
-    return np.multiply(mask, np.uint8(ord(char)))
+    return np.multiply(mask, np.uint8(ord(char)), out=out)
 
 
 def _decide(x: np.ndarray, p: int) -> tuple:
@@ -122,7 +124,8 @@ def format_g(x: np.ndarray, p: int) -> np.ndarray:
         raise ValueError("format_g supports 1 <= p <= 15")
     x = np.asarray(x, dtype=np.float64).ravel()
     decided, near, e = _decide(x, p)
-    digits = _digit_rows(np.where(decided, near, 0.0).astype(np.uint64), p)
+    np.copyto(near, 0.0, where=~decided)
+    digits = _digit_rows(near.astype(np.uint64), p)
 
     # digits kept once trailing zeros are dropped (at least the first)
     kept = np.full(len(x), p, dtype=np.int8)
@@ -130,7 +133,8 @@ def format_g(x: np.ndarray, p: int) -> np.ndarray:
     for j in range(p - 1, 0, -1):
         trailing &= digits[j] == 0
         kept -= trailing
-    e = np.where(decided, e, 0).astype(np.int8)
+    np.copyto(e, 0, where=~decided)
+    e = e.astype(np.int8)
     fixed = (-4 <= e) & (e < p)
     small = fixed & (e < 0)          # 0.000ddd
     # fixed notation prints every digit up to the units digit
@@ -145,15 +149,16 @@ def format_g(x: np.ndarray, p: int) -> np.ndarray:
     width = 2 * p + 9
     slots = np.arange(p, dtype=np.int8)[:, None]
     block = np.empty((width, len(x)), dtype=np.uint8)
-    block[0] = _char(np.signbit(x), "-")
-    block[1] = _char(small, "0")
-    block[2] = _char(small, ".")
-    block[3:6] = _char(slots[:3] < np.where(small, -1 - e, 0), "0")
+    _char(np.signbit(x), "-", out=block[0])
+    _char(small, "0", out=block[1])
+    _char(small, ".", out=block[2])
+    _char(slots[:3] < np.where(small, -1 - e, 0), "0", out=block[3:6])
     pairs = block[6:6 + 2 * p].reshape(p, 2, len(x))
-    pairs[:, 0] = (digits + np.uint8(ord("0"))) * (slots < shown)
-    pairs[:-1, 1] = _char(slots[:-1] == point, ".")
+    digits += np.uint8(ord("0"))
+    np.multiply(digits, slots < shown, out=pairs[:, 0])
+    _char(slots[:-1] == point, ".", out=pairs[:-1, 1])
     expo = ~fixed
-    block[-4] = _char(expo, "e")
+    _char(expo, "e", out=block[-4])
     block[-3] = _char(expo & (e < 0), "-") + _char(expo & (e >= 0), "+")
     magnitude = np.abs(e)
     block[-2] = (magnitude // 10 + ord("0")) * expo
