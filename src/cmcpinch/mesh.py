@@ -143,7 +143,7 @@ def _write_scene(named: Sequence[tuple[Optional[str], TriangleMesh]],
     each vertex index, with the scene offset applied, three to a row of
     one row-major (faces, 3 w + 2) ``text_rows`` block that starts each
     row with "f" and ends it with a newline; its sparse NULs go in one
-    ``bytes.replace``.
+    ``replace``.
     """
     offset = 0
     for name, mesh in named:
