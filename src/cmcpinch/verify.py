@@ -356,21 +356,38 @@ def _check_radial_boundary(ctx: _Context, r: _Ratios) -> None:
         r.bound(p.R0 * abs(st.dx) / st.x - 1.0, 1e-6)
 
 
-def _parse_obj(text: str):
-    """The v, vn and f blocks, each converted by one np.loadtxt call,
-    which raises on a field that is not a number and on a record whose
-    field count differs from the others'; f keeps its vertex indices."""
-    blocks = {"v": [], "vn": [], "f": []}
-    for line in text.splitlines():
-        tag, _, rest = line.partition(" ")
-        if tag in blocks:
-            blocks[tag].append(rest)
-    vs = np.loadtxt(blocks["v"], ndmin=2)
-    vns = np.loadtxt(blocks["vn"], ndmin=2)
+def _read_block(block: bytes, tag: bytes, kind, shape) -> np.ndarray:
+    """The rows of one block of records tagged ``tag``, read by one
+    np.loadtxt call with the tag as a field of the record."""
+    # a longer tag is cut to three bytes, which no block's tag equals
+    table = np.loadtxt(io.BytesIO(block), ndmin=1,
+                       dtype=[("tag", "S3"), ("row", kind, shape)])
+    if not (table["tag"] == tag).all():
+        raise ValueError(f"a record in the {tag.decode()} block has "
+                         f"another tag")
+    return table["row"]
+
+
+def _parse_obj(data: bytes):
+    """The v, vn and f blocks of one exported object, found in the order
+    export_obj writes them and each read by one np.loadtxt call.  Its C
+    parser raises on a field that is not a number and on a record with
+    a field too many or too few; a record tagged for another block, a
+    missing block and a face whose normal index differs from its vertex
+    index raise too.  f keeps its vertex indices."""
+    vn = data.find(b"\nvn ") + 1
+    f = data.find(b"\nf ", vn) + 1
+    if not 0 < vn < f:
+        raise ValueError("the OBJ lacks its vn or f block")
+    vs = _read_block(data[:vn], b"v", float, 3)
+    vns = _read_block(data[vn:f], b"vn", float, 3)
     # "i//i" tokens: vertex and normal index
-    faces = np.loadtxt([f.replace("//", " ") for f in blocks["f"]],
-                       dtype=np.int64, ndmin=2)
-    return vs, vns, faces[:, 0::2]
+    faces = _read_block(data[f:].replace(b"//", b" "), b"f", np.int64,
+                        (3, 2))
+    if not (faces[..., 0] == faces[..., 1]).all():
+        raise ValueError("a face's normal index differs from its vertex "
+                         "index")
+    return vs, vns, faces[..., 0]
 
 
 @_check("AC16", "OBJ re-parses: boundary rings at radius R0 +- 1e-6, all "
@@ -382,7 +399,7 @@ def _check_mesh_export(ctx: _Context, r: _Ratios) -> str:
     m = revolve(EXAMPLE, -p.s_bar, p.s_bar, n_mer, n_par)
     sink = io.BytesIO()
     export_obj(m, sink)
-    vs, vns, faces = _parse_obj(sink.getvalue().decode("ascii"))
+    vs, vns, faces = _parse_obj(sink.getvalue())
     r.require(vs.shape == m.vertices.shape)
     r.require(vns.shape == m.normals.shape)
     r.require(faces.shape == m.triangles.shape)
@@ -398,7 +415,9 @@ def _check_mesh_export(ctx: _Context, r: _Ratios) -> str:
     pairs = np.sort(np.concatenate((faces[:, [0, 1]], faces[:, [1, 2]],
                                     faces[:, [2, 0]])), axis=1)
     pairs -= pairs.min()
-    n_edges = len(np.unique(pairs[:, 0] * (pairs.max() + 1) + pairs[:, 1]))
+    keys = pairs[:, 0] * (pairs.max() + 1) + pairs[:, 1]
+    keys.sort()
+    n_edges = 1 + np.count_nonzero(np.diff(keys))
     euler = len(vs) - n_edges + len(faces)
     r.require(euler == 0)
     return f"V={len(vs)} E={n_edges} F={len(faces)} chi={euler}"

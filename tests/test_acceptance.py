@@ -152,11 +152,61 @@ def _garble_coordinate(lines):
     return lines
 
 
+def _extra_vertex_field(lines):
+    i = _records(lines, "v")[0]
+    lines[i] = lines[i].rstrip("\n") + " 0\n"
+    return lines
+
+
+def _short_normal(lines):
+    i = _records(lines, "vn")[-1]
+    lines[i] = lines[i].rsplit(" ", 1)[0] + "\n"
+    return lines
+
+
+def _normal_among_vertices(lines):
+    # the first vn record, moved to the middle of the v block
+    vertices = _records(lines, "v")
+    lines.insert(vertices[len(vertices) // 2],
+                 lines.pop(_records(lines, "vn")[0]))
+    return lines
+
+
+def _long_normal_tag(lines):
+    # a tag that a two-byte field would cut back to "vn"
+    i = _records(lines, "vn")[1]
+    lines[i] = "vnn" + lines[i][2:]
+    return lines
+
+
+def _drop_normals(lines):
+    return [line for line in lines if not line.startswith("vn ")]
+
+
+def _face_normal_differs(lines):
+    i = _records(lines, "f")[0]
+    tag, first, rest = lines[i].split(" ", 2)
+    a = int(first.partition("//")[0])
+    lines[i] = f"{tag} {a}//{a + 1} {rest}"
+    return lines
+
+
 # the detail shows the count of each block, or the parse error
 @pytest.mark.parametrize("corrupt, detail", [
     (_push_vertex_out, "V=4096 E=12160 F=8064 chi=0"),
     (_drop_face, "V=4096 E=12160 F=8063 chi=-1"),
     (_garble_coordinate, "ValueError: could not convert string '"),
+    (_extra_vertex_field, "ValueError: the dtype passed requires 4 columns "
+                          "but 5 were found"),
+    (_short_normal, "ValueError: the dtype passed requires 4 columns "
+                    "but 3 were found"),
+    (_normal_among_vertices, "ValueError: a record in the vn block has "
+                             "another tag"),
+    (_long_normal_tag, "ValueError: a record in the vn block has "
+                       "another tag"),
+    (_drop_normals, "ValueError: the OBJ lacks its vn or f block"),
+    (_face_normal_differs, "ValueError: a face's normal index differs "
+                           "from its vertex index"),
 ])
 def test_ac16_fails_on_a_corrupted_obj(corrupt, detail, results,
                                        monkeypatch):
@@ -178,15 +228,20 @@ def test_ac16_fails_on_a_corrupted_obj(corrupt, detail, results,
 
 def test_obj_parse_equals_python_float_bit_for_bit():
     golden = (pathlib.Path(__file__).parent / "golden"
-              / "mesh_H0.1_B0.9_r16_sphere.obj").read_text()
-    vs, vns, faces = verify._parse_obj(golden)
-    lines = [line.split() for line in golden.splitlines()]
-    for table, tag in ((vs, "v"), (vns, "vn")):
-        ref = np.array([[float(t) for t in p[1:]] for p in lines
-                        if p[0] == tag])
-        assert np.array_equal(table.view(np.int64), ref.view(np.int64))
-    assert faces.tolist() == [[int(t.partition("//")[0]) for t in p[1:]]
-                              for p in lines if p[0] == "f"]
+              / "mesh_H0.1_B0.9_r16_sphere.obj").read_bytes()
+    # the scene's two objects, each read on its own from after its o line
+    objects = [chunk.partition(b"\n")[2]
+               for chunk in (b"\n" + golden).split(b"\no ")[1:]]
+    assert len(objects) == 2
+    for data in objects:
+        vs, vns, faces = verify._parse_obj(data)
+        lines = [line.split() for line in data.decode("ascii").splitlines()]
+        for table, tag in ((vs, "v"), (vns, "vn")):
+            ref = np.array([[float(t) for t in p[1:]] for p in lines
+                            if p[0] == tag])
+            assert np.array_equal(table.view(np.int64), ref.view(np.int64))
+        assert faces.tolist() == [[int(t.partition("//")[0]) for t in p[1:]]
+                                  for p in lines if p[0] == "f"]
 
 
 def _sample_rows_one_at_a_time():
