@@ -159,18 +159,17 @@ def cmd_profile(args: argparse.Namespace) -> int:
             pa = analyze_point(st)
             has_g = np.abs(st.dz) >= 1e-12
             g = st.x - (st.dx / np.where(has_g, st.dz, 1.0)) * st.z
-            cells = np.column_stack(
-                [st.s, st.x, st.z, st.dx, st.dz, st.ddx, st.ddz, pa.k1,
-                 pa.k2, pa.support, pa.lambda1, pa.lambda2, pa.phi_sq,
-                 pa.gap, np.where(has_g, g, 0.0)])
-        finite = bool(np.isfinite(cells).all())
+            columns = [st.s, st.x, st.z, st.dx, st.dz, st.ddx, st.ddz,
+                       pa.k1, pa.k2, pa.support, pa.lambda1, pa.lambda2,
+                       pa.phi_sq, pa.gap, np.where(has_g, g, 0.0)]
+        finite = all(np.isfinite(column).all() for column in columns)
     except FloatingPointError:
         finite = False
     if not finite:
         raise OverflowError("the profile table holds a value that is not a "
                             "finite float")
     # each cell as "%.12g", with g blank where z' vanishes
-    blocks = [format_g(column, 12) for column in cells.T]
+    blocks = [format_g(column, 12) for column in columns]
     blocks[-1][:, ~has_g] = 0
     row = []
     for block in blocks:
