@@ -36,13 +36,6 @@ from ._np import np
 CYLINDER = "cylinder"
 UNDULOID = "unduloid"
 NODOID = "nodoid"
-# (sqrt, sin, cos, any) on one float and, from _array_ops, on arrays
-_FLOAT_OPS = (math.sqrt, math.sin, math.cos, bool)
-
-
-def _array_ops() -> tuple:
-    """_FLOAT_OPS for arrays; the first call loads numpy."""
-    return np.sqrt, np.sin, np.cos, np.any
 
 
 @dataclass(frozen=True)
@@ -94,17 +87,17 @@ def profile(params: DelaunayParams, s) -> GeneratrixState:
     H = params.H
     B = params.B
     if isinstance(s, float):
-        (sqrt, sin, *_), z = _FLOAT_OPS, z_of(params, s)
+        xp, z = math, z_of(params, s)
     else:
         s = np.asarray(s, dtype=float)
-        (sqrt, sin, *_), z = _array_ops(), z_many(params, s)
+        xp, z = np, z_many(params, s)
     hs = H * s
-    sn = sin(hs)
-    h = sin(0.5 * hs)
+    sn = xp.sin(hs)
+    h = xp.sin(0.5 * hs)
     hh = h * h
     om = 1.0 - B
     q = om * om + 4.0 * B * hh
-    rq = sqrt(q)
+    rq = xp.sqrt(q)
     one_minus_bc = om + 2.0 * B * hh
     c_minus_b = om - 2.0 * hh
     return GeneratrixState(
@@ -122,7 +115,7 @@ _QF = (3.0 * 2.0 ** -53) ** (-1.0 / 6.0)
 _QD = (0.25 * 2.0 ** -53) ** (-1.0 / 6.0)
 
 
-def _carlson_fd(x, y, z, ops):
+def _carlson_fd(x, y, z, xp):
     """Carlson's R_F(x, y, z) and R_D(x, y, z) for x, y >= 0, z > 0.
 
     One duplication loop serves both (B. C. Carlson, Numer. Algorithms
@@ -131,11 +124,11 @@ def _carlson_fd(x, y, z, ops):
     |A_0 - z|: that bounds DLMF's maximum from above, so the loop stops
     no earlier than the stated rule (at most one step later).  The loop
     is written twice, with the same statements in the same order: plain
-    on floats (ops is _FLOAT_OPS), and on arrays through np.where, so
+    on floats (xp is math), and on arrays through np.where, so
     each element stops at its own step and gets the bits of the float
     loop.  test_z_many_matches_z_of holds the two equal by float.hex.
     """
-    sqrt = ops[0]
+    sqrt = xp.sqrt
     af = (x + y + z) / 3.0
     ad = (x + y + 3.0 * z) / 5.0
     dxf, dyf = af - x, af - y
@@ -145,7 +138,7 @@ def _carlson_fd(x, y, z, ops):
     fac = 1.0
     tail = 0.0
     going = (qf >= af) | (qd >= ad)
-    if ops is _FLOAT_OPS:
+    if xp is math:
         while going:
             sx, sy, sz = sqrt(x), sqrt(y), sqrt(z)
             lam = sx * (sy + sz) + sy * sz
@@ -192,7 +185,7 @@ def _carlson_fd(x, y, z, ops):
     return rf, rd
 
 
-def _carlson_g(B: float, sr, cr, ops):
+def _carlson_g(B: float, sr, cr, xp):
     """G(r) = 2 (1-B) sin r R_F + (4 B a / 3) sin^3 r R_D, a = (1-B)^2.
 
     The arguments are (a cos^2 r, a + 4 B sin^2 r, a), all nonnegative,
@@ -200,7 +193,7 @@ def _carlson_g(B: float, sr, cr, ops):
     """
     om = 1.0 - B
     a = om * om
-    rf, rd = _carlson_fd(a * cr * cr, a + 4.0 * B * sr * sr, a, ops)
+    rf, rd = _carlson_fd(a * cr * cr, a + 4.0 * B * sr * sr, a, xp)
     return 2.0 * om * sr * rf + 4.0 * B * a / 3.0 * sr * sr * sr * rd
 
 
@@ -214,16 +207,15 @@ def _height(params: DelaunayParams, s):
     H s / 2, so z(s) = [G(r) + 2 k G(pi/2)] / H; 2 G(pi/2) / H is the
     height gained over one period 2 pi / H.
     """
-    ops = _FLOAT_OPS if isinstance(s, float) else _array_ops()
-    _, sin, cos, any_ = ops
+    xp = math if isinstance(s, float) else np
     B = params.B
     theta = 0.5 * (params.H * s)
     k = (theta / math.pi + 0.5) // 1.0
     r = theta - k * math.pi
-    g = _carlson_g(B, sin(r), cos(r), ops)
-    if any_(k):
+    g = _carlson_g(B, xp.sin(r), xp.cos(r), xp)
+    if (k if xp is math else np.any(k)):
         g = g + 2.0 * k * _carlson_g(
-            B, 1.0, 0.0, _FLOAT_OPS if isinstance(B, float) else ops)
+            B, 1.0, 0.0, math if isinstance(B, float) else xp)
     # + 0.0 makes z(-0) = +0, the empty integral, on every family
     return g / params.H + 0.0
 

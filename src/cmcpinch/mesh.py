@@ -72,20 +72,18 @@ def revolve(params: DelaunayParams, s_min: float, s_max: float,
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         prof = profile(params, ss)
 
-    theta = 2.0 * math.pi * np.arange(n_parallel) / n_parallel
-    ct = np.cos(theta)
-    st = np.sin(theta)
-
-    # vertex (i, j) -> row i * n_parallel + j
-    vertices = np.column_stack((np.outer(prof.x, ct).ravel(),
-                                np.outer(prof.x, st).ravel(),
-                                np.repeat(prof.z, n_parallel)))
-    normals = np.column_stack((np.outer(-prof.dz, ct).ravel(),
-                               np.outer(-prof.dz, st).ravel(),
-                               np.repeat(prof.dx, n_parallel)))
-
-    return TriangleMesh(vertices=vertices, normals=normals,
+    return TriangleMesh(vertices=_rings(prof.x, prof.z, n_parallel),
+                        normals=_rings(-prof.dz, prof.dx, n_parallel),
                         triangles=_ring_strips(n_meridian, n_parallel))
+
+
+def _rings(radius: np.ndarray, height: np.ndarray, n: int) -> np.ndarray:
+    """Ring i of n points at angles 2 pi j / n, radius[i] from the z axis
+    and at height[i]; point (i, j) is row i * n + j."""
+    theta = 2.0 * math.pi * np.arange(n) / n
+    return np.column_stack((np.outer(radius, np.cos(theta)).ravel(),
+                            np.outer(radius, np.sin(theta)).ravel(),
+                            np.repeat(height, n)))
 
 
 def _ring_strips(n_rings: int, n_per_ring: int, first: int = 0) -> np.ndarray:
@@ -112,11 +110,7 @@ def sphere(radius: float, n_lat: int = 32, n_lon: int = 64) -> TriangleMesh:
         raise ValueError("need n_lat >= 2 and n_lon >= 3")
 
     phi = math.pi * np.arange(1, n_lat) / n_lat
-    th = 2.0 * math.pi * np.arange(n_lon) / n_lon
-    ring_r = radius * np.sin(phi)
-    rings = np.column_stack((np.outer(ring_r, np.cos(th)).ravel(),
-                             np.outer(ring_r, np.sin(th)).ravel(),
-                             np.repeat(radius * np.cos(phi), n_lon)))
+    rings = _rings(radius * np.sin(phi), radius * np.cos(phi), n_lon)
     vertices = np.vstack(([0.0, 0.0, radius], rings, [0.0, 0.0, -radius]))
     normals = vertices / radius
 

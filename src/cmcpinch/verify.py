@@ -102,11 +102,6 @@ class _Shapes(NamedTuple):
     B: np.ndarray
 
 
-def _uniform(lo, hi, u):
-    # Generator.uniform(lo, hi) is lo + (hi - lo) * random(), bit for bit
-    return lo + (hi - lo) * u
-
-
 class _Context:
     """Tolerances and the inputs several checks share, each built once.
 
@@ -129,30 +124,19 @@ class _Context:
     def sample_rows(self) -> tuple[_Shapes, GeneratrixState, PointAnalysis]:
         """1000 random rows over all families, as one array state.
 
-        A row draws its family pick, then B unless it is a cylinder, then
-        H, then s in (-span, span).  The stream is drawn as one block and
-        each row reads its own draws, so every row is the one a draw at a
-        time would give; z, the profile and the analysis then run once on
-        arrays with per-row H and B.
+        Four seeded columns of uniform draws give each row its family
+        pick, B (0 for a cylinder), H and s in (-span, span); z, the
+        profile and the analysis then run once on arrays with per-row H
+        and B.
         """
-        draws = np.random.default_rng(20260819).random(4 * 1000)
-        starts = []
-        at = 0
-        for _ in range(1000):
-            starts.append(at)
-            at += 3 if draws[at] < 0.1 else 4
-        first = np.array(starts)
-        pick = draws[first]
-        cylinder = pick < 0.1
-        # the index of the row's draw of s; H is the draw before it
-        last = first + np.where(cylinder, 2, 3)
-        low = pick < 0.55
-        b = np.where(cylinder, 0.0,
-                     _uniform(np.where(low, 0.05, 1.15),
-                              np.where(low, 0.9, 2.5), draws[first + 1]))
-        h = _uniform(0.2, 2.0, draws[last - 1])
+        pick, u_b, u_h, u_s = np.random.default_rng(20260819).random(
+            (4, 1000))
+        b = np.where(pick < 0.1, 0.0,
+                     np.where(pick < 0.55, 0.05 + 0.85 * u_b,
+                              1.15 + 1.35 * u_b))
+        h = 0.2 + 1.8 * u_h
         span = np.minimum(6.0, 2.0 * math.pi / h)
-        s = _uniform(-span, span, draws[last])
+        s = span * (2.0 * u_s - 1.0)
         shapes = _Shapes(h, b)
         st = profile(shapes, s)
         return shapes, st, analyze_point(st)

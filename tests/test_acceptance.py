@@ -245,21 +245,20 @@ def test_obj_parse_equals_python_float_bit_for_bit():
 
 
 def _sample_rows_one_at_a_time():
-    """The sample set built a row at a time: scalar draws, then one
-    DelaunayParams, eval_state and analyze_point per row."""
-    rng = np.random.default_rng(20260819)
+    """The sample set built a row at a time: the row's four draws as
+    floats, then one DelaunayParams, eval_state and analyze_point."""
+    columns = np.random.default_rng(20260819).random((4, 1000))
     rows = []
-    for _ in range(1000):
-        pick = rng.random()
+    for pick, u_b, u_h, u_s in columns.T.tolist():
         if pick < 0.1:
             b = 0.0
         elif pick < 0.55:
-            b = float(rng.uniform(0.05, 0.9))
+            b = 0.05 + 0.85 * u_b
         else:
-            b = float(rng.uniform(1.15, 2.5))
-        h = float(rng.uniform(0.2, 2.0))
+            b = 1.15 + 1.35 * u_b
+        h = 0.2 + 1.8 * u_h
         span = min(6.0, 2.0 * math.pi / h)
-        s = float(rng.uniform(-span, span))
+        s = span * (2.0 * u_s - 1.0)
         params = DelaunayParams(h, b)
         st = eval_state(params, s)
         rows.append((params, st, analyze_point(st)))
@@ -267,9 +266,8 @@ def _sample_rows_one_at_a_time():
 
 
 def test_sample_set_is_the_row_at_a_time_set_bit_for_bit():
-    # one block of draws and one array state with per-row (H, B) must
-    # give every row's draws, state and analysis to the bit (float.hex
-    # tells -0 from +0)
+    # one array state with per-row (H, B) must give every row's shape,
+    # state and analysis to the bit (float.hex tells -0 from +0)
     shapes, st, pa = verify._Context(DEFAULT_ROOT).sample_rows
     rows = _sample_rows_one_at_a_time()
     assert len(shapes.H) == len(shapes.B) == len(rows) == 1000
