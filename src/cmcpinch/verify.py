@@ -22,10 +22,11 @@ classify, the report that analyze prints, and checks the bound
 H z(t_1) > pi/sqrt(2) > B that makes it 1.
 
 AC5-AC8 share one seeded sample set of 1000 points over all three
-families (_Context.sample_rows), evaluated as arrays with per-row (H, B)
-and bounded a table at a time.  AC4, AC9, AC11, AC13 and AC15 still
-evaluate single points through the float path, eval_state, and tests
-hold the float and array paths equal bit for bit.
+families (_Context.sample_rows), drawn as four seeded columns (family
+pick, B, H, s), evaluated as arrays with per-row (H, B) and bounded a
+table at a time.  AC4, AC9, AC11, AC13 and AC15 still evaluate single
+points through the float path, eval_state, and tests hold the float and
+array paths equal bit for bit.
 """
 from __future__ import annotations
 
