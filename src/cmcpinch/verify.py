@@ -24,9 +24,11 @@ H z(t_1) > pi/sqrt(2) > B that makes it 1.
 AC5-AC8 share one seeded sample set of 1000 points over all three
 families (_Context.sample_rows), drawn as four seeded columns (family
 pick, B, H, s), evaluated as arrays with per-row (H, B) and bounded a
-table at a time.  AC4, AC9, AC11, AC13 and AC15 still evaluate single
-points through the float path, eval_state, and tests hold the float and
-array paths equal bit for bit.
+table at a time.  AC4 and AC13 read their boundary and neck points
+from their own grids, and AC9 and AC10 evaluate their points as one
+array each; AC11 and AC15 evaluate their few points through the float
+path, eval_state, and tests hold the float and array paths equal bit
+for bit.
 """
 from __future__ import annotations
 
@@ -37,7 +39,7 @@ from functools import cached_property
 from typing import Callable, NamedTuple, Optional
 
 from ._np import np
-from .curvature import PointAnalysis, analyze_point, support_function
+from .curvature import PointAnalysis, analyze_point
 from .delaunay import (DelaunayParams, GeneratrixState, eval_state, profile,
                        z_of)
 from .freeboundary import (FreeBoundaryPortion, build_portion, classify,
@@ -204,13 +206,12 @@ def _check_example_portion(ctx: _Context, r: _Ratios) -> str:
     r.bound(p.orthogonality_residual, 1e-8)
     ss = np.linspace(-p.s_bar, p.s_bar, PORTION_SAMPLES)
     st = profile(EXAMPLE, ss)
-    min_gap = float(analyze_point(st).gap.min())
+    gap = analyze_point(st).gap
+    min_gap = float(gap.min())
     r.bound(min(min_gap, 0.0), 1e-8)
-    for sb in (p.s_bar, -p.s_bar):
-        st = eval_state(EXAMPLE, sb)
-        r.bound(analyze_point(st).gap - 2.0, 1e-6)
-    neck = eval_state(EXAMPLE, 0.0)
-    r.bound(analyze_point(neck).gap, 1e-10)
+    # the grid ends at -+sb exactly, and its odd count puts s = 0 mid-way
+    r.bound(gap[[0, -1]] - 2.0, 1e-6)
+    r.bound(gap[PORTION_SAMPLES // 2], 1e-10)
     return f"sBar={p.s_bar:.12g} R0={p.R0:.12g} minGap={min_gap:.3e}"
 
 
@@ -254,21 +255,17 @@ def _check_derivatives(ctx: _Context, r: _Ratios) -> None:
 
 @_check("AC9", "neck gap vanishes within 1e-12 on 20 unduloids")
 def _check_neck_gap(ctx: _Context, r: _Ratios) -> None:
-    for h in (0.1, 1.0):
-        for b in np.linspace(0.05, 0.95, 10):
-            params = DelaunayParams(h, float(b))
-            st = eval_state(params, 0.0)
-            r.bound(analyze_point(st).gap, 1e-12)
+    shapes = _Shapes(np.repeat([0.1, 1.0], 10),
+                     np.tile(np.linspace(0.05, 0.95, 10), 2))
+    r.bound(analyze_point(profile(shapes, np.zeros(20))).gap, 1e-12)
 
 
 @_check("AC10", "cylinder gap and lambda2 vanish within 1e-12 at 100 points")
 def _check_cylinder(ctx: _Context, r: _Ratios) -> None:
-    ss = np.linspace(-5.0, 5.0, 50)
-    for h in (1.0, 0.7):
-        params = DelaunayParams(h, 0.0)
-        pa = analyze_point(profile(params, ss))
-        r.bound(np.abs(pa.gap).max(), 1e-12)
-        r.bound(np.abs(pa.lambda2).max(), 1e-12)
+    shapes = _Shapes(np.repeat([1.0, 0.7], 50), np.zeros(100))
+    pa = analyze_point(profile(shapes, np.tile(np.linspace(-5.0, 5.0, 50), 2)))
+    r.bound(pa.gap, 1e-12)
+    r.bound(pa.lambda2, 1e-12)
 
 
 @_check("AC11", "n0 is the first index with z(t_n) > B/H, the gap there is "
@@ -309,10 +306,10 @@ def _check_nodoid(ctx: _Context, r: _Ratios) -> str:
     rb = p.s_bar
     r_top = nodoid_r0(NODOID_EXAMPLE)
     r.require(0.0 < rb < r_top)
-    boundary = eval_state(NODOID_EXAMPLE, rb)
-    r.bound(support_function(boundary) / p.R0, 5e-11)
     st = profile(NODOID_EXAMPLE, np.linspace(-rb, rb, 1000))
     pa = analyze_point(st)
+    # the grid ends at rb exactly
+    r.bound(pa.support[-1] / p.R0, 5e-11)
     r.require(bool(np.all((st.ddx > 0.0) & (st.dz < 0.0)
                           & (st.dx * st.z <= 0.0)
                           & (pa.k1 * pa.support >= 0.0)

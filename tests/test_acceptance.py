@@ -127,6 +127,32 @@ def test_an_example_that_is_not_pinched_names_its_verdict(
     assert VERDICT_NO_ORTHOGONAL in res.detail
 
 
+@pytest.mark.parametrize("scale", [1 + 1e-3, 1 - 1e-3])
+@pytest.mark.parametrize("portion, checks", [
+    ("example_portion", ["AC4", "AC15"]),
+    ("nodoid_portion", ["AC13", "AC15"]),
+])
+def test_a_portion_off_its_boundary_fails_the_checks_that_read_it(
+        portion, checks, scale):
+    # AC4 and AC13 read the boundary (and AC4 the neck) off their grids:
+    # an odd count of points from -sb to sb holds -sb, 0 and sb exactly
+    assert verify.PORTION_SAMPLES % 2 == 1
+    ctx = verify._Context(DEFAULT_ROOT)
+    p = getattr(ctx, portion)
+    grid = np.linspace(-p.s_bar, p.s_bar, verify.PORTION_SAMPLES)
+    assert (grid[0], grid[-1]) == (-p.s_bar, p.s_bar)
+    assert grid[verify.PORTION_SAMPLES // 2].hex() == (0.0).hex()
+    # AC13's 1000-point grid
+    assert np.linspace(-p.s_bar, p.s_bar, 1000)[-1] == p.s_bar
+    # sb one part in 10^3 off: each check that reads it fails.  Too
+    # short, every AC13 hypothesis still holds inside, so only its
+    # |u(rb)| bound can fail it
+    setattr(ctx, portion, dataclasses.replace(p, s_bar=p.s_bar * scale))
+    for check_id in checks:
+        res = dict(verify.CHECKS)[check_id](ctx)
+        assert not res.passed and res.worst_ratio > 1.0, check_id
+
+
 def _records(lines, tag):
     return [i for i, line in enumerate(lines) if line.startswith(tag + " ")]
 
