@@ -237,7 +237,7 @@ def cmd_mesh(args: argparse.Namespace) -> int:
     objects = [("portion", revolve(params, -p.s_bar, p.s_bar,
                                    args.resolution, args.resolution))]
     if args.include_sphere:
-        objects.append(("sphere", sphere(p.R0, max(args.resolution // 2, 2),
+        objects.append(("sphere", sphere(p.R0, args.resolution // 2,
                                          args.resolution)))
     for name, mesh in objects:
         if not (np.isfinite(mesh.vertices).all()

@@ -153,19 +153,30 @@ class AnalysisReport:
         Every length is divided by k = H / params.H; all else, the unit-ball
         scaled_params and s_bar_scaled included, is dilation-invariant and
         copied.  From an H = 1 report, k is H itself, as classify builds
-        every report.  A length that is not a finite float at H, or an sb
-        or R0 of 0, raises OverflowError naming it by its report key.
+        every report.  A length that is not a finite float at H (H =
+        1e-310 makes every length of an H = 1 report inf), or a size, sb
+        or R0, of 0, raises OverflowError naming it by its report key, so
+        no command prints inf, nan or a portion of no size for a valid
+        input.
         """
         k = H / self.params.H
 
-        def length(key: str, v: Optional[float]) -> Optional[float]:
-            return None if v is None else _scaled_length(key, v, k)
+        def length(key: str, v: Optional[float],
+                   size: bool = False) -> Optional[float]:
+            if v is None:
+                return None
+            out = v / k
+            if not math.isfinite(out):
+                raise OverflowError(f"{key} = {v!r} / {k!r} is not a finite "
+                                    "float")
+            if size and out == 0.0:
+                raise OverflowError(f"{key} = {v!r} / {k!r} underflows to 0")
+            return out
 
         p = self.portion
         if p is not None:
-            p = replace(p,
-                        s_bar=_scaled_length("sBar", p.s_bar, k, size=True),
-                        R0=_scaled_length("R0", p.R0, k, size=True),
+            p = replace(p, s_bar=length("sBar", p.s_bar, size=True),
+                        R0=length("R0", p.R0, size=True),
                         orthogonality_residual=length(
                             "orthogonalityResidual", p.orthogonality_residual))
         return replace(
@@ -175,24 +186,6 @@ class AnalysisReport:
             z_at_s0=length("zAtS0", self.z_at_s0), portion=p,
             violations=[v._replace(t=length(f"violations n={v.n} t", v.t))
                         for v in self.violations])
-
-
-def _scaled_length(key: str, length: float, k: float,
-                   size: bool = False) -> float:
-    """length / k, the length named key on the surface dilated by 1/k.
-
-    Raises OverflowError where the quotient is not a finite float (H =
-    1e-310 makes every length of an H = 1 report inf) or a size (sb, R0)
-    is 0, so no command prints inf, nan or a portion of no size for a
-    valid input.  The message names the length by key.
-    """
-    out = length / k
-    if not math.isfinite(out):
-        raise OverflowError(f"{key} = {length!r} / {k!r} is not a finite "
-                            "float")
-    if size and out == 0.0:
-        raise OverflowError(f"{key} = {length!r} / {k!r} underflows to 0")
-    return out
 
 
 def s0(params: DelaunayParams) -> float:
