@@ -26,7 +26,7 @@ r0 = arccos(1/B) / H, u falls from u(0) = (B - 1)/H > 0 to
 u(r0) = x' z < 0, so a root rb always exists and the portion is
 [-rb, rb].
 
-The solve (_crossing).  The bracket is [0, s0] or [0, r0], with no walk
+The solve (classify).  The bracket is [0, s0] or [0, r0], with no walk
 toward r0.  Each step is a Newton step on u, with u' = x'' z - x z''
 from the same profile evaluation, safeguarded by bisection
 (numerics.find_root).  It runs in neck units: the neck radius is
@@ -34,9 +34,9 @@ a = |1 - B| / H, and with l = min(1, |1 - B|) / H the bracket closes to
 x_tol * l, so sb and R0 carry x_tol relative accuracy however close B
 is to 1.  As B -> 1, sb / a -> sinh t0 and R0 / a -> sqrt(cosh^2 t0 +
 t0^2) with t0 tanh t0 = 1, the critical catenoid's crossing, and the
-first point tried is SINH_T0 * l.  classify, its one caller, keeps each
-profile state by s for one call, seeded with the dichotomy's s0 state,
-so no height is evaluated twice; the root's state gives R0 and u(sb).
+first point tried is SINH_T0 * l.  classify keeps each profile state by
+s for one call, seeded with the dichotomy's s0 state, so no height is
+evaluated twice; the root's state gives R0 and u(sb).
 
 Every portion is pinched, with min gap 0 at the neck, and lies in its
 ball.  At H = 1, with c = cos s: x, z', x'' are even and x', z odd, so
@@ -188,20 +188,6 @@ class AnalysisReport:
                         for v in self.violations])
 
 
-def s0(params: DelaunayParams) -> float:
-    """First positive zero of x'' for an unduloid: arccos(B) / H."""
-    if params.family != UNDULOID:
-        raise ValueError("s0 is defined for unduloids only")
-    return math.acos(params.B) / params.H
-
-
-def z0(params: DelaunayParams) -> float:
-    """Height threshold (1 - B^2) / (H B) of the unduloid dichotomy."""
-    if params.family != UNDULOID:
-        raise ValueError("z0 is defined for unduloids only")
-    return (1.0 - params.B * params.B) / (params.H * params.B)
-
-
 def _u_of_s(params: DelaunayParams, states: dict):
     # u = x' z - x z' and u' = x'' z - x z'', one profile per s, in states
     def u(s: float) -> tuple[float, float]:
@@ -212,37 +198,19 @@ def _u_of_s(params: DelaunayParams, states: dict):
     return u
 
 
-def _crossing(params: DelaunayParams, top: float, root_cfg: RootConfig,
-              states: dict) -> float:
-    """The zero of u in [0, top], in neck units (module docstring).
-
-    With l = min(1, |1 - B|) / H the bracket closes to x_tol * l, and the
-    first point tried after the ends is SINH_T0 * l.  The search leaves
-    every state it evaluates, the root's too, in states.
-    """
-    unit = min(1.0, abs(1.0 - params.B)) / params.H
-    cfg = replace(root_cfg, x_tol=max(root_cfg.x_tol * unit, math.ulp(0.0)))
-    return find_root(_u_of_s(params, states), 0.0, top, cfg, SINH_T0 * unit)
-
-
-def nodoid_r0(params: DelaunayParams) -> float:
-    """End of the inner nodoid branch: arccos(1/B) / H, where z' = 0."""
-    if params.family != NODOID:
-        raise ValueError("r0 is defined for nodoids only")
-    return math.acos(1.0 / params.B) / params.H
-
-
 def find_sbar(params: DelaunayParams,
               root_cfg: RootConfig = DEFAULT_ROOT) -> float:
     """The crossing sb in (0, s0] of an unduloid (module docstring)."""
-    s0(params)  # the family's ValueError
+    if params.family != UNDULOID:
+        raise ValueError("find_sbar is defined for unduloids only")
     return build_portion(params, root_cfg).s_bar
 
 
 def nodoid_find_rbar(params: DelaunayParams,
                      root_cfg: RootConfig = DEFAULT_ROOT) -> float:
     """The crossing rb in (0, r0) of a nodoid (module docstring)."""
-    nodoid_r0(params)  # the family's ValueError
+    if params.family != NODOID:
+        raise ValueError("nodoid_find_rbar is defined for nodoids only")
     return build_portion(params, root_cfg).s_bar
 
 
@@ -310,22 +278,28 @@ def classify(params: DelaunayParams,
     s = 0 and OverflowError when a length over H is inf, nan or, for sb
     and R0, 0.
     """
-    unit = DelaunayParams(1.0, params.B)
+    B, unit = params.B, DelaunayParams(1.0, params.B)
     family = params.family
     if family == CYLINDER:
         return AnalysisReport(unit, VERDICT_CYLINDER).at(params.H)
     if family == UNDULOID:
-        top = s0(unit)
+        top = math.acos(B)
         # one s0 state: the dichotomy's z(s0) and the search's u(s0)
         states = {top: eval_state(unit, top)}
-        fields = dict(s0=top, z0=z0(unit), z_at_s0=states[top].z)
+        fields = dict(s0=top, z0=(1.0 - B * B) / B, z_at_s0=states[top].z)
         if fields["z_at_s0"] < fields["z0"]:
             return AnalysisReport(unit, VERDICT_NO_ORTHOGONAL,
                                   **fields).at(params.H)
     else:
-        top, states = nodoid_r0(unit), {}
+        top, states = math.acos(1.0 / B), {}
         fields = dict(r0=top)
-    sb = _crossing(unit, top, root_cfg, states)
+    # the zero of u in [0, top] in neck units (module docstring): with
+    # neck = min(1, |1 - B|) the bracket closes to x_tol * neck and the
+    # first point tried after the ends is SINH_T0 * neck; states keeps
+    # every state the search evaluates, the root's too
+    neck = min(1.0, abs(1.0 - B))
+    cfg = replace(root_cfg, x_tol=max(root_cfg.x_tol * neck, math.ulp(0.0)))
+    sb = find_root(_u_of_s(unit, states), 0.0, top, cfg, SINH_T0 * neck)
     if family == UNDULOID:
         fields.update(violations=violation_points(unit, 3), n0=1)
     # s = 0, where u = B - 1 != 0, is no crossing

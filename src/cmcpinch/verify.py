@@ -17,9 +17,10 @@ composite Simpson rule (numerics.integrate, used only here) on z' in
 its cos form, which shares no code with the closed form or with
 profile's half-angle z'; the closed-form derivatives are compared
 against central differences; the mesh check re-parses the exported OBJ
-text rather than trusting the arrays it came from.  AC11 reads n0 from
-classify, the report that analyze prints, and checks the bound
-H z(t_1) > pi/sqrt(2) > B that makes it 1.
+text rather than trusting the arrays it came from.  AC1-AC3, AC11 and
+AC13 read s0, z0, z(s0), n0, t_n and r0 from the examples' classify
+reports, the ones analyze prints; AC11 checks the bound
+H z(t_1) > pi/sqrt(2) > B that makes n0 = 1.
 
 AC5-AC8 share one seeded sample set of 1000 points over all three
 families (_Context.sample_rows), drawn as four seeded columns (family
@@ -42,8 +43,8 @@ from ._np import np
 from .curvature import PointAnalysis, analyze_point
 from .delaunay import (DelaunayParams, GeneratrixState, eval_state, profile,
                        z_of)
-from .freeboundary import (FreeBoundaryPortion, build_portion, classify,
-                           nodoid_r0, s0, violation_points, z0)
+from .freeboundary import (AnalysisReport, FreeBoundaryPortion,
+                           build_portion, classify)
 from .mesh import export_obj, revolve
 from .numerics import DEFAULT_ROOT, RootConfig, integrate
 
@@ -116,12 +117,21 @@ class _Context:
         self.root = root
 
     @cached_property
+    def example(self) -> AnalysisReport:
+        return classify(EXAMPLE, self.root)
+
+    @cached_property
+    def nodoid(self) -> AnalysisReport:
+        return classify(NODOID_EXAMPLE, self.root)
+
+    # a report without a portion re-solves, so NoRootError names its verdict
+    @cached_property
     def example_portion(self) -> FreeBoundaryPortion:
-        return build_portion(EXAMPLE, self.root)
+        return self.example.portion or build_portion(EXAMPLE, self.root)
 
     @cached_property
     def nodoid_portion(self) -> FreeBoundaryPortion:
-        return build_portion(NODOID_EXAMPLE, self.root)
+        return self.nodoid.portion or build_portion(NODOID_EXAMPLE, self.root)
 
     @cached_property
     def sample_rows(self) -> tuple[_Shapes, GeneratrixState, PointAnalysis]:
@@ -167,14 +177,14 @@ def _check(check_id: str, description: str):
 
 @_check("AC1", "s0(0.1, 0.9) matches 4.51026 within 1e-4")
 def _check_s0_reference(ctx: _Context, r: _Ratios) -> str:
-    val = s0(EXAMPLE)
+    val = ctx.example.s0
     r.bound(val - S0_REF, 1e-4)
     return f"s0={val:.12g}"
 
 
 @_check("AC2", "z0(0.1, 0.9) equals 19/9 within 1e-12")
 def _check_z0_reference(ctx: _Context, r: _Ratios) -> str:
-    val = z0(EXAMPLE)
+    val = ctx.example.z0
     r.bound(val - Z0_REF, 1e-12)
     return f"z0={val:.17g}"
 
@@ -192,9 +202,9 @@ def _simpson_dz(
 
 @_check("AC3", "z(s0) for (0.1, 0.9) matches 2.71697 within 1e-4")
 def _check_z_at_s0_reference(ctx: _Context, r: _Ratios) -> str:
-    val = z_of(EXAMPLE, s0(EXAMPLE))
+    val = ctx.example.z_at_s0
     r.bound(val - Z_AT_S0_REF, 1e-4)
-    simpson = integrate(_simpson_dz(EXAMPLE), 0.0, s0(EXAMPLE))
+    simpson = integrate(_simpson_dz(EXAMPLE), 0.0, ctx.example.s0)
     r.bound(simpson - Z_AT_S0_REF, 1e-4)
     return f"z(s0)={val:.12g}"
 
@@ -271,8 +281,7 @@ def _check_cylinder(ctx: _Context, r: _Ratios) -> None:
 @_check("AC11", "n0 is the first index with z(t_n) > B/H, the gap there is "
                 "negative, and lambda1(t_n) = 1 within 1e-10")
 def _check_violation_sequence(ctx: _Context, r: _Ratios) -> str:
-    n0 = classify(EXAMPLE, ctx.root).n0
-    points = violation_points(EXAMPLE, n0 + 3)
+    n0, points = ctx.example.n0, ctx.example.violations
     r.require(z_of(EXAMPLE, points[n0 - 1].t) > EXAMPLE.B / EXAMPLE.H)
     # the proof's bound makes t_1 the first such point, so n0 must be 1
     r.require(n0 == 1 and EXAMPLE.H * z_of(EXAMPLE, points[0].t)
@@ -304,7 +313,7 @@ def _check_nodoid(ctx: _Context, r: _Ratios) -> str:
     # its two conclusions, k1 u >= 0 (lambda1 >= 1) and lambda2 >= 0
     p = ctx.nodoid_portion
     rb = p.s_bar
-    r_top = nodoid_r0(NODOID_EXAMPLE)
+    r_top = ctx.nodoid.r0
     r.require(0.0 < rb < r_top)
     st = profile(NODOID_EXAMPLE, np.linspace(-rb, rb, 1000))
     pa = analyze_point(st)

@@ -15,8 +15,7 @@ import pytest
 
 from cmcpinch import freeboundary, verify
 from cmcpinch.curvature import PointAnalysis, analyze_point
-from cmcpinch.delaunay import (DelaunayParams, GeneratrixState, eval_state,
-                               z_of)
+from cmcpinch.delaunay import DelaunayParams, GeneratrixState, eval_state
 from cmcpinch.freeboundary import AnalysisReport, VERDICT_NO_ORTHOGONAL
 from cmcpinch.numerics import DEFAULT_ROOT
 
@@ -51,20 +50,60 @@ def test_ac13_residual_bound_is_no_looser_than_the_g_bound():
     assert 5e-11 <= 1e-10 * abs(st.dz) / p.R0
 
 
-def test_the_battery_checks_the_numbers_analyze_prints():
-    # AC1-AC3, AC11 and AC13 reach s0, z0, z(s0), t_n and r0 by their
-    # own calls; each is the report's float, so a drift in
-    # AnalysisReport.at shows here (t only: the third gap is one ulp off)
-    rep = freeboundary.classify(verify.EXAMPLE)
-    s0 = freeboundary.s0(verify.EXAMPLE)
-    battery = [s0, freeboundary.z0(verify.EXAMPLE), z_of(verify.EXAMPLE, s0)]
-    assert [v.hex() for v in battery] == [
-        v.hex() for v in (rep.s0, rep.z0, rep.z_at_s0)]
-    assert [p.t.hex() for p in freeboundary.violation_points(
-        verify.EXAMPLE, 3)] == [p.t.hex() for p in rep.violations]
-    nodoid = freeboundary.classify(verify.NODOID_EXAMPLE)
-    assert freeboundary.nodoid_r0(verify.NODOID_EXAMPLE).hex() == (
-        nodoid.r0.hex())
+def _scaled(name, k):
+    # the report with one length times k; a report without it is kept
+    def misstate(rep):
+        v = getattr(rep, name)
+        return rep if v is None else dataclasses.replace(rep, **{name: v * k})
+    return misstate
+
+
+def _third_t_scaled(rep):
+    v = rep.violations
+    return rep if not v else dataclasses.replace(
+        rep, violations=[*v[:2], v[2]._replace(t=v[2].t * 1.001)])
+
+
+@pytest.mark.parametrize("check_id, misstate, ratio", [
+    ("AC1", _scaled("s0", 1.001), 45.2),
+    # s0 left at its H = 1 value, not divided by H
+    ("AC1", _scaled("s0", verify.EXAMPLE.H), 4.06e4),
+    ("AC2", _scaled("z0", 1.0 + 1e-9), 2111.0),
+    ("AC3", _scaled("z_at_s0", 1.001), 27.2),
+    ("AC13", _scaled("r0", 0.5), math.inf),
+    ("AC11", _third_t_scaled, 5.07e9),
+], ids=["s0-x1.001", "s0-not-over-H", "z0-x(1+1e-9)", "z(s0)-x1.001",
+        "r0-x0.5", "t3-x1.001"])
+def test_the_battery_checks_the_numbers_analyze_prints(
+        check_id, misstate, ratio, results, monkeypatch):
+    # AC1-AC3, AC11 and AC13 read s0, z0, z(s0), t_n and r0 from the
+    # classify reports that analyze prints: one field misstated through
+    # the name the battery calls fails the check that reads it
+    real = verify.classify
+    monkeypatch.setattr(verify, "classify",
+                        lambda params, root: misstate(real(params, root)))
+    res = dict(verify.CHECKS)[check_id](verify._Context(DEFAULT_ROOT))
+    assert res.description == results[check_id].description
+    assert not res.passed
+    assert res.worst_ratio == pytest.approx(ratio, rel=5e-3)
+
+
+def test_the_battery_classifies_each_example_once(monkeypatch):
+    # the two examples' reports are cached on the context; the third call
+    # is AC12's rescaled portion
+    calls = []
+    real = freeboundary.classify
+
+    def counting(params, root):
+        calls.append(params)
+        return real(params, root)
+
+    for module in (verify, freeboundary):
+        monkeypatch.setattr(module, "classify", counting)
+    verify.run_checks()
+    assert calls.count(verify.EXAMPLE) == 1
+    assert calls.count(verify.NODOID_EXAMPLE) == 1
+    assert len(calls) == 3
 
 
 @pytest.mark.parametrize("n0", [None, 2])
@@ -93,7 +132,8 @@ def test_each_check_maps_a_context_to_its_result():
         assert res.check_id == check_id
 
 
-# the checks that read a fixed example's portion, from build_portion
+# the checks that read a fixed example's portion, from its classify
+# report; a report without one re-solves through freeboundary's classify
 PORTION_CHECKS = ["AC4", "AC12", "AC13", "AC15", "AC16"]
 
 
@@ -103,7 +143,8 @@ def test_a_check_that_raises_fails_under_its_own_description(
     def broken(*args):
         raise ZeroDivisionError("classify broke")
 
-    monkeypatch.setattr(freeboundary, "classify", broken)
+    for module in (verify, freeboundary):
+        monkeypatch.setattr(module, "classify", broken)
     run = dict(verify.CHECKS)[check_id]
     res = run(verify._Context(DEFAULT_ROOT))
     assert res == verify.CheckResult(
@@ -117,7 +158,8 @@ def test_an_example_that_is_not_pinched_names_its_verdict(
     def not_pinched(params, root):
         return AnalysisReport(params=params, verdict=VERDICT_NO_ORTHOGONAL)
 
-    monkeypatch.setattr(freeboundary, "classify", not_pinched)
+    for module in (verify, freeboundary):
+        monkeypatch.setattr(module, "classify", not_pinched)
     run = dict(verify.CHECKS)[check_id]
     res = run(verify._Context(DEFAULT_ROOT))
     assert res.description == results[check_id].description

@@ -13,13 +13,13 @@ from cmcpinch import cli
 from cmcpinch.cli import main
 from cmcpinch.curvature import analyze_point
 from cmcpinch.delaunay import DelaunayParams, profile
-from cmcpinch.freeboundary import nodoid_r0
+from cmcpinch.freeboundary import classify
 from cmcpinch.numerics import NoSignChangeError
 from cmcpinch.verify import CheckResult
 from sampled_portion import sampled_min_gap
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
-NODOID_R0 = nodoid_r0(DelaunayParams(1.0, 1.5))
+NODOID_R0 = classify(DelaunayParams(1.0, 1.5)).r0
 
 
 def run_cli(argv, capsys):

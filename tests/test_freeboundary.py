@@ -11,8 +11,8 @@ from cmcpinch import curvature, delaunay, freeboundary, numerics, verify
 from cmcpinch.freeboundary import (VERDICT_CYLINDER, VERDICT_NO_ORTHOGONAL,
                                    VERDICT_PINCHED, NoRootError,
                                    build_portion, classify, find_n0,
-                                   find_sbar, nodoid_find_rbar, nodoid_r0, s0,
-                                   violation_points, z0)
+                                   find_sbar, nodoid_find_rbar,
+                                   violation_points)
 from sampled_portion import sampled_min_gap
 
 EXAMPLE = DelaunayParams(0.1, 0.9)
@@ -40,17 +40,17 @@ def nodoid_portion():
 
 
 def test_s0_example_value():
-    assert s0(EXAMPLE) == pytest.approx(4.510268117962624, rel=1e-14)
+    assert classify(EXAMPLE).s0 == pytest.approx(4.510268117962624, rel=1e-14)
 
 
 def test_s0_special_angle():
     # B = 1/2 puts the inflection at arccos(1/2)/H
-    assert s0(DelaunayParams(2.0, 0.5)) == pytest.approx(
+    assert classify(DelaunayParams(2.0, 0.5)).s0 == pytest.approx(
         math.pi / 6.0, rel=1e-14)
 
 
 def test_s0_is_first_ddx_zero():
-    top = s0(EXAMPLE)
+    top = classify(EXAMPLE).s0
     for s in np.linspace(1e-3, top * 0.999, 200):
         assert profile(EXAMPLE, float(s)).ddx > 0.0
     assert profile(EXAMPLE, top).ddx == pytest.approx(
@@ -59,31 +59,24 @@ def test_s0_is_first_ddx_zero():
 
 
 def test_z0_example_value():
-    assert z0(EXAMPLE) == pytest.approx(19.0 / 9.0, abs=1e-12)
-
-
-def test_s0_z0_wrong_family():
-    for fn in (s0, z0):
-        with pytest.raises(ValueError):
-            fn(DelaunayParams(1.0, 0.0))
-        with pytest.raises(ValueError):
-            fn(NODOID_EX)
+    assert classify(EXAMPLE).z0 == pytest.approx(19.0 / 9.0, abs=1e-12)
 
 
 def test_dichotomy_matches_u_sign():
     # u(s0) = B (z(s0) - z0), so z(s0) >= z0 exactly when u(s0) >= 0
     for b in (0.3, 0.5, 0.7, 0.75, 0.8, 0.9, 0.95):
         params = DelaunayParams(1.0, b)
-        top = s0(params)
+        rep = classify(params)
+        top = rep.s0
         u = support_function(eval_state(params, top))
-        dichotomy = z_of(params, top) - z0(params)
+        dichotomy = z_of(params, top) - rep.z0
         assert u == pytest.approx(b * dichotomy, rel=1e-12, abs=1e-15)
         assert (u >= 0.0) == (dichotomy >= 0.0)
 
 
 def test_u_rises_toward_s0():
     # u' = x'' z - x z'' >= 0 on [0, s0], from u(0) = (B - 1)/H < 0
-    top = s0(EXAMPLE)
+    top = classify(EXAMPLE).s0
     u0, u_half, u_top = (support_function(eval_state(EXAMPLE, s))
                          for s in (0.0, top / 2.0, top))
     assert u0 == pytest.approx((EXAMPLE.B - 1.0) / EXAMPLE.H, rel=1e-12)
@@ -115,12 +108,12 @@ def test_find_sbar_wrong_family():
 
 
 def test_nodoid_r0_special_angle():
-    assert nodoid_r0(DelaunayParams(1.0, 2.0)) == pytest.approx(
+    assert classify(DelaunayParams(1.0, 2.0)).r0 == pytest.approx(
         math.pi / 3.0, rel=1e-14)
 
 
 def test_nodoid_branch_end():
-    r_top = nodoid_r0(NODOID_EX)
+    r_top = classify(NODOID_EX).r0
     assert profile(NODOID_EX, r_top).dz == pytest.approx(
         0.0, abs=1e-12)
     # z decreasing and radius strictly convex on the inner branch
@@ -132,15 +125,13 @@ def test_nodoid_branch_end():
 
 def test_nodoid_r0_wrong_family():
     with pytest.raises(ValueError):
-        nodoid_r0(EXAMPLE)
-    with pytest.raises(ValueError):
         nodoid_find_rbar(DelaunayParams(1.0, 0.0))
 
 
 def test_nodoid_rbar_golden():
     rb = nodoid_find_rbar(NODOID_EX)
     assert rb == pytest.approx(RBAR_GOLDEN, abs=1e-9)
-    assert 0.0 < rb < nodoid_r0(NODOID_EX)
+    assert 0.0 < rb < classify(NODOID_EX).r0
 
 
 def test_nodoid_rbar_is_orthogonal(nodoid_portion):
@@ -175,7 +166,7 @@ def test_profile_conditions_fail_at_violation_point():
 def test_profile_conditions_zero_set_branch():
     # z' = 0 at the nodoid branch end r0, where g has its pole; u = x' z
     # stays finite and negative there, the bracket end of the solve on u
-    st = eval_state(NODOID_EX, nodoid_r0(NODOID_EX))
+    st = eval_state(NODOID_EX, classify(NODOID_EX).r0)
     assert st.dz == pytest.approx(0.0, abs=1e-12)
     u = support_function(st)
     assert u == pytest.approx(st.dx * st.z, rel=1e-12)
@@ -407,7 +398,8 @@ def test_classify_no_orthogonal():
 def test_classify_nodoid():
     rep = classify(NODOID_EX)
     assert rep.verdict == VERDICT_PINCHED
-    assert rep.r0 == pytest.approx(nodoid_r0(NODOID_EX), rel=1e-14)
+    assert rep.r0 == pytest.approx(math.acos(1.0 / NODOID_EX.B) / NODOID_EX.H,
+                                   rel=1e-14)
     assert rep.s0 is None and rep.z0 is None
     assert rep.portion is not None
     assert rep.violations == []

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cmcpinch.delaunay import DelaunayParams
-from cmcpinch.freeboundary import SINH_T0, _u_of_s, nodoid_r0, s0
+from cmcpinch.freeboundary import SINH_T0, _u_of_s
 from cmcpinch.numerics import (DEFAULT_ROOT, SIMPSON_PANELS,
                                IterationLimitError, NonFiniteError,
                                NoSignChangeError, RootConfig, find_root,
@@ -161,11 +161,12 @@ def _meets_termination_rule(root, points, tol):
 
 def _u_bracket(b):
     # the unduloid's crossing in [0, s0] and the nodoid's in [0, r0]; at
-    # B = 0.3 there is none in [0, s0], but there is one period on
+    # B = 0.3 there is none in [0, s0], but there is one period on;
+    # s0 = arccos(B) / H and r0 = arccos(1/B) / H
     p = DelaunayParams(1.0, b)
     if b == 0.3:
-        return p, 2.0 * math.pi, 2.0 * math.pi + s0(p)
-    return p, 0.0, s0(p) if b < 1.0 else nodoid_r0(p)
+        return p, 2.0 * math.pi, 2.0 * math.pi + math.acos(p.B) / p.H
+    return p, 0.0, math.acos(p.B if b < 1.0 else 1.0 / p.B) / p.H
 
 
 # the most evaluations measured for one crossing on these shapes is 9; the

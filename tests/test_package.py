@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import pathlib
@@ -80,6 +81,16 @@ def test_analyze_and_the_float_api_never_load_numpy():
     spans = runpy.run_path(str(ROOT / "bench" / "tracing.py"))["SPANS"]
     for module, _, _ in spans:
         assert f"cmcpinch.{module}" in seen["modules"]
+
+
+def test_every_traced_name_resolves():
+    # the benchmark's tracer wraps each (module, function) of SPANS by
+    # name; a deleted or renamed one would otherwise show only under
+    # pytest bench
+    spans = runpy.run_path(str(ROOT / "bench" / "tracing.py"))["SPANS"]
+    for module, function, _ in spans:
+        package = importlib.import_module(f"cmcpinch.{module}")
+        assert callable(getattr(package, function, None)), (module, function)
 
 
 def test_profile_loads_numpy_on_its_first_array(tmp_path):

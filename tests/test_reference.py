@@ -156,12 +156,12 @@ def test_simpson_oracle_and_frozen_constants_within_1e_12_of_reference():
 def test_simpson_oracle_at_s0_within_1e_12_of_reference():
     # AC3 holds the closed form and the Simpson rule to 2.71697 within
     # 1e-4; the rule's own z(s0) at (0.1, 0.9) is far closer to mpmath
-    from cmcpinch.freeboundary import s0
+    from cmcpinch.freeboundary import classify
     from cmcpinch.numerics import integrate
     from cmcpinch.verify import EXAMPLE, _simpson_dz
     cell = REFERENCE["files"]["analyze_H0.1_B0.9.json"]
     assert (float(cell["H"]), float(cell["B"])) == (EXAMPLE.H, EXAMPLE.B)
-    simpson = integrate(_simpson_dz(EXAMPLE), 0.0, s0(EXAMPLE))
+    simpson = integrate(_simpson_dz(EXAMPLE), 0.0, classify(EXAMPLE).s0)
     assert abs(simpson - float(cell["zAtS0"])) <= 1e-12, simpson
 
 
