@@ -192,13 +192,14 @@ def _flags(argv: list[str]) -> dict[str, str]:
             if argv[i].startswith("--")}
 
 
-def _golden_float(text: str, key: str) -> float:
-    """A float cell of a key: value line in a text or JSON golden."""
+def _golden_float(text: str, key: str) -> float | None:
+    """A float cell of a key: value line in a text or JSON golden; None
+    where the cell is null (JSON) or its line is left out (text)."""
     for line in text.splitlines():
         name, _, value = line.strip().strip(",").partition(":")
         if name.strip('"') == key:
-            return float(value)
-    raise KeyError(key)
+            return None if value.strip() == "null" else float(value)
+    return None
 
 
 def analyze_reference(flags: dict, golden: str) -> dict:
@@ -207,11 +208,17 @@ def analyze_reference(flags: dict, golden: str) -> dict:
     ref = {"H": surf.H, "B": surf.B}
     if B < 1.0:
         ref.update(s0=surf.s0(), z0=surf.z0(), zAtS0=surf.z(surf.s0()))
+        # the dichotomy, decided here: a portion exists when z(s0) >= z0
+        pinched = ref["zAtS0"] >= ref["z0"]
     else:
         ref["r0"] = mp.acos(1 / surf.B) / surf.H
-    ref.update(surf.portion(_golden_float(golden, "sBar")))
+        pinched = True
+    printed_sbar = _golden_float(golden, "sBar")
+    assert pinched == (printed_sbar is not None), flags
+    if pinched:
+        ref.update(surf.portion(printed_sbar))
     out = {k: _text(v) for k, v in ref.items()}
-    if B < 1.0:
+    if B < 1.0 and pinched:
         violations = []
         for n in (1, 2, 3):
             t = (2 * n * mp.pi - mp.acos(surf.B)) / surf.H

@@ -21,6 +21,12 @@ FILE_OUTPUTS = [
       "--output"]),
     # nodoid, text format
     ("analyze_H1_B1.5.txt", ["analyze", "--H", "1", "--B", "1.5", "--output"]),
+    # nodoid: null s0, z0, zAtS0 and n0, and an empty violation list
+    ("analyze_H1_B1.5.json",
+     ["analyze", "--H", "1", "--B", "1.5", "--format", "json", "--output"]),
+    # no portion: every portion field null
+    ("analyze_H1_B0.5.json",
+     ["analyze", "--H", "1", "--B", "0.5", "--format", "json", "--output"]),
     ("profile_H0.1_B0.9.csv",
      ["profile", "--H", "0.1", "--B", "0.9", "--s-min", "-1.8",
       "--s-max", "1.8", "--n", "64", "--output"]),
