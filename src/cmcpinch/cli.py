@@ -22,8 +22,10 @@ H s / min(1, |1 - B|).  The height is a closed form and verify's
 quadrature oracle runs on a fixed grid, so no flag tunes either.  scan
 classifies each distinct B once per invocation and scales that H = 1
 report to every H of the grid.  Floating point values are serialized
-with 12 significant digits; the profile table formats each column in
-one pass of ``textfmt.format_g``, byte for byte printf "%.12g".  mesh
+with 12 significant digits; analyze's JSON report goes through the C
+encoder of the json module with the bytes of json.dumps(..., indent=2),
+and the profile table formats each column in one pass of
+``textfmt.format_g``, byte for byte printf "%.12g".  mesh
 writes no OBJ unless every vertex and normal is a finite float.
 numpy loads on first use: analyze, --help and usage errors never load
 it; profile, scan, mesh and verify load it at their first array.
@@ -126,13 +128,32 @@ def _print_report_text(payload: dict, out) -> None:
                       f"lambda2={_fmt(v['lambda2'])} gap={_fmt(v['gap'])}\n")
 
 
+# json.dumps takes the C encoder only when indent is None; these write
+# indent=2's line breaks and indents as their separators, the report's
+# keys at depth 1 and each violation's at depth 3
+_JSON_REPORT = json.JSONEncoder(separators=(",\n  ", ": "))
+_JSON_VIOLATION = json.JSONEncoder(separators=(",\n      ", ": "))
+
+
+def _report_json(payload: dict) -> str:
+    """json.dumps(payload, indent=2), byte for byte, for a report payload,
+    whose last key is its list of flat violation dicts."""
+    head = dict(payload)
+    violations = ",\n    ".join(
+        "{\n      " + _JSON_VIOLATION.encode(v)[1:-1] + "\n    }"
+        for v in head.pop("violations"))
+    return ("{\n  " + _JSON_REPORT.encode(head)[1:-1]
+            + ',\n  "violations": '
+            + (f"[\n    {violations}\n  ]" if violations else "[]") + "\n}")
+
+
 def cmd_analyze(args: argparse.Namespace) -> int:
     root = _root_config(args)
     params = DelaunayParams(args.H, args.B)
     payload = _report_payload(classify(params, root))
     with _open_output(args.output) as out:
         if args.format == "json":
-            out.write(json.dumps(payload, indent=2) + "\n")
+            out.write(_report_json(payload) + "\n")
         else:
             _print_report_text(payload, out)
     return EXIT_OK

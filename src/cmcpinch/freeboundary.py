@@ -94,7 +94,7 @@ and find_n0 (1) have no caller here; bench/tracing.py wraps them by name.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import ClassVar, NamedTuple, Optional
 
 from .curvature import support_function
@@ -173,19 +173,26 @@ class AnalysisReport:
                 raise OverflowError(f"{key} = {v!r} / {k!r} underflows to 0")
             return out
 
+        # each object by its constructor, the lengths in report key order
+        # (sBar, R0, the residual, s0, r0, z0, zAtS0, t_n), so the first
+        # to fail names the error
         p = self.portion
         if p is not None:
-            p = replace(p, s_bar=length("sBar", p.s_bar, size=True),
-                        R0=length("R0", p.R0, size=True),
-                        orthogonality_residual=length(
-                            "orthogonalityResidual", p.orthogonality_residual))
-        return replace(
-            self, params=DelaunayParams(H, self.params.B),
+            p = FreeBoundaryPortion(
+                s_bar=length("sBar", p.s_bar, size=True),
+                R0=length("R0", p.R0, size=True),
+                scaled_params=p.scaled_params, s_bar_scaled=p.s_bar_scaled,
+                orthogonality_residual=length(
+                    "orthogonalityResidual", p.orthogonality_residual))
+        return AnalysisReport(
+            params=DelaunayParams(H, self.params.B), verdict=self.verdict,
             s0=length("s0", self.s0), r0=length("r0", self.r0),
             z0=length("z0", self.z0),
             z_at_s0=length("zAtS0", self.z_at_s0), portion=p,
-            violations=[v._replace(t=length(f"violations n={v.n} t", v.t))
-                        for v in self.violations])
+            violations=[ViolationPoint(
+                n=v.n, t=length(f"violations n={v.n} t", v.t),
+                lambda2=v.lambda2, gap=v.gap) for v in self.violations],
+            n0=self.n0)
 
 
 def _u_of_s(params: DelaunayParams, states: dict):
@@ -298,7 +305,8 @@ def classify(params: DelaunayParams,
     # first point tried after the ends is SINH_T0 * neck; states keeps
     # every state the search evaluates, the root's too
     neck = min(1.0, abs(1.0 - B))
-    cfg = replace(root_cfg, x_tol=max(root_cfg.x_tol * neck, math.ulp(0.0)))
+    cfg = RootConfig(max(root_cfg.x_tol * neck, math.ulp(0.0)),
+                     root_cfg.max_iterations)
     sb = find_root(_u_of_s(unit, states), 0.0, top, cfg, SINH_T0 * neck)
     if family == UNDULOID:
         fields.update(violations=violation_points(unit, 3), n0=1)

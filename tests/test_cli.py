@@ -16,6 +16,7 @@ from cmcpinch.delaunay import DelaunayParams, profile
 from cmcpinch.freeboundary import classify
 from cmcpinch.numerics import NoSignChangeError
 from cmcpinch.verify import CheckResult
+from report_grid import report_inputs
 from sampled_portion import sampled_min_gap
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
@@ -87,6 +88,29 @@ def test_analyze_cylinder_and_nodoid_verdicts(capsys):
     assert report["family"] == "nodoid"
     assert report["r0"] == pytest.approx(math.acos(2.0 / 3.0), rel=1e-12)
     assert report["sBar"] == pytest.approx(0.47899833600628366, abs=1e-9)
+
+
+def test_analyze_json_is_indent_2_on_the_report_grid(capsys):
+    # the C-encoder writer against json.dumps(payload, indent=2) on every
+    # family and verdict, the empty and the full violation list included;
+    # an input that exits 3 has no report and is counted, not compared
+    written, exit_3, kinds = 0, 0, set()
+    for h, b in report_inputs():
+        code, out, err = run_cli(["analyze", "--H", repr(h), "--B", repr(b),
+                                  "--format", "json"], capsys)
+        if code == 3:
+            exit_3 += 1
+            continue
+        assert (code, err) == (0, ""), (h, b)
+        payload = cli._report_payload(classify(DelaunayParams(h, b)))
+        assert out == json.dumps(payload, indent=2) + "\n", (h, b)
+        kinds.add((payload["family"], payload["verdict"]))
+        written += 1
+    assert written >= 1000, f"{written} written, {exit_3} exited 3"
+    assert kinds == {("cylinder", "Cylinder"),
+                     ("unduloid", "NoOrthogonalIntersection"),
+                     ("unduloid", "PinchedFreeBoundaryPortion"),
+                     ("nodoid", "PinchedFreeBoundaryPortion")}
 
 
 def test_analyze_text_format(capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from dataclasses import replace
 
@@ -13,6 +14,7 @@ from cmcpinch.freeboundary import (VERDICT_CYLINDER, VERDICT_NO_ORTHOGONAL,
                                    build_portion, classify, find_n0,
                                    find_sbar, nodoid_find_rbar,
                                    violation_points)
+from report_grid import report_inputs
 from sampled_portion import sampled_min_gap
 
 EXAMPLE = DelaunayParams(0.1, 0.9)
@@ -474,6 +476,86 @@ def test_portion_of_no_size_raises_naming_the_length(field, key):
     residual = replace(unit, portion=replace(
         unit.portion, orthogonality_residual=5e-324))
     assert residual.at(2.0).portion.orthogonality_residual == 0.0
+
+
+def replace_at(rep, H):
+    """AnalysisReport.at through dataclasses.replace and
+    NamedTuple._replace: the oracle for the constructor-built one."""
+    k = H / rep.params.H
+
+    def length(key, v, size=False):
+        if v is None:
+            return None
+        out = v / k
+        if not math.isfinite(out):
+            raise OverflowError(f"{key} = {v!r} / {k!r} is not a finite "
+                                "float")
+        if size and out == 0.0:
+            raise OverflowError(f"{key} = {v!r} / {k!r} underflows to 0")
+        return out
+
+    p = rep.portion
+    if p is not None:
+        p = replace(p, s_bar=length("sBar", p.s_bar, size=True),
+                    R0=length("R0", p.R0, size=True),
+                    orthogonality_residual=length(
+                        "orthogonalityResidual", p.orthogonality_residual))
+    return replace(
+        rep, params=DelaunayParams(H, rep.params.B),
+        s0=length("s0", rep.s0), r0=length("r0", rep.r0),
+        z0=length("z0", rep.z0),
+        z_at_s0=length("zAtS0", rep.z_at_s0), portion=p,
+        violations=[v._replace(t=length(f"violations n={v.n} t", v.t))
+                    for v in rep.violations])
+
+
+def report_bits(obj):
+    """Every field of a report, recursively, each float by float.hex."""
+    if isinstance(obj, float):
+        return obj.hex()
+    if dataclasses.is_dataclass(obj):
+        return (type(obj).__name__,) + tuple(
+            (f.name, report_bits(getattr(obj, f.name)))
+            for f in dataclasses.fields(obj))
+    if isinstance(obj, tuple):
+        return (type(obj).__name__,) + tuple(
+            (name, report_bits(v)) for name, v in zip(obj._fields, obj))
+    if isinstance(obj, list):
+        return [report_bits(v) for v in obj]
+    return obj
+
+
+def outcome(fn, *args):
+    try:
+        return report_bits(fn(*args))
+    except OverflowError as exc:
+        return f"OverflowError: {exc}"
+
+
+def test_at_equals_the_replace_oracle_on_the_report_grid():
+    # each field of the scaled report by float.hex, and each OverflowError
+    # message, from the H = 1 report of every shape of the grid, and
+    # classify at (H, B) is that same report
+    for h, b in report_inputs():
+        unit = classify(DelaunayParams(1.0, b))
+        want = outcome(replace_at, unit, h)
+        assert outcome(unit.at, h) == want, (h, b)
+        assert outcome(classify, DelaunayParams(h, b)) == want, (h, b)
+        assert outcome(unit.at(2.0).at, h) == outcome(
+            replace_at, replace_at(unit, 2.0), h), (h, b)
+
+
+@pytest.mark.parametrize("h, b, message", [
+    (1.0, 5e-324, "z0 = inf / 1.0 is not a finite float"),
+    (1e-310, 0.9, "sBar = 0.17576056770276918 / 1e-310 is not a finite "
+                  "float"),
+    (1e308, 0.9999999999999999,
+     "sBar = 1.675192830606154e-16 / 1e+308 underflows to 0")])
+def test_overflowing_length_message(h, b, message):
+    # the first length to fail in report key order names the error
+    with pytest.raises(OverflowError) as info:
+        classify(DelaunayParams(h, b))
+    assert str(info.value) == message
 
 
 def test_crossing_is_solved_at_unit_scale(monkeypatch):
