@@ -128,16 +128,15 @@ def _print_report_text(payload: dict, out) -> None:
                       f"lambda2={_fmt(v['lambda2'])} gap={_fmt(v['gap'])}\n")
 
 
-# json.dumps takes the C encoder only when indent is None; these write
-# indent=2's line breaks and indents as their separators, the report's
-# keys at depth 1 and each violation's at depth 3
+# indent=2's line breaks as separators, at depth 1 and at a violation's
+# depth 3: json.dumps takes the C encoder only when indent is None
 _JSON_REPORT = json.JSONEncoder(separators=(",\n  ", ": "))
 _JSON_VIOLATION = json.JSONEncoder(separators=(",\n      ", ": "))
 
 
 def _report_json(payload: dict) -> str:
-    """json.dumps(payload, indent=2), byte for byte, for a report payload,
-    whose last key is its list of flat violation dicts."""
+    """json.dumps(payload, indent=2) of a report payload, whose last key
+    holds its flat violation dicts."""
     head = dict(payload)
     violations = ",\n    ".join(
         "{\n      " + _JSON_VIOLATION.encode(v)[1:-1] + "\n    }"

@@ -173,9 +173,8 @@ class AnalysisReport:
                 raise OverflowError(f"{key} = {v!r} / {k!r} underflows to 0")
             return out
 
-        # each object by its constructor, the lengths in report key order
-        # (sBar, R0, the residual, s0, r0, z0, zAtS0, t_n), so the first
-        # to fail names the error
+        # lengths in report key order (sBar, R0, the residual, s0, r0, z0,
+        # zAtS0, t_n): the first to fail names the error
         p = self.portion
         if p is not None:
             p = FreeBoundaryPortion(
