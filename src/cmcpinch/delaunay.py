@@ -205,7 +205,10 @@ def _height(params: DelaunayParams, s):
 
     With H s / 2 = k pi + r, |r| <= pi/2, the integrand is pi-periodic in
     H s / 2, so z(s) = [G(r) + 2 k G(pi/2)] / H; 2 G(pi/2) / H is the
-    height gained over one period 2 pi / H.
+    height gained over one period 2 pi / H.  Only the elements with
+    k != 0, past their first half-period, add that rise.  A float B
+    evaluates its one G(pi/2) when any element needs it; a B array
+    evaluates G(pi/2) on those elements' rows alone and adds it there.
     """
     xp = math if isinstance(s, float) else np
     B = params.B
@@ -213,7 +216,10 @@ def _height(params: DelaunayParams, s):
     k = (theta / math.pi + 0.5) // 1.0
     r = theta - k * math.pi
     g = _carlson_g(B, xp.sin(r), xp.cos(r), xp)
-    if (k if xp is math else np.any(k)):
+    if xp is np and np.ndim(B):
+        on = k != 0.0
+        g[on] += 2.0 * k[on] * _carlson_g(B[on], 1.0, 0.0, np)
+    elif k if xp is math else np.any(k):
         g = g + 2.0 * k * _carlson_g(
             B, 1.0, 0.0, math if isinstance(B, float) else xp)
     # + 0.0 makes z(-0) = +0, the empty integral, on every family

@@ -25,11 +25,13 @@ H z(t_1) > pi/sqrt(2) > B that makes n0 = 1.
 AC5-AC8 share one seeded sample set of 1000 points over all three
 families (_Context.sample_rows), drawn as four seeded columns (family
 pick, B, H, s), evaluated as arrays with per-row (H, B) and bounded a
-table at a time.  AC4 and AC13 read their boundary and neck points
+table at a time; AC8 evaluates s + h and s - h as the two halves of
+one more array call.  AC4 and AC13 read their boundary and neck points
 from their own grids, and AC9 and AC10 evaluate their points as one
 array each; AC11 and AC15 evaluate their few points through the float
 path, eval_state, and tests hold the float and array paths equal bit
-for bit.
+for bit.  AC16 hands np.loadtxt each OBJ block as lines, split from one
+latin-1 decode of its bytes.
 """
 from __future__ import annotations
 
@@ -254,12 +256,13 @@ def _check_arc_length(ctx: _Context, r: _Ratios) -> None:
 def _check_derivatives(ctx: _Context, r: _Ratios) -> None:
     h = 1e-5
     shapes, st, _ = ctx.sample_rows
-    plus = profile(shapes, st.s + h)
-    minus = profile(shapes, st.s - h)
-    for fd, closed in (((plus.x - minus.x) / (2.0 * h), st.dx),
-                       ((plus.dx - minus.dx) / (2.0 * h), st.ddx),
-                       ((plus.z - minus.z) / (2.0 * h), st.dz),
-                       ((plus.dz - minus.dz) / (2.0 * h), st.ddz)):
+    # s + h and s - h as the two halves of one 2n-row call
+    n = len(st.s)
+    both = profile(_Shapes(np.tile(shapes.H, 2), np.tile(shapes.B, 2)),
+                   np.concatenate((st.s + h, st.s - h)))
+    for values, closed in ((both.x, st.dx), (both.dx, st.ddx),
+                           (both.z, st.dz), (both.dz, st.ddz)):
+        fd = (values[:n] - values[n:]) / (2.0 * h)
         r.bound(fd - closed, 1e-6 * np.maximum(1.0, np.abs(closed)))
 
 
@@ -350,8 +353,11 @@ def _check_radial_boundary(ctx: _Context, r: _Ratios) -> None:
 def _read_block(block: bytes, tag: bytes, kind, shape) -> np.ndarray:
     """The rows of one block of records tagged ``tag``, read by one
     np.loadtxt call with the tag as a field of the record."""
+    # latin-1 passes each byte on as one character, so the parser sees
+    # and rejects a non-ASCII byte; a final newline leaves a blank line
+    lines = block.decode("latin-1").split("\n")
     # a longer tag is cut to three bytes, which no block's tag equals
-    table = np.loadtxt(io.BytesIO(block), ndmin=1,
+    table = np.loadtxt(lines, ndmin=1,
                        dtype=[("tag", "S3"), ("row", kind, shape)])
     if not (table["tag"] == tag).all():
         raise ValueError(f"a record in the {tag.decode()} block has "
@@ -402,11 +408,12 @@ def _check_mesh_export(ctx: _Context, r: _Ratios) -> str:
         r.bound(float(np.abs(ring - p.R0).max()), 1e-6)
     norm_len = np.linalg.norm(vns, axis=1)
     r.bound(float(np.abs(norm_len - 1.0).max()), 1e-9)
-    # one integer key per undirected edge
-    pairs = np.sort(np.concatenate((faces[:, [0, 1]], faces[:, [1, 2]],
-                                    faces[:, [2, 0]])), axis=1)
-    pairs -= pairs.min()
-    keys = pairs[:, 0] * (pairs.max() + 1) + pairs[:, 1]
+    # one integer key per undirected edge, from its lower and higher end
+    a, b, c = faces.T
+    ends = np.concatenate((a, b, c)), np.concatenate((b, c, a))
+    lo, hi = np.minimum(*ends), np.maximum(*ends)
+    base = lo.min()
+    keys = (lo - base) * (hi.max() - base + 1) + (hi - base)
     keys.sort()
     n_edges = 1 + np.count_nonzero(np.diff(keys))
     euler = len(vs) - n_edges + len(faces)

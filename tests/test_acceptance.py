@@ -259,6 +259,48 @@ def _face_normal_differs(lines):
     return lines
 
 
+def _cr_inside_normal(lines):
+    i = _records(lines, "vn")[2]
+    tag, x, y, z = lines[i].split()
+    lines[i] = f"{tag} {x}\r{y} {z}\n"
+    return lines
+
+
+def _non_ascii_coordinate(lines):
+    i = _records(lines, "v")[0]
+    tag, x, y, z = lines[i].split()
+    lines[i] = f"{tag} {x} {y}\xe9 {z}\n"
+    return lines
+
+
+def _tab_after_first_f(lines):
+    # the f block is found by "\nf ", so this record falls in the vn block
+    i = _records(lines, "f")[0]
+    lines[i] = "f\t" + lines[i][2:]
+    return lines
+
+
+def _single_slash_in_face(lines):
+    i = _records(lines, "f")[1]
+    tag, first, rest = lines[i].split(" ", 2)
+    a = first.partition("//")[0]
+    lines[i] = f"{tag} {a}/{a} {rest}"
+    return lines
+
+
+def _export_corrupted_by(corrupt):
+    """export_obj with its text passed through corrupt(lines)."""
+    real = verify.export_obj
+
+    def export_corrupted(mesh, sink):
+        clean = io.BytesIO()
+        real(mesh, clean)
+        lines = clean.getvalue().decode("ascii").splitlines(keepends=True)
+        # latin-1 writes each character below 256 as its one byte
+        sink.write("".join(corrupt(lines)).encode("latin-1"))
+    return export_corrupted
+
+
 # the detail shows the count of each block, or the parse error
 @pytest.mark.parametrize("corrupt, detail", [
     (_push_vertex_out, "V=4096 E=12160 F=8064 chi=0"),
@@ -275,23 +317,63 @@ def _face_normal_differs(lines):
     (_drop_normals, "ValueError: the OBJ lacks its vn or f block"),
     (_face_normal_differs, "ValueError: a face's normal index differs "
                            "from its vertex index"),
+    (_cr_inside_normal, "ValueError: Found an unquoted embedded newline "
+                        "within a single line of input."),
+    (_non_ascii_coordinate, "ValueError: could not convert string "
+                            "'0\xe9' to float64 at row 0, column 3."),
+    (_tab_after_first_f, "ValueError: could not convert string '1//1' "
+                         "to float64 at row 4096, column 2."),
+    (_single_slash_in_face, "ValueError: the dtype passed requires 7 "
+                            "columns but 6 were found at row 2;"),
 ])
 def test_ac16_fails_on_a_corrupted_obj(corrupt, detail, results,
                                        monkeypatch):
-    real = verify.export_obj
-
-    def export_corrupted(mesh, sink):
-        clean = io.BytesIO()
-        real(mesh, clean)
-        lines = clean.getvalue().decode("ascii").splitlines(keepends=True)
-        sink.write("".join(corrupt(lines)).encode("ascii"))
-
-    monkeypatch.setattr(verify, "export_obj", export_corrupted)
+    monkeypatch.setattr(verify, "export_obj", _export_corrupted_by(corrupt))
     res = dict(verify.CHECKS)["AC16"](verify._Context(DEFAULT_ROOT))
     assert (res.check_id, res.description) == (
         "AC16", results["AC16"].description)
     assert not res.passed and res.worst_ratio > 1.0
     assert res.detail.startswith(detail)
+
+
+def _blank_line_among_vertices(lines):
+    vertices = _records(lines, "v")
+    lines.insert(vertices[len(vertices) // 2], "\n")
+    return lines
+
+
+def _cr_ending_a_vertex(lines):
+    i = _records(lines, "v")[3]
+    lines[i] = lines[i].rstrip("\n") + "\r\n"
+    return lines
+
+
+def _form_feed_between_fields(lines):
+    i = _records(lines, "v")[5]
+    tag, x, y, z = lines[i].split()
+    lines[i] = f"{tag} {x}\f{y} {z}\n"
+    return lines
+
+
+def _no_final_newline(lines):
+    lines[-1] = lines[-1].rstrip("\n")
+    return lines
+
+
+@pytest.mark.parametrize("corrupt", [
+    _blank_line_among_vertices, _cr_ending_a_vertex,
+    _form_feed_between_fields, _no_final_newline])
+def test_ac16_reads_whitespace_variants_as_the_clean_obj(corrupt, results,
+                                                         monkeypatch):
+    # the reader skips a blank line, takes CR and form feed as whitespace
+    # and needs no newline after the last record: AC16's result is the
+    # clean battery's to the bit
+    monkeypatch.setattr(verify, "export_obj", _export_corrupted_by(corrupt))
+    res = dict(verify.CHECKS)["AC16"](verify._Context(DEFAULT_ROOT))
+    clean = results["AC16"]
+    assert res.passed
+    assert (res.worst_ratio.hex(), res.detail) == (
+        clean.worst_ratio.hex(), clean.detail)
 
 
 def test_obj_parse_equals_python_float_bit_for_bit():

@@ -321,6 +321,53 @@ def test_per_element_shapes_match_the_float_path():
             assert getattr(one, k).hex() == got.hex(), (h, b, s, k)
 
 
+def _periods(H, S):
+    """k of delaunay._height: H s / 2 = k pi + r with |r| <= pi/2."""
+    return (0.5 * (H * S) / math.pi + 0.5) // 1.0
+
+
+def _per_row_shapes(case, rng):
+    bs = np.array([0.0, 0.0, 0.3, 0.9, 1.5, 2.5, 1e9])
+    H = rng.choice([0.2, 1.0, 7.0], 70)
+    B = np.tile(bs, 10)
+    if case == "necks":
+        # AC9's kind: every row at its neck, or inside its first half-period
+        S = np.concatenate(([0.0, -0.0] * 10,
+                            rng.uniform(-0.45, 0.45, 50) * 2.0 * math.pi)) / H
+    elif case == "periods":
+        # every row past its first half-period, on either side
+        S = (rng.choice([-1.0, 1.0], 70) * rng.uniform(1.1, 20.0, 70)
+             * math.pi / H)
+    else:
+        # both kinds in one array, signed zeros among them, and a B whose
+        # rise G(pi/2) overflows to inf: z_of is then +-inf near the neck,
+        # at k = 0, where adding 0 * inf would give nan
+        S = np.concatenate(([0.0, -0.0, 0.0, -0.0],
+                            rng.uniform(-30.0, 30.0, 66))) / H
+        B[[40, 41, 42]] = 5e102
+        S[[40, 41, 42]] = np.array([0.004, -0.2, 30.0]) / H[[40, 41, 42]]
+    return H, B, S
+
+
+@pytest.mark.parametrize("case", ["mixed", "necks", "periods"])
+def test_per_row_heights_are_z_of_row_by_row(case):
+    # with per-row (H, B) only the rows with k != 0 evaluate and add the
+    # period rise; each row must still get the bits z_of gives its shape
+    # (float.hex tells -0 from +0), through z_many and through profile
+    H, B, S = _per_row_shapes(case, np.random.default_rng(34))
+    k = _periods(H, S)
+    assert {"necks": not k.any(), "periods": k.all(),
+            "mixed": k.any() and not k.all()}[case]
+    assert np.any(B == 0.0)
+    shapes = collections.namedtuple("Shapes", "H B")(H, B)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = z_many(shapes, S)
+        st = profile(shapes, S)
+    for i, (h, b, s) in enumerate(zip(H.tolist(), B.tolist(), S.tolist())):
+        want = z_of(DelaunayParams(h, b), s).hex()
+        assert got[i].hex() == float(st.z[i]).hex() == want, (h, b, s)
+
+
 def test_eval_state_is_profile_at_z_of():
     # profile takes its own height, z_of at a float; eval_state converts s
     for b in (0.0, 0.7, 1.5):
