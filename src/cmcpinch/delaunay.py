@@ -219,7 +219,7 @@ def _height(params: DelaunayParams, s):
     if xp is np and np.ndim(B):
         on = k != 0.0
         g[on] += 2.0 * k[on] * _carlson_g(B[on], 1.0, 0.0, np)
-    elif k if xp is math else np.any(k):
+    elif (k if xp is math else np.any(k)):
         g = g + 2.0 * k * _carlson_g(
             B, 1.0, 0.0, math if isinstance(B, float) else xp)
     # + 0.0 makes z(-0) = +0, the empty integral, on every family
