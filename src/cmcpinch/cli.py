@@ -312,7 +312,11 @@ def _add_params_flags(p: argparse.ArgumentParser) -> None:
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser, and so its subparsers, that reads -1e-3 and -inf
     as values: argparse in Python 3.11 reads only -1 and -.5 as negative
-    numbers.  No option of this parser starts with a digit, inf or nan."""
+    numbers.  No option of this parser starts with a digit, inf or nan.
+    build_parser sets ``commands`` on the top-level parser: each command
+    name's parser."""
+
+    commands: dict[str, argparse.ArgumentParser]
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -373,13 +377,25 @@ def build_parser() -> argparse.ArgumentParser:
     _add_root_flags(p_verify)
     p_verify.set_defaults(fn=cmd_verify)
 
+    parser.commands = sub.choices
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = parser.commands.get(argv[0]) if argv else None
     try:
-        args = parser.parse_args(argv)
+        if command is None:
+            # no command named first: the top-level parser prints help or
+            # a usage error and exits
+            args = parser.parse_args(argv)
+        else:
+            # the parse argparse would hand the command's parser, with
+            # leftovers reported as the top-level parser reports them
+            args, extras = command.parse_known_args(argv[1:])
+            if extras:
+                parser.error("unrecognized arguments: " + " ".join(extras))
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
     try:

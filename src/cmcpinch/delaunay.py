@@ -206,9 +206,10 @@ def _height(params: DelaunayParams, s):
     With H s / 2 = k pi + r, |r| <= pi/2, the integrand is pi-periodic in
     H s / 2, so z(s) = [G(r) + 2 k G(pi/2)] / H; 2 G(pi/2) / H is the
     height gained over one period 2 pi / H.  Only the elements with
-    k != 0, past their first half-period, add that rise.  A float B
-    evaluates its one G(pi/2) when any element needs it; a B array
-    evaluates G(pi/2) on those elements' rows alone and adds it there.
+    k != 0, past their first half-period, add that rise, so a k = 0
+    element keeps G(r) where G(pi/2) overflows.  A float B evaluates its
+    one G(pi/2) when any element needs it; a B array evaluates G(pi/2)
+    on those elements' rows alone.
     """
     xp = math if isinstance(s, float) else np
     B = params.B
@@ -216,12 +217,17 @@ def _height(params: DelaunayParams, s):
     k = (theta / math.pi + 0.5) // 1.0
     r = theta - k * math.pi
     g = _carlson_g(B, xp.sin(r), xp.cos(r), xp)
-    if xp is np and np.ndim(B):
+    if xp is math:
+        if k:
+            g += 2.0 * k * _carlson_g(B, 1.0, 0.0, math)
+    else:
         on = k != 0.0
-        g[on] += 2.0 * k[on] * _carlson_g(B[on], 1.0, 0.0, np)
-    elif (k if xp is math else np.any(k)):
-        g = g + 2.0 * k * _carlson_g(
-            B, 1.0, 0.0, math if isinstance(B, float) else xp)
+        if on.any():
+            rise = (_carlson_g(B[on], 1.0, 0.0, np) if np.ndim(B)
+                    else _carlson_g(B, 1.0, 0.0, math))
+            # a 0-d s gives a numpy scalar, which takes no item assignment
+            g = np.asarray(g)
+            g[on] += 2.0 * k[on] * rise
     # + 0.0 makes z(-0) = +0, the empty integral, on every family
     return g / params.H + 0.0
 

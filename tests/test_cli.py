@@ -1,8 +1,10 @@
+import collections
 import csv
 import io
 import json
 import math
 import pathlib
+import random
 import re
 import sys
 
@@ -877,15 +879,17 @@ def test_console_entry_point_exits_zero(monkeypatch, capsys):
 
 def test_parser_is_built_once(monkeypatch, capsys):
     # main reuses one parser, and a second call with other flags parses
-    # its own arguments: no value leaks from the first call
+    # its own arguments: no value leaks from the first call.  main hands
+    # the arguments to the analyze parser, so its parses are counted
     parser = cli.build_parser()
+    analyze = parser.commands["analyze"]
     parses = []
 
     def counted(argv):
         parses.append(argv)
-        return type(parser).parse_args(parser, argv)
+        return type(analyze).parse_known_args(analyze, argv)
 
-    monkeypatch.setattr(parser, "parse_args", counted)
+    monkeypatch.setattr(analyze, "parse_known_args", counted)
     for argv, golden in (
             (["analyze", "--H", "1", "--B", "1.5", "--format", "text"],
              "analyze_H1_B1.5.txt"),
@@ -896,6 +900,96 @@ def test_parser_is_built_once(monkeypatch, capsys):
         assert out.encode("ascii") == (GOLDEN_DIR / golden).read_bytes()
     assert len(parses) == 2
     assert cli.build_parser() is parser
+
+
+# a valid argv per command, each of whose positions takes every token
+PARSE_ARGV = {
+    "analyze": ["analyze", "--H", "1", "--B", "1.5", "--format", "json"],
+    "profile": ["profile", "--H", "1", "--B", "0.5", "--s-min", "-1e-3",
+                "--s-max", "1"],
+    "scan": ["scan", "--H-min", "1", "--H-max", "2", "--H-steps", "2",
+             "--B-min", "0", "--B-max", "2", "--B-steps", "3"],
+    "mesh": ["mesh", "--H", "0.1", "--B", "0.9", "--out", "m.obj",
+             "--include-sphere"],
+    "verify": ["verify", "--root-x-tol=1e-9"],
+}
+# help, abbreviations (some ambiguous), = values, negative numbers, --,
+# removed and unknown flags, and words that name no command
+PARSE_TOKENS = [
+    *PARSE_ARGV, "ana", "Analyze", "help", "foo", "", "-", "--", "-h",
+    "--help", "--he", "-hx", "--help=1", "--H", "--B", "--H=2", "--B=-1",
+    "--format", "--form=text", "--fo", "--output", "--out", "--o",
+    "--s-min", "--s-m", "--s-max=-inf", "--n", "--n=16", "--H-min", "--H-m",
+    "--H-steps=1", "--B-steps", "--resolution", "--res=8",
+    "--include-sphere", "--include-sphere=1", "--inc", "--root-x-tol",
+    "--root-x", "--root-max-iterations=3", "--root-f-tol", "--quad-abs-tol",
+    "--quad-rel-tol=1", "--quad-max-subdivisions", "--bogus", "-x", "-1", "-.5", "-1e-3", "-inf",
+    "-nan", "inf", "nan", "0", "1", "1.5", "1e308", "x", "json", "text",
+    "a b"]
+
+
+def _parse_grammar(rng):
+    """Every token at every position of each command's valid argv, then
+    seeded random token strings, the empty argv among them."""
+    argvs = [argv[:i] + [token] + argv[i:]
+             for argv in PARSE_ARGV.values()
+             for i in range(len(argv) + 1) for token in PARSE_TOKENS]
+    words = PARSE_TOKENS + sorted({t for a in PARSE_ARGV.values() for t in a})
+    for _ in range(1000):
+        argv = [rng.choice(words) for _ in range(rng.randrange(9))]
+        if argv and rng.random() < 0.5:
+            argv[0] = rng.choice(list(PARSE_ARGV))
+        argvs.append(argv)
+    return argvs
+
+
+def test_main_parses_as_the_nested_parser_does(monkeypatch, capsys):
+    # main hands argv to the named command's parser; argparse's nested
+    # route through the top-level parser is the oracle.  A parse yields
+    # the same namespace but for "command"; a failed one the same exit
+    # code, stdout and stderr.  The command functions only record
+    parser = cli.build_parser.__wrapped__()
+    runs = []
+
+    def record(args):
+        runs.append(vars(args))
+        return 0
+
+    for command in parser.commands.values():
+        command.set_defaults(fn=record)
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    argvs = _parse_grammar(random.Random(2019))
+    assert len(argvs) >= 2000 and [] in argvs
+    outcomes = collections.Counter()
+    for argv in argvs:
+        try:
+            want = vars(parser.parse_args(argv))
+            want_code = None
+        except SystemExit as exc:
+            want, want_code = None, exc.code
+        want_out, want_err = capsys.readouterr()
+        runs.clear()
+        code = main(argv)
+        out, err = capsys.readouterr()
+        names_command = bool(argv) and argv[0] in parser.commands
+        if want_code is None:
+            # argparse versions that drop a -- before the command parse
+            # such an argv at the top level, and main runs it as they do
+            assert (code, out, err) == (0, "", ""), argv
+            assert len(runs) == 1, argv
+            runs[0].pop("command", None)
+            want.pop("command")
+            assert runs[0] == want, argv
+        else:
+            assert (code, out, err) == (want_code or 0, want_out,
+                                        want_err), argv
+            assert runs == [], argv
+            if not names_command:
+                assert code in (0, 2), argv
+        outcomes[names_command, want_code] += 1
+    # the grammar reaches parses, help and usage errors by both routes
+    assert outcomes[True, None] and outcomes[True, 0] and outcomes[True, 2]
+    assert outcomes[False, 0] and outcomes[False, 2]
 
 
 # cheap inputs per subcommand

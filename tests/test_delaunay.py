@@ -368,6 +368,25 @@ def test_per_row_heights_are_z_of_row_by_row(case):
         assert got[i].hex() == float(st.z[i]).hex() == want, (h, b, s)
 
 
+@pytest.mark.parametrize("b", [0.5, 1.5, 5e102])
+def test_float_b_heights_are_z_of_where_the_rise_overflows(b):
+    # a float B adds the period rise only past the first half-period too:
+    # at B = 5e102, G(pi/2) overflows to inf, and a k = 0 element keeps
+    # z_of's +-inf where adding 0 * inf would give nan.  A 0-d s (profile
+    # at an int) takes the same branch
+    params = DelaunayParams(1.0, b)
+    ss = [0.004, -0.2, 30.0, -0.0, 10.0]
+    assert set(_periods(1.0, np.array(ss)).tolist()) == {0.0, 5.0, 2.0}
+    want = [z_of(params, s).hex() for s in ss]
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = z_many(params, ss)
+        st = profile(params, np.array(ss))
+        zero_d = [float(profile(params, np.array(s)).z) for s in ss]
+    assert [z.hex() for z in got.tolist()] == want
+    assert [z.hex() for z in st.z.tolist()] == want
+    assert [z.hex() for z in zero_d] == want
+
+
 def test_eval_state_is_profile_at_z_of():
     # profile takes its own height, z_of at a float; eval_state converts s
     for b in (0.0, 0.7, 1.5):
