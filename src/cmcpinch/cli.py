@@ -30,6 +30,12 @@ writes no OBJ unless every vertex and normal is a finite float.
 numpy loads on first use: analyze, --help and usage errors never load
 it; profile, scan, mesh and verify load it at their first array.
 
+main hands argv to the parser of the command its first word names, one
+parse per call; the top-level parser only answers help and usage errors
+(no command, -h, a first word that names none) and reports the
+arguments a command's parser leaves over, as argparse's nested parse
+does.
+
 The profile table's last column is g = x - (x'/z') z.  Where z' != 0,
 u = -z' g, so g vanishes exactly where the support function u does, but
 u is smooth where g has a pole (z' = 0 at the nodoid's r0); g is blank
@@ -387,14 +393,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     command = parser.commands.get(argv[0]) if argv else None
     try:
         if command is None:
-            # no command named first: the top-level parser prints help or
-            # a usage error and exits
+            # no command named first: help or a usage error
             args = parser.parse_args(argv)
         else:
-            # the parse argparse would hand the command's parser, with
-            # leftovers reported as the top-level parser reports them
             args, extras = command.parse_known_args(argv[1:])
             if extras:
+                # with the top-level usage, as argparse's nested parse
                 parser.error("unrecognized arguments: " + " ".join(extras))
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
