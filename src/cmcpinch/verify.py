@@ -22,10 +22,10 @@ AC13 read s0, z0, z(s0), n0, t_n and r0 from the examples' classify
 reports, the ones analyze prints; AC11 checks the bound
 H z(t_1) > pi/sqrt(2) > B that makes n0 = 1.
 
-AC5-AC8 share one seeded sample set of 1000 points over all three
-families (_Context.sample_rows), drawn as four seeded columns (family
-pick, B, H, s), evaluated as arrays with per-row (H, B) and bounded a
-table at a time; AC8 evaluates s + h and s - h as the two halves of
+AC5-AC8 share one sample set of 1000 points over all three families
+(_Context.sample_rows), four columns (family pick, B, H, s) of an
+additive recurrence that needs no random generator, evaluated as
+arrays with per-row (H, B) and bounded a table at a time; AC8 evaluates s + h and s - h as the two halves of
 one more array call.  AC4 and AC13 read their boundary and neck points
 from their own grids, and AC9 and AC10 evaluate their points as one
 array each; AC11 and AC15 evaluate their few points through the float
@@ -54,6 +54,9 @@ EXAMPLE = DelaunayParams(0.1, 0.9)
 NODOID_EXAMPLE = DelaunayParams(1.0, 1.5)
 # points of [-sb, sb] where AC4 samples the gap, an oracle for min_gap = 0
 PORTION_SAMPLES = 2049
+# the real root of x^5 = x + 1; its powers g^-1 .. g^-4 step the four
+# equidistributed columns of AC5-AC8's sample set (Weyl's criterion)
+R4_ROOT = 1.1673039782614187
 
 # reference values for the (H, B) = (0.1, 0.9) worked example
 S0_REF = 4.51026
@@ -137,15 +140,16 @@ class _Context:
 
     @cached_property
     def sample_rows(self) -> tuple[_Shapes, GeneratrixState, PointAnalysis]:
-        """1000 random rows over all families, as one array state.
+        """1000 rows over all families, as one array state.
 
-        Four seeded columns of uniform draws give each row its family
+        Four columns of the R4 additive recurrence, (0.5 + k g^-j) mod 1
+        for k = 1..1000 in column j = 1..4, give each row its family
         pick, B (0 for a cylinder), H and s in (-span, span); z, the
         profile and the analysis then run once on arrays with per-row H
         and B.
         """
-        pick, u_b, u_h, u_s = np.random.default_rng(20260819).random(
-            (4, 1000))
+        steps = np.array([[R4_ROOT ** -j] for j in range(1, 5)])
+        pick, u_b, u_h, u_s = (0.5 + steps * np.arange(1.0, 1001.0)) % 1.0
         b = np.where(pick < 0.1, 0.0,
                      np.where(pick < 0.55, 0.05 + 0.85 * u_b,
                               1.15 + 1.35 * u_b))

@@ -395,11 +395,17 @@ def test_obj_parse_equals_python_float_bit_for_bit():
 
 
 def _sample_rows_one_at_a_time():
-    """The sample set built a row at a time: the row's four draws as
-    floats, then one DelaunayParams, eval_state and analyze_point."""
-    columns = np.random.default_rng(20260819).random((4, 1000))
+    """The sample set built a row at a time: the row's four recurrence
+    values as Python floats, then one DelaunayParams, eval_state and
+    analyze_point."""
+    # the real root of x^5 = x + 1: no neighbouring float is closer
+    g = 1.1673039782614187
+    assert min((math.nextafter(g, 1.0), g, math.nextafter(g, 2.0)),
+               key=lambda x: abs(x ** 5 - x - 1.0)) == g
     rows = []
-    for pick, u_b, u_h, u_s in columns.T.tolist():
+    for k in range(1, 1001):
+        pick, u_b, u_h, u_s = ((0.5 + k * g ** -j) % 1.0
+                               for j in range(1, 5))
         if pick < 0.1:
             b = 0.0
         elif pick < 0.55:
