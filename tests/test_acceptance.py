@@ -273,13 +273,6 @@ def _non_ascii_coordinate(lines):
     return lines
 
 
-def _tab_after_first_f(lines):
-    # the f block is found by "\nf ", so this record falls in the vn block
-    i = _records(lines, "f")[0]
-    lines[i] = "f\t" + lines[i][2:]
-    return lines
-
-
 def _single_slash_in_face(lines):
     i = _records(lines, "f")[1]
     tag, first, rest = lines[i].split(" ", 2)
@@ -321,8 +314,6 @@ def _export_corrupted_by(corrupt):
                         "within a single line of input."),
     (_non_ascii_coordinate, "ValueError: could not convert string "
                             "'0\xe9' to float64 at row 0, column 3."),
-    (_tab_after_first_f, "ValueError: could not convert string '1//1' "
-                         "to float64 at row 4096, column 2."),
     (_single_slash_in_face, "ValueError: the dtype passed requires 7 "
                             "columns but 6 were found at row 2;"),
 ])
@@ -372,6 +363,33 @@ def test_ac16_reads_whitespace_variants_as_the_clean_obj(corrupt, results,
     res = dict(verify.CHECKS)["AC16"](verify._Context(DEFAULT_ROOT))
     clean = results["AC16"]
     assert res.passed
+    assert (res.worst_ratio.hex(), res.detail) == (
+        clean.worst_ratio.hex(), clean.detail)
+
+
+def _tab_after_tag(line, tag):
+    return tag + "\t" + line[len(tag) + 1:]
+
+
+def _blank_before_tag(line, tag):
+    return " \xa0" + line
+
+
+@pytest.mark.parametrize("edit", [_tab_after_tag, _blank_before_tag])
+@pytest.mark.parametrize("record", [0, 5])
+@pytest.mark.parametrize("tag", ["vn", "f"])
+def test_ac16_reads_a_record_alike_wherever_it_stands(tag, record, edit,
+                                                      results, monkeypatch):
+    # other whitespace around a tag reads as the clean OBJ whether the
+    # record opens its block (record 0) or stands inside it (record 5)
+    def corrupt(lines):
+        i = _records(lines, tag)[record]
+        lines[i] = edit(lines[i], tag)
+        return lines
+    monkeypatch.setattr(verify, "export_obj", _export_corrupted_by(corrupt))
+    res = dict(verify.CHECKS)["AC16"](verify._Context(DEFAULT_ROOT))
+    clean = results["AC16"]
+    assert res.passed, res.detail
     assert (res.worst_ratio.hex(), res.detail) == (
         clean.worst_ratio.hex(), clean.detail)
 
