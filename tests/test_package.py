@@ -105,6 +105,24 @@ def test_profile_loads_numpy_on_its_first_array(tmp_path):
     assert out.read_bytes() == golden.read_bytes()
 
 
+def test_verify_never_loads_numpy_random():
+    # AC5-AC8 sample an additive recurrence, so no command of the CLI
+    # needs a random generator
+    code = ("import contextlib, io, sys\n"
+            "from cmcpinch import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+            "    code = cli.main(['verify', '--format', 'json'])\n"
+            "print(code, 'numpy._core' in sys.modules,\n"
+            "      'numpy.random' in sys.modules)\n"
+            "sys.stdout.write(out.getvalue())\n")
+    run = _fresh(code)
+    assert run.returncode == 0, run.stderr
+    status, _, report = run.stdout.partition("\n")
+    assert status == "0 True False"
+    golden = ROOT / "tests" / "golden" / "verify.jsonl"
+    assert report == golden.read_text(encoding="utf-8")
+
+
 def test_a_missing_numpy_is_named():
     code = ("import sys; sys.modules['numpy'] = None\n"
             "try:\n"
