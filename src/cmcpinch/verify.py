@@ -31,14 +31,13 @@ from their own grids, and AC9 and AC10 evaluate their points as one
 array each; AC11 and AC15 evaluate their few points through the float
 path, eval_state, and tests hold the float and array paths equal bit
 for bit.  AC16 hands np.loadtxt each OBJ block as lines, split from one
-latin-1 decode of its bytes, and finds each block's first record by its
-tag as np.loadtxt reads it.
+latin-1 decode of its bytes, and finds each block at its first record
+whose tag reads as np.loadtxt reads it.
 """
 from __future__ import annotations
 
 import io
 import math
-import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple, Optional
@@ -356,18 +355,12 @@ def _check_radial_boundary(ctx: _Context, r: _Ratios) -> None:
         r.bound(p.R0 * abs(st.dx) / st.x - 1.0, 1e-6)
 
 
-# the first record of a block: np.loadtxt skips any whitespace but a
-# newline before a record's tag, and any whitespace or the line's end
-# ends it, so a record opens its block wherever a later one would parse
-_BLOCK_START = {tag: re.compile(rf"\n[^\S\n]*{tag}(?!\S)")
-                for tag in ("vn", "f")}
-
-
-def _read_block(text: str, tag: bytes, kind, shape) -> np.ndarray:
+def _read_block(block: bytes, tag: bytes, kind, shape) -> np.ndarray:
     """The rows of one block of records tagged ``tag``, read by one
     np.loadtxt call with the tag as a field of the record."""
-    # a final newline leaves a blank line, which the parser skips
-    lines = text.split("\n")
+    # latin-1 passes each byte on as one character, so the parser sees
+    # and rejects a non-ASCII byte; a final newline leaves a blank line
+    lines = block.decode("latin-1").split("\n")
     # a longer tag is cut to three bytes, which no block's tag equals
     table = np.loadtxt(lines, ndmin=1,
                        dtype=[("tag", "S3"), ("row", kind, shape)])
@@ -377,6 +370,23 @@ def _read_block(text: str, tag: bytes, kind, shape) -> np.ndarray:
     return table["row"]
 
 
+def _block_start(data: bytes, tag: bytes, pos: int) -> int:
+    """Where the first line after ``pos`` whose first field is ``tag``
+    starts, or 0.  The field is read as np.loadtxt reads it, after any
+    whitespace but a newline and before whitespace or the line's end,
+    so a record opens its block wherever a later one would parse."""
+    i = data.find(tag, pos)
+    while i >= 0:
+        line = data.rfind(b"\n", pos, i) + 1
+        end = i + len(tag)
+        # the parser's whitespace is str.isspace, wider than bytes'
+        edges = (data[line:i] + data[end:end + 1]).decode("latin-1")
+        if line and (not edges or edges.isspace()):
+            return line
+        i = data.find(tag, end)
+    return 0
+
+
 def _parse_obj(data: bytes):
     """The v, vn and f blocks of one exported object, found in the order
     export_obj writes them and each read by one np.loadtxt call.  Its C
@@ -384,18 +394,14 @@ def _parse_obj(data: bytes):
     a field too many or too few; a record tagged for another block, a
     missing block and a face whose normal index differs from its vertex
     index raise too.  f keeps its vertex indices."""
-    # latin-1 passes each byte on as one character, so the parser sees
-    # and rejects a non-ASCII byte
-    text = data.decode("latin-1")
-    vn = _BLOCK_START["vn"].search(text)
-    f = vn and _BLOCK_START["f"].search(text, vn.end())
+    vn = _block_start(data, b"vn", 0)
+    f = _block_start(data, b"f", vn) if vn else 0
     if not f:
         raise ValueError("the OBJ lacks its vn or f block")
-    vn, f = vn.start() + 1, f.start() + 1
-    vs = _read_block(text[:vn], b"v", float, 3)
-    vns = _read_block(text[vn:f], b"vn", float, 3)
+    vs = _read_block(data[:vn], b"v", float, 3)
+    vns = _read_block(data[vn:f], b"vn", float, 3)
     # "i//i" tokens: vertex and normal index
-    faces = _read_block(text[f:].replace("//", " "), b"f", np.int64,
+    faces = _read_block(data[f:].replace(b"//", b" "), b"f", np.int64,
                         (3, 2))
     if not (faces[..., 0] == faces[..., 1]).all():
         raise ValueError("a face's normal index differs from its vertex "
