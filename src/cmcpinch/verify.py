@@ -24,15 +24,15 @@ H z(t_1) > pi/sqrt(2) > B that makes n0 = 1.
 
 AC5-AC8 share one sample set of 1000 points over all three families
 (_Context.sample_rows), four columns (family pick, B, H, s) of an
-additive recurrence that needs no random generator, evaluated as
-arrays with per-row (H, B) and bounded a table at a time; AC8 evaluates s + h and s - h as the two halves of
-one more array call.  AC4 and AC13 read their boundary and neck points
-from their own grids, and AC9 and AC10 evaluate their points as one
-array each; AC11 and AC15 evaluate their few points through the float
-path, eval_state, and tests hold the float and array paths equal bit
-for bit.  AC16 hands np.loadtxt each OBJ block as lines, split from one
-latin-1 decode of its bytes, and finds each block at its first record
-whose tag reads as np.loadtxt reads it.
+additive recurrence that needs no random generator, evaluated as arrays
+with per-row (H, B) and bounded a table at a time; AC8 evaluates s + h
+and s - h as the two halves of one more array call.  AC4 and AC13 read
+their boundary and neck points from their own grids, and AC9 and AC10
+evaluate their points as one array each; AC11 and AC15 evaluate their
+few points through the float path, eval_state, and tests hold the float
+and array paths equal bit for bit.  AC16 hands np.loadtxt each OBJ
+block as lines, split from one latin-1 decode of its bytes, and finds
+each block at its first record whose tag reads as np.loadtxt reads it.
 """
 from __future__ import annotations
 
@@ -395,7 +395,7 @@ def _parse_obj(data: bytes):
     missing block and a face whose normal index differs from its vertex
     index raise too.  f keeps its vertex indices."""
     vn = _block_start(data, b"vn", 0)
-    f = _block_start(data, b"f", vn) if vn else 0
+    f = vn and _block_start(data, b"f", vn)
     if not f:
         raise ValueError("the OBJ lacks its vn or f block")
     vs = _read_block(data[:vn], b"v", float, 3)

@@ -106,8 +106,8 @@ def test_profile_loads_numpy_on_its_first_array(tmp_path):
 
 
 def test_verify_never_loads_numpy_random():
-    # AC5-AC8 sample an additive recurrence, so no command of the CLI
-    # needs a random generator
+    # AC5-AC8 sample an additive recurrence, so verify needs no random
+    # generator
     code = ("import contextlib, io, sys\n"
             "from cmcpinch import cli\n"
             "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
