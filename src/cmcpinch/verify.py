@@ -309,7 +309,7 @@ def _check_dilation(ctx: _Context, r: _Ratios) -> str:
     ss = np.linspace(-p.s_bar, p.s_bar, 100)
     gaps = analyze_point(profile(EXAMPLE, ss)).gap
     scaled = analyze_point(profile(p.scaled_params, ss / p.R0)).gap
-    r.bound(np.abs(gaps - scaled).max(), 1e-9)
+    r.bound(gaps - scaled, 1e-9)
     return f"scaled H={p.scaled_params.H:.12g}"
 
 
@@ -331,7 +331,7 @@ def _check_nodoid(ctx: _Context, r: _Ratios) -> str:
                           & (st.dx * st.z <= 0.0)
                           & (pa.k1 * pa.support >= 0.0)
                           & (pa.lambda2 >= 0.0))))
-    r.bound(min(pa.gap.min(), 0.0), 1e-8)
+    r.bound(np.minimum(pa.gap, 0.0), 1e-8)
     return f"rb={rb:.12g} r0={r_top:.12g}"
 
 
@@ -424,12 +424,9 @@ def _check_mesh_export(ctx: _Context, r: _Ratios) -> str:
     r.require(faces.shape == m.triangles.shape)
     radii = np.linalg.norm(vs, axis=1)
     r.bound(float(radii.max()) / p.R0 - 1.0, 1e-6)
-    first_ring = radii[:n_par]
-    last_ring = radii[-n_par:]
-    for ring in (first_ring, last_ring):
-        r.bound(float(np.abs(ring - p.R0).max()), 1e-6)
-    norm_len = np.linalg.norm(vns, axis=1)
-    r.bound(float(np.abs(norm_len - 1.0).max()), 1e-9)
+    for ring in (radii[:n_par], radii[-n_par:]):
+        r.bound(ring - p.R0, 1e-6)
+    r.bound(np.linalg.norm(vns, axis=1) - 1.0, 1e-9)
     # one integer key per undirected edge, from its lower and higher end
     a, b, c = faces.T
     ends = np.concatenate((a, b, c)), np.concatenate((b, c, a))
