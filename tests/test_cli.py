@@ -134,6 +134,26 @@ def test_analyze_invalid_inputs(capsys):
                     "--no-such-flag"], capsys)[0] == 2
 
 
+def test_top_level_usage(capsys):
+    # main hands argv to the command's parser; a flag it leaves over is a
+    # usage error of the top-level parser, as argparse's nested parse
+    # reports it.  No command is a usage error too, and --help prints the
+    # top-level help
+    usage = "usage: cmcpinch [-h]"
+    code, out, err = run_cli(["analyze", "--H", "1", "--B", "1.5", "--bogus"],
+                             capsys)
+    assert (code, out) == (2, "")
+    lines = err.splitlines()
+    assert lines[0].startswith(usage)
+    assert lines[-1] == "cmcpinch: error: unrecognized arguments: --bogus"
+    code, out, err = run_cli([], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(usage)
+    code, out, err = run_cli(["--help"], capsys)
+    assert (code, err) == (0, "")
+    assert out.startswith(usage)
+
+
 def test_root_bracket_failure_is_numerical(monkeypatch, capsys):
     # NoSignChangeError is a ValueError, but it reports a numerical
     # failure of the root search, not bad input
@@ -318,6 +338,8 @@ def test_scan_rejects_non_finite_bounds(flag, value, tmp_path, capsys):
     assert (code, out) == (2, "")
     assert err == "error: need finite --H-min, --H-max, --B-min and --B-max\n"
     assert not dest.exists()
+    argv[argv.index("--output") + 1] = "-"
+    assert run_cli(argv, capsys) == (2, "", err)
 
 
 @pytest.mark.parametrize("flag", ["--H-steps", "--B-steps"])
@@ -368,6 +390,7 @@ def test_grid_too_large_to_allocate_is_invalid_input(argv, tmp_path, capsys):
     assert err.startswith("error: Unable to allocate ")
     assert err.count("\n") == 1
     assert not dest.exists()
+    assert run_cli(argv, capsys) == (2, "", err)
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -720,6 +743,8 @@ def test_unbracketed_nodoid_crossing_exits_3(argv, want, tmp_path, capsys):
     assert (code, out) == (3, "")
     assert err == want
     assert not dest.exists()
+    if argv[0] == "analyze":
+        assert run_cli(argv, capsys) == (3, "", want)
 
 
 @pytest.mark.parametrize("b, s_min, s_max", [
@@ -735,13 +760,14 @@ def test_profile_overflow_exits_3_without_numpy_warnings(b, s_min, s_max,
     # np.errstate, so stderr holds only the one line, and the
     # RuntimeWarning filter fails the test on any warning
     dest = tmp_path / "p.csv"
-    code, out, err = run_cli(
-        ["profile", "--H", "1", "--B", b, "--s-min", s_min, "--s-max", s_max,
-         "--n", "16", "--output", str(dest)], capsys)
+    argv = ["profile", "--H", "1", "--B", b, "--s-min", s_min, "--s-max",
+            s_max, "--n", "16"]
+    code, out, err = run_cli(argv + ["--output", str(dest)], capsys)
     assert (code, out) == (3, "")
     assert err == ("error: the profile table holds a value that is not a "
                    "finite float\n")
     assert not dest.exists()
+    assert run_cli(argv, capsys) == (3, "", err)
 
 
 @pytest.mark.parametrize("b", ["2523797916671996.0", "7938526459681719.0"])
@@ -838,7 +864,7 @@ FORMER_VARIABLES = {
     "CMCPINCH_ROOT_X_TOL": "0.5", "CMCPINCH_ROOT_MAX_ITERATIONS": "1",
     "CMCPINCH_QUAD_ABS_TOL": "1", "CMCPINCH_QUAD_REL_TOL": "-1",
     "CMCPINCH_QUAD_MAX_SUBDIVISIONS": "0", "CMCPINCH_ROOT_F_TOL": "-0.5"}
-# one golden run per command, as in CI's console-script step
+# one golden run per command, as CI's installed-package step runs them
 GOLDEN_RUNS = {
     "analyze": (["analyze", "--H", "0.1", "--B", "0.9", "--format", "json"],
                 "analyze_H0.1_B0.9.json"),

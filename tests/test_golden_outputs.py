@@ -58,6 +58,17 @@ def test_file_output_matches_golden(name, argv, tmp_path, capsys):
 
 PROFILE_OUTPUTS = [(name, argv) for name, argv in FILE_OUTPUTS
                    if argv[0] == "profile"]
+REPORT_OUTPUTS = [(name, argv) for name, argv in FILE_OUTPUTS
+                  if argv[0] in ("analyze", "scan")]
+
+
+@pytest.mark.parametrize("name,argv", REPORT_OUTPUTS,
+                         ids=[name for name, _ in REPORT_OUTPUTS])
+def test_report_stdout_matches_golden(name, argv, capsys):
+    assert main(argv[:-1]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.encode("ascii") == (GOLDEN_DIR / name).read_bytes()
 
 
 @pytest.mark.parametrize("tail", [[], ["-"]], ids=["no-output", "dash"])

@@ -4,9 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from cmcpinch.cli import main
 from cmcpinch.delaunay import DelaunayParams
+from cmcpinch.freeboundary import build_portion
 from cmcpinch.mesh import (TriangleMesh, export_obj, export_obj_scene,
                            revolve, sphere)
+from cmcpinch.verify import _parse_obj
 
 EXAMPLE = DelaunayParams(1.0, 0.9)
 
@@ -226,13 +229,32 @@ def test_export_scene_matches_line_formatter_across_digit_widths():
     assert b"f 9//9 " in got and b" 100//100" in got
 
 
-def test_export_matches_line_formatter_across_six_digit_indices():
-    # 320 x 320 = 102400 vertices: one object's faces cross 99999 -> 100000
-    mesh = revolve(EXAMPLE, -1.0, 1.0, 320, 320)
-    named = [("portion", mesh)]
-    got = _scene_bytes(named)
+def test_export_matches_line_formatter_across_six_digit_indices(tmp_path):
+    # the mesh command's 320 x 320 portion has 102400 vertices: one
+    # object's faces cross 99999 -> 100000.  AC16's parser reads each
+    # object of the scene back: f the triangles plus the object's offset,
+    # v and vn the arrays at 9 digits
+    dest = tmp_path / "wide.obj"
+    assert main(["mesh", "--H", "1", "--B", "1.5", "--resolution", "320",
+                 "--include-sphere", "--out", str(dest)]) == 0
+    params = DelaunayParams(1.0, 1.5)
+    p = build_portion(params)
+    named = [("portion", revolve(params, -p.s_bar, p.s_bar, 320, 320)),
+             ("sphere", sphere(p.R0, 160, 320))]
+    got = dest.read_bytes()
     assert got == _loop_format_scene(named)
     assert b" 99999//99999" in got and b" 100000//100000" in got
+    offset = 0
+    chunks = (b"\n" + got).split(b"\no ")[1:]
+    for chunk, (name, mesh) in zip(chunks, named, strict=True):
+        head, _, data = chunk.partition(b"\n")
+        assert head.decode() == name
+        vs, vns, faces = _parse_obj(data)
+        for table, rows in ((vs, mesh.vertices), (vns, mesh.normals)):
+            assert table.tolist() == [[float(f"{c:.9g}") for c in row]
+                                      for row in rows.tolist()]
+        assert faces.tolist() == (mesh.triangles + offset + 1).tolist()
+        offset += len(mesh.vertices)
 
 
 def test_export_matches_line_formatter_on_edge_values():

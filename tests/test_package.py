@@ -12,6 +12,9 @@ import cmcpinch
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
+# where this process imported cmcpinch from, the source tree or an
+# installed copy; a fresh interpreter imports the same one
+PACKAGE_PARENT = pathlib.Path(cmcpinch.__file__).resolve().parents[1]
 
 
 def test_all_lists_exactly_the_public_names():
@@ -42,6 +45,7 @@ NUMPY_FREE_RUNS = [
     (["analyze", "--H", "1", "--B", b, "--format", fmt], 0)
     for b in ("0", "0.5", "0.9", "1.5") for fmt in ("text", "json")
 ] + [
+    (["analyze", "--H", "0.1", "--B", "0.9", "--format", "json"], 0),
     (["--help"], 0),
     (["analyze", "--H", "1", "--B", "1"], 2),
     (["analyze", "--B", "0.5"], 2),
@@ -64,7 +68,7 @@ print(json.dumps({"codes": codes, "verdict": verdict,
 
 
 def _fresh(code: str, *args: str) -> subprocess.CompletedProcess:
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE_PARENT))
     return subprocess.run([sys.executable, "-c", code, *args], env=env,
                           capture_output=True, text=True, check=False)
 
