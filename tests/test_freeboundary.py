@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -84,6 +85,44 @@ def test_u_rises_toward_s0():
     assert u0 == pytest.approx((EXAMPLE.B - 1.0) / EXAMPLE.H, rel=1e-12)
     assert u0 < u_half < u_top
     assert u_top > 0.0
+
+
+def _unduloid_grid():
+    """Seeded unduloid B: uniform in (1e-6, 1 - 1e-6), and 10^-k and
+    1 - 10^-k for k = 1 ... 12."""
+    rng = random.Random(14)
+    ends = [10.0 ** -k for k in range(1, 13)]
+    return ([rng.uniform(1e-6, 1.0 - 1e-6) for _ in range(276)]
+            + ends + [1.0 - e for e in ends])
+
+
+def test_u_peaks_at_s0():
+    # the docstring's sign facts at H = 1: u' = x'' z - x z'' is positive
+    # on (0, s0), vanishes at s0 and is negative on (s0, pi), and u < 0 on
+    # (pi, 2 pi], so u(s0) = B (z(s0) - z0) is the maximum of u on
+    # [0, 2 pi]: below B* no crossing, above it s_bar <= s0 <= s_2 < pi
+    def du(st):
+        return st.ddx * st.z - st.x * st.ddz
+
+    for b in _unduloid_grid():
+        params = DelaunayParams(1.0, b)
+        top = classify(params).s0
+        rising = profile(params, np.linspace(0.0, top, 258)[1:-1])
+        falling = profile(params, np.linspace(top, math.pi, 258)[1:-1])
+        beyond = profile(params, np.linspace(math.pi, 2.0 * math.pi, 257)[1:])
+        assert np.all(du(rising) > 0.0), b
+        assert np.all(du(falling) < 0.0), b
+        assert np.all(support_function(beyond) < 0.0), b
+        assert abs(du(eval_state(params, top))) <= 1e-15, b
+
+
+# B* = 0.76589502387205679258... (stdlib decimal at 50 digits).  The
+# float below it, 0.7658950238720567, has F = z(s0) - z0 = -1.19e-16,
+# but F rounds to 0.0 there and classify reports a portion
+@pytest.mark.xfail(strict=True, reason="ROADMAP direction 2")
+def test_float_below_the_threshold_has_no_portion():
+    rep = classify(DelaunayParams(1.0, 0.7658950238720567))
+    assert rep.verdict == VERDICT_NO_ORTHOGONAL
 
 
 def test_find_sbar_golden():

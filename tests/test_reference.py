@@ -184,6 +184,26 @@ def test_crossing_tends_to_the_critical_catenoid(k, side):
     assert abs(portion.R0 / a - float(cells["R0OverA"])) <= bound
 
 
+@pytest.mark.parametrize("side", [-1.0, 1.0], ids=["below", "above"])
+@pytest.mark.parametrize("k", range(1, 16))
+def test_crossing_approaches_the_catenoid_to_second_order(k, side):
+    # with each side's slope, d(sBar / a) / d(1 - B) and its R0 analogue,
+    # the limit's two-term form leaves O((1 - B)^2): 2.9 to 5.0 times
+    # (1 - B)^2 for k = 1 ... 7, and float noise from k = 8 on
+    from cmcpinch.delaunay import DelaunayParams
+    from cmcpinch.freeboundary import classify
+    cells = REFERENCE["catenoidLimit"]
+    slopes = cells["slopes"]["below" if side < 0.0 else "above"]
+    b = 1.0 + side * 10.0 ** -k
+    d = 1.0 - b
+    portion = classify(DelaunayParams(1.0, b)).portion
+    bound = 6.0 * d * d + 1e-12
+    for got, key, limit in ((portion.s_bar, "sBar", "sBarOverA"),
+                            (portion.R0, "R0", "R0OverA")):
+        two_term = float(cells[limit]) + float(slopes[key]) * d
+        assert abs(got / abs(d) - two_term) <= bound, key
+
+
 # Pinched shapes at H = 1 for the 50-digit check of the freeboundary
 # theorem: unduloids from just above the dichotomy threshold
 # B* = 0.76589502387... up to 1 - 1e-6, nodoids from 1 + 1e-6 to 1e9
