@@ -31,16 +31,14 @@ u = -rho, which gives gap = 0: spheres sit exactly on the equality case.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ._np import np
+from ._record import Record
 from .delaunay import GeneratrixState
 
 
-@dataclass(frozen=True)
-class PointAnalysis:
-    """Curvature and gap data, floats or arrays like the state analysed."""
-
+class _PointAnalysisFields(NamedTuple):
     k1: float
     k2: float
     mean_curv: float
@@ -49,6 +47,12 @@ class PointAnalysis:
     lambda2: float
     phi_sq: float
     gap: float
+
+
+class PointAnalysis(Record, _PointAnalysisFields):
+    """Curvature and gap data, floats or arrays like the state analysed."""
+
+    __slots__ = ()
 
 
 def principal_curvatures(st: GeneratrixState) -> tuple[float, float]:

@@ -27,10 +27,10 @@ x'^2 + z'^2 = 1 identically, so s really is arc length.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 from ._np import np
+from ._record import Record
 
 
 CYLINDER = "cylinder"
@@ -38,20 +38,20 @@ UNDULOID = "unduloid"
 NODOID = "nodoid"
 
 
-@dataclass(frozen=True)
-class DelaunayParams:
+class DelaunayParams(Record):
     """Mean curvature H and shape parameter B of a Delaunay surface."""
 
-    H: float
-    B: float
+    __slots__ = _fields = ("H", "B")
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.H) and self.H > 0.0):
+    def __init__(self, H: float, B: float) -> None:
+        if not (math.isfinite(H) and H > 0.0):
             raise ValueError("H must be positive and finite")
-        if not (math.isfinite(self.B) and self.B >= 0.0):
+        if not (math.isfinite(B) and B >= 0.0):
             raise ValueError("B must be nonnegative and finite")
-        if self.B == 1.0:
+        if B == 1.0:
             raise ValueError("B = 1 is the degenerate string of spheres")
+        self.H = H
+        self.B = B
 
     @property
     def family(self) -> str:
@@ -60,17 +60,20 @@ class DelaunayParams:
         return UNDULOID if self.B < 1.0 else NODOID
 
 
-@dataclass
-class GeneratrixState:
+class GeneratrixState(Record):
     """Profile position and derivatives: floats at a float s, else arrays."""
 
-    s: float
-    x: float
-    z: float
-    dx: float
-    dz: float
-    ddx: float
-    ddz: float
+    __slots__ = _fields = ("s", "x", "z", "dx", "dz", "ddx", "ddz")
+
+    def __init__(self, s: float, x: float, z: float, dx: float, dz: float,
+                 ddx: float, ddz: float) -> None:
+        self.s = s
+        self.x = x
+        self.z = z
+        self.dx = dx
+        self.dz = dz
+        self.ddx = ddx
+        self.ddz = ddz
 
 
 def profile(params: DelaunayParams, s) -> GeneratrixState:

@@ -94,9 +94,9 @@ and find_n0 (1) have no caller here; bench/tracing.py wraps them by name.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import ClassVar, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
+from ._record import Record
 from .curvature import support_function
 from .delaunay import (CYLINDER, NODOID, UNDULOID, DelaunayParams,
                        eval_state, z_of)
@@ -122,30 +122,47 @@ class ViolationPoint(NamedTuple):
     gap: float
 
 
-@dataclass(frozen=True)
-class FreeBoundaryPortion:
+class FreeBoundaryPortion(Record):
     """A symmetric profile arc meeting its bounding sphere orthogonally;
     scaled_params and s_bar_scaled are the arc in the unit ball, at H = 1."""
 
-    s_bar: float
-    R0: float
-    scaled_params: DelaunayParams
-    s_bar_scaled: float
-    orthogonality_residual: float
-    min_gap: ClassVar[float] = 0.0  # 0 by theorem, attained at the neck
+    __slots__ = _fields = ("s_bar", "R0", "scaled_params", "s_bar_scaled",
+                           "orthogonality_residual")
+    min_gap = 0.0  # 0 by theorem, attained at the neck
+
+    def __init__(self, s_bar: float, R0: float,
+                 scaled_params: DelaunayParams, s_bar_scaled: float,
+                 orthogonality_residual: float) -> None:
+        self.s_bar = s_bar
+        self.R0 = R0
+        self.scaled_params = scaled_params
+        self.s_bar_scaled = s_bar_scaled
+        self.orthogonality_residual = orthogonality_residual
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
-    params: DelaunayParams
-    verdict: str
-    s0: Optional[float] = None
-    r0: Optional[float] = None
-    z0: Optional[float] = None
-    z_at_s0: Optional[float] = None
-    portion: Optional[FreeBoundaryPortion] = None
-    violations: list[ViolationPoint] = field(default_factory=list)
-    n0: Optional[int] = None
+class AnalysisReport(Record):
+    """The verdict on params and the numbers behind it; violations is a
+    new empty list unless given."""
+
+    __slots__ = _fields = ("params", "verdict", "s0", "r0", "z0", "z_at_s0",
+                           "portion", "violations", "n0")
+
+    def __init__(self, params: DelaunayParams, verdict: str,
+                 s0: Optional[float] = None, r0: Optional[float] = None,
+                 z0: Optional[float] = None,
+                 z_at_s0: Optional[float] = None,
+                 portion: Optional[FreeBoundaryPortion] = None,
+                 violations: Optional[list[ViolationPoint]] = None,
+                 n0: Optional[int] = None) -> None:
+        self.params = params
+        self.verdict = verdict
+        self.s0 = s0
+        self.r0 = r0
+        self.z0 = z0
+        self.z_at_s0 = z_at_s0
+        self.portion = portion
+        self.violations = [] if violations is None else violations
+        self.n0 = n0
 
     def at(self, H: float) -> AnalysisReport:
         """The report of the same shape B at mean curvature H.

@@ -24,34 +24,38 @@ for translate, and 2.9 on a v block, against translate's 1.0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import BinaryIO, Optional, Sequence
+from typing import BinaryIO, NamedTuple, Optional, Sequence
 
 from ._np import np
+from ._record import Record
 from .delaunay import DelaunayParams, profile
 from .textfmt import format_g, format_int, join, lines, text_rows
 
 
-@dataclass(frozen=True)
-class TriangleMesh:
+class _TriangleMeshFields(NamedTuple):
     vertices: np.ndarray   # (n, 3) float64
     normals: np.ndarray    # (n, 3) float64, unit, one per vertex
     triangles: np.ndarray  # (m, 3) int, indices into vertices
 
-    def __post_init__(self) -> None:
-        if self.vertices.shape != self.normals.shape:
+
+class TriangleMesh(Record, _TriangleMeshFields):
+    __slots__ = ()
+
+    def __new__(cls, vertices: np.ndarray, normals: np.ndarray,
+                triangles: np.ndarray) -> TriangleMesh:
+        if vertices.shape != normals.shape:
             raise ValueError("vertices and normals must match in shape")
-        if self.vertices.ndim != 2 or self.vertices.shape[1] != 3:
+        if vertices.ndim != 2 or vertices.shape[1] != 3:
             raise ValueError("vertices must be an (n, 3) array")
-        if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
+        if triangles.ndim != 2 or triangles.shape[1] != 3:
             raise ValueError("triangles must be an (m, 3) index array")
-        if not np.issubdtype(self.triangles.dtype, np.integer):
+        if not np.issubdtype(triangles.dtype, np.integer):
             raise ValueError("triangle indices must be integers")
-        if self.triangles.size and not (
-                0 <= self.triangles.min()
-                and self.triangles.max() < len(self.vertices)):
+        if triangles.size and not (
+                0 <= triangles.min() and triangles.max() < len(vertices)):
             raise ValueError("triangle indices must lie in "
                              "[0, len(vertices))")
+        return super().__new__(cls, vertices, normals, triangles)
 
 
 def revolve(params: DelaunayParams, s_min: float, s_max: float,

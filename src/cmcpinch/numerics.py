@@ -21,10 +21,10 @@ Two kernels:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from ._np import np
+from ._record import Record
 
 
 class NoSignChangeError(ValueError):
@@ -39,16 +39,17 @@ class NonFiniteError(ArithmeticError):
     """The root function is nan or infinite at a point of the search."""
 
 
-@dataclass(frozen=True)
-class RootConfig:
-    x_tol: float = 1e-12
-    max_iterations: int = 200
+class RootConfig(Record):
+    __slots__ = _fields = ("x_tol", "max_iterations")
 
-    def __post_init__(self) -> None:
-        if not self.x_tol > 0.0:
+    def __init__(self, x_tol: float = 1e-12,
+                 max_iterations: int = 200) -> None:
+        if not x_tol > 0.0:
             raise ValueError("x_tol must be positive")
-        if self.max_iterations < 1:
+        if max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
+        self.x_tol = x_tol
+        self.max_iterations = max_iterations
 
 
 DEFAULT_ROOT = RootConfig()

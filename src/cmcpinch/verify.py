@@ -38,11 +38,11 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple, Optional
 
 from ._np import np
+from ._record import Record
 from .curvature import PointAnalysis, analyze_point
 from .delaunay import (DelaunayParams, GeneratrixState, eval_state, profile,
                        z_of)
@@ -76,13 +76,16 @@ Z2_ORACLE_PAIRS = [
 ]
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class _CheckResultFields(NamedTuple):
     check_id: str
     description: str
     passed: bool
     worst_ratio: float
     detail: str = ""
+
+
+class CheckResult(Record, _CheckResultFields):
+    __slots__ = ()
 
 
 class _Ratios:

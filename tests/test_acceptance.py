@@ -5,7 +5,6 @@ pass/fail line per check id.  The whole battery runs once per session
 (conftest.default_checks).  The registry tests below call the entries
 of verify.CHECKS directly.
 """
-import dataclasses
 import io
 import math
 import pathlib
@@ -18,6 +17,7 @@ from cmcpinch.curvature import PointAnalysis, analyze_point
 from cmcpinch.delaunay import DelaunayParams, GeneratrixState, eval_state
 from cmcpinch.freeboundary import AnalysisReport, VERDICT_NO_ORTHOGONAL
 from cmcpinch.numerics import DEFAULT_ROOT
+from records import replace
 
 CHECK_IDS = [f"AC{i}" for i in range(1, 17)]
 
@@ -54,13 +54,13 @@ def _scaled(name, k):
     # the report with one length times k; a report without it is kept
     def misstate(rep):
         v = getattr(rep, name)
-        return rep if v is None else dataclasses.replace(rep, **{name: v * k})
+        return rep if v is None else replace(rep, **{name: v * k})
     return misstate
 
 
 def _third_t_scaled(rep):
     v = rep.violations
-    return rep if not v else dataclasses.replace(
+    return rep if not v else replace(
         rep, violations=[*v[:2], v[2]._replace(t=v[2].t * 1.001)])
 
 
@@ -112,7 +112,7 @@ def test_ac11_fails_unless_the_report_says_n0_is_1(n0, results,
     real = verify.classify
 
     def misreported(params, root):
-        return dataclasses.replace(real(params, root), n0=n0)
+        return replace(real(params, root), n0=n0)
 
     monkeypatch.setattr(verify, "classify", misreported)
     res = dict(verify.CHECKS)["AC11"](verify._Context(DEFAULT_ROOT))
@@ -189,7 +189,7 @@ def test_a_portion_off_its_boundary_fails_the_checks_that_read_it(
     # sb one part in 10^3 off: each check that reads it fails.  Too
     # short, every AC13 hypothesis still holds inside, so only its
     # |u(rb)| bound can fail it
-    setattr(ctx, portion, dataclasses.replace(p, s_bar=p.s_bar * scale))
+    setattr(ctx, portion, replace(p, s_bar=p.s_bar * scale))
     for check_id in checks:
         res = dict(verify.CHECKS)[check_id](ctx)
         assert not res.passed and res.worst_ratio > 1.0, check_id
@@ -448,8 +448,8 @@ def test_sample_set_is_the_row_at_a_time_set_bit_for_bit():
     assert {params.family for params, _, _ in rows} == {
         "cylinder", "unduloid", "nodoid"}
     columns = [("H", shapes, 0), ("B", shapes, 0)]
-    columns += [(f.name, st, 1) for f in dataclasses.fields(GeneratrixState)]
-    columns += [(f.name, pa, 2) for f in dataclasses.fields(PointAnalysis)]
+    columns += [(name, st, 1) for name in GeneratrixState._fields]
+    columns += [(name, pa, 2) for name in PointAnalysis._fields]
     for name, table, part in columns:
         got = [v.hex() for v in getattr(table, name).tolist()]
         want = [float(getattr(row[part], name)).hex() for row in rows]

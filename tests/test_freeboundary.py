@@ -1,7 +1,5 @@
-import dataclasses
 import math
 import random
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +13,7 @@ from cmcpinch.freeboundary import (VERDICT_CYLINDER, VERDICT_NO_ORTHOGONAL,
                                    build_portion, classify, find_n0,
                                    find_sbar, nodoid_find_rbar,
                                    violation_points)
+from records import replace
 from report_grid import report_inputs
 from sampled_portion import sampled_min_gap
 
@@ -518,8 +517,8 @@ def test_portion_of_no_size_raises_naming_the_length(field, key):
 
 
 def replace_at(rep, H):
-    """AnalysisReport.at through dataclasses.replace and
-    NamedTuple._replace: the oracle for the constructor-built one."""
+    """AnalysisReport.at through records.replace and NamedTuple._replace:
+    the oracle for the constructor-built one."""
     k = H / rep.params.H
 
     def length(key, v, size=False):
@@ -552,13 +551,9 @@ def report_bits(obj):
     """Every field of a report, recursively, each float by float.hex."""
     if isinstance(obj, float):
         return obj.hex()
-    if dataclasses.is_dataclass(obj):
+    if hasattr(obj, "_fields"):
         return (type(obj).__name__,) + tuple(
-            (f.name, report_bits(getattr(obj, f.name)))
-            for f in dataclasses.fields(obj))
-    if isinstance(obj, tuple):
-        return (type(obj).__name__,) + tuple(
-            (name, report_bits(v)) for name, v in zip(obj._fields, obj))
+            (name, report_bits(getattr(obj, name))) for name in obj._fields)
     if isinstance(obj, list):
         return [report_bits(v) for v in obj]
     return obj

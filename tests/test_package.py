@@ -81,10 +81,34 @@ def test_analyze_and_the_float_api_never_load_numpy():
     assert seen["codes"] == [code for _, code in NUMPY_FREE_RUNS]
     assert seen["verdict"] == cmcpinch.VERDICT_PINCHED
     assert "numpy._core" not in seen["modules"]
+    # dataclasses, and the inspect it imports, are the largest imports a
+    # fresh process would pay for; the records need neither
+    assert "dataclasses" not in seen["modules"]
+    assert "inspect" not in seen["modules"]
     # the benchmark's tracer looks up each module it wraps in sys.modules
     spans = runpy.run_path(str(ROOT / "bench" / "tracing.py"))["SPANS"]
     for module, _, _ in spans:
         assert f"cmcpinch.{module}" in seen["modules"]
+
+
+def test_no_command_loads_dataclasses(tmp_path):
+    # numpy itself imports inspect, so these array commands hold only
+    # dataclasses out
+    argvs = [
+        ["scan", "--H-min", "0.5", "--H-max", "2", "--H-steps", "2",
+         "--B-min", "0", "--B-max", "2", "--B-steps", "11"],
+        ["profile", "--H", "0.1", "--B", "0.9", "--s-min", "-1.8",
+         "--s-max", "1.8", "--n", "64"],
+        ["mesh", "--H", "0.1", "--B", "0.9", "--resolution", "16",
+         "--include-sphere", "--out", str(tmp_path / "m.obj")],
+        ["verify"],
+    ]
+    run = _fresh(FRESH_RUN, json.dumps(argvs))
+    assert run.returncode == 0, run.stderr
+    seen = json.loads(run.stdout)
+    assert seen["codes"] == [0] * len(argvs)
+    assert "numpy._core" in seen["modules"]
+    assert "dataclasses" not in seen["modules"]
 
 
 def test_every_traced_name_resolves():
