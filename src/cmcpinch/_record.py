@@ -1,11 +1,11 @@
 """The shared base of the package's records.
 
-A record is a class of named fields listed in ``_fields``.  The records
-built on the crossing and scan path are ``__slots__`` classes, with
+A record is a ``__slots__`` class of named fields, with
 ``__slots__ = _fields = (...)`` and a plain ``__init__``, which is the
-cheapest to build and to read; the others are NamedTuples.  Record gives
-both field-wise equality with a record of the same type only, a hash of
-the fields and the repr ``Name(field=value, ...)``.
+cheapest to build and to read.  Record gives it field-wise equality with
+a record of the same type only, a hash of the fields and the repr
+``Name(field=value, ...)``.  A record is no tuple: it is neither iterated
+nor indexed.
 
 Records are read-only by convention: nothing assigns to a field after
 construction.  A changed record is a new one, built by its constructor.
@@ -20,12 +20,7 @@ class Record:
         return tuple([getattr(self, name) for name in self._fields])
 
     def __eq__(self, other: object) -> bool:
-        # False, not NotImplemented, for another type: a plain tuple would
-        # then compare equal to a NamedTuple record through tuple.__eq__
         return type(other) is type(self) and self._values() == other._values()
-
-    def __ne__(self, other: object) -> bool:
-        return not self == other
 
     def __hash__(self) -> int:
         return hash(self._values())

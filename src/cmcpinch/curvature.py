@@ -31,28 +31,28 @@ u = -rho, which gives gap = 0: spheres sit exactly on the equality case.
 """
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from ._np import np
 from ._record import Record
 from .delaunay import GeneratrixState
 
 
-class _PointAnalysisFields(NamedTuple):
-    k1: float
-    k2: float
-    mean_curv: float
-    support: float
-    lambda1: float
-    lambda2: float
-    phi_sq: float
-    gap: float
-
-
-class PointAnalysis(Record, _PointAnalysisFields):
+class PointAnalysis(Record):
     """Curvature and gap data, floats or arrays like the state analysed."""
 
-    __slots__ = ()
+    __slots__ = _fields = ("k1", "k2", "mean_curv", "support", "lambda1",
+                           "lambda2", "phi_sq", "gap")
+
+    def __init__(self, k1: float, k2: float, mean_curv: float,
+                 support: float, lambda1: float, lambda2: float,
+                 phi_sq: float, gap: float) -> None:
+        self.k1 = k1
+        self.k2 = k2
+        self.mean_curv = mean_curv
+        self.support = support
+        self.lambda1 = lambda1
+        self.lambda2 = lambda2
+        self.phi_sq = phi_sq
+        self.gap = gap
 
 
 def principal_curvatures(st: GeneratrixState) -> tuple[float, float]:

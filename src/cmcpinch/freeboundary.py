@@ -94,7 +94,7 @@ and find_n0 (1) have no caller here; bench/tracing.py wraps them by name.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from ._record import Record
 from .curvature import support_function
@@ -115,11 +115,14 @@ class NoRootError(ValueError):
     """The requested orthogonal-crossing root does not exist."""
 
 
-class ViolationPoint(NamedTuple):
-    n: int
-    t: float
-    lambda2: float
-    gap: float
+class ViolationPoint(Record):
+    __slots__ = _fields = ("n", "t", "lambda2", "gap")
+
+    def __init__(self, n: int, t: float, lambda2: float, gap: float) -> None:
+        self.n = n
+        self.t = t
+        self.lambda2 = lambda2
+        self.gap = gap
 
 
 class FreeBoundaryPortion(Record):

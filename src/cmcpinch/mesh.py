@@ -24,7 +24,7 @@ for translate, and 2.9 on a v block, against translate's 1.0.
 from __future__ import annotations
 
 import math
-from typing import BinaryIO, NamedTuple, Optional, Sequence
+from typing import BinaryIO, Optional, Sequence
 
 from ._np import np
 from ._record import Record
@@ -32,17 +32,15 @@ from .delaunay import DelaunayParams, profile
 from .textfmt import format_g, format_int, join, lines, text_rows
 
 
-class _TriangleMeshFields(NamedTuple):
-    vertices: np.ndarray   # (n, 3) float64
-    normals: np.ndarray    # (n, 3) float64, unit, one per vertex
-    triangles: np.ndarray  # (m, 3) int, indices into vertices
+class TriangleMesh(Record):
+    """vertices is an (n, 3) float64 array; normals, of the same shape, is
+    one unit normal per vertex; triangles is an (m, 3) integer array of
+    indices into vertices."""
 
+    __slots__ = _fields = ("vertices", "normals", "triangles")
 
-class TriangleMesh(Record, _TriangleMeshFields):
-    __slots__ = ()
-
-    def __new__(cls, vertices: np.ndarray, normals: np.ndarray,
-                triangles: np.ndarray) -> TriangleMesh:
+    def __init__(self, vertices: np.ndarray, normals: np.ndarray,
+                 triangles: np.ndarray) -> None:
         if vertices.shape != normals.shape:
             raise ValueError("vertices and normals must match in shape")
         if vertices.ndim != 2 or vertices.shape[1] != 3:
@@ -55,7 +53,9 @@ class TriangleMesh(Record, _TriangleMeshFields):
                 0 <= triangles.min() and triangles.max() < len(vertices)):
             raise ValueError("triangle indices must lie in "
                              "[0, len(vertices))")
-        return super().__new__(cls, vertices, normals, triangles)
+        self.vertices = vertices
+        self.normals = normals
+        self.triangles = triangles
 
 
 def revolve(params: DelaunayParams, s_min: float, s_max: float,

@@ -76,36 +76,35 @@ Z2_ORACLE_PAIRS = [
 ]
 
 
-class _CheckResultFields(NamedTuple):
-    check_id: str
-    description: str
-    passed: bool
-    worst_ratio: float
-    detail: str = ""
+class CheckResult(Record):
+    __slots__ = _fields = ("check_id", "description", "passed",
+                           "worst_ratio", "detail")
 
-
-class CheckResult(Record, _CheckResultFields):
-    __slots__ = ()
+    def __init__(self, check_id: str, description: str, passed: bool,
+                 worst_ratio: float, detail: str = "") -> None:
+        self.check_id = check_id
+        self.description = description
+        self.passed = passed
+        self.worst_ratio = worst_ratio
+        self.detail = detail
 
 
 class _Ratios:
-    """Collects residual/tolerance ratios and boolean requirements."""
+    """The worst residual/tolerance ratio of a check, inf for a failed
+    requirement; the check passes when it is at most 1."""
 
     def __init__(self) -> None:
         self.worst = 0.0
-        self.ok = True
 
     def bound(self, residual, tol) -> None:
         """Bound a float or a table; a ratio that is not finite is inf."""
         q = np.abs(residual) / tol
         ratio = float(np.where(np.isfinite(q), q, math.inf).max())
         self.worst = max(self.worst, ratio)
-        self.ok = self.ok and ratio <= 1.0
 
     def require(self, condition: bool) -> None:
         if not condition:
             self.worst = math.inf
-            self.ok = False
 
 
 class _Shapes(NamedTuple):
@@ -179,7 +178,8 @@ def _check(check_id: str, description: str):
             except Exception as exc:
                 return CheckResult(check_id, description, False, math.inf,
                                    f"{type(exc).__name__}: {exc}")
-            return CheckResult(check_id, description, r.ok, r.worst, detail)
+            return CheckResult(check_id, description, r.worst <= 1.0,
+                               r.worst, detail)
         CHECKS.append((check_id, run))
         return fn
     return register

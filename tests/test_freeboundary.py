@@ -124,6 +124,52 @@ def test_float_below_the_threshold_has_no_portion():
     assert rep.verdict == VERDICT_NO_ORTHOGONAL
 
 
+def _floats_around(b, count):
+    below = above = b
+    out = [b]
+    for _ in range(count):
+        below = math.nextafter(below, 0.0)
+        above = math.nextafter(above, 2.0)
+        out += [below, above]
+    return sorted(out)
+
+
+# (H, B) shapes with the number of them reported Pinched: the 121 floats
+# around the float nearest B*, which is below it, so the 60 above it and
+# 0.7658950238720567, the xfail above; 1 -+ 10^-k; nodoids up to 7e15;
+# H from 1e-300 to 1e150, above which phi_sq = (k1 - k2)^2 / 2 is no float
+HARD_SHAPES = {
+    "near-B*": ([(1.0, b) for b in _floats_around(0.7658950238720568, 60)],
+                61),
+    "1-+10^-k": ([(1.0, 1.0 + sign * 10.0 ** -k) for k in range(1, 16)
+                  for sign in (-1.0, 1.0)], 30),
+    "nodoids": ([(1.0, 10.0 ** k) for k in range(1, 16)] + [(1.0, 7e15)],
+                16),
+    "H-decades": ([(10.0 ** e, b) for e in range(-300, 151, 50)
+                   for b in (0.9, 1.5)], 20),
+}
+
+
+@pytest.mark.parametrize("name", HARD_SHAPES)
+def test_portion_hypotheses_on_hard_shapes(name):
+    """Every reported portion of the hard shapes holds the proof's
+    hypotheses at PORTION_SAMPLES points (tests/sampled_portion.py).
+
+    A wrong verdict goes unseen here: 0.7658950238720567 lies below B*,
+    yet is reported Pinched (ROADMAP direction 2), and its portion holds
+    every sampled hypothesis.
+    """
+    shapes, pinched = HARD_SHAPES[name]
+    seen = 0
+    for h, b in shapes:
+        params = DelaunayParams(h, b)
+        rep = classify(params)
+        if rep.verdict == VERDICT_PINCHED:
+            assert sampled_min_gap(params, rep.portion) <= 0.0
+            seen += 1
+    assert seen == pinched
+
+
 def test_find_sbar_golden():
     assert find_sbar(EXAMPLE) == pytest.approx(SBAR_GOLDEN, abs=1e-9)
 
@@ -517,8 +563,8 @@ def test_portion_of_no_size_raises_naming_the_length(field, key):
 
 
 def replace_at(rep, H):
-    """AnalysisReport.at through records.replace and NamedTuple._replace:
-    the oracle for the constructor-built one."""
+    """AnalysisReport.at through records.replace: the oracle for the
+    constructor-built one."""
     k = H / rep.params.H
 
     def length(key, v, size=False):
@@ -543,7 +589,7 @@ def replace_at(rep, H):
         s0=length("s0", rep.s0), r0=length("r0", rep.r0),
         z0=length("z0", rep.z0),
         z_at_s0=length("zAtS0", rep.z_at_s0), portion=p,
-        violations=[v._replace(t=length(f"violations n={v.n} t", v.t))
+        violations=[replace(v, t=length(f"violations n={v.n} t", v.t))
                     for v in rep.violations])
 
 

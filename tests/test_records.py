@@ -1,5 +1,6 @@
-"""The record contract: the eight records compare, hash and print as the
-frozen dataclasses they replace did, and validate with the same messages.
+"""The record contract: the nine records compare, hash and print as the
+frozen dataclasses they replace did, validate with the same messages, and
+none of them is a tuple.
 """
 import contextlib
 import io
@@ -49,16 +50,18 @@ def _cases():
                             triangles=TRIANGLES), 2.0 * VERTICES, False),
         (CheckResult, dict(check_id="AC1", description="a check",
                            passed=True, worst_ratio=0.5), "AC2", True),
+        (ViolationPoint, dict(n=1, t=5.0, lambda2=-1.0, gap=-2.0), 2, True),
     ]
 
 
-@pytest.mark.parametrize("i", range(8),
+@pytest.mark.parametrize("i", range(len(_cases())),
                          ids=[case[0].__name__ for case in _cases()])
 def test_record_contract(i):
     cls, fields, changed, hashable = _cases()[i]
     rec = cls(**fields)
     twin = cls(**_cases()[i][1])
     values = tuple(getattr(rec, name) for name in cls._fields)
+    assert not isinstance(rec, tuple)
     # equal fields of the same type compare equal
     assert rec == twin and not rec != twin
     assert replace(rec) == rec
@@ -99,6 +102,8 @@ def test_reprs_of_the_dataclass_format():
     assert repr(CheckResult("AC1", "a check", True, 0.5)) == (
         "CheckResult(check_id='AC1', description='a check', passed=True, "
         "worst_ratio=0.5, detail='')")
+    assert repr(ViolationPoint(1, 5.0, -1.0, -2.0)) == (
+        "ViolationPoint(n=1, t=5.0, lambda2=-1.0, gap=-2.0)")
 
 
 def test_defaults_and_class_attributes():
