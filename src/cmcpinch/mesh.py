@@ -14,8 +14,10 @@ Meshes are plain numpy arrays; export writes deterministic ASCII OBJ
 (9 significant digits, one object per mesh, faces as v//vn triples).
 Each object's v, vn and f records are formatted as one block each by the
 vectorised kernel of ``textfmt`` and written to the sink block by block;
-the bytes are those of printf "%.9g" and "%d", one line at a time.  The
-v and vn blocks, about 16% NUL, lose their NULs to ``lines``'
+the bytes are those of printf "%.9g" and "%d", one line at a time.  A
+revolved mesh's z and normal z hold one value per ring, so ``format_g``
+formats each of them once per ring and repeats its column.  The joined
+v and vn blocks, 16 to 19% NUL, lose their NULs to ``lines``'
 ``translate``; the f block is built row-major and, with about 2.4% NUL,
 is squeezed with ``replace``.  On a 2-vCPU Xeon replace costs about
 0.55 ns a byte on an f block, against 0.55 (bytearray) to 0.9 (bytes)

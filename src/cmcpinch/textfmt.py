@@ -3,13 +3,19 @@
 ``format_g(x, p)`` gives, for every element of x, the bytes of
 ``"%.{p}g" % x`` as one column of a character-major ``uint8`` block: row
 r holds character slot r of every element, and a slot that an element
-does not use holds NUL.  ``format_int`` does the same for non-negative
-integers.  ``join(parts)`` lays blocks and byte literals side by side,
-one element per row, leaving out the block rows no element uses, in the
-bytearray of ``text_rows``, and ``lines(parts)`` turns that into text
-lines with one ``translate(None, b"\\0")`` of it, with no ``tobytes()``
-copy.  The OBJ writer in ``mesh`` and the profile table in ``cli`` print
-every number through these.
+does not use holds NUL.  The block has only the slots some element uses
+(the sign, "0." and its zeros, the digits up to the highest one shown,
+the point slots in use, the exponent), so no row is all NUL.  When the
+column holds at most half as many runs of one bit pattern as elements
+(a mesh's z and normal z, one value per ring), only the first element
+of each run is formatted, and its column is repeated by the run length.
+``format_int`` does the same for non-negative integers, without the
+runs.  ``join(parts)`` lays blocks and byte literals side by side, one
+element per row, each block whole, in the bytearray of ``text_rows``,
+and ``lines(parts)`` turns that into text lines with one
+``translate(None, b"\\0")`` of it, with no ``tobytes()`` copy.  The OBJ
+writer in ``mesh`` and the profile table in ``cli`` print every number
+through these.
 
 Why the digits are exact (p <= 15).  For finite x != 0 let a = |x|,
 e = floor(log10 a) as computed, k = p - 1 - e and t = a 10^k, the exact
@@ -119,10 +125,25 @@ def _decide(x: np.ndarray, p: int) -> tuple:
 
 def format_g(x: np.ndarray, p: int) -> np.ndarray:
     """``"%.{p}g" % v`` for each v of the float64 column x, as a
-    character-major uint8 block, NUL where an element has no character."""
+    character-major uint8 block, NUL where an element has no character.
+    Every row of the block holds a character of some element."""
     if not 1 <= p <= 15:
         raise ValueError("format_g supports 1 <= p <= 15")
     x = np.asarray(x, dtype=np.float64).ravel()
+    # runs of one bit pattern (so -0.0 is not 0.0, and a nan is only its
+    # own bits): when there are at most half as many runs as elements,
+    # the first element of each run is formatted and its column repeated
+    bits = x.view(np.uint64)
+    change = bits[1:] != bits[:-1]
+    if 2 * (np.count_nonzero(change) + 1) > len(x):
+        return _format(x, p)
+    starts = np.concatenate(([0], np.flatnonzero(change) + 1))
+    return np.repeat(_format(x[starts], p), np.diff(starts, append=len(x)),
+                     axis=1)
+
+
+def _format(x: np.ndarray, p: int) -> np.ndarray:
+    """``format_g`` of the float64 column x, every element formatted."""
     decided, near, e = _decide(x, p)
     np.copyto(near, 0.0, where=~decided)
     digits = _digit_rows(near.astype(np.uint64), p)
@@ -143,39 +164,53 @@ def format_g(x: np.ndarray, p: int) -> np.ndarray:
     # notation) when a kept digit comes after it
     point = np.where(fixed, e, 0)
     point[small | (point + 1 >= kept)] = -1
-
-    # slots: sign, "0." and three zeros, p digits each followed by a
-    # point slot (none after the last), "e", its sign and two digits
-    width = 2 * p + 9
-    slots = np.arange(p, dtype=np.int8)[:, None]
-    block = np.empty((width, len(x)), dtype=np.uint8)
-    _char(np.signbit(x), "-", out=block[0])
-    _char(small, "0", out=block[1])
-    _char(small, ".", out=block[2])
-    _char(slots[:3] < np.where(small, -1 - e, 0), "0", out=block[3:6])
-    pairs = block[6:6 + 2 * p].reshape(p, 2, len(x))
-    digits += np.uint8(ord("0"))
-    np.multiply(digits, slots < shown, out=pairs[:, 0])
-    _char(slots[:-1] == point, ".", out=pairs[:-1, 1])
+    negative = np.signbit(x)
+    negative &= decided
+    zeros = np.where(small, -1 - e, 0)      # after "0."
     expo = ~fixed
-    _char(expo, "e", out=block[-4])
-    block[-3] = _char(expo & (e < 0), "-") + _char(expo & (e >= 0), "+")
-    magnitude = np.abs(e)
-    block[-2] = (magnitude // 10 + ord("0")) * expo
-    block[-1] = (magnitude % 10 + ord("0")) * expo
+
+    # the slots some element uses, in order: the sign, "0." and up to
+    # three zeros, the shown digits each followed by its point slot when
+    # one is used, and "e", its sign and two digits
+    top = int(shown.max(initial=0))
+    dots = {j: dot for j in range(int(point.max(initial=-1)) + 1)
+            if (dot := point == j).any()}
+    has_sign = bool(negative.any())
+    has_small = bool(small.any())
+    lead = int(zeros.max(initial=0))
+    has_expo = bool(expo.any())
+    rows = has_sign + 2 * has_small + lead + top + len(dots) + 4 * has_expo
 
     rest = np.flatnonzero(~decided)
-    if len(rest):
-        text = [("%.*g" % (p, v)) for v in x[rest].tolist()]
-        longest = max(map(len, text))
-        # the fallback text goes into the slots the decided elements
-        # already use where there are enough, so no new slot shows up
-        block[:, rest] = 0
-        used = np.argsort(~block.any(axis=1), kind="stable")
-        rows = np.sort(used[:longest])
+    text = [("%.*g" % (p, v)) for v in x[rest].tolist()]
+    longest = max(map(len, text), default=0)
+    block = np.empty((max(rows, longest), len(x)), dtype=np.uint8)
+    row = iter(block)
+    if has_sign:
+        _char(negative, "-", out=next(row))
+    if has_small:
+        _char(small, "0", out=next(row))
+        _char(small, ".", out=next(row))
+    for j in range(lead):
+        _char(zeros > j, "0", out=next(row))
+    digits[:top] += np.uint8(ord("0"))
+    for j in range(top):
+        np.multiply(digits[j], shown > j, out=next(row))
+        if j in dots:
+            _char(dots[j], ".", out=next(row))
+    if has_expo:
+        _char(expo, "e", out=next(row))
+        next(row)[:] = _char(expo & (e < 0), "-") + _char(expo & (e >= 0), "+")
+        magnitude = np.abs(e)
+        next(row)[:] = (magnitude // 10 + ord("0")) * expo
+        next(row)[:] = (magnitude % 10 + ord("0")) * expo
+    # the fallback text takes the first rows, and more when it is longer
+    block[rows:] = 0
+    if text:
         chars = np.frombuffer("".join(t.ljust(longest, "\0") for t in text)
                               .encode("ascii"), dtype=np.uint8)
-        block[rows[:, None], rest] = chars.reshape(len(rest), longest).T
+        block[longest:, rest] = 0
+        block[:longest, rest] = chars.reshape(len(rest), longest).T
     return block
 
 
@@ -205,13 +240,8 @@ def _join(parts: Sequence[Union[bytes, np.ndarray]]) -> tuple:
     """(text, block) of ``text_rows`` holding ``join(parts)``."""
     count = next(part.shape[1] for part in parts
                  if not isinstance(part, bytes))
-    pieces = []
-    for part in parts:
-        if isinstance(part, bytes):
-            pieces.append(np.frombuffer(part, dtype=np.uint8))
-        else:
-            used = part.any(axis=1)
-            pieces.append(part if used.all() else part[used])
+    pieces = [np.frombuffer(part, dtype=np.uint8)
+              if isinstance(part, bytes) else part for part in parts]
     text, out = text_rows(count, sum(len(piece) for piece in pieces))
     column = 0
     for piece in pieces:
@@ -224,7 +254,8 @@ def join(parts: Sequence[Union[bytes, np.ndarray]]) -> np.ndarray:
     """The parts side by side, one element per row: each byte literal as
     is and each block's column for that element, NUL padding kept.
 
-    Rows of a block that no element uses are left out.
+    Each block is copied whole; ``format_g`` and ``format_int`` build
+    none with a row that no element uses.
     """
     return _join(parts)[1]
 

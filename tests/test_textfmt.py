@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from cmcpinch import textfmt
 from cmcpinch.textfmt import (_decide, format_g, format_int, join, lines,
                               text_rows)
 
@@ -72,6 +73,83 @@ def test_a_log10_off_by_one_changes_no_byte(p, shift, monkeypatch):
     assert kernel(values, p) == printf(values, p)
 
 
+@pytest.mark.parametrize("p", range(1, 16))
+def test_every_precision_matches_printf(p):
+    rng = np.random.default_rng(400 + p)
+    bits = rng.integers(0, 2 ** 64, size=5000, dtype=np.uint64)
+    values = np.concatenate((
+        EDGE, -EDGE, powers_and_neighbours(), bits.view(np.float64),
+        rng.standard_normal(20000) * 10.0 ** rng.integers(-8, 20, 20000),
+        [0.004589931219679968, 0.05, 0.95, 9.5, 99.5, 0.0001, 0.00095]))
+    assert kernel(values, p) == printf(values, p)
+
+
+def runs(lengths, values):
+    return np.repeat(np.array(values, dtype=np.float64), lengths)
+
+
+NAN_PAYLOADS = np.array([0x7FF8000000000000, 0x7FF8000000000001,
+                         0xFFF8000000000000, 0x7FF0000000000001],
+                        dtype=np.uint64).view(np.float64)
+
+RUN_COLUMNS = {
+    "signed-zeros": runs([3, 3, 1, 2, 2], [0.0, -0.0, 0.0, -0.0, 0.0]),
+    "nan-payloads": np.repeat(NAN_PAYLOADS, 2),
+    "specials": runs([2, 3, 2, 4, 2, 2], [np.inf, -np.inf, 5e-324, -5e-324,
+                                          2.2250738585072009e-308, 1e-310]),
+    "one-value": np.full(1000, -0.123456789012345),
+    "alternating": np.tile([1.5, -2.5], 500),
+    "runs-of-one": np.concatenate((np.arange(10.0), np.full(10, 7.25))),
+    "empty": np.zeros(0),
+    "one": np.array([3.0]),
+    "two-equal": np.array([0.1, 0.1]),
+    "two-unequal": np.array([0.1, 0.2]),
+    "half-runs": runs([2, 1, 3], [1e-5, 2.5e7, 1.0]),
+    "past-half": runs([2, 1, 2], [1e-5, 2.5e7, 1.0]),
+}
+
+
+@pytest.mark.parametrize("name", RUN_COLUMNS)
+@pytest.mark.parametrize("p", [9, 12])
+def test_runs_match_printf(p, name, monkeypatch):
+    values = RUN_COLUMNS[name]
+    formatted = []
+    inner = textfmt._format
+    monkeypatch.setattr(textfmt, "_format",
+                        lambda x, q: formatted.append(len(x)) or inner(x, q))
+    block = format_g(values, p)
+    assert kernel(values, p) == printf(values, p)
+    assert block.shape[1] == len(values)
+    # the first element of each run is formatted when the runs are at
+    # most half the column, and every element otherwise
+    bits = values.view(np.uint64)
+    count = len(values) and 1 + np.count_nonzero(bits[1:] != bits[:-1])
+    assert formatted[0] == (count if 2 * count <= len(values)
+                            else len(values))
+
+
+COMPACT_COLUMNS = [
+    [1.5, 2.25], [1.0, np.nan], [2.0, 1e-300], [-1.0, 5e-324, 7.0],
+    [np.nan, -np.inf], [-0.000123, np.nan], [0.0], [-0.0, 1e20, 3e-7],
+    [1e-310] * 4 + [1.0] * 4, [123.456, 1.5e-16, -42.0, 0.05],
+]
+
+
+@pytest.mark.parametrize("p", [1, 2, 9, 12, 15])
+def test_blocks_hold_no_unused_row(p):
+    # a row of NULs would be copied and dropped again by every join, also
+    # where the fallback text is longer than the rows the kernel uses
+    rng = np.random.default_rng(500 + p)
+    columns = [np.array(column) for column in COMPACT_COLUMNS]
+    columns += [EDGE, powers_and_neighbours(),
+                rng.integers(0, 2 ** 64, 1000, dtype=np.uint64)
+                .view(np.float64)]
+    for values in columns:
+        block = format_g(values, p)
+        assert block.any(axis=1).all(), values
+        assert kernel(values, p) == printf(values, p)
+
+
 def test_the_kernels_leave_their_input_alone():
     # ravel() returns a view of a contiguous 1-D column, not a copy, so
     # the kernels see the caller's memory
@@ -127,10 +205,11 @@ def test_lines_joins_literals_and_blank_cells():
     assert lines([x, b",", g, b"\n"]) == b"1.5,3\n-2,\n0.25,5\n"
 
 
-def test_join_drops_rows_no_element_uses():
-    # 1.5 and 2.25 use a digit, a point and two digits of the 2p + 9 slots
+def test_join_copies_blocks_without_unused_rows():
+    # 1.5 and 2.25 use a digit, a point and two digits, and the block
+    # holds those four slots alone, so join copies it whole
     block = format_g(np.array([1.5, 2.25]), 9)
-    assert block.shape[0] == 27
+    assert block.any(axis=1).all()
     assert join([b"<", block, b">"]).tolist() == [
         list(b"<1.5\0>"), list(b"<2.25>")]
 
