@@ -55,12 +55,6 @@ class PointAnalysis(Record):
         self.gap = gap
 
 
-def principal_curvatures(st: GeneratrixState) -> tuple[float, float]:
-    k1 = st.dx * st.ddz - st.ddx * st.dz
-    k2 = st.dz / st.x
-    return k1, k2
-
-
 def support_function(st: GeneratrixState) -> float:
     """u = <position, normal> for the profile point st."""
     return st.dx * st.z - st.x * st.dz
@@ -70,7 +64,8 @@ def analyze_point(st: GeneratrixState) -> PointAnalysis:
     """Curvature and gap data at the profile point st, or at each point of
     an array state.  Only st is read; on a Delaunay profile mean_curv
     reproduces the surface's H up to rounding."""
-    k1, k2 = principal_curvatures(st)
+    k1 = st.dx * st.ddz - st.ddx * st.dz
+    k2 = st.dz / st.x
     u = support_function(st)
     lambda1 = 1.0 + k1 * u
     lambda2 = st.dx * (st.x * st.dx + st.z * st.dz) / st.x

@@ -16,12 +16,9 @@ Each object's v, vn and f records are formatted as one block each by the
 vectorised kernel of ``textfmt`` and written to the sink block by block;
 the bytes are those of printf "%.9g" and "%d", one line at a time.  A
 revolved mesh's z and normal z hold one value per ring, so ``format_g``
-formats each of them once per ring and repeats its column.  The joined
-v and vn blocks, 16 to 19% NUL, lose their NULs to ``lines``'
-``translate``; the f block is built row-major and, with about 2.4% NUL,
-is squeezed with ``replace``.  On a 2-vCPU Xeon replace costs about
-0.55 ns a byte on an f block, against 0.55 (bytearray) to 0.9 (bytes)
-for translate, and 2.9 on a v block, against translate's 1.0.
+formats each of them once per ring and repeats its column.  Every
+block loses its NULs to one ``bytearray.translate``: the joined v and vn
+blocks inside ``lines``, the row-major f block here.
 """
 from __future__ import annotations
 
@@ -70,8 +67,8 @@ def revolve(params: DelaunayParams, s_min: float, s_max: float,
     """
     if n_meridian < 2 or n_parallel < 3:
         raise ValueError("need n_meridian >= 2 and n_parallel >= 3")
-    if not s_max > s_min:
-        raise ValueError("need s_max > s_min")
+    if not -math.inf < s_min < s_max < math.inf:
+        raise ValueError("need finite s_min < s_max")
 
     ss = np.linspace(s_min, s_max, n_meridian)
     # x'' and z'', which a mesh does not use, overflow at huge H
@@ -110,8 +107,8 @@ def _ring_strips(n_rings: int, n_per_ring: int, first: int = 0) -> np.ndarray:
 
 def sphere(radius: float, n_lat: int = 32, n_lon: int = 64) -> TriangleMesh:
     """Latitude-longitude sphere mesh centred at the origin."""
-    if radius <= 0.0:
-        raise ValueError("radius must be positive")
+    if not 0.0 < radius < math.inf:
+        raise ValueError("radius must be positive and finite")
     if n_lat < 2 or n_lon < 3:
         raise ValueError("need n_lat >= 2 and n_lon >= 3")
 
@@ -142,8 +139,10 @@ def _write_scene(named: Sequence[tuple[Optional[str], TriangleMesh]],
     whole-file string is built.  Face records gather the " i//i" text of
     each vertex index, with the scene offset applied, three to a row of
     one row-major (faces, 3 w + 2) ``text_rows`` block that starts each
-    row with "f" and ends it with a newline; its sparse NULs go in one
-    ``replace``.
+    row with "f" and ends it with a newline; its NULs go in one
+    ``translate``, as in ``lines``.  Both exports call this, not each
+    other, so a wrapper around ``export_obj_scene`` (a per-layer tracer,
+    say) never wraps ``export_obj``'s sink a second time.
     """
     offset = 0
     for name, mesh in named:
@@ -163,7 +162,7 @@ def _write_scene(named: Sequence[tuple[Optional[str], TriangleMesh]],
         face[:, -1] = ord("\n")
         token.take(mesh.triangles, axis=0,
                    out=face[:, 1:-1].reshape(m, 3, w))
-        destination.write(text.replace(b"\0", b""))
+        destination.write(text.translate(None, b"\0"))
         offset += n
 
 

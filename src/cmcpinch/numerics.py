@@ -3,13 +3,14 @@
 Two kernels:
 
 * ``integrate``: the composite Simpson rule on SIMPSON_PANELS equal
-  panels, one numpy evaluation of the integrand on the whole grid.  It
-  is the verify battery's oracle for the closed-form height (AC3,
-  AC14); no other path integrates.  The grid is fixed, so there is no
-  tolerance and no error estimate: the panel count is sized by the
-  rule's error against mpmath's z(2.0) (the ``z2Oracle`` cells of
-  tests/golden/reference.json), at most 9.5e-16 there, and 1.4e-15 at
-  10^6 panels, whose longer sums gather more rounding.
+  panels, forward over [a, b] with a <= b, one numpy evaluation of the
+  integrand on the whole grid.  It is the verify battery's oracle for
+  the closed-form height (AC3, AC14); no other path integrates.  The
+  grid is fixed, so there is no tolerance and no error estimate: the
+  panel count is sized by the rule's error against mpmath's z(2.0) (the
+  ``z2Oracle`` cells of tests/golden/reference.json), at most 9.5e-16
+  there, and 1.4e-15 at 10^6 panels, whose longer sums gather more
+  rounding.
 * ``find_root``: bracketed scalar root finding (the orthogonal crossing
   of every portion), a Newton step safeguarded by bisection.  It stops
   only on an exact zero of f or once the bracket is at most ``x_tol``
@@ -58,15 +59,12 @@ SIMPSON_PANELS = 10 ** 4
 
 def integrate(f: Callable[[np.ndarray], np.ndarray], a: float,
               b: float) -> float:
-    """The composite Simpson rule for f over [a, b] on SIMPSON_PANELS
-    equal panels.
+    """The composite Simpson rule for f over [a, b], a <= b, on
+    SIMPSON_PANELS equal panels.
 
     f maps an array of points to the integrand there; it is called once,
-    on all 2 SIMPSON_PANELS + 1 grid points.  Swapped endpoints negate
-    the result exactly.
+    on all 2 SIMPSON_PANELS + 1 grid points.
     """
-    if b < a:
-        return -integrate(f, b, a)
     vals = f(np.linspace(a, b, 2 * SIMPSON_PANELS + 1))
     h = (b - a) / (2 * SIMPSON_PANELS)
     return float(h / 3.0 * (vals[0] + vals[-1] + 4.0 * vals[1::2].sum()

@@ -281,6 +281,14 @@ def _single_slash_in_face(lines):
     return lines
 
 
+def _infinite_normal(lines):
+    # the "f" of "inf" stands before the f block, not first on its line
+    i = _records(lines, "vn")[0]
+    tag, x, y, z = lines[i].split()
+    lines[i] = f"{tag} inf {y} {z}\n"
+    return lines
+
+
 def _export_corrupted_by(corrupt):
     """export_obj with its text passed through corrupt(lines)."""
     real = verify.export_obj
@@ -308,6 +316,7 @@ def _export_corrupted_by(corrupt):
     (_long_normal_tag, "ValueError: a record in the vn block has "
                        "another tag"),
     (_drop_normals, "ValueError: the OBJ lacks its vn or f block"),
+    (_infinite_normal, "V=4096 E=12160 F=8064 chi=0"),
     (_face_normal_differs, "ValueError: a face's normal index differs "
                            "from its vertex index"),
     (_cr_inside_normal, "ValueError: Found an unquoted embedded newline "

@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cmcpinch.curvature import (analyze_point, principal_curvatures,
-                                support_function)
+from cmcpinch.curvature import analyze_point, support_function
 from cmcpinch.delaunay import (DelaunayParams, GeneratrixState, eval_state,
                                profile)
 
@@ -23,11 +22,10 @@ def random_params(rng):
 def test_cylinder_point():
     params = DelaunayParams(1.0, 0.0)
     st = eval_state(params, 0.7)
-    k1, k2 = principal_curvatures(st)
-    assert k1 == pytest.approx(0.0, abs=1e-15)
-    assert k2 == pytest.approx(1.0, rel=1e-14)
-    assert support_function(st) == pytest.approx(-1.0, rel=1e-14)
     pa = analyze_point(st)
+    assert pa.k1 == pytest.approx(0.0, abs=1e-15)
+    assert pa.k2 == pytest.approx(1.0, rel=1e-14)
+    assert support_function(st) == pytest.approx(-1.0, rel=1e-14)
     assert pa.lambda1 == pytest.approx(1.0, rel=1e-14)
     assert pa.lambda2 == pytest.approx(0.0, abs=1e-12)
 
@@ -59,8 +57,8 @@ def test_cmc_identity():
     for _ in range(1000):
         params = random_params(rng)
         st = profile(params, float(rng.uniform(-6.0, 6.0)))
-        k1, k2 = principal_curvatures(st)
-        assert k1 + k2 == pytest.approx(params.H, abs=1e-8)
+        pa = analyze_point(st)
+        assert pa.k1 + pa.k2 == pytest.approx(params.H, abs=1e-8)
 
 
 def test_gap_identity():

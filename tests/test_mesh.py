@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from cmcpinch import mesh as mesh_module
 from cmcpinch.cli import main
 from cmcpinch.delaunay import DelaunayParams
 from cmcpinch.freeboundary import build_portion
@@ -51,6 +52,13 @@ def test_revolve_validation():
         revolve(EXAMPLE, -1.0, 1.0, 3, 2)
     with pytest.raises(ValueError):
         revolve(EXAMPLE, 1.0, 1.0, 3, 4)
+
+
+@pytest.mark.parametrize("s_min,s_max", [
+    (-math.inf, 0.0), (0.0, math.inf), (math.nan, 1.0)])
+def test_revolve_rejects_non_finite_ends(s_min, s_max):
+    with pytest.raises(ValueError, match="finite"):
+        revolve(EXAMPLE, s_min, s_max, 4, 4)
 
 
 def test_mesh_shape_validation():
@@ -169,6 +177,12 @@ def test_sphere_validation():
         sphere(1.0, n_lat=1)
     with pytest.raises(ValueError):
         sphere(1.0, n_lon=2)
+
+
+@pytest.mark.parametrize("radius", [math.nan, math.inf])
+def test_sphere_rejects_non_finite_radius(radius):
+    with pytest.raises(ValueError, match="positive and finite"):
+        sphere(radius)
 
 
 def _loop_format_scene(named):
@@ -315,6 +329,21 @@ def test_export_single_triangle_exact():
         "vn 0 0 1\n"
         "vn 0 0 1\n"
         "f 1//1 2//2 3//3\n")
+
+
+def test_export_obj_does_not_call_export_obj_scene(monkeypatch):
+    # a wrapper on export_obj_scene would otherwise see export_obj's
+    # writes too, and a byte-counting one count them twice
+    mesh = revolve(EXAMPLE, -1.3, 1.3, 12, 10)
+    want = io.BytesIO()
+    export_obj(mesh, want)
+
+    def refuse(named, destination):
+        raise AssertionError("export_obj went through export_obj_scene")
+    monkeypatch.setattr(mesh_module, "export_obj_scene", refuse)
+    got = io.BytesIO()
+    export_obj(mesh, got)
+    assert got.getvalue() == want.getvalue()
 
 
 def test_export_is_deterministic():
