@@ -31,7 +31,6 @@ u = -rho, which gives gap = 0: spheres sit exactly on the equality case.
 """
 from __future__ import annotations
 
-from ._np import np
 from ._record import Record
 from .delaunay import GeneratrixState
 
@@ -69,10 +68,8 @@ def analyze_point(st: GeneratrixState) -> PointAnalysis:
     u = support_function(st)
     lambda1 = 1.0 + k1 * u
     lambda2 = st.dx * (st.x * st.dx + st.z * st.dz) / st.x
-    # float_power calls C pow as float ** does; ** on arrays multiplies,
-    # which differs in the last bit for ~1 argument in 1000 and would
-    # split array and scalar phi_sq
-    phi_sq = 0.5 * np.float_power(k1 - k2, 2.0)
+    d = k1 - k2
+    phi_sq = 0.5 * (d * d)
     return PointAnalysis(k1=k1, k2=k2, mean_curv=k1 + k2, support=u,
                          lambda1=lambda1, lambda2=lambda2, phi_sq=phi_sq,
                          gap=2.0 * lambda1 * lambda2)

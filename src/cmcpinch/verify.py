@@ -239,11 +239,10 @@ def _check_example_portion(ctx: _Context, r: _Ratios) -> str:
 def _check_gap_identity(ctx: _Context, r: _Ratios) -> None:
     _, _, pa = ctx.sample_rows
     # the reported gap is the product 2 lambda1 lambda2; the check holds
-    # it to the difference form, so it is not vacuous.  float_power is C
-    # pow, as float ** is; ** on arrays would multiply (see curvature)
+    # it to the difference form, so it is not vacuous
     u = pa.support
-    difference = (0.5 * np.float_power(2.0 + pa.mean_curv * u, 2.0)
-                  - pa.phi_sq * u * u)
+    t = 2.0 + pa.mean_curv * u
+    difference = 0.5 * (t * t) - pa.phi_sq * u * u
     r.bound(pa.gap - difference, 1e-10)
 
 

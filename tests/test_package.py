@@ -39,8 +39,9 @@ def test_all_is_the_readme_list():
     assert sorted(names) == sorted(cmcpinch.__all__)
 
 
-# numpy loads on first use: a fresh interpreter that imports the CLI and
-# answers these commands never runs numpy's own import
+# numpy loads on first use: a fresh interpreter that imports the CLI,
+# answers these commands and analyses float profile points never runs
+# numpy's own import
 NUMPY_FREE_RUNS = [
     (["analyze", "--H", "1", "--B", b, "--format", fmt], 0)
     for b in ("0", "0.5", "0.9", "1.5") for fmt in ("text", "json")
@@ -62,7 +63,11 @@ with contextlib.redirect_stdout(io.StringIO()), \\
     for argv in json.loads(sys.argv[1]):
         codes.append(cli.main(argv))
 verdict = cmcpinch.classify(cmcpinch.DelaunayParams(0.1, 0.9)).verdict
-print(json.dumps({"codes": codes, "verdict": verdict,
+points = [cmcpinch.analyze_point(cmcpinch.profile(
+    cmcpinch.DelaunayParams(0.7, b), 0.3)) for b in (0.0, 0.5, 1.5)]
+types = sorted({type(getattr(pa, name)).__name__
+                for pa in points for name in pa._fields})
+print(json.dumps({"codes": codes, "verdict": verdict, "types": types,
                   "modules": sorted(sys.modules)}))
 """
 
@@ -80,6 +85,8 @@ def test_analyze_and_the_float_api_never_load_numpy():
     seen = json.loads(run.stdout)
     assert seen["codes"] == [code for _, code in NUMPY_FREE_RUNS]
     assert seen["verdict"] == cmcpinch.VERDICT_PINCHED
+    # analyze_point of a float state is products and quotients of floats
+    assert seen["types"] == ["float"]
     assert "numpy._core" not in seen["modules"]
     # dataclasses, and the inspect it imports, are the largest imports a
     # fresh process would pay for; the records need neither
