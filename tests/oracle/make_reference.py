@@ -38,6 +38,10 @@ units a = |1 - B| / H: with t0 tanh t0 = 1 (the critical catenoid's
 crossing), sBar / a -> sinh t0 and R0 / a -> sqrt(cosh^2 t0 + t0^2),
 with the first-order slopes d(sBar / a) / d(1 - B) and d(R0 / a) /
 d(1 - B) on each side of B = 1, and C, the largest of their sizes.
+The "threshold" section holds B*, the zero of F(B) = z(s0) - z0 at
+H = 1 that splits the unduloids with a neck-centred portion, (B*, 1),
+from those without, to THRESHOLD_DIGITS digits; F is evaluated by
+quadrature and cross-checked against the Carlson form at the root.
 """
 from __future__ import annotations
 
@@ -349,6 +353,26 @@ def catenoid_reference() -> dict:
             "C": _text(C)}
 
 
+THRESHOLD_DIGITS = 40
+
+
+def threshold_reference() -> dict:
+    """B* with F(B*) = z(s0) - z0 = 0 at H = 1."""
+
+    def F(b, height="z"):
+        surf = Surface(1.0, 1.0)
+        surf.B = mp.mpf(b)
+        return getattr(surf, height)(surf.s0()) - surf.z0()
+
+    b_star = mp.findroot(F, (mp.mpf("0.76"), mp.mpf("0.77")),
+                         solver="anderson", tol=mp.mpf(10) ** -45)
+    assert abs(F(b_star, "z_carlson")) < mp.mpf(10) ** -42
+    # a simple zero: F < 0 below B* and F > 0 above it
+    assert F(b_star - mp.mpf(10) ** -20) < 0 < F(b_star + mp.mpf(10) ** -20)
+    return {"H": "1.0", "digits": THRESHOLD_DIGITS,
+            "BStar": mp.nstr(b_star, THRESHOLD_DIGITS)}
+
+
 def _literal(path: pathlib.Path, name: str):
     """The literal assigned to a module-level name, read without import."""
     tree = ast.parse(path.read_text())
@@ -385,7 +409,8 @@ def main() -> int:
             files[name] = mesh_reference(flags)
     data = {"digits": mp.mp.dps, "files": files, "kernel": kernel_reference(),
             "z2Oracle": z2_oracle_reference(),
-            "catenoidLimit": catenoid_reference()}
+            "catenoidLimit": catenoid_reference(),
+            "threshold": threshold_reference()}
     OUTPUT.write_text(json.dumps(data, indent=1) + "\n")
     return 0
 
