@@ -21,6 +21,17 @@ so u(s0) = B (z(s0) - z0), and:
   crosses zero at a unique sb in (0, s0], giving a free boundary
   portion on [-sb, sb].
 
+The sign of F(B) = z(s0) - z0 at H = 1 is that of z(s0) - z0 at any H
+(canonical units, below).  F < 0 on (0, B*) and F > 0 on (B*, 1), with
+B* = 0.76589502387205679258...: F changes sign once on a 20,200-point
+grid of (0, 1), stdlib decimal decides the floats around B*, and B* is
+the mpmath cell "threshold" of tests/golden/reference.json.  That is
+evidence, not yet a certificate.  Near B*, F is about 0.88 (B - B*),
+below the rounding of z(s0) - z0 (at 0.7658950238720567 F is -1.19e-16
+and the float difference 0.0), so classify decides by B > B_STAR_FLOOR,
+the largest float below B*, which is exact, and still reports z(s0) and
+z0.
+
 Nodoid case (B > 1).  On the inner branch (0, r0) with
 r0 = arccos(1/B) / H, u falls from u(0) = (B - 1)/H > 0 to
 u(r0) = x' z < 0, so a root rb always exists and the portion is
@@ -109,6 +120,9 @@ VERDICT_INVALID = "Invalid"
 # sinh t0, where t0 tanh t0 = 1: the crossing of the critical catenoid in
 # units of its neck radius, the B -> 1 limit of sb / a
 SINH_T0 = 1.50887956153832
+# the largest float below B*, the zero of z(s0) - z0 at H = 1: the
+# unduloids with a portion are exactly B > B_STAR_FLOOR
+B_STAR_FLOOR = 0.7658950238720568
 
 
 class NoRootError(ValueError):
@@ -296,7 +310,8 @@ def classify(params: DelaunayParams,
     verdict depends on B alone and root_cfg.x_tol bounds
     H sb / min(1, |1 - B|).  Cylinders never cross a centred sphere
     orthogonally (u = -1/H is constant), unduloids go through the z(s0)
-    vs z0 dichotomy, nodoids always produce a portion.  For a pinched
+    vs z0 dichotomy, decided as B > B_STAR_FLOOR, nodoids always produce
+    a portion.  For a pinched
     unduloid the report also carries n0 = 1, the module docstring's
     theorem, and the violation sequence through n0 + 2.  This is the only
     dichotomy test and the one solve of the crossing, each height
@@ -310,10 +325,10 @@ def classify(params: DelaunayParams,
         return AnalysisReport(unit, VERDICT_CYLINDER).at(params.H)
     if family == UNDULOID:
         top = math.acos(B)
-        # one s0 state: the dichotomy's z(s0) and the search's u(s0)
+        # one s0 state: the reported z(s0) and the search's u(s0)
         states = {top: eval_state(unit, top)}
         fields = dict(s0=top, z0=(1.0 - B * B) / B, z_at_s0=states[top].z)
-        if fields["z_at_s0"] < fields["z0"]:
+        if B <= B_STAR_FLOOR:
             return AnalysisReport(unit, VERDICT_NO_ORTHOGONAL,
                                   **fields).at(params.H)
     else:

@@ -1,5 +1,8 @@
+import json
 import math
+import pathlib
 import random
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -115,13 +118,19 @@ def test_u_peaks_at_s0():
         assert abs(du(eval_state(params, top))) <= 1e-15, b
 
 
-# B* = 0.76589502387205679258... (stdlib decimal at 50 digits).  The
-# float below it, 0.7658950238720567, has F = z(s0) - z0 = -1.19e-16,
-# but F rounds to 0.0 there and classify reports a portion
-@pytest.mark.xfail(strict=True, reason="ROADMAP direction 2")
+# B* = 0.76589502387205679258..., the zero of F(B) = z(s0) - z0 at H = 1
+# (mpmath at 40 digits, reference.json)
+B_STAR = Decimal(json.loads((pathlib.Path(__file__).parent / "golden"
+                             / "reference.json").read_text())
+                 ["threshold"]["BStar"])
+
+
+# the float below the float nearest B*: F = -1.19e-16 there, but the float
+# z(s0) - z0 is 0.0
 def test_float_below_the_threshold_has_no_portion():
     rep = classify(DelaunayParams(1.0, 0.7658950238720567))
     assert rep.verdict == VERDICT_NO_ORTHOGONAL
+    assert rep.z_at_s0 is not None and rep.z0 is not None
 
 
 def _floats_around(b, count):
@@ -134,13 +143,27 @@ def _floats_around(b, count):
     return sorted(out)
 
 
+def test_the_threshold_float_brackets_b_star():
+    assert (Decimal(freeboundary.B_STAR_FLOOR) < B_STAR
+            < Decimal(math.nextafter(freeboundary.B_STAR_FLOOR, 2.0)))
+
+
+def test_the_floats_around_b_star_have_a_portion_exactly_above_it():
+    for b in _floats_around(freeboundary.B_STAR_FLOOR, 60):
+        rep = classify(DelaunayParams(1.0, b))
+        pinched = Decimal(b) > B_STAR
+        assert rep.verdict == (VERDICT_PINCHED if pinched
+                               else VERDICT_NO_ORTHOGONAL), b
+        assert (rep.portion is not None) == pinched, b
+
+
 # (H, B) shapes with the number of them reported Pinched: the 121 floats
-# around the float nearest B*, which is below it, so the 60 above it and
-# 0.7658950238720567, the xfail above; 1 -+ 10^-k; nodoids up to 7e15;
+# around the float nearest B*, which is below it, so the 60 above it;
+# 1 -+ 10^-k; nodoids up to 7e15;
 # H from 1e-300 to 1e150, above which phi_sq = (k1 - k2)^2 / 2 is no float
 HARD_SHAPES = {
     "near-B*": ([(1.0, b) for b in _floats_around(0.7658950238720568, 60)],
-                61),
+                60),
     "1-+10^-k": ([(1.0, 1.0 + sign * 10.0 ** -k) for k in range(1, 16)
                   for sign in (-1.0, 1.0)], 30),
     "nodoids": ([(1.0, 10.0 ** k) for k in range(1, 16)] + [(1.0, 7e15)],
@@ -155,9 +178,8 @@ def test_portion_hypotheses_on_hard_shapes(name):
     """Every reported portion of the hard shapes holds the proof's
     hypotheses at PORTION_SAMPLES points (tests/sampled_portion.py).
 
-    A wrong verdict goes unseen here: 0.7658950238720567 lies below B*,
-    yet is reported Pinched (ROADMAP direction 2), and its portion holds
-    every sampled hypothesis.
+    A wrong verdict can go unseen here: at 0.7658950238720567, below B*,
+    a portion that classify once reported held every sampled hypothesis.
     """
     shapes, pinched = HARD_SHAPES[name]
     seen = 0
