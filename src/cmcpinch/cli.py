@@ -212,6 +212,21 @@ SCAN_COLUMNS = ["H", "B", "family", "verdict", "zAtS0MinusZ0", "sBar", "R0",
                 "minGap"]
 
 
+def _grid(lo: float, hi: float, n: int) -> np.ndarray:
+    """np.linspace(lo, hi, n), with no overflow warning.
+
+    Where hi - lo overflows, the grid is twice the grid of the halved
+    ends: both ends then exceed 1e292 in size, so halving them and
+    doubling back are exact, and the ends stay lo and hi.  An element
+    that overflows in np.linspace's i * step is its last, which it
+    overwrites with hi.
+    """
+    with np.errstate(over="ignore"):
+        if math.isfinite(hi - lo):
+            return np.linspace(lo, hi, n)
+        return 2.0 * np.linspace(0.5 * lo, 0.5 * hi, n)
+
+
 def cmd_scan(args: argparse.Namespace) -> int:
     root = _root_config(args)
     if args.H_steps < 1 or args.B_steps < 1:
@@ -219,8 +234,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
     if not all(map(math.isfinite, (args.H_min, args.H_max, args.B_min,
                                    args.B_max))):
         raise ValueError("need finite --H-min, --H-max, --B-min and --B-max")
-    hs = np.linspace(args.H_min, args.H_max, args.H_steps)
-    bs = np.linspace(args.B_min, args.B_max, args.B_steps)
+    hs = _grid(args.H_min, args.H_max, args.H_steps)
+    bs = _grid(args.B_min, args.B_max, args.B_steps)
     # the H = 1 report of each B, classified once for this scan
     shapes: dict[float, AnalysisReport] = {}
     # every row is built before the output opens, so a failed row

@@ -7,6 +7,7 @@ import pathlib
 import random
 import re
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -495,6 +496,78 @@ def test_scan_deterministic(tmp_path, capsys):
         code, _, _ = run_cli(argv + ["--output", str(dest)], capsys)
         assert code == 0
     assert first.read_bytes() == second.read_bytes()
+
+
+# scans whose grid np.linspace alone would build with an overflow warning:
+# i * step overflows at the last H, or the span hi - lo itself overflows
+OVERFLOWING_SCANS = [
+    (["--H-min", "0.5155407442263504", "--H-max", "1.7976931348623157e308",
+      "--H-steps", "4", "--B-min", "0.5", "--B-max", "1.5", "--B-steps", "3"],
+     "0.515540744226,0.5,unduloid,NoOrthogonalIntersection,-1.0329693562,,,\n"
+     "0.515540744226,1,,Invalid,,,,\n"
+     "0.515540744226,1.5,nodoid,PinchedFreeBoundaryPortion,,0.929118292532,"
+     "1.64873622479,0\n"
+     "5.99231044954e+307,0.5,unduloid,NoOrthogonalIntersection,"
+     "-8.887019375e-309,,,\n"
+     "5.99231044954e+307,1,,Invalid,,,,\n"
+     "5.99231044954e+307,1.5,nodoid,PinchedFreeBoundaryPortion,,"
+     "7.99355006787e-309,1.41846906551e-308,0\n"
+     "1.19846208991e+308,0.5,unduloid,NoOrthogonalIntersection,"
+     "-4.4435096875e-309,,,\n"
+     "1.19846208991e+308,1,,Invalid,,,,\n"
+     "1.19846208991e+308,1.5,nodoid,PinchedFreeBoundaryPortion,,"
+     "3.99677503394e-309,7.09234532754e-309,0\n"
+     "1.79769313486e+308,0.5,unduloid,NoOrthogonalIntersection,"
+     "-2.96233979167e-309,,,\n"
+     "1.79769313486e+308,1,,Invalid,,,,\n"
+     "1.79769313486e+308,1.5,nodoid,PinchedFreeBoundaryPortion,,"
+     "2.66451668929e-309,4.72823021836e-309,0\n"),
+    (["--H-min", "-1.7e308", "--H-max", "1.7e308", "--H-steps", "5",
+      "--B-min", "0.5", "--B-max", "0.5", "--B-steps", "1"],
+     "-1.7e+308,0.5,,Invalid,,,,\n"
+     "-8.5e+307,0.5,,Invalid,,,,\n"
+     "0,0.5,,Invalid,,,,\n"
+     "8.5e+307,0.5,unduloid,NoOrthogonalIntersection,-6.26515047836e-309,,,\n"
+     "1.7e+308,0.5,unduloid,NoOrthogonalIntersection,-3.13257523918e-309,,,"
+     "\n"),
+    (["--H-min", "1e308", "--H-max", "-1e308", "--H-steps", "2",
+      "--B-min", "0.5", "--B-max", "0.5", "--B-steps", "1"],
+     "1e+308,0.5,unduloid,NoOrthogonalIntersection,-5.32537790661e-309,,,\n"
+     "-1e+308,0.5,,Invalid,,,,\n"),
+]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("flags,rows", OVERFLOWING_SCANS,
+                         ids=["step", "span", "reversed-span"])
+def test_scan_grid_with_an_overflow_has_every_row(flags, rows, capsys):
+    header = ",".join(cli.SCAN_COLUMNS) + "\n"
+    assert run_cli(["scan"] + flags, capsys) == (0, header + rows, "")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_scan_grid_of_an_overflowing_span_is_finite_and_near_exact():
+    rng = random.Random(48)
+    top = sys.float_info.max
+    checked = 0
+    for _ in range(300):
+        # big + other exceeds top by more than half its ulp, about 1e292
+        big = top * rng.uniform(0.5, 1.0)
+        other = (top - big) + 10.0 ** rng.uniform(292.5, math.log10(big))
+        lo, hi = rng.choice([(big, -other), (-big, other), (other, -big),
+                             (-other, big)])
+        if math.isfinite(hi - lo):
+            continue
+        checked += 1
+        n = rng.randint(1, 40)
+        grid = cli._grid(lo, hi, n).tolist()
+        assert grid[0] == lo and grid[-1] == (hi if n > 1 else lo)
+        ulp = Fraction(math.ulp(big))
+        span = Fraction(hi) - Fraction(lo)
+        for i, x in enumerate(grid[1:-1], 1):
+            exact = Fraction(lo) + i * span / (n - 1)
+            assert abs(Fraction(x) - exact) <= 4 * ulp, (lo, hi, n, i)
+    assert checked > 250
 
 
 def test_mesh_writes_portion_obj(tmp_path, capsys):
