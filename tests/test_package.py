@@ -158,6 +158,15 @@ def test_verify_never_loads_numpy_random():
     assert report == golden.read_text(encoding="utf-8")
 
 
+def test_the_cli_module_runs_as_a_script():
+    # python -m cmcpinch.cli, as runpy runs it
+    code = ("import runpy; runpy.run_module('cmcpinch.cli', "
+            "run_name='__main__', alter_sys=True)")
+    run = _fresh(code, "analyze", "--H", "2", "--B", "0")
+    assert run.returncode == 0, run.stderr
+    assert "verdict: Cylinder\n" in run.stdout
+
+
 def test_a_missing_numpy_is_named():
     code = ("import sys; sys.modules['numpy'] = None\n"
             "try:\n"
