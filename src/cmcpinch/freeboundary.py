@@ -311,13 +311,12 @@ def classify(params: DelaunayParams,
     H sb / min(1, |1 - B|).  Cylinders never cross a centred sphere
     orthogonally (u = -1/H is constant), unduloids go through the z(s0)
     vs z0 dichotomy, decided as B > B_STAR_FLOOR, nodoids always produce
-    a portion.  For a pinched
-    unduloid the report also carries n0 = 1, the module docstring's
-    theorem, and the violation sequence through n0 + 2.  This is the only
-    dichotomy test and the one solve of the crossing, each height
-    evaluated once.  Raises ValueError when x_tol stops the search at
-    s = 0 and OverflowError when a length over H is inf, nan or, for sb
-    and R0, 0.
+    a portion.  For a pinched unduloid the report also carries n0 = 1,
+    the module docstring's theorem, and the violation sequence through
+    n0 + 2.  This is the only dichotomy test and the one solve of the
+    crossing, each height evaluated once.  Raises ValueError when x_tol
+    stops the search at s = 0 and OverflowError when a length over H is
+    inf, nan or, for sb and R0, 0.
     """
     B, unit = params.B, DelaunayParams(1.0, params.B)
     family = params.family
