@@ -6,9 +6,10 @@ standard library's ``importlib.util.LazyLoader`` recipe: find numpy's
 spec, wrap its loader, and register the module that loader makes in
 ``sys.modules["numpy"]``, which any later ``import numpy`` then returns.
 numpy's own import runs on the first attribute read of that module (an
-``import numpy`` statement reads one), so ``analyze``, ``--help`` and the
-float API (classify, build_portion, z_of, violation_points, profile and
-eval_state at one float, analyze_point of a float state) never run it.
+``import numpy`` statement reads one), so ``analyze``, ``scan``,
+``--help`` and the float API (classify, build_portion, z_of,
+violation_points, profile and eval_state at one float, analyze_point of
+a float state) never run it.
 
 numpy is the only module deferred, and no function imports anything:
 ``import cmcpinch`` still imports every module of the package, which

@@ -9,6 +9,12 @@ nor indexed.
 
 Records are read-only by convention: nothing assigns to a field after
 construction.  A changed record is a new one, built by its constructor.
+
+The records built per solve step or scan row (GeneratrixState,
+FreeBoundaryPortion, ViolationPoint, AnalysisReport) are built by
+position, in ``_fields`` order: a class called with keywords packs them
+into a dict that ``__init__`` matches by name, and on Python 3.11 (Intel
+Xeon) a GeneratrixState took 520 ns by keyword, 200 ns by position.
 """
 from __future__ import annotations
 

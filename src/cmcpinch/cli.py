@@ -27,8 +27,9 @@ encoder of the json module with the bytes of json.dumps(..., indent=2),
 and the profile table formats each column in one pass of
 ``textfmt.format_g``, byte for byte printf "%.12g".  mesh
 writes no OBJ unless every vertex and normal is a finite float.
-numpy loads on first use: analyze, --help and usage errors never load
-it; profile, scan, mesh and verify load it at their first array.
+numpy loads on first use: analyze, scan, --help and usage errors never
+load it; profile, mesh and verify load it at their first array.  scan's
+grid is a list of floats built with np.linspace's arithmetic (_grid).
 
 main hands argv to the parser of the command its first word names, one
 parse per call; the top-level parser only answers help and usage errors
@@ -212,19 +213,39 @@ SCAN_COLUMNS = ["H", "B", "family", "verdict", "zAtS0MinusZ0", "sBar", "R0",
                 "minGap"]
 
 
-def _grid(lo: float, hi: float, n: int) -> np.ndarray:
-    """np.linspace(lo, hi, n), with no overflow warning.
+def _grid(lo: float, hi: float, n: int) -> list[float]:
+    """np.linspace(lo, hi, n) as a list of floats, in its arithmetic.
 
-    Where hi - lo overflows, the grid is twice the grid of the halved
-    ends: both ends then exceed 1e292 in size, so halving them and
-    doubling back are exact, and the ends stay lo and hi.  An element
-    that overflows in np.linspace's i * step is its last, which it
-    overwrites with hi.
+    With delta = hi - lo, div = n - 1 and step = delta / div, element i
+    is i * step + lo, or (i / div) * delta + lo where step underflows to
+    0, and the last is hi, which also replaces an i * step that
+    overflowed to inf.  Where delta overflows, the grid is twice the grid
+    of the halved ends: both ends then exceed 1e292 in size, so halving
+    and doubling are exact.  The list is allocated in one step, so a grid
+    too large for memory fails before any work.
     """
-    with np.errstate(over="ignore"):
-        if math.isfinite(hi - lo):
-            return np.linspace(lo, hi, n)
-        return 2.0 * np.linspace(0.5 * lo, 0.5 * hi, n)
+    delta = hi - lo
+    if not math.isfinite(delta):
+        grid = _grid(0.5 * lo, 0.5 * hi, n)
+        for i, x in enumerate(grid):
+            grid[i] = 2.0 * x
+        return grid
+    if n == 1:
+        return [0.0 * delta + lo]
+    try:
+        grid = [0.0] * n
+    except MemoryError:
+        raise MemoryError(f"Unable to allocate a grid of {n} points") from None
+    div = n - 1
+    step = delta / div
+    if step == 0.0:
+        for i in range(n):
+            grid[i] = (i / div) * delta + lo
+    else:
+        for i in range(n):
+            grid[i] = i * step + lo
+    grid[-1] = hi
+    return grid
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
@@ -236,36 +257,35 @@ def cmd_scan(args: argparse.Namespace) -> int:
         raise ValueError("need finite --H-min, --H-max, --B-min and --B-max")
     hs = _grid(args.H_min, args.H_max, args.H_steps)
     bs = _grid(args.B_min, args.B_max, args.B_steps)
+    b_cells = [_fmt(b) for b in bs]
     # the H = 1 report of each B, classified once for this scan
     shapes: dict[float, AnalysisReport] = {}
     # every row is built before the output opens, so a failed row
     # leaves nothing written
     rows = []
     for h in hs:
-        for b in bs:
-            row = [_fmt(float(h)), _fmt(float(b))]
+        h_cell = _fmt(h)
+        for b, b_cell in zip(bs, b_cells):
             try:
-                params = DelaunayParams(float(h), float(b))
+                params = DelaunayParams(h, b)
             except ValueError:
-                rows.append(row + ["", VERDICT_INVALID, "", "", "", ""])
+                rows.append(f"{h_cell},{b_cell},,{VERDICT_INVALID},,,,\n")
                 continue
-            if params.B not in shapes:
-                shapes[params.B] = classify(
-                    DelaunayParams(1.0, params.B), root)
-            rep = shapes[params.B].at(params.H)
+            if b not in shapes:
+                shapes[b] = classify(DelaunayParams(1.0, b), root)
+            rep = shapes[b].at(h)
             dichotomy = ""
             if rep.z_at_s0 is not None and rep.z0 is not None:
                 dichotomy = _fmt(rep.z_at_s0 - rep.z0)
             p = rep.portion
-            rows.append(row + [
-                params.family, rep.verdict, dichotomy,
-                _fmt(p.s_bar) if p else "",
-                _fmt(p.R0) if p else "",
-                _fmt(p.min_gap) if p else ""])
+            cells = (f"{_fmt(p.s_bar)},{_fmt(p.R0)},{_fmt(p.min_gap)}" if p
+                     else ",,")
+            rows.append(f"{h_cell},{b_cell},{params.family},{rep.verdict},"
+                        f"{dichotomy},{cells}\n")
     # no field needs CSV quoting: each is a number, a word or blank
     with _open_output(args.output) as out:
         out.write(",".join(SCAN_COLUMNS) + "\n")
-        out.writelines(",".join(row) + "\n" for row in rows)
+        out.writelines(rows)
     return EXIT_OK
 
 

@@ -103,12 +103,11 @@ def profile(params: DelaunayParams, s) -> GeneratrixState:
     rq = xp.sqrt(q)
     one_minus_bc = om + 2.0 * B * hh
     c_minus_b = om - 2.0 * hh
+    # s, x, z, dx, dz, ddx, ddz
     return GeneratrixState(
-        s=s, x=rq / H, z=z,
-        dx=B * sn / rq,
-        dz=one_minus_bc / rq,
-        ddx=B * H * one_minus_bc * c_minus_b / (q * rq),
-        ddz=-B * B * H * sn * c_minus_b / (q * rq))
+        s, rq / H, z, B * sn / rq, one_minus_bc / rq,
+        B * H * one_minus_bc * c_minus_b / (q * rq),
+        -B * B * H * sn * c_minus_b / (q * rq))
 
 
 # Carlson's series is accurate to r = 2^-53 (DLMF 19.36.1-2) once the

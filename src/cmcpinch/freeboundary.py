@@ -157,6 +157,23 @@ class FreeBoundaryPortion(Record):
         self.orthogonality_residual = orthogonality_residual
 
 
+def _length(key: str, v: Optional[float], k: float,
+            size: bool = False) -> Optional[float]:
+    """The length v of a report at k times its mean curvature, v / k.
+
+    Raises OverflowError naming the report key where v / k is not a
+    finite float, or where a size (sb, R0) underflows to 0.
+    """
+    if v is None:
+        return None
+    out = v / k
+    if not math.isfinite(out):
+        raise OverflowError(f"{key} = {v!r} / {k!r} is not a finite float")
+    if size and out == 0.0:
+        raise OverflowError(f"{key} = {v!r} / {k!r} underflows to 0")
+    return out
+
+
 class AnalysisReport(Record):
     """The verdict on params and the numbers behind it; violations is a
     new empty list unless given."""
@@ -194,38 +211,25 @@ class AnalysisReport(Record):
         input.
         """
         k = H / self.params.H
-
-        def length(key: str, v: Optional[float],
-                   size: bool = False) -> Optional[float]:
-            if v is None:
-                return None
-            out = v / k
-            if not math.isfinite(out):
-                raise OverflowError(f"{key} = {v!r} / {k!r} is not a finite "
-                                    "float")
-            if size and out == 0.0:
-                raise OverflowError(f"{key} = {v!r} / {k!r} underflows to 0")
-            return out
-
         # lengths in report key order (sBar, R0, the residual, s0, r0, z0,
-        # zAtS0, t_n): the first to fail names the error
+        # zAtS0, t_n), each record's arguments in its _fields order: the
+        # first length to fail names the error
         p = self.portion
         if p is not None:
             p = FreeBoundaryPortion(
-                s_bar=length("sBar", p.s_bar, size=True),
-                R0=length("R0", p.R0, size=True),
-                scaled_params=p.scaled_params, s_bar_scaled=p.s_bar_scaled,
-                orthogonality_residual=length(
-                    "orthogonalityResidual", p.orthogonality_residual))
+                _length("sBar", p.s_bar, k, size=True),
+                _length("R0", p.R0, k, size=True),
+                p.scaled_params, p.s_bar_scaled,
+                _length("orthogonalityResidual", p.orthogonality_residual,
+                        k))
         return AnalysisReport(
-            params=DelaunayParams(H, self.params.B), verdict=self.verdict,
-            s0=length("s0", self.s0), r0=length("r0", self.r0),
-            z0=length("z0", self.z0),
-            z_at_s0=length("zAtS0", self.z_at_s0), portion=p,
-            violations=[ViolationPoint(
-                n=v.n, t=length(f"violations n={v.n} t", v.t),
-                lambda2=v.lambda2, gap=v.gap) for v in self.violations],
-            n0=self.n0)
+            DelaunayParams(H, self.params.B), self.verdict,
+            _length("s0", self.s0, k), _length("r0", self.r0, k),
+            _length("z0", self.z0, k), _length("zAtS0", self.z_at_s0, k),
+            p,
+            [ViolationPoint(v.n, _length(f"violations n={v.n} t", v.t, k),
+                            v.lambda2, v.gap) for v in self.violations],
+            self.n0)
 
 
 def _u_of_s(params: DelaunayParams, states: dict):
@@ -322,17 +326,18 @@ def classify(params: DelaunayParams,
     family = params.family
     if family == CYLINDER:
         return AnalysisReport(unit, VERDICT_CYLINDER).at(params.H)
+    s0 = r0 = z0 = z_at_s0 = violations = n0 = None
     if family == UNDULOID:
-        top = math.acos(B)
+        top = s0 = math.acos(B)
         # one s0 state: the reported z(s0) and the search's u(s0)
         states = {top: eval_state(unit, top)}
-        fields = dict(s0=top, z0=(1.0 - B * B) / B, z_at_s0=states[top].z)
+        z0, z_at_s0 = (1.0 - B * B) / B, states[top].z
         if B <= B_STAR_FLOOR:
-            return AnalysisReport(unit, VERDICT_NO_ORTHOGONAL,
-                                  **fields).at(params.H)
+            return AnalysisReport(unit, VERDICT_NO_ORTHOGONAL, s0, r0, z0,
+                                  z_at_s0).at(params.H)
     else:
-        top, states = math.acos(1.0 / B), {}
-        fields = dict(r0=top)
+        top = r0 = math.acos(1.0 / B)
+        states = {}
     # the zero of u in [0, top] in neck units (module docstring): with
     # neck = min(1, |1 - B|) the bracket closes to x_tol * neck and the
     # first point tried after the ends is SINH_T0 * neck; states keeps
@@ -342,16 +347,14 @@ def classify(params: DelaunayParams,
                      root_cfg.max_iterations)
     sb = find_root(_u_of_s(unit, states), 0.0, top, cfg, SINH_T0 * neck)
     if family == UNDULOID:
-        fields.update(violations=violation_points(unit, 3), n0=1)
+        violations, n0 = violation_points(unit, 3), 1
     # s = 0, where u = B - 1 != 0, is no crossing
     if sb == 0.0:
         raise ValueError(f"root tolerance x_tol={root_cfg.x_tol!r} stopped "
                          "the crossing search at s = 0, which is no crossing")
     boundary = states[sb]
-    r0 = math.hypot(boundary.x, boundary.z)
-    portion = FreeBoundaryPortion(
-        s_bar=sb, R0=r0, scaled_params=DelaunayParams(r0, params.B),
-        s_bar_scaled=sb / r0,
-        orthogonality_residual=abs(support_function(boundary)))
-    return AnalysisReport(unit, VERDICT_PINCHED, portion=portion,
-                          **fields).at(params.H)
+    R0 = math.hypot(boundary.x, boundary.z)
+    portion = FreeBoundaryPortion(sb, R0, DelaunayParams(R0, B), sb / R0,
+                                  abs(support_function(boundary)))
+    return AnalysisReport(unit, VERDICT_PINCHED, s0, r0, z0, z_at_s0,
+                          portion, violations, n0).at(params.H)

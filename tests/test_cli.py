@@ -6,6 +6,7 @@ import math
 import pathlib
 import random
 import re
+import struct
 import sys
 from fractions import Fraction
 
@@ -560,7 +561,7 @@ def test_scan_grid_of_an_overflowing_span_is_finite_and_near_exact():
             continue
         checked += 1
         n = rng.randint(1, 40)
-        grid = cli._grid(lo, hi, n).tolist()
+        grid = cli._grid(lo, hi, n)
         assert grid[0] == lo and grid[-1] == (hi if n > 1 else lo)
         ulp = Fraction(math.ulp(big))
         span = Fraction(hi) - Fraction(lo)
@@ -568,6 +569,68 @@ def test_scan_grid_of_an_overflowing_span_is_finite_and_near_exact():
             exact = Fraction(lo) + i * span / (n - 1)
             assert abs(Fraction(x) - exact) <= 4 * ulp, (lo, hi, n, i)
     assert checked > 250
+
+
+def _grid_ends(rng):
+    """A seeded (lo, hi) pair from one of the spans the grid must match."""
+    tiny, top = 5e-324, sys.float_info.max
+    kind = rng.randrange(7)
+    if kind == 0:
+        # subnormal ends
+        return rng.randint(-64, 64) * tiny, rng.randint(-64, 64) * tiny
+    if kind == 1:
+        # a zero span, either zero included
+        lo = rng.choice([0.0, -0.0, tiny, 1.5, -1e308, top])
+        return lo, rng.choice([lo, abs(lo), -abs(lo)] if lo == 0.0 else [lo])
+    if kind == 2:
+        # a span of a few subnormals, so a long grid's step underflows
+        lo = rng.uniform(-1.0, 1.0) * 1e-310
+        return lo, lo + rng.randint(1, 8) * tiny
+    if kind == 3:
+        # the largest floats, where i * step and hi - lo overflow
+        sign = rng.choice([1.0, -1.0])
+        if rng.random() < 0.5:
+            return rng.uniform(-1.0, 1.0), sign * top
+        return (-sign * top * rng.uniform(0.0, 1.0),
+                sign * top * rng.uniform(0.5, 1.0))
+    if kind == 4:
+        # random finite bit patterns
+        ends = []
+        while len(ends) < 2:
+            x = struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))
+            if math.isfinite(x[0]):
+                ends.append(x[0])
+        return tuple(ends)
+    lo = rng.uniform(-3.0, 3.0) * 10.0 ** rng.randint(-300, 300)
+    hi = rng.uniform(-3.0, 3.0) * 10.0 ** rng.randint(-300, 300)
+    # reversed or forward
+    return (lo, hi) if kind == 5 else (max(lo, hi), min(lo, hi))
+
+
+def test_scan_grid_is_np_linspace_bit_for_bit():
+    # cli._grid follows np.linspace's arithmetic; where hi - lo
+    # overflows, np.linspace gives nan and inf, and the grid is twice the
+    # grid of the halved ends
+    rng = random.Random(49)
+    seen = collections.Counter()
+    for _ in range(4000):
+        lo, hi = _grid_ends(rng)
+        n = rng.choice([1, 2, 3, rng.randint(4, 40), rng.randint(41, 2000)])
+        with np.errstate(over="ignore"):
+            if math.isfinite(hi - lo):
+                want = np.linspace(lo, hi, n)
+                seen["step underflows"] += n > 1 and (hi - lo) / (n - 1) == 0
+                seen["i * step overflows"] += (
+                    n > 1 and math.isinf((n - 1) * ((hi - lo) / (n - 1))))
+            else:
+                want = 2.0 * np.linspace(0.5 * lo, 0.5 * hi, n)
+                seen["span overflows"] += 1
+            seen["one point"] += n == 1
+        got = cli._grid(lo, hi, n)
+        assert type(got) is list and {type(x) for x in got} == {float}
+        assert [x.hex() for x in got] == [x.hex() for x in want.tolist()], (
+            lo, hi, n)
+    assert min(seen.values()) > 20, seen
 
 
 def test_mesh_writes_portion_obj(tmp_path, capsys):

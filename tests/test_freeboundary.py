@@ -12,9 +12,10 @@ from cmcpinch.delaunay import DelaunayParams, eval_state, profile, z_of
 from cmcpinch.numerics import find_root, integrate
 from cmcpinch import curvature, delaunay, freeboundary, numerics, verify
 from cmcpinch.freeboundary import (VERDICT_CYLINDER, VERDICT_NO_ORTHOGONAL,
-                                   VERDICT_PINCHED, NoRootError,
-                                   build_portion, classify, find_n0,
-                                   find_sbar, nodoid_find_rbar,
+                                   VERDICT_PINCHED, AnalysisReport,
+                                   FreeBoundaryPortion, NoRootError,
+                                   ViolationPoint, build_portion, classify,
+                                   find_n0, find_sbar, nodoid_find_rbar,
                                    violation_points)
 from records import replace
 from report_grid import report_inputs
@@ -658,6 +659,48 @@ def test_overflowing_length_message(h, b, message):
     with pytest.raises(OverflowError) as info:
         classify(DelaunayParams(h, b))
     assert str(info.value) == message
+
+
+# a report's lengths by report key, in the order .at checks them
+AT_KEYS = ["sBar", "R0", "orthogonalityResidual", "s0", "r0", "z0", "zAtS0",
+           "violations n=1 t", "violations n=2 t", "violations n=3 t"]
+
+
+def _unit_report(lengths):
+    """An H = 1 report with every length 1.0 but those given by key."""
+    v = dict.fromkeys(AT_KEYS, 1.0) | lengths
+    unit = DelaunayParams(1.0, 0.9)
+    portion = FreeBoundaryPortion(v["sBar"], v["R0"], unit, 1.0,
+                                  v["orthogonalityResidual"])
+    violations = [ViolationPoint(n, v[f"violations n={n} t"], -1.0, -2.0)
+                  for n in (1, 2, 3)]
+    return AnalysisReport(unit, VERDICT_PINCHED, v["s0"], v["r0"], v["z0"],
+                          v["zAtS0"], portion, violations, 1)
+
+
+@pytest.mark.parametrize("key, v, h, message", [
+    ("sBar", 1e300, 1e-10, "sBar = 1e+300 / 1e-10 is not a finite float"),
+    ("R0", 1e300, 1e-10, "R0 = 1e+300 / 1e-10 is not a finite float"),
+    ("orthogonalityResidual", 1e300, 1e-10,
+     "orthogonalityResidual = 1e+300 / 1e-10 is not a finite float"),
+    ("s0", 1e300, 1e-10, "s0 = 1e+300 / 1e-10 is not a finite float"),
+    ("r0", 1e300, 1e-10, "r0 = 1e+300 / 1e-10 is not a finite float"),
+    ("z0", 1e300, 1e-10, "z0 = 1e+300 / 1e-10 is not a finite float"),
+    ("zAtS0", 1e300, 1e-10, "zAtS0 = 1e+300 / 1e-10 is not a finite float"),
+    ("violations n=3 t", 1e300, 1e-10,
+     "violations n=3 t = 1e+300 / 1e-10 is not a finite float"),
+    ("sBar", 1e-300, 1e100, "sBar = 1e-300 / 1e+100 underflows to 0"),
+    ("R0", 1e-300, 1e100, "R0 = 1e-300 / 1e+100 underflows to 0")],
+    ids=[f"{key}-inf" for key in AT_KEYS[:7]] + [
+        "violations-n3-t-inf", "sBar-0", "R0-0"])
+def test_at_names_the_first_length_to_fail(key, v, h, message):
+    # the length alone, then with every later length in key order
+    # failing too: either way the OverflowError names it
+    for failing in ([key], AT_KEYS[AT_KEYS.index(key):]):
+        with pytest.raises(OverflowError) as info:
+            _unit_report(dict.fromkeys(failing, v)).at(h)
+        assert str(info.value) == message
+    assert _unit_report({}).at(h).portion.R0 == 1.0 / h
 
 
 def test_crossing_is_solved_at_unit_scale(monkeypatch):

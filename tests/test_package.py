@@ -51,6 +51,11 @@ NUMPY_FREE_RUNS = [
     (["analyze", "--H", "1", "--B", "1"], 2),
     (["analyze", "--B", "0.5"], 2),
     (["analyze", "--H", "1", "--B", "1e103"], 3),
+    # the golden scan, and one whose H span max - min overflows
+    (["scan", "--H-min", "0.5", "--H-max", "2", "--H-steps", "2",
+      "--B-min", "0", "--B-max", "2", "--B-steps", "11"], 0),
+    (["scan", "--H-min", "-1.7e308", "--H-max", "1.7e308", "--H-steps", "5",
+      "--B-min", "0.5", "--B-max", "0.5", "--B-steps", "1"], 0),
 ]
 FRESH_RUN = """
 import contextlib, io, json, sys
@@ -99,8 +104,8 @@ def test_analyze_and_the_float_api_never_load_numpy():
 
 
 def test_no_command_loads_dataclasses(tmp_path):
-    # numpy itself imports inspect, so these array commands hold only
-    # dataclasses out
+    # profile, mesh and verify load numpy, which itself imports inspect,
+    # so this run holds only dataclasses out
     argvs = [
         ["scan", "--H-min", "0.5", "--H-max", "2", "--H-steps", "2",
          "--B-min", "0", "--B-max", "2", "--B-steps", "11"],
