@@ -95,13 +95,14 @@ def _next_point(a, fa, da, b, fb, db, tol, prev, last):
 def find_root(f: Callable, a: float, b: float,
               cfg: RootConfig = DEFAULT_ROOT,
               x0: Optional[float] = None) -> float:
-    """Locate a root of f inside the bracket [a, b].
+    """Locate a root of f inside the bracket [a, b], a < b.
 
-    f(x) returns f's value, or the pair (f(x), f'(x)); it is called once
-    per point.  x0, where given inside the bracket, is the first point
-    after the ends.  Each later step is a Newton step from a bracket end,
-    the one with the smaller |f| first, along f' where it is given and
-    along the chord through the two ends otherwise.  It falls back to
+    f(x) returns the pair (f(x), f'(x)); it is called once per point.
+    x0, where given inside the bracket, is the first point after the
+    ends.  Each later step is a Newton step from a bracket end, the one
+    with the smaller |f| first, along f' there, or along the chord
+    through the two ends where f' is zero or not finite: for classify's
+    u, every step from the end s = 0, where u' = 0.  It falls back to
     bisection when neither end's step lands inside the bracket at most
     half as long as the step before last.  Once the Newton step and the
     step before it are both below x_tol / 2, or the step cannot move the
@@ -116,13 +117,10 @@ def find_root(f: Callable, a: float, b: float,
     infinite, NoSignChangeError when f(a) and f(b) have the same
     (nonzero) sign and IterationLimitError when the budget runs out.
     """
-    if b < a:
-        a, b = b, a
     tol = cfg.x_tol
 
     def value_slope(x: float) -> tuple[float, float]:
-        y = f(x)
-        fx, dfx = y if isinstance(y, tuple) else (y, math.nan)
+        fx, dfx = f(x)
         if not math.isfinite(fx):
             raise NonFiniteError(f"the root search met f = {fx!r} at x = "
                                  f"{x!r}, not a finite value")

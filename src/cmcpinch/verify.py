@@ -30,9 +30,9 @@ and s - h as the two halves of one more array call.  AC4 and AC13 read
 their boundary and neck points from their own grids, and AC9 and AC10
 evaluate their points as one array each; AC11 and AC15 evaluate their
 few points through the float path, eval_state, and tests hold the float
-and array paths equal bit for bit.  AC16 hands np.loadtxt each OBJ
-block as lines, split from one latin-1 decode of its bytes, and finds
-each block at its first record whose tag reads as np.loadtxt reads it.
+and array paths equal bit for bit.  AC16 decodes the OBJ once as latin-1,
+finds each block at its first record whose tag reads as np.loadtxt
+reads it, and hands np.loadtxt each block as lines.
 """
 from __future__ import annotations
 
@@ -357,35 +357,32 @@ def _check_radial_boundary(ctx: _Context, r: _Ratios) -> None:
         r.bound(p.R0 * abs(st.dx) / st.x - 1.0, 1e-6)
 
 
-def _read_block(block: bytes, tag: bytes, kind, shape) -> np.ndarray:
+def _read_block(block: str, tag: str, kind, shape) -> np.ndarray:
     """The rows of one block of records tagged ``tag``, read by one
     np.loadtxt call with the tag as a field of the record."""
-    # latin-1 passes each byte on as one character, so the parser sees
-    # and rejects a non-ASCII byte; a final newline leaves a blank line
-    lines = block.decode("latin-1").split("\n")
-    # a longer tag is cut to three bytes, which no block's tag equals
-    table = np.loadtxt(lines, ndmin=1,
+    # a final newline leaves a blank line; a longer tag is cut to three
+    # bytes, which no block's tag equals
+    table = np.loadtxt(block.split("\n"), ndmin=1,
                        dtype=[("tag", "S3"), ("row", kind, shape)])
-    if not (table["tag"] == tag).all():
-        raise ValueError(f"a record in the {tag.decode()} block has "
-                         f"another tag")
+    if not (table["tag"] == tag.encode()).all():
+        raise ValueError(f"a record in the {tag} block has another tag")
     return table["row"]
 
 
-def _block_start(data: bytes, tag: bytes, pos: int) -> int:
+def _block_start(text: str, tag: str, pos: int) -> int:
     """Where the first line after ``pos`` whose first field is ``tag``
     starts, or 0.  The field is read as np.loadtxt reads it, after any
     whitespace but a newline and before whitespace or the line's end,
     so a record opens its block wherever a later one would parse."""
-    i = data.find(tag, pos)
+    i = text.find(tag, pos)
     while i >= 0:
-        line = data.rfind(b"\n", pos, i) + 1
+        line = text.rfind("\n", pos, i) + 1
         end = i + len(tag)
-        # the parser's whitespace is str.isspace, wider than bytes'
-        edges = (data[line:i] + data[end:end + 1]).decode("latin-1")
+        # the parser's whitespace is str.isspace
+        edges = text[line:i] + text[end:end + 1]
         if line and (not edges or edges.isspace()):
             return line
-        i = data.find(tag, end)
+        i = text.find(tag, end)
     return 0
 
 
@@ -396,15 +393,18 @@ def _parse_obj(data: bytes):
     a field too many or too few; a record tagged for another block, a
     missing block and a face whose normal index differs from its vertex
     index raise too.  f keeps its vertex indices."""
-    vn = _block_start(data, b"vn", 0)
-    f = vn and _block_start(data, b"f", vn)
+    # one character per byte, so the parser sees and rejects non-ASCII
+    text = data.decode("latin-1")
+    vn = _block_start(text, "vn", 0)
+    f = vn and _block_start(text, "f", vn)
     if not f:
         raise ValueError("the OBJ lacks its vn or f block")
-    vs = _read_block(data[:vn], b"v", float, 3)
-    vns = _read_block(data[vn:f], b"vn", float, 3)
-    # "i//i" tokens: vertex and normal index
-    faces = _read_block(data[f:].replace(b"//", b" "), b"f", np.int64,
-                        (3, 2))
+    vs = _read_block(text[:vn], "v", float, 3)
+    vns = _read_block(text[vn:f], "vn", float, 3)
+    # "i//i" tokens: vertex and normal index.  The text is let go before
+    # the largest block parses: a 64² parse peaks at 1.6 MB, not 2.2
+    text = text[f:].replace("//", " ")
+    faces = _read_block(text, "f", np.int64, (3, 2))
     if not (faces[..., 0] == faces[..., 1]).all():
         raise ValueError("a face's normal index differs from its vertex "
                          "index")

@@ -707,12 +707,19 @@ def test_crossing_is_solved_at_unit_scale(monkeypatch):
     # mesh (build_portion), analyze (classify) and the views find_sbar and
     # nodoid_find_rbar share the crossing: one root search per call, at
     # H = 1, with s_bar, R0, scaled_params and the residual bit for bit
-    # those of classify's report
+    # those of classify's report.  Each search is in find_root's one
+    # calling form: an ordered bracket from 0 and f giving (u, u')
     roots = []
 
     def counting(f, a, b, cfg, x0):
+        assert a == 0.0 < b
         roots.append(b)
-        return find_root(f, a, b, cfg, x0)
+
+        def pair(x):
+            y = f(x)
+            assert type(y) is tuple and list(map(type, y)) == [float, float]
+            return y
+        return find_root(pair, a, b, cfg, x0)
 
     monkeypatch.setattr(freeboundary, "find_root", counting)
     for params in (EXAMPLE, NODOID_EX, DelaunayParams(1e5, 0.95)):
