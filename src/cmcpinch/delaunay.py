@@ -124,10 +124,11 @@ def _carlson_fd(x, y, z, xp):
     10, 1995; DLMF 19.36.1-2).  It stops once 4^-n Q < A_n holds for
     both means, where the spread in Q is |A_0 - x| + |A_0 - y| +
     |A_0 - z|: that bounds DLMF's maximum from above, so the loop stops
-    no earlier than the stated rule (at most one step later).  The loop
-    is written twice, with the same statements in the same order: plain
-    on floats (xp is math), and on arrays through np.where, so
-    each element stops at its own step and gets the bits of the float
+    no earlier than the stated rule (at most one step later).  Floats
+    (xp is math) and arrays run the same statements.  On arrays each
+    element stops at its own step: once stopped, it takes lam = 0,
+    sz = inf and the factor 1 in place of 1/4, which leave its x, y, z,
+    af, ad, fac and tail as they were, so it keeps the bits of the float
     loop.  test_z_many_matches_z_of holds the two equal by float.hex.
     """
     sqrt = xp.sqrt
@@ -139,31 +140,24 @@ def _carlson_fd(x, y, z, xp):
     qd = _QD * (abs(dxd) + abs(dyd) + abs(ad - z))
     fac = 1.0
     tail = 0.0
+    quarter = 0.25
+    scalar = xp is math
     going = (qf >= af) | (qd >= ad)
-    if xp is math:
-        while going:
-            sx, sy, sz = sqrt(x), sqrt(y), sqrt(z)
-            lam = sx * (sy + sz) + sy * sz
-            tail += fac / (sz * (z + lam))
-            fac = 0.25 * fac
-            x = 0.25 * (x + lam)
-            y = 0.25 * (y + lam)
-            z = 0.25 * (z + lam)
-            af = 0.25 * (af + lam)
-            ad = 0.25 * (ad + lam)
-            going = (fac * qf >= af) | (fac * qd >= ad)
-    else:
-        while np.any(going):
-            sx, sy, sz = sqrt(x), sqrt(y), sqrt(z)
-            lam = sx * (sy + sz) + sy * sz
-            tail = np.where(going, tail + fac / (sz * (z + lam)), tail)
-            fac = np.where(going, 0.25 * fac, fac)
-            x = np.where(going, 0.25 * (x + lam), x)
-            y = np.where(going, 0.25 * (y + lam), y)
-            z = np.where(going, 0.25 * (z + lam), z)
-            af = np.where(going, 0.25 * (af + lam), af)
-            ad = np.where(going, 0.25 * (ad + lam), ad)
-            going = (fac * qf >= af) | (fac * qd >= ad)
+    while going if scalar else going.any():
+        sx, sy, sz = sqrt(x), sqrt(y), sqrt(z)
+        lam = sx * (sy + sz) + sy * sz
+        if not scalar:
+            lam = np.where(going, lam, 0.0)
+            sz = np.where(going, sz, np.inf)
+            quarter = np.where(going, 0.25, 1.0)
+        tail += fac / (sz * (z + lam))
+        fac = quarter * fac
+        x = quarter * (x + lam)
+        y = quarter * (y + lam)
+        z = quarter * (z + lam)
+        af = quarter * (af + lam)
+        ad = quarter * (ad + lam)
+        going = (fac * qf >= af) | (fac * qd >= ad)
     X = dxf * fac / af
     Y = dyf * fac / af
     Z = -X - Y

@@ -116,7 +116,11 @@ def find_root(f: Callable, a: float, b: float,
     root is returned directly.  Raises NonFiniteError where f is nan or
     infinite, NoSignChangeError when f(a) and f(b) have the same
     (nonzero) sign and IterationLimitError when the budget runs out.
+    A bracket with not a < b (reversed, empty or nan) raises ValueError
+    before f is called.
     """
+    if not a < b:
+        raise ValueError(f"the bracket [{a!r}, {b!r}] is not ordered a < b")
     tol = cfg.x_tol
 
     def value_slope(x: float) -> tuple[float, float]:

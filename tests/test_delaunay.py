@@ -185,6 +185,24 @@ def test_z_many_matches_z_of(monkeypatch):
                  for s in head}
         assert 0 in steps and max(steps) >= (10 if abs(b - 1.0) < 1e-8
                                              else 5), (b, steps)
+    # per-row shapes in one array: rows that stop at step 0 (the neck, and
+    # B from 1.4e154 on, where (1 - B)^2 is inf and z_of is nan) sit out
+    # the steps of rows that run longest (1 - B = 2^-52, B = 1 + 1e-15)
+    # and of ordinary rows, and must keep the bits they stopped with
+    B = np.repeat([0.3, 2.5, 1.4e154, 1.7e308, 1.0 - 2.0 ** -52,
+                   1.0 + 1e-15], 5)
+    H = np.resize([0.4, 1.0, 7.0], B.size)
+    S = np.tile([0.0, -0.0, 0.3, -2.0, 3.0], 6) / H
+    shapes = collections.namedtuple("Shapes", "H B")(H, B)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = z_many(shapes, S)
+    steps = set()
+    for h, b, s, z in zip(H.tolist(), B.tolist(), S.tolist(), got.tolist()):
+        want = z_of(DelaunayParams(h, b), s)
+        assert want.hex() == z.hex() or math.isnan(want) and math.isnan(z)
+        steps.add(_duplication_steps(monkeypatch, DelaunayParams(h, b), s))
+    assert {0, 10} <= steps and max(steps) == 10
+    assert np.isnan(got[10:20]).all() and not np.isnan(got[:10]).any()
 
 
 def test_z_many_duplicates_and_zero():

@@ -430,14 +430,14 @@ def test_find_n0_marks_first_negative_gap():
             assert pts[n0 - 2].gap >= 0.0
 
 
-@pytest.mark.parametrize("quad_cfg", [numerics.SIMPSON_PANELS, 10, 1],
-                         ids=["quad_cfg0", "quad_cfg1", "quad_cfg2"])
-def test_first_violation_height_clears_threshold(quad_cfg, monkeypatch):
+@pytest.mark.parametrize("panels", [numerics.SIMPSON_PANELS, 10, 1],
+                         ids=["panels10000", "panels10", "panels1"])
+def test_first_violation_height_clears_threshold(panels, monkeypatch):
     # find_n0 returns 1 because H z(t_1) >= pi/sqrt(2) > 1 > B; check
     # the bound on the closed-form height over many decades of H, B up to
     # 1 - 1e-7, and on verify's Simpson oracle, also on coarse grids of
-    # quad_cfg panels
-    monkeypatch.setattr(numerics, "SIMPSON_PANELS", quad_cfg)
+    # 10 and 1 panels
+    monkeypatch.setattr(numerics, "SIMPSON_PANELS", panels)
     rng = np.random.default_rng(3)
     cases = [(1.0, 1e-12), (1.0, 1.0 - 1e-7), (1e-6, 0.5), (1e6, 0.5)]
     cases += [(10.0 ** rng.uniform(-6.0, 6.0),

@@ -94,11 +94,26 @@ def test_no_sign_change():
         find_root(_bare(lambda x: 1.0 + x * x), -1.0, 1.0)
 
 
-def test_zero_f_tol_collapses_bracket():
+def test_root_stops_at_bracket_collapse():
     # find_root has no residual tolerance: it stops at bracket collapse
     cfg = RootConfig(x_tol=1e-12)
     root = find_root(_bare(lambda x: math.exp(x) - 2.0), 0.0, 1.0, cfg)
     assert root == pytest.approx(math.log(2.0), abs=1e-12)
+
+
+def test_unordered_bracket_raises_before_f_is_called():
+    # reversed, empty and nan brackets hold no search: each raises
+    # ValueError (not NoSignChangeError) before f is evaluated
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return math.cos(x), -math.sin(x)
+
+    for a, b in ((2.0, 0.0), (1.0, 1.0), (math.nan, 2.0), (0.0, math.nan)):
+        with pytest.raises(ValueError, match="not ordered a < b"):
+            find_root(f, a, b)
+    assert calls == []
 
 
 def test_iteration_budget_error():
