@@ -1,31 +1,52 @@
-"""numpy, loaded on first use.
+"""Modules loaded on first use, numpy among them.
 
-Every module of the package takes ``np`` from here.  If numpy is already
-in ``sys.modules``, ``np`` is that module.  Otherwise this follows the
-standard library's ``importlib.util.LazyLoader`` recipe: find numpy's
-spec, wrap its loader, and register the module that loader makes in
-``sys.modules["numpy"]``, which any later ``import numpy`` then returns.
-numpy's own import runs on the first attribute read of that module (an
-``import numpy`` statement reads one), so ``analyze``, ``scan``,
-``--help`` and the float API (classify, build_portion, z_of,
-violation_points, profile and eval_state at one float, analyze_point of
-a float state) never run it.
+``lazy(name)`` returns ``sys.modules[name]`` when the module is there.
+Otherwise it follows the standard library's ``importlib.util.LazyLoader``
+recipe: find the module's spec, wrap its loader, and register the module
+that loader makes in ``sys.modules[name]`` (and, for a submodule, as an
+attribute of its package), which any later ``import`` of it returns.
+The module's own code runs on the first attribute read of that module;
+an ``import`` statement reads one (``__spec__``).
 
-numpy is the only module deferred, and no function imports anything:
-``import cmcpinch`` still imports every module of the package, which
-tools that wrap the package's functions look up in ``sys.modules`` by
-module name.
+Deferred: numpy, which every module of the package takes as ``np`` from
+here; ``cmcpinch.verify``, ``cmcpinch.mesh`` and ``cmcpinch.textfmt``,
+which ``cli``, ``verify`` and the package reach only through handles
+from ``lazy`` and never name in an ``import`` statement; and json, which
+only the JSON reports use.  So ``analyze``, ``scan``, ``--help`` and the
+float API (classify, build_portion, z_of, violation_points, profile and
+eval_state at one float, analyze_point of a float state) run none of
+the four modules, ``profile`` runs textfmt, and ``mesh`` runs mesh and
+textfmt.  Each deferred module is in ``sys.modules`` once ``cmcpinch``
+and ``cmcpinch.cli`` are imported, so tools that look the package's
+modules up there by name, and wrap their functions, still find every
+one; reading a function off one runs it.
+
+3.11's LazyLoader is not thread-safe on first use: two threads that read
+a lazy module's first attribute at once may both run its code.  The
+package starts no thread.
 """
 import importlib.util
 import sys
 
-np = sys.modules.get("numpy")
-if np is None:
-    # find_spec is None when numpy is missing, or blocked by a None entry
-    _spec = importlib.util.find_spec("numpy")
-    if _spec is None:
-        raise ModuleNotFoundError("No module named 'numpy'", name="numpy")
-    _spec.loader = importlib.util.LazyLoader(_spec.loader)
-    np = importlib.util.module_from_spec(_spec)
-    sys.modules["numpy"] = np
-    _spec.loader.exec_module(np)
+
+def lazy(name: str):
+    """The module ``name``, registered now and run on first use."""
+    module = sys.modules.get(name)
+    if module is not None:
+        return module
+    # find_spec is None when the module is missing, or blocked by a None
+    # entry
+    spec = importlib.util.find_spec(name)
+    if spec is None:
+        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    parent, _, child = name.rpartition(".")
+    if parent:
+        setattr(sys.modules[parent], child, module)
+    return module
+
+
+np = lazy("numpy")

@@ -9,8 +9,8 @@ Subcommands:
   verify    run the acceptance checks
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input, an
-unopenable output path or an unallocatable grid, 3 numerical failure, 4
-no portion exists for the requested surface.  Output opens only once
+unopenable output path or stdout, or an unallocatable grid, 3 numerical
+failure, 4 no portion exists for the requested surface.  Output opens only once
 every value is computed, so a failure writes nothing; a length or
 profile cell that is not a finite float raises OverflowError, exit 3.
 
@@ -27,9 +27,12 @@ encoder of the json module with the bytes of json.dumps(..., indent=2),
 and the profile table formats each column in one pass of
 ``textfmt.format_g``, byte for byte printf "%.12g".  mesh
 writes no OBJ unless every vertex and normal is a finite float.
-numpy loads on first use: analyze, scan, --help and usage errors never
-load it; profile, mesh and verify load it at their first array.  scan's
-grid is a list of floats built with np.linspace's arithmetic (_grid).
+numpy, json and the modules verify, mesh and textfmt load on first use
+(``_np.lazy``): analyze, scan, --help and usage errors run none of the
+four modules; profile runs numpy and textfmt; mesh runs numpy, mesh and
+textfmt; verify runs all four.  json runs only for --format json.
+scan's grid is a list of floats built with np.linspace's arithmetic
+(_grid).
 
 main hands argv to the parser of the command its first word names, one
 parse per call; the top-level parser only answers help and usage errors
@@ -45,24 +48,27 @@ where |z'| < 1e-12.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
-import json
 import math
+import os
 import re
 import sys
 from contextlib import contextmanager
 from typing import Optional, Sequence
 
-from ._np import np
+from ._np import lazy, np
 from .curvature import analyze_point
 from .delaunay import DelaunayParams, profile
 from .freeboundary import (VERDICT_INVALID, AnalysisReport, NoRootError,
                            build_portion, classify)
-from .mesh import export_obj_scene, revolve, sphere
 from .numerics import (DEFAULT_ROOT, IterationLimitError, NonFiniteError,
                        NoSignChangeError, RootConfig)
-from .textfmt import format_g, lines
-from .verify import run_checks
+
+_json = lazy("json")
+_mesh = lazy("cmcpinch.mesh")
+_textfmt = lazy("cmcpinch.textfmt")
+_verify = lazy("cmcpinch.verify")
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -87,6 +93,9 @@ def _root_config(args: argparse.Namespace) -> RootConfig:
 @contextmanager
 def _open_output(path: Optional[str]):
     if path is None or path == "-":
+        # Python sets sys.stdout to None when fd 1 is closed at start
+        if sys.stdout is None:
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF), "<stdout>")
         yield sys.stdout
     else:
         with open(path, "w", newline="") as out:
@@ -135,20 +144,24 @@ def _print_report_text(payload: dict, out) -> None:
                       f"lambda2={_fmt(v['lambda2'])} gap={_fmt(v['gap'])}\n")
 
 
-# indent=2's line breaks as separators, at depth 1 and at a violation's
-# depth 3: json.dumps takes the C encoder only when indent is None
-_JSON_REPORT = json.JSONEncoder(separators=(",\n  ", ": "))
-_JSON_VIOLATION = json.JSONEncoder(separators=(",\n      ", ": "))
+@functools.cache
+def _json_encoders() -> tuple:
+    """The report's encoders, at depth 1 and at a violation's depth 3,
+    with indent=2's line breaks as separators: json.dumps takes the C
+    encoder only when indent is None."""
+    return (_json.JSONEncoder(separators=(",\n  ", ": ")),
+            _json.JSONEncoder(separators=(",\n      ", ": ")))
 
 
 def _report_json(payload: dict) -> str:
     """json.dumps(payload, indent=2) of a report payload, whose last key
     holds its flat violation dicts."""
+    report, violation = _json_encoders()
     head = dict(payload)
     violations = ",\n    ".join(
-        "{\n      " + _JSON_VIOLATION.encode(v)[1:-1] + "\n    }"
+        "{\n      " + violation.encode(v)[1:-1] + "\n    }"
         for v in head.pop("violations"))
-    return ("{\n  " + _JSON_REPORT.encode(head)[1:-1]
+    return ("{\n  " + report.encode(head)[1:-1]
             + ',\n  "violations": '
             + (f"[\n    {violations}\n  ]" if violations else "[]") + "\n}")
 
@@ -196,13 +209,13 @@ def cmd_profile(args: argparse.Namespace) -> int:
         raise OverflowError("the profile table holds a value that is not a "
                             "finite float")
     # each cell as "%.12g", with g blank where z' vanishes
-    blocks = [format_g(column, 12) for column in columns]
+    blocks = [_textfmt.format_g(column, 12) for column in columns]
     blocks[-1][:, ~has_g] = 0
     row = []
     for block in blocks:
         row += [block, b","]
     row[-1] = b"\n"
-    text = lines(row).decode("ascii")
+    text = _textfmt.lines(row).decode("ascii")
     with _open_output(args.output) as out:
         out.write(",".join(PROFILE_COLUMNS) + "\n")
         out.write(text)
@@ -295,45 +308,45 @@ def cmd_mesh(args: argparse.Namespace) -> int:
     if args.resolution < 8:
         raise ValueError("mesh resolution must be at least 8")
     p = build_portion(params, root)
-    objects = [("portion", revolve(params, -p.s_bar, p.s_bar,
-                                   args.resolution, args.resolution))]
+    objects = [("portion", _mesh.revolve(params, -p.s_bar, p.s_bar,
+                                         args.resolution, args.resolution))]
     if args.include_sphere:
-        objects.append(("sphere", sphere(p.R0, args.resolution // 2,
-                                         args.resolution)))
+        objects.append(("sphere", _mesh.sphere(
+            p.R0, args.resolution // 2, args.resolution)))
     for name, mesh in objects:
         if not (np.isfinite(mesh.vertices).all()
                 and np.isfinite(mesh.normals).all()):
             raise OverflowError(f"the {name} mesh holds a vertex or normal "
                                 "that is not a finite float")
     with open(args.out, "wb") as sink:
-        export_obj_scene(objects, sink)
+        _mesh.export_obj_scene(objects, sink)
     return EXIT_OK
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    results = run_checks(_root_config(args))
-    out = sys.stdout
+    results = _verify.run_checks(_root_config(args))
     all_passed = all(r.passed for r in results)
-    if args.format == "json":
-        for r in results:
-            out.write(json.dumps({
-                "id": r.check_id,
-                "description": r.description,
-                "passed": r.passed,
-                "worstRatio": (None if math.isinf(r.worst_ratio)
-                               else _round12(r.worst_ratio)),
-                "detail": r.detail,
-            }) + "\n")
-    else:
-        for r in results:
-            status = "PASS" if r.passed else "FAIL"
-            line = (f"{r.check_id:<5} {status}  ratio={r.worst_ratio:.3e}  "
-                    f"{r.description}")
-            if r.detail:
-                line += f"  [{r.detail}]"
-            out.write(line + "\n")
-        passed = sum(1 for r in results if r.passed)
-        out.write(f"{passed}/{len(results)} checks passed\n")
+    with _open_output(None) as out:
+        if args.format == "json":
+            for r in results:
+                out.write(_json.dumps({
+                    "id": r.check_id,
+                    "description": r.description,
+                    "passed": r.passed,
+                    "worstRatio": (None if math.isinf(r.worst_ratio)
+                                   else _round12(r.worst_ratio)),
+                    "detail": r.detail,
+                }) + "\n")
+        else:
+            for r in results:
+                status = "PASS" if r.passed else "FAIL"
+                line = (f"{r.check_id:<5} {status}  "
+                        f"ratio={r.worst_ratio:.3e}  {r.description}")
+                if r.detail:
+                    line += f"  [{r.detail}]"
+                out.write(line + "\n")
+            passed = sum(1 for r in results if r.passed)
+            out.write(f"{passed}/{len(results)} checks passed\n")
     return EXIT_OK if all_passed else EXIT_VERIFY_FAILED
 
 

@@ -41,15 +41,16 @@ import math
 from functools import cached_property
 from typing import Callable, NamedTuple, Optional
 
-from ._np import np
+from ._np import lazy, np
 from ._record import Record
 from .curvature import PointAnalysis, analyze_point
 from .delaunay import (DelaunayParams, GeneratrixState, eval_state, profile,
                        z_of)
 from .freeboundary import (AnalysisReport, FreeBoundaryPortion,
                            build_portion, classify)
-from .mesh import export_obj, revolve
 from .numerics import DEFAULT_ROOT, RootConfig, integrate
+
+_mesh = lazy("cmcpinch.mesh")
 
 EXAMPLE = DelaunayParams(0.1, 0.9)
 NODOID_EXAMPLE = DelaunayParams(1.0, 1.5)
@@ -417,9 +418,9 @@ def _parse_obj(data: bytes):
 def _check_mesh_export(ctx: _Context, r: _Ratios) -> str:
     p = ctx.example_portion
     n_mer, n_par = 64, 64
-    m = revolve(EXAMPLE, -p.s_bar, p.s_bar, n_mer, n_par)
+    m = _mesh.revolve(EXAMPLE, -p.s_bar, p.s_bar, n_mer, n_par)
     sink = io.BytesIO()
-    export_obj(m, sink)
+    _mesh.export_obj(m, sink)
     vs, vns, faces = _parse_obj(sink.getvalue())
     r.require(vs.shape == m.vertices.shape)
     r.require(vns.shape == m.normals.shape)

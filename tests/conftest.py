@@ -1,7 +1,7 @@
 """Shared fixtures: one run of the default acceptance battery."""
 import pytest
 
-from cmcpinch import cli
+from cmcpinch import verify
 from cmcpinch.numerics import DEFAULT_ROOT
 from cmcpinch.verify import run_checks
 
@@ -19,11 +19,11 @@ def shared_verify(default_checks, monkeypatch):
     Any other config still runs the battery, so a flag or variable that
     does not resolve to the default still shows in the output.
     """
-    real = cli.run_checks
+    real = verify.run_checks
 
     def run_checks_once(root):
         if root == DEFAULT_ROOT:
             return list(default_checks)
         return real(root)
 
-    monkeypatch.setattr(cli, "run_checks", run_checks_once)
+    monkeypatch.setattr(verify, "run_checks", run_checks_once)

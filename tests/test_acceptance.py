@@ -12,7 +12,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from cmcpinch import freeboundary, verify
+from cmcpinch import freeboundary, mesh, verify
 from cmcpinch.curvature import PointAnalysis, analyze_point
 from cmcpinch.delaunay import DelaunayParams, GeneratrixState, eval_state
 from cmcpinch.freeboundary import AnalysisReport, VERDICT_NO_ORTHOGONAL
@@ -291,7 +291,7 @@ def _infinite_normal(lines):
 
 def _export_corrupted_by(corrupt):
     """export_obj with its text passed through corrupt(lines)."""
-    real = verify.export_obj
+    real = mesh.export_obj
 
     def export_corrupted(mesh, sink):
         clean = io.BytesIO()
@@ -328,7 +328,7 @@ def _export_corrupted_by(corrupt):
 ])
 def test_ac16_fails_on_a_corrupted_obj(corrupt, detail, results,
                                        monkeypatch):
-    monkeypatch.setattr(verify, "export_obj", _export_corrupted_by(corrupt))
+    monkeypatch.setattr(mesh, "export_obj", _export_corrupted_by(corrupt))
     res = dict(verify.CHECKS)["AC16"](verify._Context(DEFAULT_ROOT))
     assert (res.check_id, res.description) == (
         "AC16", results["AC16"].description)
@@ -368,7 +368,7 @@ def test_ac16_reads_whitespace_variants_as_the_clean_obj(corrupt, results,
     # the reader skips a blank line, takes CR and form feed as whitespace
     # and needs no newline after the last record: AC16's result is the
     # clean battery's to the bit
-    monkeypatch.setattr(verify, "export_obj", _export_corrupted_by(corrupt))
+    monkeypatch.setattr(mesh, "export_obj", _export_corrupted_by(corrupt))
     res = dict(verify.CHECKS)["AC16"](verify._Context(DEFAULT_ROOT))
     clean = results["AC16"]
     assert res.passed
@@ -395,7 +395,7 @@ def test_ac16_reads_a_record_alike_wherever_it_stands(tag, record, edit,
         i = _records(lines, tag)[record]
         lines[i] = edit(lines[i], tag)
         return lines
-    monkeypatch.setattr(verify, "export_obj", _export_corrupted_by(corrupt))
+    monkeypatch.setattr(mesh, "export_obj", _export_corrupted_by(corrupt))
     res = dict(verify.CHECKS)["AC16"](verify._Context(DEFAULT_ROOT))
     clean = results["AC16"]
     assert res.passed, res.detail

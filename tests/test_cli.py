@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cmcpinch import cli
+from cmcpinch import cli, mesh, verify
 from cmcpinch.cli import main
 from cmcpinch.curvature import analyze_point
 from cmcpinch.delaunay import DelaunayParams, profile
@@ -813,14 +813,14 @@ def test_no_valid_input_reads_as_invalid_input(h, b, tmp_path, capsys):
 @pytest.mark.parametrize("field", ["vertices", "normals"])
 def test_mesh_with_a_non_finite_vertex_exits_3(field, monkeypatch, tmp_path,
                                                capsys):
-    real_revolve = cli.revolve
+    real_revolve = mesh.revolve
 
     def broken(*args):
         mesh = real_revolve(*args)
         getattr(mesh, field)[3, 1] = np.inf
         return mesh
 
-    monkeypatch.setattr(cli, "revolve", broken)
+    monkeypatch.setattr(mesh, "revolve", broken)
     dest = tmp_path / "m.obj"
     code, out, err = run_cli(["mesh", "--H", "1", "--B", "1.5",
                               "--resolution", "8", "--out", str(dest)],
@@ -969,7 +969,7 @@ def test_verify_prints_an_infinite_ratio(monkeypatch, capsys):
     # ".3e" prints inf as inf; JSON has no inf, so it is null there
     raised = CheckResult("AC0", "a check that raised", False, math.inf,
                          "ZeroDivisionError: broke")
-    monkeypatch.setattr(cli, "run_checks", lambda root: [raised])
+    monkeypatch.setattr(verify, "run_checks", lambda root: [raised])
     assert run_cli(["verify"], capsys) == (
         1, "AC0   FAIL  ratio=inf  a check that raised  "
            "[ZeroDivisionError: broke]\n0/1 checks passed\n", "")

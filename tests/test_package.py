@@ -1,3 +1,4 @@
+import ast
 import importlib
 import json
 import os
@@ -7,6 +8,8 @@ import runpy
 import subprocess
 import sys
 import types
+
+import pytest
 
 import cmcpinch
 
@@ -101,6 +104,93 @@ def test_analyze_and_the_float_api_never_load_numpy():
     spans = runpy.run_path(str(ROOT / "bench" / "tracing.py"))["SPANS"]
     for module, _, _ in spans:
         assert f"cmcpinch.{module}" in seen["modules"]
+
+
+# the modules that load on first use, beside numpy; the fresh run below
+# passes its values with ast, so that it imports no json itself
+LAZY_MODULES = ["cmcpinch.mesh", "cmcpinch.textfmt", "cmcpinch.verify",
+                "json"]
+STATES_RUN = """
+import ast, contextlib, io, sys, types
+from cmcpinch import cli
+argvs, watched = ast.literal_eval(sys.argv[1])
+steps = []
+for argv in argvs:
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    # a LazyLoader module is of a ModuleType subclass until its first
+    # attribute read runs it; a module not registered raises KeyError
+    ran = [name for name in watched
+           if type(sys.modules[name]) is types.ModuleType]
+    steps.append((code, ran))
+print(repr(steps))
+"""
+SCAN_ARGV = ["scan", "--H-min", "0.5", "--H-max", "2", "--H-steps", "2",
+             "--B-min", "0", "--B-max", "2", "--B-steps", "11"]
+
+
+@pytest.mark.parametrize("steps", [
+    [(["analyze", "--H", "0.1", "--B", "0.9"], 0, []),
+     (SCAN_ARGV, 0, []),
+     (["--help"], 0, []),
+     (["analyze", "--H", "1", "--B", "1"], 2, []),
+     (["analyze", "--H", "0.1", "--B", "0.9", "--format", "json"], 0,
+      ["json"])],
+    [(["profile", "--H", "0.1", "--B", "0.9", "--s-min", "-1.8",
+       "--s-max", "1.8", "--n", "64"], 0, ["cmcpinch.textfmt"])],
+    [(["mesh", "--H", "0.1", "--B", "0.9", "--resolution", "16",
+       "--include-sphere", "--out", "{tmp}"], 0,
+      ["cmcpinch.mesh", "cmcpinch.textfmt"])],
+], ids=["analyze-scan-help-usage", "profile", "mesh"])
+def test_each_command_runs_only_its_own_modules(steps, tmp_path):
+    argvs = [[a.replace("{tmp}", str(tmp_path / "m.obj")) for a in argv]
+             for argv, _, _ in steps]
+    run = _fresh(STATES_RUN, repr((argvs, LAZY_MODULES)))
+    assert run.returncode == 0, run.stderr
+    assert ast.literal_eval(run.stdout) == [(code, ran)
+                                            for _, code, ran in steps]
+
+
+def test_the_tracer_wraps_the_modules_that_load_on_first_use():
+    # the benchmark's tracer reads each function it wraps off its module,
+    # which runs a module that has not run yet; verify then resolves
+    # run_checks and revolve on their modules, where the wrappers stand
+    code = ("import contextlib, io, runpy, sys, types\n"
+            "from cmcpinch import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['analyze', '--H', '0.1', '--B', '0.9']) "
+            "== 0\n"
+            "assert type(sys.modules['cmcpinch.verify']) "
+            "is not types.ModuleType\n"
+            "Tracer = runpy.run_path(sys.argv[1])['Tracer']\n"
+            "with Tracer() as tracer, "
+            "contextlib.redirect_stdout(io.StringIO()) as out:\n"
+            "    code = cli.main(['verify', '--format', 'json'])\n"
+            "print(code, tracer.counts['verify.run_checks.calls'],\n"
+            "      tracer.counts['mesh.revolve.calls'])\n"
+            "sys.stdout.write(out.getvalue())\n")
+    run = _fresh(code, str(ROOT / "bench" / "tracing.py"))
+    assert run.returncode == 0, run.stderr
+    status, _, report = run.stdout.partition("\n")
+    assert status == "0 1 1"
+    golden = ROOT / "tests" / "golden" / "verify.jsonl"
+    assert report == golden.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--H", "0.1", "--B", "0.9"], SCAN_ARGV, ["verify"]],
+    ids=["analyze", "scan", "verify"])
+def test_a_stdout_closed_at_start_is_unwritable_output(argv):
+    # Python sets sys.stdout to None when fd 1 is closed at start (>&-)
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE_PARENT))
+    run = subprocess.run(
+        [sys.executable, "-c", "from cmcpinch.cli import entry; entry()",
+         *argv], env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        text=True, check=False, preexec_fn=lambda: os.close(1))
+    assert run.returncode == 2, run.stderr
+    assert run.stderr.startswith("error: ")
+    assert run.stderr.count("\n") == 1
 
 
 def test_no_command_loads_dataclasses(tmp_path):
