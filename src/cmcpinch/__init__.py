@@ -39,5 +39,5 @@ _DEFERRED = {"revolve": _lazy("cmcpinch.mesh"),
 def __getattr__(name: str):
     if name not in _DEFERRED:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(_DEFERRED[name], name)
+    globals()[name] = value = getattr(_DEFERRED[name], name)
     return value

@@ -10,9 +10,9 @@ Subcommands:
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input, an
 unopenable output path or stdout, or an unallocatable grid, 3 numerical
-failure, 4 no portion exists for the requested surface.  Output opens only once
-every value is computed, so a failure writes nothing; a length or
-profile cell that is not a finite float raises OverflowError, exit 3.
+failure, 4 no portion exists for the requested surface.  Output opens
+only once every value is computed, so a failure writes nothing; a length
+or profile cell that is not a finite float raises OverflowError, exit 3.
 
 Each numeric tolerance comes from its flag alone; a flag not given
 takes the library default.  The root finder's --root-* flags, the only
