@@ -81,16 +81,21 @@ example, and tests/test_reference.py checks them at 50 digits.
 Violation sequence (unduloid, B > 0).  At t_n = (2 n pi - arccos B) / H
 x'' = z'' = 0 and x' = -B, z' = H x, so lambda1 = 1 and lambda2 =
 B (B - H z(t_n)), the closed forms violation_points returns (the general
-kernel is the tests' oracle).  The gap 2 lambda2 is negative exactly where
-z(t_n) > B/H, which holds from n = 1 on, so n0 = 1.  Proof: with
-c = cos(H s), z' = (1 - B c) / sqrt(1 + B^2 - 2 B c)
-is positive, and where c <= 0
+kernel is the tests' oracle).  z is odd and rises by z(2 pi / H) over
+each period, so with s0 = arccos(B) / H
+
+    z(t_n) = n z(2 pi / H) - z(s0),
+
+and two heights give the whole sequence (_sequence, at H = 1).  The gap
+2 lambda2 is negative exactly where z(t_n) > B/H, which holds from n = 1
+on, so n0 = 1.  Proof: with c = cos(H s), z' = (1 - B c) / sqrt(1 + B^2
+- 2 B c) is positive, and where c <= 0
 
     2 (1 - B c)^2 - (1 + B^2 - 2 B c) = (1 - B^2) - 2 B c + 2 B^2 c^2 > 0,
 
 so z' > 1/sqrt(2) on [pi/2, 3pi/2] / H.  That interval lies in [0, t_1]
 because arccos B < pi/2, hence H z(t_1) > pi/sqrt(2) > 1 > B, and z(t_n)
-only grows with n.
+only grows with n, by z(2 pi / H) > 0 a step.
 
 Canonical units.  The surface (H, B) is the surface (1, B) scaled by
 1/H; the verdict, lambda1, lambda2, the gap and the portion dilated into
@@ -272,25 +277,36 @@ def build_portion(params: DelaunayParams,
     return rep.portion
 
 
+def _sequence(unit: DelaunayParams, z_s0: float, count: int
+              ) -> list[ViolationPoint]:
+    # t_1..t_count at H = 1, where z(t_n) = n z(2 pi) - z(s0): the rise
+    # z(2 pi) is the one height evaluated here
+    B, acb, rise = unit.B, math.acos(unit.B), z_of(unit, 2.0 * math.pi)
+    points = []
+    for n in range(1, count + 1):
+        lambda2 = B * (B - (n * rise - z_s0))
+        points.append(ViolationPoint(n, 2.0 * math.pi * n - acb, lambda2,
+                                     2.0 * lambda2))
+    return points
+
+
 def violation_points(params: DelaunayParams, count: int
                      ) -> list[ViolationPoint]:
     """First `count` members of the violation sequence t_n.
 
     t_n = (2 n pi - arccos B) / H, where the module docstring gives
     lambda1 = 1 exactly; each point carries that closed form,
-    lambda2 = B (B - H z(t_n)) and gap = 2 lambda2, from one height each.
+    lambda2 = B (B - H z(t_n)) and gap = 2 lambda2.  Two heights at H = 1,
+    z(s0) and the period's rise z(2 pi), give every z(t_n), so lambda2
+    and the gap are the H = 1 floats at every H, as classify reports them.
     """
     if params.family != UNDULOID:
         raise ValueError("the violation sequence needs an unduloid with B > 0")
     if count < 1:
         raise ValueError("count must be at least 1")
-    B, H, acb = params.B, params.H, math.acos(params.B)
-    points = []
-    for n in range(1, count + 1):
-        t = (2.0 * math.pi * n - acb) / H
-        lambda2 = B * (B - H * z_of(params, t))
-        points.append(ViolationPoint(n, t, lambda2, 2.0 * lambda2))
-    return points
+    unit = DelaunayParams(1.0, params.B)
+    return [ViolationPoint(v.n, v.t / params.H, v.lambda2, v.gap)
+            for v in _sequence(unit, z_of(unit, math.acos(unit.B)), count)]
 
 
 def find_n0(params: DelaunayParams) -> int:
@@ -347,7 +363,7 @@ def classify(params: DelaunayParams,
                      root_cfg.max_iterations)
     sb = find_root(_u_of_s(unit, states), 0.0, top, cfg, SINH_T0 * neck)
     if family == UNDULOID:
-        violations, n0 = violation_points(unit, 3), 1
+        violations, n0 = _sequence(unit, z_at_s0, 3), 1
     # s = 0, where u = B - 1 != 0, is no crossing
     if sb == 0.0:
         raise ValueError(f"root tolerance x_tol={root_cfg.x_tol!r} stopped "

@@ -745,12 +745,9 @@ def test_crossing_is_solved_at_unit_scale(monkeypatch):
         assert sb.hex() == classify(params).portion.s_bar.hex()
 
 
-@pytest.mark.parametrize("b, count", [(0.9, 11), (1.5, 9), (0.5, 1),
-                                      (0.0, 0)])
-def test_classify_evaluates_each_height_once(monkeypatch, b, count):
-    # the dichotomy's state at s0 seeds the search, which keeps every
-    # state it evaluates, so s0 and s_bar are not evaluated again: a
-    # pinched unduloid takes s0, seven search points and t_1..t_3
+@pytest.fixture
+def heights(monkeypatch):
+    # the arc lengths s of every height evaluated, in order
     seen = []
     height = delaunay._height
 
@@ -759,9 +756,45 @@ def test_classify_evaluates_each_height_once(monkeypatch, b, count):
         return height(params, s)
 
     monkeypatch.setattr(delaunay, "_height", recording)
+    return seen
+
+
+@pytest.mark.parametrize("b, count", [(0.9, 9), (1.5, 9), (0.5, 1),
+                                      (0.0, 0)])
+def test_classify_evaluates_each_height_once(heights, b, count):
+    # the dichotomy's state at s0 seeds the search, which keeps every
+    # state it evaluates, so s0 and s_bar are not evaluated again: a
+    # pinched unduloid takes s0, seven search points and the period's
+    # rise z(2π)
+    seen = heights
     classify(DelaunayParams(1.0, b))
     assert len(seen) == count
     assert len(set(seen)) == len(seen)
+
+
+def test_violation_points_are_the_classify_report_at_every_h():
+    # one route to the sequence: violation_points gives classify's t_n,
+    # lambda2 and gap bit for bit, and lambda2 is the H = 1 float at
+    # every H, over decades of H and of 1 - B
+    rng = random.Random(53)
+    for _ in range(600):
+        h = 10.0 ** rng.uniform(-3.0, 3.0)
+        b = 1.0 - 10.0 ** rng.uniform(-12.0, math.log10(0.234))
+        params = DelaunayParams(h, b)
+        unit = violation_points(DelaunayParams(1.0, b), 3)
+        pts = violation_points(params, 3)
+        assert [(v.t.hex(), v.lambda2.hex(), v.gap.hex()) for v in pts] == [
+            (v.t.hex(), v.lambda2.hex(), v.gap.hex())
+            for v in classify(params).violations], params
+        assert [v.lambda2.hex() for v in pts] == [
+            v.lambda2.hex() for v in unit], params
+
+
+@pytest.mark.parametrize("count", [1, 50])
+def test_violation_points_evaluate_two_heights(heights, count):
+    # z(s0) and the period's rise z(2π) give z(t_n) for every n
+    assert len(violation_points(DelaunayParams(0.3, 0.9), count)) == count
+    assert len(heights) == 2
 
 
 @pytest.mark.parametrize("params", [EXAMPLE, NODOID_EX])

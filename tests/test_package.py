@@ -178,19 +178,33 @@ def test_the_tracer_wraps_the_modules_that_load_on_first_use():
     assert report == golden.read_text(encoding="utf-8")
 
 
+def _closed_stdout_run(argv):
+    # Python sets sys.stdout to None when fd 1 is closed at start (>&-)
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE_PARENT))
+    return subprocess.run(
+        [sys.executable, "-c", "from cmcpinch.cli import entry; entry()",
+         *argv], env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        text=True, check=False, preexec_fn=lambda: os.close(1))
+
+
 @pytest.mark.parametrize("argv", [
     ["analyze", "--H", "0.1", "--B", "0.9"], SCAN_ARGV, ["verify"]],
     ids=["analyze", "scan", "verify"])
 def test_a_stdout_closed_at_start_is_unwritable_output(argv):
-    # Python sets sys.stdout to None when fd 1 is closed at start (>&-)
-    env = dict(os.environ, PYTHONPATH=str(PACKAGE_PARENT))
-    run = subprocess.run(
-        [sys.executable, "-c", "from cmcpinch.cli import entry; entry()",
-         *argv], env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
-        text=True, check=False, preexec_fn=lambda: os.close(1))
+    run = _closed_stdout_run(argv)
     assert run.returncode == 2, run.stderr
     assert run.stderr.startswith("error: ")
     assert run.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["analyze", "--help"]],
+                         ids=["cmcpinch", "analyze"])
+def test_help_on_a_stdout_closed_at_start_goes_to_stderr(argv):
+    # argparse prints to sys.stderr where sys.stdout is None, and help
+    # exits 0
+    run = _closed_stdout_run(argv)
+    assert run.returncode == 0, run.stderr
+    assert run.stderr.startswith("usage: cmcpinch")
 
 
 def test_no_command_loads_dataclasses(tmp_path):
